@@ -2,9 +2,10 @@
 
 A finite model of the ball carries exact p-adic arithmetic (valuations,
 characters, Haar measure on cosets); on it the fractional operator of
-order alpha is realized four equivalent ways, diagonalized by a
-radix-p FFT, and drives both the linear heat semigroup and the
-nonlinear porous-medium flow via backward-Euler resolvents.
+order alpha is realized four equivalent ways, diagonalized by nested
+ball averages (its symbol depends only on |xi|_p), and drives both the
+linear heat semigroup and the nonlinear porous-medium flow via
+backward-Euler resolvents.
 """
 
 from .ball_model import BallModel, Constants, coefficient_ap, lambda_value

@@ -63,8 +63,8 @@ class BallModel:
     order_cap : refuse group orders p**(N+M) above this bound.
 
     Instances are immutable and hashable.  Derived lookup tables
-    (valuations, absolute values, twiddle factors) are cached per model
-    and shared read-only, so models are safe to use concurrently.
+    (valuations, absolute values) are cached per model and shared
+    read-only, so models are safe to use concurrently.
     """
 
     p: int

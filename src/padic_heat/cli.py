@@ -386,6 +386,8 @@ def _task_solve_pme(cfg: dict) -> int:
     phi = _parse_phi(cfg)
     u0 = _parse_initial(cfg, model)
     record_every = int(cfg.get("record_every", 1))
+    if record_every < 1:
+        raise ValidationFailure(f"record_every must be >= 1, got {record_every}")
     states, rows = pme_trajectory(u0, t, steps, alpha, phi,
                                   record_every=record_every)
     _write_table(cfg, "pme_trajectory",

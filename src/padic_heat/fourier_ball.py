@@ -13,55 +13,27 @@ on the forward side.  Consequences worth remembering:
 * convolution:  forward(u * v) = p**N * forward(u) * forward(v)
   for the measure-weighted convolution of the function space.
 
-The transform is a mixed-radix Cooley-Tukey specialization to radix p,
-recursing on index residues mod p with all butterflies batched through
-numpy.  Twiddle factors are read from one table exp(+-2*pi*i*j/S) whose
-index j is reduced mod S in exact integer arithmetic before the
-transcendental call, so no angle ever drifts by multiples of 2*pi.
-``dft_direct`` is the O(S^2) reference transform kept as an oracle.
+With this convention ``forward`` is numpy's ``ifft`` and ``inverse`` is
+numpy's ``fft``.  ``dft_direct`` is the O(S^2) reference transform kept
+as an oracle.
+
+Every multiplier this package applies depends on k only through
+|xi_k|_p, i.e. through the valuation of k.  Such a multiplier is
+diagonal in the nested ball averages of the point domain: the
+frequencies with p**r | k are exactly those that survive averaging u
+over the classes n mod p**(L-r), L = N + M.  ``apply_radial`` applies it
+through that ladder of averages in O(S) real arithmetic, with no
+transform; ``apply_multiplier`` stays for general factors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .ball_model import BallModel
 from .function_space import GridFunction
-
-
-@lru_cache(maxsize=32)
-def _twiddle_table(S: int, sign: int) -> np.ndarray:
-    j = np.arange(S)
-    t = np.exp(sign * 2j * np.pi * j / S)
-    t.setflags(write=False)
-    return t
-
-
-def _fft_core(a: np.ndarray, p: int, table: np.ndarray) -> np.ndarray:
-    """Radix-p transform along the last axis; length must be a power of p."""
-    n = a.shape[-1]
-    if n == 1:
-        return a.copy()
-    m = n // p
-    stride = table.size // n
-    sub = np.stack([a[..., r::p] for r in range(p)], axis=0)
-    sub = _fft_core(sub, p, table)
-    # twiddles exp(sign*2*pi*i * r*v / n), indices reduced mod S exactly
-    tw_idx = (np.arange(p)[:, None] * np.arange(m)[None, :] * stride) % table.size
-    tw = table[tw_idx].reshape(p, *([1] * (sub.ndim - 2)), m)
-    t = sub * tw
-    zeta_idx = (np.arange(p)[:, None] * np.arange(p)[None, :] * (table.size // p)) % table.size
-    x = np.tensordot(table[zeta_idx], t, axes=(1, 0))
-    out = np.moveaxis(x, 0, -2)
-    return out.reshape(*a.shape[:-1], n)
-
-
-def _transform(values: np.ndarray, model: BallModel, sign: int) -> np.ndarray:
-    table = _twiddle_table(model.S, sign)
-    return _fft_core(np.ascontiguousarray(values, dtype=np.complex128), model.p, table)
 
 
 @dataclass(eq=False)
@@ -84,12 +56,12 @@ class SpectralFunction:
 
 def forward(u: GridFunction) -> SpectralFunction:
     """Fourier coefficients with the +2*pi*i kernel and 1/S scale."""
-    return SpectralFunction(u.model, _transform(u.values, u.model, +1) / u.model.S)
+    return SpectralFunction(u.model, np.fft.ifft(u.values))
 
 
 def inverse(f: SpectralFunction) -> GridFunction:
     """Synthesis with the -2*pi*i kernel; exact inverse of ``forward``."""
-    return GridFunction(f.model, _transform(f.coeffs, f.model, -1))
+    return GridFunction(f.model, np.fft.fft(f.coeffs))
 
 
 def apply_multiplier(model: BallModel, factors: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -98,10 +70,50 @@ def apply_multiplier(model: BallModel, factors: np.ndarray, values: np.ndarray) 
     Real input comes back real (the imaginary residue of the synthesis
     is dropped; multipliers used in this package are even in k).
     """
-    coeffs = _transform(values, model, +1) / model.S
-    out = _transform(coeffs * factors, model, -1)
+    out = np.fft.fft(np.fft.ifft(values) * factors)
     if not np.iscomplexobj(values):
         return out.real
+    return out
+
+
+def radial_levels(model: BallModel, factors: np.ndarray) -> np.ndarray:
+    """Per-valuation values of a radial factor array, for ``apply_radial``.
+
+    Entry r < L = N + M is the factor at every frequency of valuation r,
+    read at k = p**r; entry L is the factor at k = 0.
+    """
+    factors = np.asarray(factors)
+    L = model.N + model.M
+    return np.append(factors[model.p ** np.arange(L)], factors[0])
+
+
+def apply_radial(model: BallModel, levels: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Apply a radial multiplier through nested ball averages, in O(S).
+
+    ``levels`` holds the L + 1 per-valuation values (see
+    ``radial_levels``).  The averages A_r over the classes n mod p**(L-r)
+    are built coarse-to-fine; coming back fine, each level's detail
+    A_r - A_{r+1}, which carries exactly the frequencies of valuation r,
+    is scaled by that level's value and the mean A_L by the k = 0 value.
+    The result equals ``apply_multiplier`` with the full factor array,
+    and has the dtype of ``values`` (real in, real out).
+    """
+    p, L = model.p, model.N + model.M
+    averages = [np.asarray(values)]
+    for _ in range(L):
+        averages.append(averages[-1].reshape(p, -1).mean(axis=0))
+    out = levels[L] * averages[L]
+    for r in range(L - 1, -1, -1):
+        detail = averages[r].reshape(p, -1) - averages[r + 1]
+        # Band form, re-centred, for precision when the level values are
+        # large (up to 2**38.4 at p=2, M=16, alpha=2.4, on 1 + 1e-3*noise):
+        # a telescoped sum of value differences times whole averages
+        # loses 3e-6 of lambda*mean(u) there, and without re-centring the
+        # rounding residue of A_{r+1} in the detail's class sums leaks
+        # 1.6e-7 into the mean.  This form and the Fourier path both stay
+        # near 1e-10.
+        detail -= detail.mean(axis=0)
+        out = (out + levels[r] * detail).reshape(-1)
     return out
 
 
@@ -109,10 +121,11 @@ def dft_direct(values: np.ndarray, sign: int) -> np.ndarray:
     """O(S^2) reference transform: sum with kernel exp(sign*2*pi*i*n*k/S).
 
     Carries no 1/S scale; the caller applies the forward normalisation.
-    Index products are reduced mod S exactly, as in the fast path.
+    Index products are reduced mod S exactly before the exponential.
     """
     v = np.asarray(values, dtype=np.complex128)
     S = v.size
-    table = _twiddle_table(S, +1 if sign > 0 else -1)
+    s = +1 if sign > 0 else -1
+    table = np.exp(s * 2j * np.pi * np.arange(S) / S)
     idx = (np.outer(np.arange(S), np.arange(S))) % S
     return table[idx] @ v

@@ -33,7 +33,7 @@ import mpmath as mp
 import numpy as np
 
 from .ball_model import BallModel, lambda_value, valuation_table
-from .fourier_ball import SpectralFunction, inverse
+from .fourier_ball import apply_radial, radial_levels
 from .function_space import GridFunction
 from .vladimirov import multiplier
 
@@ -288,16 +288,21 @@ def heat_kernel_ball_series(p: int, N: int, alpha: float, t: float,
 def ball_kernel_gridfunction(model: BallModel, alpha: float, t: float) -> GridFunction:
     """Ball heat kernel as a grid function, built spectrally.
 
-    Coefficients p**(-N) * exp(-t*(m[k] - lambda)); convolving with it
-    realises the semigroup exp(-t*(D - lambda*I)) on level-M data.  Its
-    coset values equal the coset averages of the radial evaluator.
+    Fourier coefficients p**(-N) * exp(-t*(m[k] - lambda)), synthesised
+    by applying that radial multiplier to S times the point mass at 0
+    through nested ball averages; convolving with it realises the
+    semigroup exp(-t*(D - lambda*I)) on level-M data.  Its coset values
+    equal the coset averages of the radial evaluator.
     """
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
     mult = multiplier(model, float(alpha))
     lam = mult.eigenvalues[0]
-    coeffs = float(model.p) ** (-model.N) * np.exp(-t * (mult.eigenvalues - lam))
-    return GridFunction(model, inverse(SpectralFunction(model, coeffs)).values.real)
+    levels = float(model.p) ** (-model.N) * np.exp(
+        -t * (radial_levels(model, mult.eigenvalues) - lam))
+    delta = np.zeros(model.S)
+    delta[0] = model.S
+    return GridFunction(model, apply_radial(model, levels, delta))
 
 
 # -- Green function and resolvent --------------------------------------
@@ -444,21 +449,19 @@ def resolvent_apply(u: GridFunction, alpha: float, mu: float,
                     path: str = "spectral") -> GridFunction:
     """Apply (D - lambda + mu)^(-1) to a grid function.
 
-    path="spectral" divides Fourier coefficients by (m[k] - lambda + mu);
-    path="kernel" convolves with the Green grid function and adds the
-    rank-one piece p**(-N)/mu * integral(u) that the kernel (mean-zero
-    by construction) cannot carry.
+    path="spectral" applies the radial multiplier 1/(m[k] - lambda + mu)
+    through nested ball averages; path="kernel" convolves with the Green
+    grid function and adds the rank-one piece p**(-N)/mu * integral(u)
+    that the kernel (mean-zero by construction) cannot carry.
     """
     if mu <= 0:
         raise ValueError(f"mu must be positive, got {mu}")
     model = u.model
     if path == "spectral":
-        from .fourier_ball import forward
         mult = multiplier(model, float(alpha))
         lam = mult.eigenvalues[0]
-        coeffs = forward(u).coeffs / (mult.eigenvalues - lam + mu)
-        out = inverse(SpectralFunction(model, coeffs))
-        return out.real() if not np.iscomplexobj(u.values) else out
+        levels = 1.0 / (radial_levels(model, mult.eigenvalues) - lam + mu)
+        return GridFunction(model, apply_radial(model, levels, u.values))
     if path == "kernel":
         kg = green_kernel_gridfunction(model, float(alpha), float(mu))
         mean_part = float(model.p) ** (-model.N) / mu * u.integral()

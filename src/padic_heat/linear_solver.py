@@ -1,18 +1,19 @@
 """Linear heat flow on the ball: du/dt + (D - lambda)u = 0.
 
-Two interchangeable propagation paths: the spectral path multiplies
-Fourier coefficients by exp(-t*(m[k] - lambda)) and is the default; the
-kernel path convolves with the ball heat kernel grid function and is
-kept as an independent oracle.  Constants are fixed points, mass is
-conserved (the k = 0 mode is untouched), and every nonzero mode decays,
-so solutions relax to the mean at rate p**(alpha*(1-N)) - lambda.
+Two interchangeable propagation paths: the spectral path applies the
+radial multiplier exp(-t*(m[k] - lambda)) through nested ball averages
+(``fourier_ball.apply_radial``) and is the default; the kernel path
+convolves with the ball heat kernel grid function and is kept as an
+independent oracle.  Constants are fixed points, mass is conserved (the
+k = 0 mode is untouched), and every nonzero mode decays, so solutions
+relax to the mean at rate p**(alpha*(1-N)) - lambda.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .fourier_ball import SpectralFunction, forward, inverse
+from .fourier_ball import apply_radial, radial_levels
 from .function_space import GridFunction
 from .kernels import ball_kernel_gridfunction
 from .vladimirov import multiplier
@@ -28,9 +29,8 @@ def evolve(u0: GridFunction, alpha: float, t: float,
     if path == "spectral":
         mult = multiplier(u0.model, float(alpha))
         lam = mult.eigenvalues[0]
-        coeffs = forward(u0).coeffs * np.exp(-t * (mult.eigenvalues - lam))
-        out = inverse(SpectralFunction(u0.model, coeffs))
-        return out.real() if not np.iscomplexobj(u0.values) else out
+        levels = np.exp(-t * (radial_levels(u0.model, mult.eigenvalues) - lam))
+        return GridFunction(u0.model, apply_radial(u0.model, levels, u0.values))
     if path == "kernel":
         return u0.convolve(ball_kernel_gridfunction(u0.model, float(alpha), t))
     raise ValueError(f"unknown path {path!r}")

@@ -8,10 +8,11 @@ bookkeeping per implicit step is exact:
 
 Each step solves v + h*D(Phi(v)) = g by damped Newton with dense
 factorization at small sizes and preconditioned conjugate gradients
-above, falling back to a relaxed fixed-point iteration whose
-contraction factor comes from the spectral bound of D.  The
-Crandall-Liggett construction doubles the step count until successive
-solutions stop moving in L1.
+above (D and the preconditioner are radial multipliers, applied through
+nested ball averages by ``fourier_ball.apply_radial``), falling back to
+a relaxed fixed-point iteration whose contraction factor comes from the
+spectral bound of D.  The Crandall-Liggett construction doubles the
+step count until successive solutions stop moving in L1.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ball_model import BallModel
-from .fourier_ball import SpectralFunction, forward, inverse
+from .fourier_ball import apply_radial, radial_levels
 from .function_space import GridFunction
-from .vladimirov import DEFAULT_MATRIX_CAP, apply_spectral, build_matrix, multiplier
+from .vladimirov import DEFAULT_MATRIX_CAP, build_matrix, multiplier
 
 
 class SolverError(Exception):
@@ -160,22 +161,20 @@ DEFAULT_CONFIG = ImplicitStepConfig()
 
 
 def _apply_operator(model: BallModel, alpha: float, values: np.ndarray) -> np.ndarray:
-    mult = multiplier(model, alpha)
-    coeffs = forward(GridFunction(model, values)).coeffs * mult.eigenvalues
-    return inverse(SpectralFunction(model, coeffs)).values.real
+    levels = radial_levels(model, multiplier(model, alpha).eigenvalues)
+    return apply_radial(model, levels, values)
 
 
 def _pcg_jacobian_solve(model, alpha, h, sqrt_sigma, rhs, config):
     """Solve (I + h*S D S) y = rhs by PCG, S = diag(sqrt_sigma); SPD always."""
-    mult = multiplier(model, alpha)
-    precond_factors = 1.0 / (1.0 + h * float(np.mean(sqrt_sigma) ** 2) * mult.eigenvalues)
+    levels = radial_levels(model, multiplier(model, alpha).eigenvalues)
+    precond_levels = 1.0 / (1.0 + h * float(np.mean(sqrt_sigma) ** 2) * levels)
 
     def apply_B(x):
-        return x + h * sqrt_sigma * _apply_operator(model, alpha, sqrt_sigma * x)
+        return x + h * sqrt_sigma * apply_radial(model, levels, sqrt_sigma * x)
 
     def apply_M(x):
-        coeffs = forward(GridFunction(model, x)).coeffs * precond_factors
-        return inverse(SpectralFunction(model, coeffs)).values.real
+        return apply_radial(model, precond_levels, x)
 
     y = np.zeros_like(rhs)
     r = rhs - apply_B(y)
@@ -302,6 +301,8 @@ def pme_trajectory(u0: GridFunction, t: float, k: int, alpha: float,
     """
     if k < 1:
         raise ValueError(f"step count must be >= 1, got {k}")
+    if record_every < 1:
+        raise ValueError(f"record_every must be >= 1, got {record_every}")
     h = t / k
     lam = float(multiplier(u0.model, float(alpha)).eigenvalues[0])
     u = u0

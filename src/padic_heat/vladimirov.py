@@ -4,7 +4,8 @@ On the finite model the operator acts on grid functions and can be
 evaluated through any of:
 
 1. spectral multiplication: eigenvalue lambda on the zero frequency and
-   |xi|_p**alpha on every other frequency (``apply_spectral``);
+   |xi|_p**alpha on every other frequency, applied through nested ball
+   averages since the symbol is radial (``apply_spectral``);
 2. the hypersingular difference sum with weights a_p * |y|^(-alpha-1),
    which is exact on level-M functions because the inner coset
    contributes nothing (``apply_hypersingular``);
@@ -39,7 +40,7 @@ from .ball_model import (
     point_abs_table,
     valuation_table,
 )
-from .fourier_ball import apply_multiplier
+from .fourier_ball import apply_radial, radial_levels
 from .function_space import GridFunction
 
 DEFAULT_MATRIX_CAP = 4096
@@ -110,9 +111,10 @@ def multiplier(model: BallModel, alpha: float) -> SpectralMultiplier:
 
 
 def apply_spectral(u: GridFunction, alpha: float) -> GridFunction:
-    """Apply the operator by Fourier multiplication."""
+    """Apply the operator through its symbol, level by level of the ball ladder."""
     mult = multiplier(u.model, float(alpha))
-    return GridFunction(u.model, apply_multiplier(u.model, mult.eigenvalues, u.values))
+    levels = radial_levels(u.model, mult.eigenvalues)
+    return GridFunction(u.model, apply_radial(u.model, levels, u.values))
 
 
 @lru_cache(maxsize=128)

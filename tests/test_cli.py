@@ -197,6 +197,14 @@ def test_validation_failures(tmp_path, capsys):
     capsys.readouterr()
     assert main(base + ["--initial", '{"kind": "sine"}']) == 1
     capsys.readouterr()
+    # record_every below 1: one JSON error line, no traceback, no table
+    for value in ("0", "-2"):
+        assert main(base + ["--record-every", value]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "validation"
+        assert "record_every" in err[0]
+    assert not (tmp_path / "pme_trajectory.csv").exists()
     # bad format, bad times, bogus subcommand
     assert main(["spectrum", "--p", "2", "--N", "0", "--M", "3",
                  "--alpha", "1.0", "--format", "xml"]) == 1

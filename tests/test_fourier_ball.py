@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,10 @@ from padic_heat import (
     inverse,
     random_function,
 )
-from padic_heat.fourier_ball import apply_multiplier
+from padic_heat.fourier_ball import apply_multiplier, apply_radial, radial_levels
+from padic_heat.vladimirov import multiplier
+
+from tests.conftest import STANDARD_MODELS, rel_linf
 
 
 def test_delta_transform():
@@ -144,3 +149,69 @@ def test_spectral_function_validation():
     f = SpectralFunction(model, np.zeros(model.S))
     with pytest.raises(ValueError):
         f.coeffs[0] = 1.0
+
+
+# -- the ball-average ladder for radial multipliers -----------------------
+
+
+def _radial_oracles(model, factors, values):
+    """apply_multiplier and a dft_direct product for the same factors."""
+    fast = apply_multiplier(model, factors, values)
+    coeffs = dft_direct(values, +1) / model.S
+    direct = dft_direct(coeffs * factors, -1)
+    if not np.iscomplexobj(values):
+        direct = direct.real
+    return fast, direct
+
+
+LADDER_MODELS = STANDARD_MODELS + [
+    (2, 0, 0, 1.0),   # S = 1
+    (3, -1, 1, 0.7),  # S = 1 with a negative N
+    (7, 0, 3, 1.3),
+    (7, 1, 1, 2.5),
+]
+
+
+@pytest.mark.parametrize("p, N, M, alpha", LADDER_MODELS,
+                         ids=[f"p{p}_N{N}_M{M}_a{a}" for p, N, M, a in LADDER_MODELS])
+def test_apply_radial_matches_transform_oracles(p, N, M, alpha):
+    model = BallModel(p, N, M)
+    eig = multiplier(model, alpha).eigenvalues
+    lam = eig[0]
+    rng = np.random.default_rng(p * 100 + M)
+    # the operator, a semigroup step, a resolvent and a generic radial factor
+    radial = rng.uniform(0.5, 2.0, N + M + 1)
+    vt_factors = radial[[model.valuation(k) for k in range(model.S)]]
+    factor_sets = [eig, np.exp(-0.3 * (eig - lam)), 1.0 / (eig - lam + 0.9),
+                   vt_factors]
+    u = random_function(model, p + M).values
+    z = u + 1j * random_function(model, p + M + 1).values
+    for factors in factor_sets:
+        levels = radial_levels(model, factors)
+        for values in (u, z):
+            got = apply_radial(model, levels, values)
+            assert got.dtype == values.dtype
+            fast, direct = _radial_oracles(model, factors, values)
+            assert rel_linf(fast, got) <= 1e-13
+            assert rel_linf(direct, got) <= 1e-13
+
+
+def test_apply_radial_keeps_the_mean_at_large_eigenvalues():
+    # p**(alpha*M) = 2**38.4: rounding in the details, multiplied by the
+    # top eigenvalues, must not leak into the mean of D u = lambda*mean(u).
+    # The Fourier path lands near 1e-10 relative here; a telescoped sum
+    # of eigenvalue differences misses by about 3e-6.
+    model = BallModel(2, 0, 16)
+    eig = multiplier(model, 2.4).eigenvalues
+    lam = float(eig[0])
+    rng = np.random.default_rng(0)
+    u = 1.0 + 1e-3 * rng.standard_normal(model.S)
+    want = lam * math.fsum(u) / model.S
+
+    def mean_error(du):
+        return abs(math.fsum(du) / model.S - want) / abs(want)
+
+    err_fft = mean_error(apply_multiplier(model, eig, u))
+    err_ladder = mean_error(apply_radial(model, radial_levels(model, eig), u))
+    assert err_ladder <= 4.0 * err_fft
+    assert err_ladder < 1e-9

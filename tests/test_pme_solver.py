@@ -185,14 +185,24 @@ def test_fallback_agrees_with_newton():
     assert np.max(np.abs(newton.values - relaxed.values)) < 1e-10
 
 
-def test_pcg_agrees_with_dense_newton():
-    model = BallModel(2, 0, 6)
-    phi = Nonlinearity.power(2.0)
-    g = positive_bump(model, 3, -2)
-    dense = implicit_step(g, 0.5, 1.0, phi)
+@pytest.mark.parametrize("p, N, M, alpha, power, data, h", [
+    (2, 0, 6, 1.0, 2.0, "bump", 0.5),
+    # Phi'(0) = 0 off the sub-ball: sqrt_sigma vanishes there
+    (3, 0, 4, 0.5, 3.0, "indicator", 0.01),
+    (3, 0, 4, 0.5, 3.0, "indicator", 0.5),
+], ids=["p2_power2_bump_h0.5", "p3_power3_indicator_h0.01",
+        "p3_power3_indicator_h0.5"])
+def test_pcg_agrees_with_dense_newton(p, N, M, alpha, power, data, h):
+    model = BallModel(p, N, M)
+    phi = Nonlinearity.power(power)
+    if data == "bump":
+        g = positive_bump(model, 3, -2)
+    else:
+        g = ball_indicator(model, 4, -2)
+    dense = implicit_step(g, h, alpha, phi)
     # dense_cap below S forces the matrix-free conjugate-gradient path
     cg_cfg = ImplicitStepConfig(dense_cap=1)
-    matfree = implicit_step(g, 0.5, 1.0, phi, config=cg_cfg)
+    matfree = implicit_step(g, h, alpha, phi, config=cg_cfg)
     assert np.max(np.abs(dense.values - matfree.values)) < 1e-10
 
 
@@ -313,6 +323,10 @@ def test_evolve_pme_validation():
         evolve_pme(u0, 1.0, 0, 1.0, Nonlinearity.power(2.0))
     with pytest.raises(ValueError):
         evolve_pme(u0, 0.0, 4, 1.0, Nonlinearity.power(2.0))
+    for record_every in (0, -2):
+        with pytest.raises(ValueError, match="record_every"):
+            pme_trajectory(u0, 0.5, 4, 1.0, Nonlinearity.power(2.0),
+                           record_every=record_every)
 
 
 def test_lgamma_decay_suite():
