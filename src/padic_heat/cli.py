@@ -163,6 +163,10 @@ def _load_config(task: str, args: argparse.Namespace) -> dict:
         flag_val = getattr(args, key, None)
         if flag_val is not None:
             merged[key] = flag_val
+    # NaN passes every "<= 0" check of the tasks; inf runs solvers to their caps
+    for key in ("alpha", "t", "tol", "cl_tol"):
+        if merged.get(key) is not None and not math.isfinite(float(merged[key])):
+            raise ValidationFailure(f"{key} must be finite, got {merged[key]}")
     merged.setdefault("out", ".")
     merged.setdefault("format", "csv")
     if merged["format"] not in ("csv", "json"):
@@ -199,9 +203,12 @@ def _parse_floats(raw, name: str) -> list[float]:
     else:
         parts = [raw]
     try:
-        return [float(v) for v in parts]
+        values = [float(v) for v in parts]
     except (TypeError, ValueError) as exc:
         raise ValidationFailure(f"cannot parse {name}: {raw!r}") from exc
+    if not all(math.isfinite(v) for v in values):
+        raise ValidationFailure(f"{name} must be finite, got {raw!r}")
+    return values
 
 
 def _parse_initial(cfg: dict, model: BallModel) -> GridFunction:

@@ -6,13 +6,15 @@ bookkeeping per implicit step is exact:
 
     integral(u_new) - integral(u_old) = -h * lambda * integral(Phi(u_new)).
 
-Each step solves v + h*D(Phi(v)) = g by damped Newton with dense
-factorization at small sizes and preconditioned conjugate gradients
-above (D and the preconditioner are radial multipliers, applied through
-nested ball averages by ``fourier_ball.apply_radial``), falling back to
+Each step solves v + h*D(Phi(v)) = g by damped Newton, falling back to
 a relaxed fixed-point iteration whose contraction factor comes from the
-spectral bound of D.  The Crandall-Liggett construction doubles the
-step count until successive solutions stop moving in L1.
+spectral bound of D.  D is a radial multiplier, applied through nested
+ball averages by ``fourier_ball.apply_radial``.  The same ladder writes
+D as a diagonal plus one rank-1 term per class of the nested p-ary
+partition, so the Newton Jacobian I + h*D*diag(Phi'(v)) is solved
+exactly by Sherman-Morrison, level by level, in O(S) at every size.
+The Crandall-Liggett construction doubles the step count until
+successive solutions stop moving in L1.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 from .ball_model import BallModel
 from .fourier_ball import apply_radial, radial_levels
 from .function_space import GridFunction
-from .vladimirov import DEFAULT_MATRIX_CAP, build_matrix, multiplier
+from .vladimirov import multiplier
 
 
 class SolverError(Exception):
@@ -146,13 +148,10 @@ class ImplicitStepConfig:
     max_halvings: int = 30
     use_fallback: bool = True
     max_fallback: int = 200_000
-    dense_cap: int = DEFAULT_MATRIX_CAP
-    cg_tol: float = 1e-14
-    cg_max_iters: int = 20_000
 
     def __post_init__(self):
-        if self.newton_tol <= 0 or self.cg_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.newton_tol <= 0:
+            raise ValueError("newton_tol must be positive")
         if not 0 < self.damping_factor < 1:
             raise ValueError("damping factor must lie in (0, 1)")
 
@@ -165,36 +164,41 @@ def _apply_operator(model: BallModel, alpha: float, values: np.ndarray) -> np.nd
     return apply_radial(model, levels, values)
 
 
-def _pcg_jacobian_solve(model, alpha, h, sqrt_sigma, rhs, config):
-    """Solve (I + h*S D S) y = rhs by PCG, S = diag(sqrt_sigma); SPD always."""
-    levels = radial_levels(model, multiplier(model, alpha).eigenvalues)
-    precond_levels = 1.0 / (1.0 + h * float(np.mean(sqrt_sigma) ** 2) * levels)
+def _tree_jacobian_solve(model: BallModel, alpha: float, h: float,
+                         sigma: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Solve (I + h*D*diag(sigma)) x = r exactly, for sigma >= 0, in O(S).
 
-    def apply_B(x):
-        return x + h * sqrt_sigma * apply_radial(model, levels, sqrt_sigma * x)
-
-    def apply_M(x):
-        return apply_radial(model, precond_levels, x)
-
-    y = np.zeros_like(rhs)
-    r = rhs - apply_B(y)
-    z = apply_M(r)
-    d = z.copy()
-    rz = float(r @ z)
-    bnorm = float(np.linalg.norm(rhs)) or 1.0
-    for _ in range(config.cg_max_iters):
-        if np.linalg.norm(r) <= config.cg_tol * bnorm:
-            return y
-        Bd = apply_B(d)
-        alpha_cg = rz / float(d @ Bd)
-        y += alpha_cg * d
-        r -= alpha_cg * Bd
-        z = apply_M(r)
-        rz_new = float(r @ z)
-        d = z + (rz_new / rz) * d
-        rz = rz_new
-    raise SolverError("conjugate gradients stalled in the Newton step",
-                      residual=float(np.linalg.norm(r) / bnorm))
+    With e the ``radial_levels`` of D, D = e_0*I + sum_k (e_k - e_{k-1})*P_k,
+    P_k the average over the classes ``reshape(p**k, -1)``.  Each class C
+    of level k adds c_k * 1_C (sigma 1_C)^T, c_k = h*(e_k - e_{k-1})/p**k,
+    to a matrix block diagonal over its subclasses, and Sherman-Morrison
+    folds it in: x -= w*c_k*sx/(1 + c_k*t) and w /= 1 + c_k*t, where
+    w = A^{-1} 1_C, t = (sigma.w)_C and sx = (sigma.x)_C.  Both updates
+    scale t and sx by one factor per class, so the class sums go up the
+    tree and the corrections come back down it.  The denominator is built
+    as the positive sum h*e_k*t/p**k + mean(m), m = 1 - h*e_k*t/p**k over
+    the subclasses: 1 + c_k*t itself cancels when h*e_0*sigma is large.
+    """
+    p, L = model.p, model.N + model.M
+    e = radial_levels(model, multiplier(model, alpha).eigenvalues)
+    d = 1.0 + h * e[0] * sigma
+    t, sx, m = sigma / d, sigma * r / d, 1.0 / d
+    denoms, shifts = [], []
+    for k in range(1, L + 1):
+        t = t.reshape(p, -1).sum(axis=0)
+        sx = sx.reshape(p, -1).sum(axis=0)
+        m = m.reshape(p, -1).mean(axis=0)
+        denom = h * e[k] / p ** k * t + m
+        shifts.append(h * (e[k] - e[k - 1]) / p ** k * sx / denom)
+        denoms.append(denom)
+        t, sx, m = t / denom, sx / denom, m / denom
+    # x*d = r - sum_k shift_k / (the denominators of the finer classes)
+    g = 0.0
+    for k in range(L, 0, -1):
+        g = np.tile(shifts[k - 1] + g, p)
+        if k > 1:
+            g = g / denoms[k - 2]
+    return (r - g) / d
 
 
 def _implicit_step_info(g: GridFunction, h: float, alpha: float,
@@ -216,17 +220,8 @@ def _implicit_step_info(g: GridFunction, h: float, alpha: float,
     r = residual(v)
     rnorm = float(np.max(np.abs(r)))
     iters = 0
-    dense = model.S <= config.dense_cap
-    Dmat = build_matrix(model, alpha, cap=config.dense_cap) if dense else None
     while rnorm >= tol and iters < config.max_newton:
-        sigma = phi.derivative(v)
-        if dense:
-            J = np.eye(model.S) + h * Dmat * sigma[None, :]
-            delta = np.linalg.solve(J, r)
-        else:
-            sqrt_sigma = np.sqrt(np.maximum(sigma, 0.0))
-            y = _pcg_jacobian_solve(model, alpha, h, sqrt_sigma, sqrt_sigma * r, config)
-            delta = r - h * _apply_operator(model, alpha, sqrt_sigma * y)
+        delta = _tree_jacobian_solve(model, alpha, h, phi.derivative(v), r)
         step = 1.0
         improved = False
         for _ in range(config.max_halvings + 1):

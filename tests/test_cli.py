@@ -205,6 +205,28 @@ def test_validation_failures(tmp_path, capsys):
         assert json.loads(err[0])["error"] == "validation"
         assert "record_every" in err[0]
     assert not (tmp_path / "pme_trajectory.csv").exists()
+    # NaN and inf parameters: one JSON error line and exit 1, before any
+    # solve (NaN passes every "<= 0" check)
+    model_flags = ["--p", "2", "--N", "0", "--M", "3", "--out", str(tmp_path)]
+    for argv, key in [
+        (["solve-pme", "--alpha", "nan", "--steps", "4"], "alpha"),
+        (["solve-pme", "--alpha", "1.0", "--t", "nan", "--steps", "4"], "t"),
+        (["solve-pme", "--alpha", "1.0", "--t", "inf", "--steps", "4"], "t"),
+        (["solve-pme", "--alpha", "1.0", "--cl-tol", "nan"], "cl_tol"),
+        (["verify", "--alpha", "nan"], "alpha"),
+        (["verify", "--alpha", "inf"], "alpha"),
+        (["solve-linear", "--alpha", "1.0", "--times", "nan"], "times"),
+        (["solve-linear", "--alpha", "1.0", "--tol", "nan"], "tol"),
+        (["heat-kernel", "--alpha", "1.0", "--times", "0.1,inf"], "times"),
+        (["green", "--alpha", "1.0", "--mu", "nan"], "mu"),
+    ]:
+        assert main(argv + model_flags) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "validation"
+        assert f"{key} must be finite" in err[0]
+    assert not (tmp_path / "linear_report.json").exists()
+    assert not (tmp_path / "verify_report.json").exists()
     # bad format, bad times, bogus subcommand
     assert main(["spectrum", "--p", "2", "--N", "0", "--M", "3",
                  "--alpha", "1.0", "--format", "xml"]) == 1

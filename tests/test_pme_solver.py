@@ -1,7 +1,12 @@
+import ast
+import inspect
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padic_heat import (
     BallModel,
@@ -22,8 +27,10 @@ from padic_heat import (
     random_function,
     resolvent_apply,
 )
-from padic_heat.pme_solver import _implicit_step_info
-from padic_heat.vladimirov import build_matrix
+from padic_heat import pme_solver, vladimirov
+from padic_heat.fourier_ball import apply_radial, radial_levels
+from padic_heat.pme_solver import _implicit_step_info, _tree_jacobian_solve
+from padic_heat.vladimirov import build_matrix, multiplier
 
 
 # -- nonlinearity -------------------------------------------------------
@@ -185,25 +192,148 @@ def test_fallback_agrees_with_newton():
     assert np.max(np.abs(newton.values - relaxed.values)) < 1e-10
 
 
+def _dense_newton_step(g, h, alpha, phi, max_iters=50, max_halvings=30):
+    """Oracle for one implicit step: damped Newton on the dense matrix,
+    each Jacobian LU-solved.  Stops when a line search cannot lower the
+    residual, i.e. at the rounding floor of the dense residual."""
+    Dmat = build_matrix(g.model, alpha)
+
+    def F(v):
+        return v + h * (Dmat @ phi.value(v)) - g.values
+
+    v = g.values.copy()
+    rnorm = float(np.max(np.abs(F(v))))
+    for _ in range(max_iters):
+        J = np.eye(g.model.S) + h * Dmat * phi.derivative(v)[None, :]
+        delta = np.linalg.solve(J, F(v))
+        step = 1.0
+        for _ in range(max_halvings + 1):
+            rnorm_try = float(np.max(np.abs(F(v - step * delta))))
+            if rnorm_try < rnorm:
+                break
+            step *= 0.5
+        else:
+            return v, rnorm
+        v, rnorm = v - step * delta, rnorm_try
+    return v, rnorm
+
+
 @pytest.mark.parametrize("p, N, M, alpha, power, data, h", [
     (2, 0, 6, 1.0, 2.0, "bump", 0.5),
-    # Phi'(0) = 0 off the sub-ball: sqrt_sigma vanishes there
+    # Phi'(0) = 0 off the sub-ball: sigma vanishes there
     (3, 0, 4, 0.5, 3.0, "indicator", 0.01),
     (3, 0, 4, 0.5, 3.0, "indicator", 0.5),
 ], ids=["p2_power2_bump_h0.5", "p3_power3_indicator_h0.01",
         "p3_power3_indicator_h0.5"])
-def test_pcg_agrees_with_dense_newton(p, N, M, alpha, power, data, h):
+def test_tree_newton_agrees_with_dense_newton(p, N, M, alpha, power, data, h):
     model = BallModel(p, N, M)
     phi = Nonlinearity.power(power)
     if data == "bump":
         g = positive_bump(model, 3, -2)
     else:
         g = ball_indicator(model, 4, -2)
-    dense = implicit_step(g, h, alpha, phi)
-    # dense_cap below S forces the matrix-free conjugate-gradient path
-    cg_cfg = ImplicitStepConfig(dense_cap=1)
-    matfree = implicit_step(g, h, alpha, phi, config=cg_cfg)
-    assert np.max(np.abs(dense.values - matfree.values)) < 1e-10
+    dense, dense_resid = _dense_newton_step(g, h, alpha, phi)
+    assert dense_resid < 1e-12 * (1.0 + float(np.max(np.abs(g.values))))
+    tree = implicit_step(g, h, alpha, phi)
+    assert np.max(np.abs(dense - tree.values)) < 1e-10
+
+
+# largest ladder depth L with p**L <= 729, so the dense oracle stays small
+_MAX_DEPTH = {2: 9, 3: 6, 5: 4, 7: 3}
+
+
+@st.composite
+def _jacobian_problems(draw, alphas):
+    """(model, alpha, h, sigma, r) over the model space, sigma >= 0 with zeros."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    N = draw(st.sampled_from([-1, 0, 1]))
+    L = draw(st.integers(0, _MAX_DEPTH[p]))
+    model = BallModel(p, N, L - N)
+    alpha = draw(st.one_of(st.just(1.0), alphas))
+    h = 10.0 ** draw(st.floats(-4.0, 3.0))
+    zero_frac = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    sigma = rng.uniform(0.0, 3.0, model.S)
+    sigma[rng.random(model.S) < zero_frac] = 0.0
+    return model, alpha, h, sigma, rng.standard_normal(model.S)
+
+
+# The dense oracle stores the diagonal as lambda - sum(w), so its
+# constant mode is off by about eps*e_0 absolute; above alpha = 1.5 at the
+# largest S that moves its solution by up to 1.7e-10 relative (measured
+# against an extended-precision solve, which the tree solve matched to
+# 1e-13).  The full alpha range is pinned by the backward-error test below.
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_jacobian_problems(st.floats(0.5, 1.5)))
+def test_tree_jacobian_solve_matches_dense_lu(problem):
+    model, alpha, h, sigma, r = problem
+    J = np.eye(model.S) + h * build_matrix(model, alpha) * sigma[None, :]
+    want = np.linalg.solve(J, r)
+    got = _tree_jacobian_solve(model, alpha, h, sigma, r)
+    assert got.shape == r.shape
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_jacobian_problems(st.floats(0.5, 2.4)))
+def test_tree_jacobian_solve_is_backward_stable(problem):
+    # normwise backward error against the band-form operator apply, with
+    # ||I + h*D*diag(sigma)||_inf <= 1 + 2*h*e_0*max(sigma) since the
+    # ladder values decrease from e_0
+    model, alpha, h, sigma, r = problem
+    x = _tree_jacobian_solve(model, alpha, h, sigma, r)
+    e = radial_levels(model, multiplier(model, alpha).eigenvalues)
+    resid = x + h * apply_radial(model, e, sigma * x) - r
+    scale = ((1.0 + 2.0 * h * e[0] * np.max(sigma)) * np.max(np.abs(x))
+             + np.max(np.abs(r)))
+    assert np.max(np.abs(resid)) <= 1e-14 * scale
+
+
+def test_tree_jacobian_solve_keeps_precision_when_h_e0_sigma_is_large():
+    # h*e_0*sigma up to 1e10 with sigma down to 1e-4: the denominator
+    # 1 + c_k*t cancels there (3.5e-12 relative error in x), its positive
+    # form does not (1e-16).  Oracle: the ladder matrix solved in 40 digits.
+    model = BallModel(7, 0, 2)
+    alpha, h = 3.0, 1e4
+    rng = np.random.default_rng(1)
+    sigma = rng.uniform(0.0, 3.0, model.S) * 10.0 ** rng.uniform(-4.0, 0.0, model.S)
+    r = rng.standard_normal(model.S)
+    p, L, S = model.p, model.N + model.M, model.S
+    e = [mpmath.mpf(v) for v in radial_levels(model, multiplier(model, alpha).eigenvalues)]
+    with mpmath.workdps(40):
+        J = mpmath.eye(S)
+        for i in range(S):
+            for j in range(S):
+                d_ij = e[0] if i == j else mpmath.mpf(0)
+                for k in range(1, L + 1):
+                    if i % (S // p ** k) == j % (S // p ** k):
+                        d_ij += (e[k] - e[k - 1]) / p ** k
+                J[i, j] += h * d_ij * mpmath.mpf(sigma[j])
+        want = np.array([float(v) for v in mpmath.lu_solve(J, mpmath.matrix(r.tolist()))])
+    got = _tree_jacobian_solve(model, alpha, h, sigma, r)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_step_uses_no_dense_linear_algebra(monkeypatch):
+    # no O(S**2) path in the step: pme_solver neither imports nor calls
+    # build_matrix or np.linalg.solve
+    tree = ast.parse(inspect.getsource(pme_solver))
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+              for a in n.names}
+    assert "build_matrix" not in names
+    assert "solve" not in names and "linalg" not in names
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense linear algebra in the implicit step")
+
+    monkeypatch.setattr(vladimirov, "build_matrix", forbidden)
+    monkeypatch.setattr(np.linalg, "solve", forbidden)
+    model = BallModel(3, 0, 4)
+    g = ball_indicator(model, 4, -2)
+    _, rows = pme_trajectory(g, 0.5, 4, 0.5, Nonlinearity.power(3.0))
+    assert all(row["step_residual"] < 1e-10 for row in rows)
 
 
 def test_solver_error_carries_residual():
