@@ -139,6 +139,10 @@ TASK_KEYS = {
                   "dump_state"},
     "verify": set(),
 }
+# numeric keys, converted once here: JSON config values may have any type
+NUMERIC_KEYS = {"p": int, "N": int, "M": int, "seed": int, "steps": int,
+                "record_every": int, "m_lo": int, "m_hi": int,
+                "alpha": float, "t": float, "tol": float, "cl_tol": float}
 
 
 def _load_config(task: str, args: argparse.Namespace) -> dict:
@@ -163,9 +167,16 @@ def _load_config(task: str, args: argparse.Namespace) -> dict:
         flag_val = getattr(args, key, None)
         if flag_val is not None:
             merged[key] = flag_val
-    # NaN passes every "<= 0" check of the tasks; inf runs solvers to their caps
-    for key in ("alpha", "t", "tol", "cl_tol"):
-        if merged.get(key) is not None and not math.isfinite(float(merged[key])):
+    for key, kind in NUMERIC_KEYS.items():
+        if merged.get(key) is None:
+            continue
+        try:
+            merged[key] = kind(merged[key])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationFailure(
+                f"{key} must be a number, got {merged[key]!r}") from exc
+        # NaN passes every "<= 0" check of the tasks; inf runs solvers to their caps
+        if kind is float and not math.isfinite(merged[key]):
             raise ValidationFailure(f"{key} must be finite, got {merged[key]}")
     merged.setdefault("out", ".")
     merged.setdefault("format", "csv")
@@ -182,14 +193,13 @@ def _require(cfg: dict, key: str):
 
 def _model_from(cfg: dict) -> BallModel:
     try:
-        return BallModel(int(_require(cfg, "p")), int(_require(cfg, "N")),
-                         int(_require(cfg, "M")))
+        return BallModel(_require(cfg, "p"), _require(cfg, "N"), _require(cfg, "M"))
     except ValueError as exc:
         raise ValidationFailure(str(exc)) from exc
 
 
 def _alpha_from(cfg: dict) -> float:
-    alpha = float(_require(cfg, "alpha"))
+    alpha = _require(cfg, "alpha")
     if alpha <= 0:
         raise ValidationFailure(f"alpha must be positive, got {alpha}")
     return alpha
@@ -458,7 +468,7 @@ def _task_verify(cfg: dict) -> int:
     Zt = ball_kernel_gridfunction(model, alpha, 0.4)
     Zs = ball_kernel_gridfunction(model, alpha, 0.7)
     Zts = ball_kernel_gridfunction(model, alpha, 1.1)
-    ck = Zt.convolve(Zs)
+    ck = Zt.convolve_radial(Zs)
     checks.append(("Chapman-Kolmogorov",
                    float(np.max(np.abs(ck.values - Zts.values))), tol))
 

@@ -91,11 +91,12 @@ class GridFunction:
         return GridFunction(self.model, np.real(self.values))
 
     def convolve(self, other: "GridFunction") -> "GridFunction":
-        """Measure-weighted circular convolution.
+        """Measure-weighted circular convolution; the O(S^2) oracle.
 
-        Direct O(S^2) evaluation by cyclic shifts; deliberately free of
-        any Fourier machinery so that convolution identities can serve
-        as an independent cross-check of the transform.
+        Direct evaluation by cyclic shifts, deliberately free of any
+        Fourier machinery so that convolution identities can serve as an
+        independent cross-check of the transform.  Production paths use
+        ``convolve_radial``; this loop stays for tests.
         """
         self._require_same_model(other)
         S = self.model.S
@@ -108,6 +109,37 @@ class GridFunction:
             if v[m] != 0.0:
                 acc += v[m] * np.roll(u, m)
         return GridFunction(self.model, acc * float(self.model.p) ** (-self.model.M))
+
+    def convolve_radial(self, kernel: "GridFunction") -> "GridFunction":
+        """Measure-weighted convolution with a radial kernel, in O(S).
+
+        A radial kernel takes one value K_v on each sphere of valuation
+        v < L = N + M and K_L on the zero coset, so the convolution only
+        needs the sums of u over the spheres around each point.  With
+        B_v the class sums of u over n mod p**v (B_L = u), the sphere of
+        valuation v sums to B_v - B_{v+1}, and
+
+            u * K = p**(-M) * (K_L*u + sum_v K_v*(B_v - B_{v+1}))
+                  = p**(-M) * sum_v (K_v - K_{v-1})*B_v,   K_{-1} = 0,
+
+        evaluated coarse-to-fine in Horner form.  Raises ValueError
+        unless the kernel is exactly (bit for bit) constant on every
+        sphere.  Uses no transform, so it stays an independent check of
+        the spectral path.
+        """
+        self._require_same_model(kernel)
+        p, L = self.model.p, self.model.N + self.model.M
+        k = kernel.values
+        levels = np.append(k[p ** np.arange(L)], k[0])
+        if not np.array_equal(k[1:], levels[valuation_table(self.model)[1:]]):
+            raise ValueError("kernel is not radial: its values vary on a sphere")
+        sums = [self.values]  # sums[j] is B_{L-j}
+        for _ in range(L):
+            sums.append(sums[-1].reshape(p, -1).sum(axis=0))
+        acc = levels[0] * sums[L]
+        for v in range(1, L + 1):
+            acc = np.tile(acc, p) + (levels[v] - levels[v - 1]) * sums[L - v]
+        return GridFunction(self.model, acc * float(p) ** (-self.model.M))
 
     # -- resolution changes -------------------------------------------
 

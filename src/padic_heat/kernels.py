@@ -423,12 +423,8 @@ def green_kernel_gridfunction(model: BallModel, alpha: float, mu: float) -> Grid
     p, N, M = model.p, model.N, model.M
     vt = valuation_table(model)
     vals = np.empty(model.S, dtype=np.float64)
-    radial = {}
-    for v in range(N + M):
-        m = N - v
-        radial[v] = green_kernel(p, N, alpha, mu, m)
-    for n in range(1, model.S):
-        vals[n] = radial[int(vt[n])]
+    radial = np.array([green_kernel(p, N, alpha, mu, N - v) for v in range(N + M)])
+    vals[1:] = radial[vt[1:]]
     # zero coset: p**M * integral of K over the sub-ball of radius p**(-M)
     q = 1.0 - 1.0 / p
     acc = 0.0
@@ -465,7 +461,7 @@ def resolvent_apply(u: GridFunction, alpha: float, mu: float,
     if path == "kernel":
         kg = green_kernel_gridfunction(model, float(alpha), float(mu))
         mean_part = float(model.p) ** (-model.N) / mu * u.integral()
-        conv = u.convolve(kg)
+        conv = u.convolve_radial(kg)
         return GridFunction(model, conv.values + mean_part)
     raise ValueError(f"unknown path {path!r}")
 

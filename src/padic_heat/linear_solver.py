@@ -3,10 +3,11 @@
 Two interchangeable propagation paths: the spectral path applies the
 radial multiplier exp(-t*(m[k] - lambda)) through nested ball averages
 (``fourier_ball.apply_radial``) and is the default; the kernel path
-convolves with the ball heat kernel grid function and is kept as an
-independent oracle.  Constants are fixed points, mass is conserved (the
-k = 0 mode is untouched), and every nonzero mode decays, so solutions
-relax to the mean at rate p**(alpha*(1-N)) - lambda.
+convolves with the ball heat kernel grid function by sphere sums
+(``GridFunction.convolve_radial``) and is kept as an independent
+check; both cost O(S).  Constants are fixed points, mass is conserved
+(the k = 0 mode is untouched), and every nonzero mode decays, so
+solutions relax to the mean at rate p**(alpha*(1-N)) - lambda.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ def evolve(u0: GridFunction, alpha: float, t: float,
         levels = np.exp(-t * (radial_levels(u0.model, mult.eigenvalues) - lam))
         return GridFunction(u0.model, apply_radial(u0.model, levels, u0.values))
     if path == "kernel":
-        return u0.convolve(ball_kernel_gridfunction(u0.model, float(alpha), t))
+        return u0.convolve_radial(
+            ball_kernel_gridfunction(u0.model, float(alpha), t))
     raise ValueError(f"unknown path {path!r}")
 
 

@@ -205,8 +205,9 @@ def _implicit_step_info(g: GridFunction, h: float, alpha: float,
                         phi: Nonlinearity,
                         config: ImplicitStepConfig) -> tuple[GridFunction, int, float]:
     """Solve v + h*D(Phi(v)) = g; returns (v, newton_iterations, residual)."""
-    if h <= 0:
-        raise ValueError(f"step size must be positive, got {h}")
+    # NaN passes "h <= 0" and would run Newton and the whole fallback on NaN
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"step size must be positive and finite, got {h}")
     if np.iscomplexobj(g.values):
         raise ValueError("implicit stepping is defined for real data")
     model = g.model

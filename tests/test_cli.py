@@ -109,6 +109,15 @@ def test_solve_linear_task(tmp_path):
     assert np.max(np.abs(dumped.values - want.values)) < 1e-15
 
 
+def test_solve_linear_large_model(tmp_path):
+    # S = 2**16: both paths are O(S), so the kernel check runs at this size
+    rc = main(["solve-linear", "--p", "2", "--N", "0", "--M", "16",
+               "--alpha", "1.3", "--initial", "random", "--out", str(tmp_path)])
+    assert rc == 0
+    report = json.loads((tmp_path / "linear_report.json").read_text())
+    assert report["worst_path_disagreement"] < report["tolerance"]
+
+
 def test_solve_pme_task(tmp_path):
     rc = main(["solve-pme", "--p", "2", "--N", "0", "--M", "4",
                "--alpha", "1.0", "--t", "0.5", "--steps", "8",
@@ -227,6 +236,16 @@ def test_validation_failures(tmp_path, capsys):
         assert f"{key} must be finite" in err[0]
     assert not (tmp_path / "linear_report.json").exists()
     assert not (tmp_path / "verify_report.json").exists()
+    # config values of the wrong type: one JSON error line, no traceback
+    for bad in ({"alpha": [1]}, {"p": [2]}):
+        cfg = tmp_path / "typed.json"
+        cfg.write_text(json.dumps(dict({"p": 2, "N": 0, "M": 3, "alpha": 1.0}, **bad)))
+        assert main(["solve-pme", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "validation"
+        assert f"{next(iter(bad))} must be a number" in err[0]
+    assert not (tmp_path / "pme_trajectory.csv").exists()
     # bad format, bad times, bogus subcommand
     assert main(["spectrum", "--p", "2", "--N", "0", "--M", "3",
                  "--alpha", "1.0", "--format", "xml"]) == 1

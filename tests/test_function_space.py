@@ -2,16 +2,25 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padic_heat import (
     BallModel,
     GridFunction,
     ball_indicator,
+    ball_kernel_gridfunction,
     constant,
+    green_kernel_gridfunction,
     make_initial,
     positive_bump,
     random_function,
+    resolvent_apply,
 )
+from padic_heat.ball_model import valuation_table
+from padic_heat.cli import main
+from padic_heat.linear_solver import evolve
+from tests.conftest import rel_linf
 
 
 def brute_convolve(u, v):
@@ -92,6 +101,72 @@ def test_convolution_complex_values():
     got = u.convolve(v)
     want = brute_convolve(u, v)
     assert np.max(np.abs(got.values - want.values)) < 1e-12
+
+
+# largest ladder depth L with p**L near 2187, so the O(S^2) oracle stays quick
+_MAX_DEPTH = {2: 11, 3: 7, 5: 4, 7: 4}
+
+
+@st.composite
+def _radial_convolutions(draw):
+    """(u, kernel) over the model space: heat, Green and random radial kernels."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    N = draw(st.sampled_from([-1, 0, 1]))
+    L = draw(st.integers(0, _MAX_DEPTH[p]))
+    model = BallModel(p, N, L - N)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    u = rng.standard_normal(model.S)
+    if draw(st.booleans()):
+        u = u + 1j * rng.standard_normal(model.S)
+    kind = draw(st.sampled_from(["heat", "green", "random"]))
+    alpha = draw(st.floats(0.35, 2.4).filter(lambda a: a != 1.0))
+    if kind == "heat":
+        kernel = ball_kernel_gridfunction(model, alpha, 10.0 ** draw(st.floats(-3.0, 1.0)))
+    elif kind == "green":
+        kernel = green_kernel_gridfunction(model, alpha, draw(st.floats(0.1, 10.0)))
+    else:
+        # entry v of the values lands on the sphere of valuation v, entry L on 0
+        kernel = GridFunction(model, rng.standard_normal(L + 1)[valuation_table(model)])
+    return GridFunction(model, u), kernel
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_radial_convolutions())
+def test_convolve_radial_matches_the_oracle(case):
+    u, kernel = case
+    want = u.convolve(kernel).values
+    assert rel_linf(want, u.convolve_radial(kernel).values, floor=1e-300) < 1e-12
+
+
+def test_convolve_radial_rejects_non_radial_kernels():
+    model = BallModel(3, 0, 3)
+    u = random_function(model, 1)
+    kernel = ball_kernel_gridfunction(model, 1.2, 0.5)
+    # one point moved off its sphere's value by one unit in the last place
+    vals = kernel.values.copy()
+    vals[2] = np.nextafter(vals[2], np.inf)
+    with pytest.raises(ValueError, match="not radial"):
+        u.convolve_radial(GridFunction(model, vals))
+    with pytest.raises(ValueError, match="not radial"):
+        u.convolve_radial(random_function(model, 2))
+    other = ball_kernel_gridfunction(BallModel(3, 1, 2), 1.2, 0.5)
+    with pytest.raises(ValueError, match="different models"):
+        u.convolve_radial(other)
+
+
+def test_production_paths_never_call_the_convolve_oracle(monkeypatch, tmp_path):
+    def refuse(self, other):
+        raise AssertionError("GridFunction.convolve is a test oracle")
+
+    monkeypatch.setattr(GridFunction, "convolve", refuse)
+    model = BallModel(2, 0, 6)
+    u = random_function(model, 4)
+    spectral = evolve(u, 1.3, 0.5, path="spectral")
+    assert rel_linf(spectral.values, evolve(u, 1.3, 0.5, path="kernel").values) < 1e-12
+    r1 = resolvent_apply(u, 1.3, 0.9, path="spectral")
+    assert rel_linf(r1.values, resolvent_apply(u, 1.3, 0.9, path="kernel").values) < 1e-10
+    assert main(["verify", "--p", "2", "--N", "0", "--M", "6", "--alpha", "1.3",
+                 "--out", str(tmp_path)]) == 0
 
 
 def test_refine_coarsen_round_trip():

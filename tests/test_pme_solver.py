@@ -459,6 +459,23 @@ def test_evolve_pme_validation():
                            record_every=record_every)
 
 
+def test_non_finite_step_size_is_rejected_before_any_solve(monkeypatch):
+    # NaN passes "h <= 0"; before the check it ran Newton and all 200000
+    # fixed-point fallback iterations on a NaN residual
+    def refuse(*args):
+        raise AssertionError("operator applied for a non-finite step size")
+
+    monkeypatch.setattr(pme_solver, "_apply_operator", refuse)
+    model = BallModel(2, 0, 3)
+    u0 = positive_bump(model, 0, 0)
+    phi = Nonlinearity.power(2.0)
+    for h in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            implicit_step(u0, h, 1.0, phi)
+        with pytest.raises(ValueError, match="finite"):
+            evolve_pme(u0, h, 4, 1.0, phi)
+
+
 def test_lgamma_decay_suite():
     model = BallModel(2, 0, 6)
     phi = Nonlinearity.power(2.0)
