@@ -165,6 +165,7 @@ def _series_dps(p: int, N: int, alpha: float, t: float) -> int:
     return min(25 + int(math.ceil((hump + lam * t) * math.log10(math.e))), 2000)
 
 
+@lru_cache(maxsize=64)
 def c_series(p: int, N: int, alpha: float, t: float,
              eps_increment: float = 1e-15, term_cap: int = 500) -> float:
     """Spatially constant correction c(t) relating global and ball kernels.
@@ -413,7 +414,6 @@ def green_ball_integral(p: int, N: int, alpha: float, mu: float,
                 return acc
 
 
-@lru_cache(maxsize=32)
 def green_kernel_gridfunction(model: BallModel, alpha: float, mu: float) -> GridFunction:
     """Green function as a grid function of exact coset averages.
 

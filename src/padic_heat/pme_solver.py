@@ -6,10 +6,11 @@ bookkeeping per implicit step is exact:
 
     integral(u_new) - integral(u_old) = -h * lambda * integral(Phi(u_new)).
 
-Each step solves v + h*D(Phi(v)) = g by damped Newton, falling back to
-a relaxed fixed-point iteration whose contraction factor comes from the
-spectral bound of D.  D is a radial multiplier, applied through nested
-ball averages by ``fourier_ball.apply_radial``.  The same ladder writes
+Each step solves v + h*D(Phi(v)) = g by damped Newton, at most
+1 + max_newton*(max_halvings + 1) applications of D; a step that stops
+above both the tolerance and the residual's rounding floor raises
+SolverError.  D is a radial multiplier, applied through nested ball
+averages by ``fourier_ball.apply_radial``.  The same ladder writes
 D as a diagonal plus one rank-1 term per class of the nested p-ary
 partition, so the Newton Jacobian I + h*D*diag(Phi'(v)) is solved
 exactly by Sherman-Morrison, level by level, in O(S) at every size.
@@ -146,8 +147,6 @@ class ImplicitStepConfig:
     max_newton: int = 50
     damping_factor: float = 0.5
     max_halvings: int = 30
-    use_fallback: bool = True
-    max_fallback: int = 200_000
 
     def __post_init__(self):
         if self.newton_tol <= 0:
@@ -205,7 +204,7 @@ def _implicit_step_info(g: GridFunction, h: float, alpha: float,
                         phi: Nonlinearity,
                         config: ImplicitStepConfig) -> tuple[GridFunction, int, float]:
     """Solve v + h*D(Phi(v)) = g; returns (v, newton_iterations, residual)."""
-    # NaN passes "h <= 0" and would run Newton and the whole fallback on NaN
+    # NaN passes "h <= 0" and would run Newton on a NaN residual
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"step size must be positive and finite, got {h}")
     if np.iscomplexobj(g.values):
@@ -239,26 +238,15 @@ def _implicit_step_info(g: GridFunction, h: float, alpha: float,
             break
     if rnorm < tol:
         return GridFunction(model, v), iters, rnorm
-
-    if not config.use_fallback:
-        raise SolverError(
-            f"Newton failed: residual {rnorm:.3e} after {iters} iterations",
-            residual=rnorm)
-    # relaxed fixed point: v <- v - omega*F(v); spectrum of I + h*D*Phi'
-    # sits in [1, 1 + h*m_max*L], so omega = 1/(1 + h*m_max*L) contracts
-    bound = float(np.max(np.abs(gvals))) + float(np.max(np.abs(v))) + 1.0
-    L = phi.max_slope(bound)
-    m_max = float(np.max(multiplier(model, alpha).eigenvalues))
-    omega = 1.0 / (1.0 + h * m_max * L)
-    for _ in range(config.max_fallback):
-        v = v - omega * r
-        r = residual(v)
-        rnorm = float(np.max(np.abs(r)))
-        if rnorm < tol:
-            return GridFunction(model, v), iters, rnorm
+    # Newton stopped above tol: accept v only at the residual's rounding
+    # floor, the size of eps times the h*D(Phi(v)) term it cancels
+    e0 = float(radial_levels(model, multiplier(model, alpha).eigenvalues)[0])
+    floor = 4.0 * np.finfo(np.float64).eps * h * e0 * float(np.max(np.abs(phi.value(v))))
+    if rnorm <= floor:
+        return GridFunction(model, v), iters, rnorm
     raise SolverError(
-        f"fixed-point fallback failed: residual {rnorm:.3e} "
-        f"after {config.max_fallback} iterations", residual=rnorm)
+        f"Newton failed: residual {rnorm:.3e} after {iters} iterations "
+        f"(tolerance {tol:.3e}, rounding floor {floor:.3e})", residual=rnorm)
 
 
 def implicit_step(g: GridFunction, h: float, alpha: float, phi: Nonlinearity,

@@ -158,6 +158,16 @@ def test_verify_task(tmp_path, capsys):
     assert all(c["passed"] for c in report["checks"])
 
 
+def test_verify_step_stopping_at_the_rounding_floor(tmp_path, capsys):
+    # Newton's residual stops above newton_tol here; the step is accepted
+    # at its rounding floor instead of ending in non-convergence
+    rc = main(["verify", "--p", "7", "--N", "0", "--M", "3",
+               "--alpha", "2.0", "--out", str(tmp_path)])
+    assert rc == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "PASS  implicit-step mass identity" in out[-1]
+
+
 def test_outputs_are_deterministic(tmp_path):
     d1 = tmp_path / "a"
     d2 = tmp_path / "b"

@@ -25,6 +25,7 @@ from padic_heat import (
     random_function,
     resolvent_apply,
 )
+from padic_heat import kernels
 from padic_heat.ball_model import freq_abs_table, valuation_table
 from padic_heat.vladimirov import apply_spectral
 
@@ -141,6 +142,28 @@ def test_c_series_term_cap():
     # slow alternating regime: the default cap must refuse, not stall
     with pytest.raises(NonConvergenceError):
         c_series(2, -3, 1.0, 80.0)
+
+
+def test_series_route_sums_c_once_per_time(monkeypatch):
+    # c(t) does not depend on the radius, so the radii of one time share
+    # one summation of its series
+    calls = [0]
+    c_total = kernels._c_total_mp
+
+    def counting(*args):
+        calls[0] += 1
+        return c_total(*args)
+
+    monkeypatch.setattr(kernels, "_c_total_mp", counting)
+    p, N, alpha = 3, 0, 0.43  # an alpha no other test sums the series for
+    times = (0.1, 1.0, 10.0)
+    assert lambda_value(p, alpha, N) * max(times) <= 30.0
+    for t in times:
+        for m in list(range(N, N - 7, -1)) + [None]:
+            a = heat_kernel_ball(p, N, alpha, t, m)
+            b = heat_kernel_ball_series(p, N, alpha, t, m)
+            assert abs(a - b) < 1e-10 * max(abs(a), 1.0)
+    assert calls[0] == len(times)
 
 
 # -- ball heat kernel ---------------------------------------------------

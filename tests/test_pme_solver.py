@@ -181,15 +181,40 @@ def test_step_validation():
         ImplicitStepConfig(damping_factor=1.5)
 
 
-def test_fallback_agrees_with_newton():
-    model = BallModel(2, 0, 5)
+def test_newton_accepts_at_the_rounding_floor(monkeypatch):
+    # the verify models at h = 0.5: for alpha >= 1.6 Newton can stop above
+    # newton_tol, at the rounding floor of the residual
+    calls = [0]
+    apply_operator = pme_solver._apply_operator
+
+    def counting(*args):
+        calls[0] += 1
+        return apply_operator(*args)
+
+    monkeypatch.setattr(pme_solver, "_apply_operator", counting)
+    cfg = ImplicitStepConfig()
+    budget = 1 + cfg.max_newton * (cfg.max_halvings + 1)
     phi = Nonlinearity.power(2.0)
-    g = positive_bump(model, 0, -1)
-    newton = implicit_step(g, 0.5, 1.0, phi)
-    # force the relaxed fixed-point path by forbidding Newton iterations
-    relaxed_cfg = ImplicitStepConfig(max_newton=0)
-    relaxed = implicit_step(g, 0.5, 1.0, phi, config=relaxed_cfg)
-    assert np.max(np.abs(newton.values - relaxed.values)) < 1e-10
+    h = 0.5
+    above_tol = 0
+    for p, N, M in [(2, 0, 9), (2, 1, 8), (3, 0, 6), (5, 0, 4), (7, 0, 3)]:
+        model = BallModel(p, N, M)
+        for alpha in (1.6, 2.0, 2.4):
+            eigenvalues = multiplier(model, alpha).eigenvalues
+            rng = np.random.default_rng(0)
+            g = GridFunction(model, 1.0 + np.abs(rng.standard_normal(model.S)))
+            calls[0] = 0
+            v, _, resid = _implicit_step_info(g, h, alpha, phi, cfg)
+            assert calls[0] <= budget
+            phi_v = phi.value(v.values)
+            mass = v.integral() - g.integral() \
+                + h * eigenvalues[0] * GridFunction(model, phi_v).integral()
+            assert abs(mass) < 1e-12
+            floor = 4 * np.finfo(np.float64).eps * h * np.max(eigenvalues) \
+                * np.max(np.abs(phi_v))
+            assert resid <= floor
+            above_tol += resid >= cfg.newton_tol * (1.0 + np.max(g.values))
+    assert above_tol > 0
 
 
 def _dense_newton_step(g, h, alpha, phi, max_iters=50, max_halvings=30):
@@ -339,10 +364,11 @@ def test_step_uses_no_dense_linear_algebra(monkeypatch):
 def test_solver_error_carries_residual():
     model = BallModel(2, 0, 4)
     g = positive_bump(model, 0, 0)
-    cfg = ImplicitStepConfig(max_newton=0, use_fallback=False)
+    cfg = ImplicitStepConfig(max_newton=0)
     with pytest.raises(SolverError) as info:
         implicit_step(g, 1.0, 1.0, Nonlinearity.power(2.0), config=cfg)
     assert info.value.residual is not None and info.value.residual > 0
+    assert "rounding floor" in str(info.value)
 
 
 def test_step_info_reports_converged_residual():
@@ -460,8 +486,7 @@ def test_evolve_pme_validation():
 
 
 def test_non_finite_step_size_is_rejected_before_any_solve(monkeypatch):
-    # NaN passes "h <= 0"; before the check it ran Newton and all 200000
-    # fixed-point fallback iterations on a NaN residual
+    # NaN passes "h <= 0"; before the check it ran Newton on a NaN residual
     def refuse(*args):
         raise AssertionError("operator applied for a non-finite step size")
 
