@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -533,6 +534,9 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationFailure(message)
 
 
+# built once per process: building costs about 20 times a parse, and
+# parse_args leaves the parser unchanged
+@lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
     parser = _Parser(prog="padic-heat", description=__doc__)
     sub = parser.add_subparsers(dest="task", required=True)

@@ -23,7 +23,11 @@ diagonal in the nested ball averages of the point domain: the
 frequencies with p**r | k are exactly those that survive averaging u
 over the classes n mod p**(L-r), L = N + M.  ``apply_radial`` applies it
 through that ladder of averages in O(S) real arithmetic, with no
-transform; ``apply_multiplier`` stays for general factors.
+transform, from the multiplier's L + 1 level values (``radial_levels``;
+``vladimirov.operator_levels`` caches the operator's); ``apply_multiplier``
+stays for general factors.  At small S the ladder's cost is per numpy
+call, so it reduces with bare ``np.add.reduce`` (the arithmetic of
+``mean``, without its Python wrapper) and updates its details in place.
 """
 
 from __future__ import annotations
@@ -82,15 +86,16 @@ def radial_levels(model: BallModel, factors: np.ndarray) -> np.ndarray:
     Entry r < L = N + M is the factor at every frequency of valuation r,
     read at k = p**r; entry L is the factor at k = 0.
     """
-    factors = np.asarray(factors)
     L = model.N + model.M
-    return np.append(factors[model.p ** np.arange(L)], factors[0])
+    k = model.p ** np.arange(L + 1)
+    k[L] = 0
+    return np.asarray(factors)[k]
 
 
 def apply_radial(model: BallModel, levels: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Apply a radial multiplier through nested ball averages, in O(S).
 
-    ``levels`` holds the L + 1 per-valuation values (see
+    ``levels`` holds the L + 1 real per-valuation values (see
     ``radial_levels``).  The averages A_r over the classes n mod p**(L-r)
     are built coarse-to-fine; coming back fine, each level's detail
     A_r - A_{r+1}, which carries exactly the frequencies of valuation r,
@@ -99,9 +104,11 @@ def apply_radial(model: BallModel, levels: np.ndarray, values: np.ndarray) -> np
     and has the dtype of ``values`` (real in, real out).
     """
     p, L = model.p, model.N + model.M
+    # np.add.reduce(x, axis=0) / p is the arithmetic of x.mean(axis=0)
+    # without its Python wrapper, which dominates at small S
     averages = [np.asarray(values)]
     for _ in range(L):
-        averages.append(averages[-1].reshape(p, -1).mean(axis=0))
+        averages.append(np.add.reduce(averages[-1].reshape(p, -1), axis=0) / p)
     out = levels[L] * averages[L]
     for r in range(L - 1, -1, -1):
         detail = averages[r].reshape(p, -1) - averages[r + 1]
@@ -112,8 +119,10 @@ def apply_radial(model: BallModel, levels: np.ndarray, values: np.ndarray) -> np
         # rounding residue of A_{r+1} in the detail's class sums leaks
         # 1.6e-7 into the mean.  This form and the Fourier path both stay
         # near 1e-10.
-        detail -= detail.mean(axis=0)
-        out = (out + levels[r] * detail).reshape(-1)
+        detail -= np.add.reduce(detail, axis=0) / p
+        detail *= levels[r]
+        detail += out
+        out = detail.reshape(-1)
     return out
 
 

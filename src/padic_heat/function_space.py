@@ -130,15 +130,17 @@ class GridFunction:
         self._require_same_model(kernel)
         p, L = self.model.p, self.model.N + self.model.M
         k = kernel.values
-        levels = np.append(k[p ** np.arange(L)], k[0])
+        idx = p ** np.arange(L + 1)
+        idx[L] = 0
+        levels = k[idx]
         if not np.array_equal(k[1:], levels[valuation_table(self.model)[1:]]):
             raise ValueError("kernel is not radial: its values vary on a sphere")
         sums = [self.values]  # sums[j] is B_{L-j}
         for _ in range(L):
-            sums.append(sums[-1].reshape(p, -1).sum(axis=0))
+            sums.append(np.add.reduce(sums[-1].reshape(p, -1), axis=0))
         acc = levels[0] * sums[L]
         for v in range(1, L + 1):
-            acc = np.tile(acc, p) + (levels[v] - levels[v - 1]) * sums[L - v]
+            acc = (acc + (levels[v] - levels[v - 1]) * sums[L - v].reshape(p, -1)).reshape(-1)
         return GridFunction(self.model, acc * float(p) ** (-self.model.M))
 
     # -- resolution changes -------------------------------------------

@@ -33,9 +33,9 @@ import mpmath as mp
 import numpy as np
 
 from .ball_model import BallModel, lambda_value, valuation_table
-from .fourier_ball import apply_radial, radial_levels
+from .fourier_ball import apply_radial
 from .function_space import GridFunction
-from .vladimirov import multiplier
+from .vladimirov import operator_levels
 
 DEFAULT_EPS_TAIL = 1e-16
 
@@ -142,7 +142,10 @@ def _c_total_mp(p: int, N: int, alpha: float, t: float,
     total = mp.mpf(0)
     n = 0
     while True:
-        inc = term_base / (1 - P ** (-alpha * n - 1))
+        # the exponent in working precision: formed in float, its rounding
+        # moved the sum by 1.5e-12 at p=3, N=-1, alpha=1.6, t=10, which
+        # the exp(lambda*t) = e**41 of the series route made 2e6
+        inc = term_base / (1 - P ** (-mp.mpf(alpha) * n - 1))
         total += inc
         if abs(inc) < eps_increment and n > hump:
             return total
@@ -276,14 +279,25 @@ def heat_kernel_ball_series(p: int, N: int, alpha: float, t: float,
         raise NonConvergenceError(
             f"series route needs ~{tail_digits} guard digits at lambda*t = "
             f"{lam * t:.3g}; use the character-sum route instead")
-    with mp.workdps(_series_dps(p, N, alpha, t) + tail_digits):
+    dps = _series_dps(p, N, alpha, t) + tail_digits
+    grow, c = _grow_and_c_mp(p, N, alpha, t, dps)
+    with mp.workdps(dps):
+        Z = _global_kernel_mp(p, alpha, t, m, tail_digits)
+        return float(grow * Z + c)
+
+
+@lru_cache(maxsize=64)
+def _grow_and_c_mp(p: int, N: int, alpha: float, t: float, dps: int):
+    """exp(lambda*t) and c(t) at ``dps`` digits, for the extended branch
+    of ``heat_kernel_ball_series``; neither depends on the radius, so the
+    series is summed once per time."""
+    with mp.workdps(dps):
         grow = mp.e ** (_lambda_mp(p, alpha, N) * t)
         # the series total is multiplied by exp(lambda*t), so its
         # stopping threshold must shrink by the same factor
         total = _c_total_mp(p, N, alpha, t, mp.mpf(10) ** (-16) / grow, 2000)
-        Z = _global_kernel_mp(p, alpha, t, m, tail_digits)
         c = mp.mpf(p) ** (-N) * (1 - (1 - mp.mpf(1) / p) * grow * total)
-        return float(grow * Z + c)
+    return grow, c
 
 
 def ball_kernel_gridfunction(model: BallModel, alpha: float, t: float) -> GridFunction:
@@ -297,10 +311,8 @@ def ball_kernel_gridfunction(model: BallModel, alpha: float, t: float) -> GridFu
     """
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
-    mult = multiplier(model, float(alpha))
-    lam = mult.eigenvalues[0]
-    levels = float(model.p) ** (-model.N) * np.exp(
-        -t * (radial_levels(model, mult.eigenvalues) - lam))
+    e = operator_levels(model, float(alpha))
+    levels = float(model.p) ** (-model.N) * np.exp(-t * (e - e[-1]))
     delta = np.zeros(model.S)
     delta[0] = model.S
     return GridFunction(model, apply_radial(model, levels, delta))
@@ -454,9 +466,8 @@ def resolvent_apply(u: GridFunction, alpha: float, mu: float,
         raise ValueError(f"mu must be positive, got {mu}")
     model = u.model
     if path == "spectral":
-        mult = multiplier(model, float(alpha))
-        lam = mult.eigenvalues[0]
-        levels = 1.0 / (radial_levels(model, mult.eigenvalues) - lam + mu)
+        e = operator_levels(model, float(alpha))
+        levels = 1.0 / (e - e[-1] + mu)
         return GridFunction(model, apply_radial(model, levels, u.values))
     if path == "kernel":
         kg = green_kernel_gridfunction(model, float(alpha), float(mu))

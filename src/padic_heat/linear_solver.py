@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fourier_ball import apply_radial, radial_levels
+from .fourier_ball import apply_radial
 from .function_space import GridFunction
 from .kernels import ball_kernel_gridfunction
-from .vladimirov import multiplier
+from .vladimirov import operator_levels
 
 
 def evolve(u0: GridFunction, alpha: float, t: float,
@@ -28,9 +28,8 @@ def evolve(u0: GridFunction, alpha: float, t: float,
     if t == 0.0:
         return GridFunction(u0.model, u0.values)
     if path == "spectral":
-        mult = multiplier(u0.model, float(alpha))
-        lam = mult.eigenvalues[0]
-        levels = np.exp(-t * (radial_levels(u0.model, mult.eigenvalues) - lam))
+        e = operator_levels(u0.model, float(alpha))
+        levels = np.exp(-t * (e - e[-1]))
         return GridFunction(u0.model, apply_radial(u0.model, levels, u0.values))
     if path == "kernel":
         return u0.convolve_radial(
@@ -49,8 +48,8 @@ def evolve_series(u0: GridFunction, alpha: float, times,
 
 def spectral_gap(model, alpha: float) -> float:
     """Decay rate of the slowest nonzero mode, p**(alpha*(1-N)) - lambda."""
-    mult = multiplier(model, float(alpha))
-    return float(model.p) ** (alpha * (1 - model.N)) - mult.eigenvalues[0]
+    lam = operator_levels(model, float(alpha))[-1]
+    return float(model.p) ** (alpha * (1 - model.N)) - lam
 
 
 def pde_residual(u0: GridFunction, alpha: float, t: float,
@@ -70,8 +69,7 @@ def pde_residual(u0: GridFunction, alpha: float, t: float,
     u_mid = evolve(u0, alpha, t)
     u_pls = evolve(u0, alpha, t + dt)
     du_dt = (u_pls.values - u_min.values) / (2 * dt)
-    mult = multiplier(u0.model, float(alpha))
-    lam = mult.eigenvalues[0]
+    lam = operator_levels(u0.model, float(alpha))[-1]
     from .vladimirov import apply_spectral
     spatial = apply_spectral(u_mid, float(alpha)).values - lam * u_mid.values
     return float(np.max(np.abs(du_dt + spatial)))

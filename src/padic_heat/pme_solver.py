@@ -7,13 +7,16 @@ bookkeeping per implicit step is exact:
     integral(u_new) - integral(u_old) = -h * lambda * integral(Phi(u_new)).
 
 Each step solves v + h*D(Phi(v)) = g by damped Newton, at most
-1 + max_newton*(max_halvings + 1) applications of D; a step that stops
-above both the tolerance and the residual's rounding floor raises
-SolverError.  D is a radial multiplier, applied through nested ball
-averages by ``fourier_ball.apply_radial``.  The same ladder writes
-D as a diagonal plus one rank-1 term per class of the nested p-ary
-partition, so the Newton Jacobian I + h*D*diag(Phi'(v)) is solved
-exactly by Sherman-Morrison, level by level, in O(S) at every size.
+1 + max_newton*(max_halvings + 1) applications of D.  Newton stops once
+the residual is below the tolerance or below its own rounding floor,
+the size of eps times the h*D(Phi(v)) term it cancels; a step that ends
+above both raises SolverError.  D is a radial multiplier, applied
+through nested ball averages by ``fourier_ball.apply_radial`` from its
+ladder values, which a step reads once from ``vladimirov.operator_levels``.
+The same ladder writes D as a diagonal plus one rank-1 term per class
+of the nested p-ary partition, so the Newton Jacobian
+I + h*D*diag(Phi'(v)) is solved exactly by Sherman-Morrison, level by
+level, in O(S) at every size.
 The Crandall-Liggett construction doubles the step count until
 successive solutions stop moving in L1.
 """
@@ -26,9 +29,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ball_model import BallModel
-from .fourier_ball import apply_radial, radial_levels
+from .fourier_ball import apply_radial
 from .function_space import GridFunction
-from .vladimirov import multiplier
+from .vladimirov import operator_levels
 
 
 class SolverError(Exception):
@@ -158,16 +161,15 @@ class ImplicitStepConfig:
 DEFAULT_CONFIG = ImplicitStepConfig()
 
 
-def _apply_operator(model: BallModel, alpha: float, values: np.ndarray) -> np.ndarray:
-    levels = radial_levels(model, multiplier(model, alpha).eigenvalues)
+def _apply_operator(model: BallModel, levels: np.ndarray, values: np.ndarray) -> np.ndarray:
     return apply_radial(model, levels, values)
 
 
-def _tree_jacobian_solve(model: BallModel, alpha: float, h: float,
+def _tree_jacobian_solve(model: BallModel, e: np.ndarray, h: float,
                          sigma: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Solve (I + h*D*diag(sigma)) x = r exactly, for sigma >= 0, in O(S).
 
-    With e the ``radial_levels`` of D, D = e_0*I + sum_k (e_k - e_{k-1})*P_k,
+    With e the ``operator_levels`` of D, D = e_0*I + sum_k (e_k - e_{k-1})*P_k,
     P_k the average over the classes ``reshape(p**k, -1)``.  Each class C
     of level k adds c_k * 1_C (sigma 1_C)^T, c_k = h*(e_k - e_{k-1})/p**k,
     to a matrix block diagonal over its subclasses, and Sherman-Morrison
@@ -179,25 +181,31 @@ def _tree_jacobian_solve(model: BallModel, alpha: float, h: float,
     the subclasses: 1 + c_k*t itself cancels when h*e_0*sigma is large.
     """
     p, L = model.p, model.N + model.M
-    e = radial_levels(model, multiplier(model, alpha).eigenvalues)
     d = 1.0 + h * e[0] * sigma
-    t, sx, m = sigma / d, sigma * r / d, 1.0 / d
+    # rows t, sx and m, carried up the tree together: one reduction and
+    # one division per level
+    tsm = np.empty((3, sigma.size))
+    tsm[0] = sigma
+    np.multiply(sigma, r, out=tsm[1])
+    tsm[2] = 1.0
+    tsm /= d
     denoms, shifts = [], []
     for k in range(1, L + 1):
-        t = t.reshape(p, -1).sum(axis=0)
-        sx = sx.reshape(p, -1).sum(axis=0)
-        m = m.reshape(p, -1).mean(axis=0)
+        tsm = np.add.reduce(tsm.reshape(3, p, -1), axis=1)
+        tsm[2] /= p
+        t, sx, m = tsm
         denom = h * e[k] / p ** k * t + m
         shifts.append(h * (e[k] - e[k - 1]) / p ** k * sx / denom)
         denoms.append(denom)
-        t, sx, m = t / denom, sx / denom, m / denom
-    # x*d = r - sum_k shift_k / (the denominators of the finer classes)
+        tsm /= denom
+    # x*d = r - sum_k shift_k / (the denominators of the finer classes),
+    # each class's correction broadcast over its p subclasses
     g = 0.0
-    for k in range(L, 0, -1):
-        g = np.tile(shifts[k - 1] + g, p)
-        if k > 1:
-            g = g / denoms[k - 2]
-    return (r - g) / d
+    for k in range(L, 1, -1):
+        g = ((shifts[k - 1] + g) / denoms[k - 2].reshape(p, -1)).reshape(-1)
+    if L:
+        r = (r.reshape(p, -1) - (shifts[0] + g)).reshape(-1)
+    return r / d
 
 
 def _implicit_step_info(g: GridFunction, h: float, alpha: float,
@@ -211,38 +219,36 @@ def _implicit_step_info(g: GridFunction, h: float, alpha: float,
         raise ValueError("implicit stepping is defined for real data")
     model = g.model
     gvals = g.values
+    e = operator_levels(model, alpha)
     tol = config.newton_tol * (1.0 + float(np.max(np.abs(gvals))))
+    # the residual's rounding floor, eps times the h*D(Phi(v)) term it
+    # cancels: Newton stops there even above tol
+    floor_scale = 4.0 * np.finfo(np.float64).eps * h * float(e[0])
 
     def residual(v):
-        return v + h * _apply_operator(model, alpha, phi.value(v)) - gvals
+        phi_v = phi.value(v)
+        r = v + h * _apply_operator(model, e, phi_v) - gvals
+        return r, float(np.max(np.abs(r))), floor_scale * float(np.max(np.abs(phi_v)))
 
     v = gvals.copy()
-    r = residual(v)
-    rnorm = float(np.max(np.abs(r)))
+    r, rnorm, floor = residual(v)
     iters = 0
-    while rnorm >= tol and iters < config.max_newton:
-        delta = _tree_jacobian_solve(model, alpha, h, phi.derivative(v), r)
+    while rnorm >= max(tol, floor) and iters < config.max_newton:
+        delta = _tree_jacobian_solve(model, e, h, phi.derivative(v), r)
         step = 1.0
         improved = False
         for _ in range(config.max_halvings + 1):
             v_try = v - step * delta
-            r_try = residual(v_try)
-            rnorm_try = float(np.max(np.abs(r_try)))
+            r_try, rnorm_try, floor_try = residual(v_try)
             if rnorm_try < rnorm:
-                v, r, rnorm = v_try, r_try, rnorm_try
+                v, r, rnorm, floor = v_try, r_try, rnorm_try, floor_try
                 improved = True
                 break
             step *= config.damping_factor
         iters += 1
         if not improved:
             break
-    if rnorm < tol:
-        return GridFunction(model, v), iters, rnorm
-    # Newton stopped above tol: accept v only at the residual's rounding
-    # floor, the size of eps times the h*D(Phi(v)) term it cancels
-    e0 = float(radial_levels(model, multiplier(model, alpha).eigenvalues)[0])
-    floor = 4.0 * np.finfo(np.float64).eps * h * e0 * float(np.max(np.abs(phi.value(v))))
-    if rnorm <= floor:
+    if rnorm < tol or rnorm <= floor:
         return GridFunction(model, v), iters, rnorm
     raise SolverError(
         f"Newton failed: residual {rnorm:.3e} after {iters} iterations "
@@ -288,7 +294,7 @@ def pme_trajectory(u0: GridFunction, t: float, k: int, alpha: float,
     if record_every < 1:
         raise ValueError(f"record_every must be >= 1, got {record_every}")
     h = t / k
-    lam = float(multiplier(u0.model, float(alpha)).eigenvalues[0])
+    lam = float(operator_levels(u0.model, float(alpha))[-1])
     u = u0
     states, rows = [], []
     for j in range(1, k + 1):

@@ -18,10 +18,12 @@ evaluated through any of:
 
 ``multiplier`` cross-checks the closed-form symbol against an exact
 sphere-by-sphere quadrature of the oscillatory integral at construction
-time and refuses to hand out an inconsistent operator.  ``build_matrix``
-materialises the dense symmetric matrix for small models, the oracle
-for spectrum tests, and ``spectrum_multiset`` lists the expected
-eigenvalues with multiplicities.
+time and refuses to hand out an inconsistent operator;
+``operator_levels`` caches the L + 1 ladder values that the solvers
+read from it.  ``build_matrix`` materialises the dense symmetric matrix
+for small models, the oracle for spectrum tests, and
+``spectrum_multiset`` lists the expected eigenvalues with
+multiplicities.
 """
 
 from __future__ import annotations
@@ -110,10 +112,23 @@ def multiplier(model: BallModel, alpha: float) -> SpectralMultiplier:
     return SpectralMultiplier(model, alpha, eig)
 
 
+@lru_cache(maxsize=128)
+def operator_levels(model: BallModel, alpha: float) -> np.ndarray:
+    """The L + 1 per-valuation values of the operator, read-only.
+
+    Equal to ``radial_levels(model, multiplier(model, alpha).eigenvalues)``:
+    entry r < L = N + M is |xi|**alpha on the frequencies of valuation r,
+    entry L is lambda.  Cached, so a solver fetches the operator once per
+    (model, alpha) instead of once per apply.
+    """
+    levels = radial_levels(model, multiplier(model, alpha).eigenvalues)
+    levels.setflags(write=False)
+    return levels
+
+
 def apply_spectral(u: GridFunction, alpha: float) -> GridFunction:
     """Apply the operator through its symbol, level by level of the ball ladder."""
-    mult = multiplier(u.model, float(alpha))
-    levels = radial_levels(u.model, mult.eigenvalues)
+    levels = operator_levels(u.model, float(alpha))
     return GridFunction(u.model, apply_radial(u.model, levels, u.values))
 
 

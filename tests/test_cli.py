@@ -12,6 +12,7 @@ from padic_heat import (
     evolve,
     positive_bump,
 )
+from padic_heat import cli
 from padic_heat.cli import main
 
 
@@ -166,6 +167,53 @@ def test_verify_step_stopping_at_the_rounding_floor(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out.splitlines()
     assert "PASS  implicit-step mass identity" in out[-1]
+
+
+def test_verify_with_a_negative_N(tmp_path, capsys):
+    # "ball kernel two formulas" takes the series route's extended branch
+    # at t = 10 (lambda*t = 41); it used to fail there at 6.6e5
+    rc = main(["verify", "--p", "3", "--N", "-1", "--M", "5",
+               "--alpha", "1.6", "--out", str(tmp_path)])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "PASS  ball kernel two formulas" in out
+
+
+CACHED_PARSER_RUNS = [
+    ["spectrum", "--p", "2", "--N", "0", "--M", "3", "--alpha", "1.0",
+     "--dump-matrix"],
+    ["heat-kernel", "--p", "2", "--N", "0", "--M", "3", "--alpha", "1.0",
+     "--times", "0.5", "--m-lo", "-2"],
+    ["green", "--p", "2", "--N", "0", "--M", "3", "--alpha", "2.0",
+     "--mu", "1.0", "--m-lo", "-4", "--format", "json"],
+    ["solve-linear", "--p", "3", "--N", "0", "--M", "2", "--alpha", "1.5",
+     "--times", "0.25", "--path", "kernel", "--dump-state"],
+    ["solve-pme", "--p", "2", "--N", "0", "--M", "3", "--alpha", "1.0",
+     "--t", "0.5", "--steps", "4", "--record-every", "2", "--dump-state"],
+    ["verify", "--p", "2", "--N", "0", "--M", "3", "--alpha", "0.8"],
+]
+
+
+def test_cached_parser_keeps_no_state(tmp_path, capsys):
+    # main builds its parser once per process; a usage error and the
+    # other tasks' flags must not leak into a later call
+    def run(args, out):
+        out.mkdir()
+        rc = main(args + ["--out", str(out)])
+        captured = capsys.readouterr()
+        files = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+        return rc, captured.out, files
+
+    first = []
+    for i, args in enumerate(CACHED_PARSER_RUNS):
+        cli._build_parser.cache_clear()
+        first.append(run(args, tmp_path / f"first{i}"))
+    assert [rc for rc, _, _ in first] == [0] * len(CACHED_PARSER_RUNS)
+    for i, args in enumerate(CACHED_PARSER_RUNS):
+        assert main(["solve-pme", "--steps", "four"]) == 1
+        assert main(["no-such-task"]) == 1
+        capsys.readouterr()
+        assert run(args, tmp_path / f"again{i}") == first[i]
 
 
 def test_outputs_are_deterministic(tmp_path):

@@ -166,6 +166,40 @@ def test_series_route_sums_c_once_per_time(monkeypatch):
     assert calls[0] == len(times)
 
 
+def test_extended_series_route_sums_c_once_per_time(monkeypatch):
+    # lambda*t > 30: the whole combination runs in extended precision,
+    # and its c(t) series is still summed once per time, not per radius
+    calls = [0]
+    c_total = kernels._c_total_mp
+
+    def counting(*args):
+        calls[0] += 1
+        return c_total(*args)
+
+    monkeypatch.setattr(kernels, "_c_total_mp", counting)
+    p, N, alpha = 3, -1, 1.57  # an alpha no other test sums the series for
+    times = (10.0, 20.0)
+    assert lambda_value(p, alpha, N) * min(times) > 30.0
+    for t in times:
+        for m in list(range(N, N - 7, -1)) + [None]:
+            a = heat_kernel_ball(p, N, alpha, t, m)
+            b = heat_kernel_ball_series(p, N, alpha, t, m)
+            assert abs(a - b) < 1e-10 * max(abs(a), 1.0)
+    assert calls[0] == len(times)
+
+
+@pytest.mark.parametrize("t", [10.0, 30.0])
+def test_series_route_at_negative_N(t):
+    # the series terms reach t*p**(-alpha*(N+1)) >= t at N < 0, so an
+    # exponent rounded in float put the route off by 2e6 at t = 10
+    p, N, alpha = 3, -1, 1.6
+    assert lambda_value(p, alpha, N) * t > 30.0
+    for m in list(range(N, N - 7, -1)) + [None]:
+        a = heat_kernel_ball(p, N, alpha, t, m)
+        b = heat_kernel_ball_series(p, N, alpha, t, m)
+        assert abs(a - b) < 1e-10 * max(abs(a), 1.0)
+
+
 # -- ball heat kernel ---------------------------------------------------
 
 

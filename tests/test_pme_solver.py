@@ -27,10 +27,10 @@ from padic_heat import (
     random_function,
     resolvent_apply,
 )
-from padic_heat import pme_solver, vladimirov
+from padic_heat import fourier_ball, pme_solver, vladimirov
 from padic_heat.fourier_ball import apply_radial, radial_levels
 from padic_heat.pme_solver import _implicit_step_info, _tree_jacobian_solve
-from padic_heat.vladimirov import build_matrix, multiplier
+from padic_heat.vladimirov import build_matrix, multiplier, operator_levels
 
 
 # -- nonlinearity -------------------------------------------------------
@@ -217,6 +217,60 @@ def test_newton_accepts_at_the_rounding_floor(monkeypatch):
     assert above_tol > 0
 
 
+def test_newton_stops_at_the_rounding_floor(monkeypatch):
+    # at S = 2**16 Newton reaches the floor by iteration 4; before the
+    # floor stopped the loop, each further iteration ended in a failed
+    # line search, 44 operator applies in all
+    calls = [0]
+    apply_operator = pme_solver._apply_operator
+
+    def counting(*args):
+        calls[0] += 1
+        return apply_operator(*args)
+
+    monkeypatch.setattr(pme_solver, "_apply_operator", counting)
+    model = BallModel(2, 0, 16)
+    alpha, h = 1.3, 0.01
+    phi = Nonlinearity.power(2.0)
+    rng = np.random.default_rng(0)
+    g = GridFunction(model, 1.0 + 0.25 * rng.random(model.S))
+    v, _, resid = _implicit_step_info(g, h, alpha, phi, ImplicitStepConfig())
+    assert calls[0] <= 8
+    lam = lambda_value(2, alpha, 0)
+    phi_v = phi.value(v.values)
+    mass = v.integral() - g.integral() + h * lam * GridFunction(model, phi_v).integral()
+    assert abs(mass) < 1e-12
+    e0 = operator_levels(model, alpha)[0]
+    floor = 4 * np.finfo(np.float64).eps * h * e0 * np.max(np.abs(phi_v))
+    assert resid < max(ImplicitStepConfig().newton_tol * (1.0 + np.max(g.values)), floor)
+
+
+def test_warm_implicit_step_builds_no_operator(monkeypatch):
+    # the operator's levels are cached per (model, alpha): a step after
+    # the first one neither builds the multiplier nor reads levels off it
+    model = BallModel(3, 0, 4)
+    u0 = positive_bump(model, 0, -1)
+    phi = Nonlinearity.power(2.0)
+    implicit_step(u0, 0.1, 1.1, phi)
+    calls = {"multiplier": 0, "radial_levels": 0}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    for module in (pme_solver, vladimirov, fourier_ball):
+        for name in calls:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    implicit_step(u0, 0.1, 1.1, phi)
+    assert calls == {"multiplier": 0, "radial_levels": 0}
+    # the counters are armed: a first (model, alpha) builds the operator once
+    implicit_step(u0, 0.1, 1.1357, phi)
+    assert calls == {"multiplier": 1, "radial_levels": 1}
+
+
 def _dense_newton_step(g, h, alpha, phi, max_iters=50, max_halvings=30):
     """Oracle for one implicit step: damped Newton on the dense matrix,
     each Jacobian LU-solved.  Stops when a line search cannot lower the
@@ -294,7 +348,7 @@ def test_tree_jacobian_solve_matches_dense_lu(problem):
     model, alpha, h, sigma, r = problem
     J = np.eye(model.S) + h * build_matrix(model, alpha) * sigma[None, :]
     want = np.linalg.solve(J, r)
-    got = _tree_jacobian_solve(model, alpha, h, sigma, r)
+    got = _tree_jacobian_solve(model, operator_levels(model, alpha), h, sigma, r)
     assert got.shape == r.shape
     assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
@@ -306,7 +360,7 @@ def test_tree_jacobian_solve_is_backward_stable(problem):
     # ||I + h*D*diag(sigma)||_inf <= 1 + 2*h*e_0*max(sigma) since the
     # ladder values decrease from e_0
     model, alpha, h, sigma, r = problem
-    x = _tree_jacobian_solve(model, alpha, h, sigma, r)
+    x = _tree_jacobian_solve(model, operator_levels(model, alpha), h, sigma, r)
     e = radial_levels(model, multiplier(model, alpha).eigenvalues)
     resid = x + h * apply_radial(model, e, sigma * x) - r
     scale = ((1.0 + 2.0 * h * e[0] * np.max(sigma)) * np.max(np.abs(x))
@@ -335,7 +389,7 @@ def test_tree_jacobian_solve_keeps_precision_when_h_e0_sigma_is_large():
                         d_ij += (e[k] - e[k - 1]) / p ** k
                 J[i, j] += h * d_ij * mpmath.mpf(sigma[j])
         want = np.array([float(v) for v in mpmath.lu_solve(J, mpmath.matrix(r.tolist()))])
-    got = _tree_jacobian_solve(model, alpha, h, sigma, r)
+    got = _tree_jacobian_solve(model, operator_levels(model, alpha), h, sigma, r)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 

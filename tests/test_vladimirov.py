@@ -21,7 +21,8 @@ from padic_heat import (
     spectrum_multiset,
     symbol_quadrature,
 )
-from tests.conftest import rel_linf
+from padic_heat.fourier_ball import radial_levels
+from tests.conftest import STANDARD_MODELS, rel_linf
 
 
 def test_symbol_quadrature_pins():
@@ -223,3 +224,27 @@ def test_multiplier_validation_and_consistency_gate(monkeypatch):
     monkeypatch.setattr(vlad, "symbol_quadrature", lambda m, a, k: 1e6)
     with pytest.raises(ConsistencyError):
         multiplier(BallModel(2, 0, 3), 1.234567)
+
+
+LEVEL_MODELS = STANDARD_MODELS + [
+    (2, 0, 0, 1.0),   # S = 1
+    (3, -1, 1, 0.7),  # S = 1 with a negative N
+    (3, -2, 4, 1.6),
+    (7, 0, 3, 1.3),
+    (7, 1, 1, 2.4),
+]
+
+
+@pytest.mark.parametrize("p, N, M, alpha", LEVEL_MODELS,
+                         ids=[f"p{p}_N{N}_M{M}_a{a}" for p, N, M, a in LEVEL_MODELS])
+def test_operator_levels_are_the_multiplier_levels(p, N, M, alpha):
+    model = BallModel(p, N, M)
+    eig = multiplier(model, alpha).eigenvalues
+    levels = vlad.operator_levels(model, alpha)
+    assert np.array_equal(levels, radial_levels(model, eig))
+    assert levels.shape == (N + M + 1,)
+    assert levels[-1] == eig[0] == lambda_value(p, alpha, N)
+    # one cached array is shared by every solver, so it must stay read-only
+    assert vlad.operator_levels(model, alpha) is levels
+    with pytest.raises(ValueError):
+        levels[0] = 0.0
