@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ball_model import BallModel
+from .ball_model import BallModel, freq_abs_table
 from .fourier_ball import dft_direct, forward
 from .function_space import GridFunction, make_initial
 from .kernels import (
@@ -47,6 +47,7 @@ from .pme_solver import (
     pme_trajectory,
 )
 from .vladimirov import (
+    DEFAULT_MATRIX_CAP,
     ConsistencyError,
     apply_global_restriction,
     apply_hypersingular,
@@ -266,7 +267,8 @@ def _task_spectrum(cfg: dict) -> int:
     alpha = _alpha_from(cfg)
     mult = multiplier(model, alpha)
     closed = spectrum_multiset(model, alpha)
-    rows = [(k, model.freq_abs(k), mult.eigenvalues[k]) for k in range(model.S)]
+    rows = zip(range(model.S), freq_abs_table(model).tolist(),
+               mult.eigenvalues.tolist())
     _write_table(cfg, "spectrum", ["k", "freq_abs", "eigenvalue"], rows)
     if cfg.get("dump_matrix"):
         try:
@@ -437,6 +439,11 @@ def _task_verify(cfg: dict) -> int:
     alpha = float(cfg["alpha"]) if cfg.get("alpha") is not None else 1.0
     if alpha <= 0:
         raise ValidationFailure(f"alpha must be positive, got {alpha}")
+    # the oracles below are O(S**2) in time and the direct DFT in memory
+    if model.S > DEFAULT_MATRIX_CAP:
+        raise ValidationFailure(
+            f"verify runs O(S**2) oracles; group order {model.S} exceeds "
+            f"the cap {DEFAULT_MATRIX_CAP}")
     tol = float(cfg.get("tol") or 1e-9)
     seed = int(cfg.get("seed", 0))
     p, N = model.p, model.N

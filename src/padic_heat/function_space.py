@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .ball_model import BallModel, valuation_table
 
@@ -28,6 +29,20 @@ from .ball_model import BallModel, valuation_table
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def circulant_apply(w: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """sum_j w[j] * u[(n - j) mod S] for every n: one circulant matvec, O(S^2).
+
+    Row n of a sliding window over u twice is u[(n + 1 + i) mod S], so
+    its dot product with w reversed is the cyclic sum.  The window is a
+    strided view, not an S x S copy, and no transform is involved, so
+    the O(S^2) oracles built on it stay independent of the spectral path.
+    """
+    # cast u, not the view: a real view meeting complex w would be copied
+    u = u.astype(np.result_type(u, w), copy=False)
+    S = u.size
+    return sliding_window_view(np.concatenate((u, u))[1:], S) @ w[::-1]
 
 
 @dataclass(eq=False)
@@ -93,21 +108,13 @@ class GridFunction:
     def convolve(self, other: "GridFunction") -> "GridFunction":
         """Measure-weighted circular convolution; the O(S^2) oracle.
 
-        Direct evaluation by cyclic shifts, deliberately free of any
-        Fourier machinery so that convolution identities can serve as an
-        independent cross-check of the transform.  Production paths use
-        ``convolve_radial``; this loop stays for tests.
+        One circulant matvec (``circulant_apply``), deliberately free of
+        any Fourier machinery so that convolution identities can serve as
+        an independent cross-check of the transform.  Production paths
+        use ``convolve_radial``; this stays for tests.
         """
         self._require_same_model(other)
-        S = self.model.S
-        u, v = self.values, other.values
-        if np.iscomplexobj(u) or np.iscomplexobj(v):
-            acc = np.zeros(S, dtype=np.complex128)
-        else:
-            acc = np.zeros(S, dtype=np.float64)
-        for m in range(S):
-            if v[m] != 0.0:
-                acc += v[m] * np.roll(u, m)
+        acc = circulant_apply(other.values, self.values)
         return GridFunction(self.model, acc * float(self.model.p) ** (-self.model.M))
 
     def convolve_radial(self, kernel: "GridFunction") -> "GridFunction":

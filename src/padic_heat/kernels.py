@@ -26,6 +26,7 @@ result to a double; every stored value in this package remains float64.
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
 
@@ -325,6 +326,34 @@ def _green_denominator(p: int, N: int, alpha: float, mu: float, l: int) -> float
     return float(p) ** (alpha * l) - lambda_value(p, alpha, N) + mu
 
 
+def _check_green_args(alpha: float, mu: float) -> None:
+    if mu <= 0:
+        raise ValueError(f"mu must be positive, got {mu}")
+    if alpha <= 0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
+
+
+def _green_radial(p: int, N: int, alpha: float, mu: float):
+    """Yield the Green function K(|x| = p**m) for m = N, N-1, N-2, ...
+
+    Carries the prefix sum (1-1/p) * sum_{l=-N+1}^{-m} p**l / d(l) from
+    one radius to the next, with lambda computed once, so a sweep over
+    R radii costs O(R).  Each d(1-m) serves K(m) and then the prefix
+    term of K(m-1); the terms and their order are those of the
+    finite progression, so every value is that of ``green_kernel``.
+    """
+    _check_green_args(alpha, mu)
+    q = 1.0 - 1.0 / p
+    lam = lambda_value(p, alpha, N)
+    prefix = 0.0
+    m = N
+    while True:
+        d = float(p) ** (alpha * (1 - m)) - lam + mu
+        yield prefix - float(p) ** (-m) / d
+        prefix += q * float(p) ** (1 - m) / d
+        m -= 1
+
+
 def green_kernel(p: int, N: int, alpha: float, mu: float,
                  m: int | None = None, series_eps: float = 1e-17) -> float:
     """Green function of (D - lambda + mu) at radius p**m.
@@ -333,19 +362,17 @@ def green_kernel(p: int, N: int, alpha: float, mu: float,
 
         K(|x| = p**m) = (1-1/p) * sum_{l=-N+1}^{-m} p**l / d(l)
                         - p**(-m) / d(1-m),
-        d(l) = p**(alpha*l) - lambda + mu.
+        d(l) = p**(alpha*l) - lambda + mu,
 
-    ``m=None`` evaluates at x = 0, defined only for alpha > 1, where the
-    upward sphere series converges geometrically.
+    read off the radial sweep ``_green_radial`` at m.  ``m=None``
+    evaluates at x = 0, defined only for alpha > 1, where the upward
+    sphere series converges geometrically.
     """
-    if mu <= 0:
-        raise ValueError(f"mu must be positive, got {mu}")
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    q = 1.0 - 1.0 / p
+    _check_green_args(alpha, mu)
     if m is None:
         if alpha <= 1:
             raise ValueError("the Green function is unbounded at x = 0 for alpha <= 1")
+        q = 1.0 - 1.0 / p
         acc = 0.0
         l = -N + 1
         ratio = float(p) ** (1.0 - alpha)
@@ -357,11 +384,7 @@ def green_kernel(p: int, N: int, alpha: float, mu: float,
             l += 1
     if m > N:
         raise ValueError(f"radius exponent m must be <= N = {N}, got {m}")
-    acc = 0.0
-    for l in range(-N + 1, -m + 1):
-        acc += q * float(p) ** l / _green_denominator(p, N, alpha, mu, l)
-    acc -= float(p) ** (-m) / _green_denominator(p, N, alpha, mu, 1 - m)
-    return acc
+    return next(itertools.islice(_green_radial(p, N, alpha, mu), N - m, None))
 
 
 def green_kernel_series(p: int, N: int, alpha: float, mu: float,
@@ -410,19 +433,17 @@ def green_ball_integral(p: int, N: int, alpha: float, mu: float,
     """
     q = 1.0 - 1.0 / p
     acc = 0.0
-    m = N
     scale = 0.0
-    while True:
-        term = q * float(p) ** m * green_kernel(p, N, alpha, mu, m)
+    for m, K in zip(itertools.count(N, -1), _green_radial(p, N, alpha, mu)):
+        term = q * float(p) ** m * K
         acc += term
         scale = max(scale, abs(term))
-        m -= 1
         if m_min is not None:
-            if m < m_min:
+            if m <= m_min:
                 return acc
         else:
             # terms shrink geometrically like p**(m*min(alpha,1)), log factor aside
-            if abs(term) < 1e-18 * max(scale, 1e-300) and m < -8:
+            if abs(term) < 1e-18 * max(scale, 1e-300) and m <= -8:
                 return acc
 
 
@@ -433,21 +454,21 @@ def green_kernel_gridfunction(model: BallModel, alpha: float, mu: float) -> Grid
     coset takes the average over the sub-ball, an adaptive sphere sum.
     """
     p, N, M = model.p, model.N, model.M
+    sweep = _green_radial(p, N, alpha, mu)
     vt = valuation_table(model)
     vals = np.empty(model.S, dtype=np.float64)
-    radial = np.array([green_kernel(p, N, alpha, mu, N - v) for v in range(N + M)])
+    # radius p**(N - v) on the sphere of valuation v
+    radial = np.array(list(itertools.islice(sweep, N + M)))
     vals[1:] = radial[vt[1:]]
     # zero coset: p**M * integral of K over the sub-ball of radius p**(-M)
     q = 1.0 - 1.0 / p
     acc = 0.0
-    m = -M
     scale = 0.0
-    while True:
-        term = q * float(p) ** m * green_kernel(p, N, alpha, mu, m)
+    for m, K in zip(itertools.count(-M, -1), sweep):
+        term = q * float(p) ** m * K
         acc += term
         scale = max(scale, abs(term))
-        m -= 1
-        if abs(term) < 1e-18 * max(scale, 1e-300) and m < -M - 8:
+        if abs(term) < 1e-18 * max(scale, 1e-300) and m <= -M - 8:
             break
     vals[0] = float(p) ** M * acc
     return GridFunction(model, vals)
@@ -495,8 +516,8 @@ def green_estimates_report(p: int, N: int, alpha: float, mu: float,
         raise ValueError(f"bad m_range {m_range}")
     rows = []
     prev_weighted = None
-    for m in range(hi, lo - 1, -1):
-        K = green_kernel(p, N, alpha, mu, m)
+    sweep = itertools.islice(_green_radial(p, N, alpha, mu), N - hi, N - lo + 1)
+    for m, K in zip(range(hi, lo - 1, -1), sweep):
         if alpha == 1.0:
             weight = max(1.0, abs(m) * math.log(p))
         elif alpha < 1.0:

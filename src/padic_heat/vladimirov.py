@@ -16,14 +16,14 @@ evaluated through any of:
    multiple of the input, a geometric tail that reproduces lambda
    (``apply_global_restriction``).
 
-``multiplier`` cross-checks the closed-form symbol against an exact
-sphere-by-sphere quadrature of the oscillatory integral at construction
-time and refuses to hand out an inconsistent operator;
-``operator_levels`` caches the L + 1 ladder values that the solvers
-read from it.  ``build_matrix`` materialises the dense symmetric matrix
-for small models, the oracle for spectrum tests, and
-``spectrum_multiset`` lists the expected eigenvalues with
-multiplicities.
+``operator_levels`` builds and caches the L + 1 ladder values that the
+solvers read, cross-checking the closed-form symbol against an exact
+sphere-by-sphere quadrature of the oscillatory integral and refusing to
+hand out an inconsistent operator; ``multiplier`` spreads them over the
+S frequencies.  Forms 2 and 4 are O(S^2) oracles, each one circulant
+matvec.  ``build_matrix`` materialises the dense symmetric matrix for
+small models, the oracle for spectrum tests, and ``spectrum_multiset``
+lists the expected eigenvalues with multiplicities.
 """
 
 from __future__ import annotations
@@ -37,13 +37,12 @@ import numpy as np
 from .ball_model import (
     BallModel,
     coefficient_ap,
-    freq_abs_table,
     lambda_value,
     point_abs_table,
     valuation_table,
 )
-from .fourier_ball import apply_radial, radial_levels
-from .function_space import GridFunction
+from .fourier_ball import apply_radial
+from .function_space import GridFunction, circulant_apply
 
 DEFAULT_MATRIX_CAP = 4096
 
@@ -83,47 +82,45 @@ def symbol_quadrature(model: BallModel, alpha: float, k: int) -> float:
 
 
 @lru_cache(maxsize=128)
-def multiplier(model: BallModel, alpha: float) -> SpectralMultiplier:
-    """Spectral multiplier with a constructor-time quadrature cross-check.
-
-    m[0] = lambda and m[k] = |xi_k|**alpha otherwise.  For one frequency
-    of each valuation the closed form is checked against
-    ``symbol_quadrature`` plus lambda; a relative disagreement above
-    1e-10 raises ConsistencyError.
-    """
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    lam = lambda_value(model.p, alpha, model.N)
-    fa = freq_abs_table(model)
-    eig = np.empty(model.S, dtype=np.float64)
-    eig[0] = lam
-    if model.S > 1:
-        eig[1:] = fa[1:] ** alpha
-    for v in range(model.N + model.M):
-        k0 = model.p ** v
-        closed = eig[k0]
-        quad = symbol_quadrature(model, alpha, k0) + lam
-        if abs(quad - closed) > 1e-10 * max(abs(closed), 1.0):
-            raise ConsistencyError(
-                f"symbol mismatch at |xi| = p**{model.M - v}: "
-                f"closed form {closed!r}, quadrature {quad!r}"
-            )
-    eig.setflags(write=False)
-    return SpectralMultiplier(model, alpha, eig)
-
-
-@lru_cache(maxsize=128)
 def operator_levels(model: BallModel, alpha: float) -> np.ndarray:
     """The L + 1 per-valuation values of the operator, read-only.
 
-    Equal to ``radial_levels(model, multiplier(model, alpha).eigenvalues)``:
-    entry r < L = N + M is |xi|**alpha on the frequencies of valuation r,
-    entry L is lambda.  Cached, so a solver fetches the operator once per
-    (model, alpha) instead of once per apply.
+    Entry r < L = N + M is |xi|**alpha = p**(alpha*(M - r)) on the
+    frequencies of valuation r, formed exactly as ``spectrum_multiset``
+    forms it; entry L is lambda.  Each entry r < L is checked against
+    ``symbol_quadrature`` at k = p**r plus lambda, and a relative
+    disagreement above 1e-10 raises ConsistencyError.  Cached, so a
+    solver fetches the operator once per (model, alpha) instead of once
+    per apply.
     """
-    levels = radial_levels(model, multiplier(model, alpha).eigenvalues)
+    if alpha <= 0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
+    p, M, L = model.p, model.M, model.N + model.M
+    lam = lambda_value(p, alpha, model.N)
+    levels = np.array([float(p) ** (alpha * (M - r)) for r in range(L)] + [lam])
+    for r in range(L):
+        closed = levels[r]
+        quad = symbol_quadrature(model, alpha, p ** r) + lam
+        if abs(quad - closed) > 1e-10 * max(abs(closed), 1.0):
+            raise ConsistencyError(
+                f"symbol mismatch at |xi| = p**{M - r}: "
+                f"closed form {closed!r}, quadrature {quad!r}"
+            )
     levels.setflags(write=False)
     return levels
+
+
+def multiplier(model: BallModel, alpha: float) -> SpectralMultiplier:
+    """Spectral multiplier: m[0] = lambda and m[k] = |xi_k|**alpha otherwise.
+
+    One gather of ``operator_levels`` through the valuation table, whose
+    sentinel L at k = 0 picks lambda; the levels carry the quadrature
+    cross-check.  Only ``spectrum``, ``verify`` and the oracles read
+    the full S-array; the solvers read the levels.
+    """
+    eig = operator_levels(model, alpha)[valuation_table(model)]
+    eig.setflags(write=False)
+    return SpectralMultiplier(model, alpha, eig)
 
 
 def apply_spectral(u: GridFunction, alpha: float) -> GridFunction:
@@ -151,14 +148,14 @@ def apply_hypersingular(u: GridFunction, alpha: float) -> GridFunction:
               + a_p * p**(-M) * sum_{j != 0} |y_j|^(-alpha-1) * (u[n-j] - u[n]).
 
     Exact on level-M functions: the inner coset drops out because the
-    difference vanishes there.  Direct O(S^2) evaluation.
+    difference vanishes there.  The translate sum is one O(S^2)
+    circulant matvec (``circulant_apply``), free of the transform and
+    the ladder, so this stays an independent oracle.
     """
     model = u.model
     lam = lambda_value(model.p, alpha, model.N)
     w = _difference_weights(model, float(alpha))
-    acc = np.zeros_like(u.values)
-    for j in range(1, model.S):
-        acc += w[j] * np.roll(u.values, j)
+    acc = circulant_apply(w, u.values)
     sigma = float(w.sum())
     return GridFunction(model, lam * u.values + acc - sigma * u.values)
 
@@ -166,7 +163,10 @@ def apply_hypersingular(u: GridFunction, alpha: float) -> GridFunction:
 def apply_global_restriction(u: GridFunction, alpha: float) -> GridFunction:
     """Zero-extend to the whole field, apply the global operator, restrict.
 
-    Inside the ball the difference sum is organised sphere by sphere.
+    Inside the ball the difference sum is organised sphere by sphere:
+    every point of the sphere |y| = p**l carries the weight
+    a_p * p**(-M) * p**(-l*(alpha+1)), and the translate sum over all
+    spheres is one O(S^2) circulant matvec (``circulant_apply``).
     Points y with |y| > p**N contribute in two ways: the translate term
     vanishes identically (ultrametricity pushes x - y out of the ball,
     where the extension is zero), and the -u(x) term integrates to a
@@ -174,23 +174,17 @@ def apply_global_restriction(u: GridFunction, alpha: float) -> GridFunction:
     is computed here from the series, independently of ``lambda_value``.
     """
     model = u.model
-    p, S = model.p, model.S
+    p, L = model.p, model.N + model.M
     a_p = coefficient_ap(p, alpha)
     vt = valuation_table(model)
-    acc = np.zeros_like(u.values)
+    # sphere weights by valuation v = N - l; the zero coset (v = L) gets 0
+    sphere_weight = np.zeros(L + 1)
     weight_total = 0.0
     for l in range(-model.M + 1, model.N + 1):
         v = model.N - l
-        idx = np.nonzero(vt == v)[0]
-        idx = idx[idx != 0]
-        if idx.size == 0:
-            continue
-        sphere_sum = np.zeros_like(u.values)
-        for j in idx:
-            sphere_sum += np.roll(u.values, j)
-        weight = a_p * float(p) ** (-model.M) * float(p) ** (-l * (alpha + 1.0))
-        acc += weight * sphere_sum
-        weight_total += weight * idx.size
+        sphere_weight[v] = a_p * float(p) ** (-model.M) * float(p) ** (-l * (alpha + 1.0))
+        weight_total += sphere_weight[v] * (p - 1) * p ** (L - v - 1)
+    acc = circulant_apply(sphere_weight[vt], u.values)
     # far field: a_p * integral_{|y| > p**N} |y|^(-alpha-1) dy, summed exactly
     tail = -a_p * (1.0 - 1.0 / p) * float(p) ** (-alpha * (model.N + 1)) / (
         1.0 - float(p) ** (-alpha))

@@ -179,6 +179,33 @@ def test_verify_with_a_negative_N(tmp_path, capsys):
     assert "PASS  ball kernel two formulas" in out
 
 
+def test_verify_refuses_models_above_the_matrix_cap(tmp_path, capsys, monkeypatch):
+    # S = 2**13 > DEFAULT_MATRIX_CAP: refused before any O(S**2) oracle runs
+    def refuse(*args):
+        raise AssertionError("verify ran an O(S**2) oracle above the cap")
+
+    monkeypatch.setattr(cli, "apply_hypersingular", refuse)
+    rc = main(["verify", "--p", "2", "--N", "0", "--M", "13", "--out", str(tmp_path)])
+    assert rc == 1
+    assert not (tmp_path / "verify_report.json").exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    payload = json.loads(err[0])
+    assert payload["exit_code"] == 1 and "4096" in payload["message"]
+
+
+def test_verify_runs_no_roll_loop(tmp_path, capsys, monkeypatch):
+    # the O(S**2) oracles are circulant matvecs, not S cyclic shifts
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.roll called")
+
+    monkeypatch.setattr(np, "roll", refuse)
+    rc = main(["verify", "--p", "3", "--N", "0", "--M", "5", "--alpha", "1.3",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    assert "PASS  representation agreement" in capsys.readouterr().out
+
+
 CACHED_PARSER_RUNS = [
     ["spectrum", "--p", "2", "--N", "0", "--M", "3", "--alpha", "1.0",
      "--dump-matrix"],

@@ -329,6 +329,61 @@ def test_green_ball_integral_vanishes():
     assert abs(green_ball_integral(2, 0, 0.5, 1.0, m_min=None)) < 1e-10
 
 
+def _green_progression(p, N, alpha, mu, m):
+    # the finite progression at one radius, summed from scratch
+    q = 1.0 - 1.0 / p
+    lam = lambda_value(p, alpha, N)
+    acc = 0.0
+    for l in range(-N + 1, -m + 1):
+        acc += q * float(p) ** l / (float(p) ** (alpha * l) - lam + mu)
+    acc -= float(p) ** (-m) / (float(p) ** (alpha * (1 - m)) - lam + mu)
+    return acc
+
+
+def _sphere_sum(p, N, alpha, mu, m_top, stop):
+    # sum of (1-1/p) p**m K(m) down from m_top, until stop(term, scale, m)
+    acc = 0.0
+    scale = 0.0
+    m = m_top
+    while True:
+        term = (1.0 - 1.0 / p) * float(p) ** m * _green_progression(p, N, alpha, mu, m)
+        acc += term
+        scale = max(scale, abs(term))
+        if stop(term, scale, m):
+            return acc
+        m -= 1
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_green_sweeps_equal_the_per_radius_sums(p):
+    # the sweeps carry one prefix sum across radii; each value must be
+    # the from-scratch progression bit for bit
+    for N in (-1, 0, 2):
+        for alpha in (0.42, 1.0, 1.7):
+            for mu in (0.1, 2.0):
+                for m in range(N, N - 30, -1):
+                    assert green_kernel(p, N, alpha, mu, m) == _green_progression(p, N, alpha, mu, m)
+                assert green_ball_integral(p, N, alpha, mu, -40) == _sphere_sum(
+                    p, N, alpha, mu, N, lambda term, scale, m: m <= -40)
+                assert green_ball_integral(p, N, alpha, mu, None) == _sphere_sum(
+                    p, N, alpha, mu, N,
+                    lambda term, scale, m: abs(term) < 1e-18 * max(scale, 1e-300) and m <= -8)
+                rows = green_estimates_report(p, N, alpha, mu, (-12, min(N, 0)))
+                assert [r["K"] for r in rows] == [
+                    _green_progression(p, N, alpha, mu, r["m"]) for r in rows]
+                for M in range(-N, 4 - N):
+                    model = BallModel(p, N, M)
+                    want = np.empty(model.S)
+                    radial = [_green_progression(p, N, alpha, mu, N - v) for v in range(N + M)]
+                    want[1:] = np.array(radial)[valuation_table(model)[1:]]
+                    want[0] = float(p) ** M * _sphere_sum(
+                        p, N, alpha, mu, -M,
+                        lambda term, scale, m: abs(term) < 1e-18 * max(scale, 1e-300)
+                        and m <= -M - 8)
+                    got = green_kernel_gridfunction(model, alpha, mu).values
+                    assert np.array_equal(got, want)
+
+
 def test_green_continuity_at_center():
     # alpha > 1: the radial values converge to the center value
     center = green_kernel(2, 0, 2.0, 1.0, None)

@@ -247,12 +247,12 @@ def test_newton_stops_at_the_rounding_floor(monkeypatch):
 
 def test_warm_implicit_step_builds_no_operator(monkeypatch):
     # the operator's levels are cached per (model, alpha): a step after
-    # the first one neither builds the multiplier nor reads levels off it
+    # the first one neither builds the levels nor the multiplier
     model = BallModel(3, 0, 4)
     u0 = positive_bump(model, 0, -1)
     phi = Nonlinearity.power(2.0)
     implicit_step(u0, 0.1, 1.1, phi)
-    calls = {"multiplier": 0, "radial_levels": 0}
+    calls = {"multiplier": 0, "radial_levels": 0, "symbol_quadrature": 0}
 
     def counting(name, fn):
         def wrapped(*args):
@@ -265,10 +265,11 @@ def test_warm_implicit_step_builds_no_operator(monkeypatch):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     implicit_step(u0, 0.1, 1.1, phi)
-    assert calls == {"multiplier": 0, "radial_levels": 0}
-    # the counters are armed: a first (model, alpha) builds the operator once
+    assert calls == {"multiplier": 0, "radial_levels": 0, "symbol_quadrature": 0}
+    # the counters are armed: a first (model, alpha) builds the levels once,
+    # one quadrature cross-check per valuation, and never the S-array
     implicit_step(u0, 0.1, 1.1357, phi)
-    assert calls == {"multiplier": 1, "radial_levels": 1}
+    assert calls == {"multiplier": 0, "radial_levels": 0, "symbol_quadrature": 4}
 
 
 def _dense_newton_step(g, h, alpha, phi, max_iters=50, max_halvings=30):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import padic_heat.vladimirov as vlad
 from padic_heat import (
@@ -21,6 +23,7 @@ from padic_heat import (
     spectrum_multiset,
     symbol_quadrature,
 )
+from padic_heat.ball_model import coefficient_ap, point_abs_table, valuation_table
 from padic_heat.fourier_ball import radial_levels
 from tests.conftest import STANDARD_MODELS, rel_linf
 
@@ -232,6 +235,8 @@ LEVEL_MODELS = STANDARD_MODELS + [
     (3, -2, 4, 1.6),
     (7, 0, 3, 1.3),
     (7, 1, 1, 2.4),
+    (2, 0, 9, 2.8),   # (p**j)**alpha and p**(alpha*j) round apart here
+    (5, -1, 6, 2.4),
 ]
 
 
@@ -244,7 +249,79 @@ def test_operator_levels_are_the_multiplier_levels(p, N, M, alpha):
     assert np.array_equal(levels, radial_levels(model, eig))
     assert levels.shape == (N + M + 1,)
     assert levels[-1] == eig[0] == lambda_value(p, alpha, N)
+    assert np.array_equal(np.sort(eig), spectrum_multiset(model, alpha))
     # one cached array is shared by every solver, so it must stay read-only
     assert vlad.operator_levels(model, alpha) is levels
     with pytest.raises(ValueError):
         levels[0] = 0.0
+
+
+# -- the O(S^2) oracles against their roll-loop definitions ----------
+
+
+def _roll_hypersingular(u, alpha):
+    model = u.model
+    w = np.zeros(model.S)
+    w[1:] = (coefficient_ap(model.p, alpha) * float(model.p) ** (-model.M)
+             * point_abs_table(model)[1:] ** (-alpha - 1.0))
+    acc = np.zeros_like(u.values)
+    for j in range(1, model.S):
+        acc += w[j] * np.roll(u.values, j)
+    lam = lambda_value(model.p, alpha, model.N)
+    return lam * u.values + acc - float(w.sum()) * u.values
+
+
+def _roll_global_restriction(u, alpha):
+    model = u.model
+    p = model.p
+    a_p = coefficient_ap(p, alpha)
+    vt = valuation_table(model)
+    acc = np.zeros_like(u.values)
+    weight_total = 0.0
+    for l in range(-model.M + 1, model.N + 1):
+        idx = np.nonzero(vt == model.N - l)[0]
+        idx = idx[idx != 0]
+        weight = a_p * float(p) ** (-model.M) * float(p) ** (-l * (alpha + 1.0))
+        for j in idx:
+            acc += weight * np.roll(u.values, j)
+        weight_total += weight * idx.size
+    tail = -a_p * (1.0 - 1.0 / p) * float(p) ** (-alpha * (model.N + 1)) / (
+        1.0 - float(p) ** (-alpha))
+    return tail * u.values + acc - weight_total * u.values
+
+
+def _roll_convolve(u, v):
+    acc = np.zeros(u.model.S, dtype=np.result_type(u.values, v.values))
+    for m in range(u.model.S):
+        acc += v.values[m] * np.roll(u.values, m)
+    return acc * float(u.model.p) ** (-u.model.M)
+
+
+# largest ladder depth L with p**L <= 2401
+_ORACLE_DEPTH = {2: 11, 3: 7, 5: 4, 7: 4}
+
+
+@st.composite
+def _oracle_cases(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    N = draw(st.sampled_from([-1, 0, 1]))
+    L = draw(st.integers(0, _ORACLE_DEPTH[p]))
+    model = BallModel(p, N, L - N)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    complex_u, complex_v = draw(st.booleans()), draw(st.booleans())
+    u = rng.standard_normal(model.S) + (1j * rng.standard_normal(model.S) if complex_u else 0)
+    v = rng.standard_normal(model.S) + (1j * rng.standard_normal(model.S) if complex_v else 0)
+    alpha = draw(st.floats(0.3, 2.4))
+    return GridFunction(model, u), GridFunction(model, v), alpha
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_oracle_cases())
+def test_circulant_oracles_match_their_roll_loops(case):
+    # one circulant matvec replaces S np.roll calls; the sum order changes
+    u, v, alpha = case
+    assert rel_linf(_roll_hypersingular(u, alpha),
+                    apply_hypersingular(u, alpha).values, floor=1e-300) < 1e-13
+    assert rel_linf(_roll_global_restriction(u, alpha),
+                    apply_global_restriction(u, alpha).values, floor=1e-300) < 1e-13
+    assert rel_linf(_roll_convolve(u, v), u.convolve(v).values, floor=1e-300) < 1e-13
