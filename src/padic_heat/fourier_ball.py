@@ -25,14 +25,31 @@ over the classes n mod p**(L-r), L = N + M.  ``apply_radial`` applies it
 through that ladder of averages in O(S) real arithmetic, with no
 transform, from the multiplier's L + 1 level values (``radial_levels``;
 ``vladimirov.operator_levels`` caches the operator's); ``apply_multiplier``
-stays for general factors.  At small S the ladder's cost is per numpy
-call, so it reduces with bare ``np.add.reduce`` (the arithmetic of
-``mean``, without its Python wrapper) and updates its details in place.
+stays for general factors.
+
+At the sizes the solvers run, the ladder's cost is per numpy call, not
+per element, so it walks several levels per call.  A block of k levels,
+k = floor(log_p 32) (5 for p = 2, 3 for p = 3, 2 for p = 5, 1 for
+p = 7), views the finer average as a (p**k, -1) array whose columns are
+the classes of the coarser one, and applies all k levels' details at
+once by one p**k x p**k band matrix (one BLAS product).  Each block's
+product is re-centred per column: the band's columns sum to zero, and
+re-centring removes the product's rounding residue from the class means
+that the coarser levels carry.  A block whose product would exceed
+2**18 multiply-adds, OpenBLAS's single-thread cutoff (65536 times its
+default GEMM_MULTITHREAD_THRESHOLD of 4), takes its levels one at a time
+instead.  So every product the ladder asks for runs on the calling
+thread, and its cost does not depend on the BLAS thread count or on the
+load of the other cores; at those sizes the arithmetic, not the call
+count, dominates anyway.  The one-level steps reduce with bare
+``np.add.reduce`` (the arithmetic of ``mean``, without its Python
+wrapper) and update their details in place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -92,6 +109,50 @@ def radial_levels(model: BallModel, factors: np.ndarray) -> np.ndarray:
     return np.asarray(factors)[k]
 
 
+# A block of the ladder spans at most this many classes per column
+_BLOCK_CLASSES = 32
+# OpenBLAS runs a product of at most this many multiply-adds on one
+# thread; a larger block product would go multi-threaded
+_SERIAL_PRODUCT = 2 ** 18
+
+
+@lru_cache(maxsize=None)
+def _ladder_widths(p: int, L: int) -> tuple[int, ...]:
+    """Levels per step of the ladder, finest first.
+
+    Blocks of k = floor(log_p 32) levels, the last one partial, except
+    that a block whose band product (p**k)**2 * S/p**(r+k) at level r
+    would exceed ``_SERIAL_PRODUCT`` becomes a one-level step.
+    """
+    k = 1
+    while p ** (k + 1) <= _BLOCK_CLASSES:
+        k += 1
+    widths, r = [], 0
+    while r < L:
+        w = min(k, L - r)
+        if p ** (L - r + w) > _SERIAL_PRODUCT:
+            w = 1
+        widths.append(w)
+        r += w
+    return tuple(widths)
+
+
+@lru_cache(maxsize=None)
+def _band_basis(p: int, k: int) -> np.ndarray:
+    """Rows Q_j - Q_{j+1}, j < k, each a flattened p**k x p**k matrix.
+
+    Q_j averages a column of p**k classes over the residues mod
+    p**(k-j): Q_0 is the identity and Q_k the full mean.  The band
+    matrix of levels e_r..e_{r+k-1} is ``e[r:r+k] @ basis``.
+    """
+    a = np.arange(p ** k)
+    q = [(a[:, None] % p ** (k - j) == a[None, :] % p ** (k - j)) / float(p) ** j
+         for j in range(k + 1)]
+    basis = np.stack([q[j] - q[j + 1] for j in range(k)]).reshape(k, -1)
+    basis.setflags(write=False)
+    return basis
+
+
 def apply_radial(model: BallModel, levels: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Apply a radial multiplier through nested ball averages, in O(S).
 
@@ -102,25 +163,47 @@ def apply_radial(model: BallModel, levels: np.ndarray, values: np.ndarray) -> np
     is scaled by that level's value and the mean A_L by the k = 0 value.
     The result equals ``apply_multiplier`` with the full factor array,
     and has the dtype of ``values`` (real in, real out).
+
+    The levels are walked in the steps of ``_ladder_widths``.  A block of
+    w levels from r subtracts the coarse average A_{r+w} from A_r viewed
+    as (p**w, -1), multiplies once by the band matrix
+    sum_j e_{r+j} (Q_j - Q_{j+1}), formed per call from ``_band_basis``,
+    re-centres each column, and adds the coarser result.  A complex
+    array goes through the product as its real view, so the band stays
+    real.
     """
     p, L = model.p, model.N + model.M
-    # np.add.reduce(x, axis=0) / p is the arithmetic of x.mean(axis=0)
+    widths = _ladder_widths(p, L)
+    # np.add.reduce(x, axis=0) / q is the arithmetic of x.mean(axis=0)
     # without its Python wrapper, which dominates at small S
     averages = [np.asarray(values)]
-    for _ in range(L):
-        averages.append(np.add.reduce(averages[-1].reshape(p, -1), axis=0) / p)
-    out = levels[L] * averages[L]
-    for r in range(L - 1, -1, -1):
-        detail = averages[r].reshape(p, -1) - averages[r + 1]
-        # Band form, re-centred, for precision when the level values are
-        # large (up to 2**38.4 at p=2, M=16, alpha=2.4, on 1 + 1e-3*noise):
-        # a telescoped sum of value differences times whole averages
-        # loses 3e-6 of lambda*mean(u) there, and without re-centring the
-        # rounding residue of A_{r+1} in the detail's class sums leaks
-        # 1.6e-7 into the mean.  This form and the Fourier path both stay
-        # near 1e-10.
-        detail -= np.add.reduce(detail, axis=0) / p
-        detail *= levels[r]
+    for w in widths:
+        q = p ** w
+        averages.append(np.add.reduce(averages[-1].reshape(q, -1), axis=0) / q)
+    out = levels[L] * averages[-1]
+    r = L
+    for i in range(len(widths) - 1, -1, -1):
+        w = widths[i]
+        q = p ** w
+        r -= w
+        detail = averages[i].reshape(q, -1) - averages[i + 1]
+        if w == 1:
+            # Band form, re-centred, for precision when the level values
+            # are large (up to 2**38.4 at p=2, M=16, alpha=2.4, on
+            # 1 + 1e-3*noise): a telescoped sum of value differences times
+            # whole averages loses 3e-6 of lambda*mean(u) there, and
+            # without re-centring the rounding residue of A_{r+1} in the
+            # detail's class sums leaks 1.6e-7 into the mean.  This form
+            # and the Fourier path both stay near 1e-10.
+            detail -= np.add.reduce(detail, axis=0) / p
+            detail *= levels[r]
+        else:
+            band = (levels[r:r + w] @ _band_basis(p, w)).reshape(q, q)
+            if detail.dtype.kind == "c":
+                detail = (band @ detail.view(np.float64)).view(detail.dtype)
+            else:
+                detail = band @ detail
+            detail -= np.add.reduce(detail, axis=0) / q
         detail += out
         out = detail.reshape(-1)
     return out
@@ -131,10 +214,18 @@ def dft_direct(values: np.ndarray, sign: int) -> np.ndarray:
 
     Carries no 1/S scale; the caller applies the forward normalisation.
     Index products are reduced mod S exactly before the exponential.
+    The rows are evaluated in blocks of at most 2**18 kernel entries, so
+    the working memory stays O(S) (about 6 MB) instead of two S x S
+    tables; each row's sum is the same matvec as over the full table.
     """
     v = np.asarray(values, dtype=np.complex128)
     S = v.size
     s = +1 if sign > 0 else -1
     table = np.exp(s * 2j * np.pi * np.arange(S) / S)
-    idx = (np.outer(np.arange(S), np.arange(S))) % S
-    return table[idx] @ v
+    n = np.arange(S)
+    rows = max(1, 2 ** 18 // max(S, 1))
+    out = np.empty(S, dtype=np.complex128)
+    for start in range(0, S, rows):
+        idx = np.outer(n[start:start + rows], n) % S
+        out[start:start + rows] = table[idx] @ v
+    return out

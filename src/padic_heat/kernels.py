@@ -302,21 +302,36 @@ def _grow_and_c_mp(p: int, N: int, alpha: float, t: float, dps: int):
 
 
 def ball_kernel_gridfunction(model: BallModel, alpha: float, t: float) -> GridFunction:
-    """Ball heat kernel as a grid function, built spectrally.
+    """Ball heat kernel as a grid function, from its character sum.
 
-    Fourier coefficients p**(-N) * exp(-t*(m[k] - lambda)), synthesised
-    by applying that radial multiplier to S times the point mass at 0
-    through nested ball averages; convolving with it realises the
-    semigroup exp(-t*(D - lambda*I)) on level-M data.  Its coset values
-    equal the coset averages of the radial evaluator.
+    Fourier coefficients p**(-N) * exp(-t*(m[k] - lambda)), so convolving
+    with it realises the semigroup exp(-t*(D - lambda*I)) on level-M
+    data.  The L + 1 sphere values are the character sum of
+    ``heat_kernel_ball``, formed together: the terms
+    (1-1/p) p**l exp(t*(lambda - p**(alpha*l))), l = 1-N, ..., M, read
+    off ``operator_levels`` and summed by one cumulative sum in that
+    order.  The sphere of valuation v < L (radius p**(N - v)) takes
+    p**(-N) plus the first v terms minus the boundary term
+    p**(v-N) exp(t*(lambda - p**(alpha*(v+1-N)))); the zero coset takes
+    p**(-N) plus all L terms, which is the exact average of the radial
+    profile over the sub-ball of radius p**(-M).  The values are then
+    gathered through ``valuation_table``, so the kernel is bit for bit
+    constant on every sphere, as ``GridFunction.convolve_radial``
+    requires.  It runs no ladder, so the kernel path stays a check of
+    the spectral one.
     """
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
+    p, N, L = model.p, model.N, model.N + model.M
     e = operator_levels(model, float(alpha))
-    levels = float(model.p) ** (-model.N) * np.exp(-t * (e - e[-1]))
-    delta = np.zeros(model.S)
-    delta[0] = model.S
-    return GridFunction(model, apply_radial(model, levels, delta))
+    # frequency spheres l = 1-N, ..., M are the ladder levels r = L-1, ..., 0
+    decay = np.exp(t * (e[-1] - e[:L][::-1]))
+    q = 1.0 - 1.0 / p
+    terms = q * float(p) ** np.arange(1 - N, L - N + 1) * decay
+    partial = np.concatenate(([0.0], np.cumsum(terms)))
+    boundary = np.append(float(p) ** np.arange(-N, L - N) * decay, 0.0)
+    spheres = float(p) ** (-N) + (partial - boundary)
+    return GridFunction(model, spheres[valuation_table(model)])
 
 
 # -- Green function and resolvent --------------------------------------

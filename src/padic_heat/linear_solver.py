@@ -3,7 +3,8 @@
 Two interchangeable propagation paths: the spectral path applies the
 radial multiplier exp(-t*(m[k] - lambda)) through nested ball averages
 (``fourier_ball.apply_radial``) and is the default; the kernel path
-convolves with the ball heat kernel grid function by sphere sums
+convolves with the ball heat kernel grid function, built from the
+character sum of ``kernels.heat_kernel_ball``, by sphere sums
 (``GridFunction.convolve_radial``) and is kept as an independent
 check; both cost O(S).  Constants are fixed points, mass is conserved
 (the k = 0 mode is untouched), and every nonzero mode decays, so

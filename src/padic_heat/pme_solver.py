@@ -177,13 +177,19 @@ def _tree_jacobian_solve(model: BallModel, e: np.ndarray, h: float,
     w = A^{-1} 1_C, t = (sigma.w)_C and sx = (sigma.x)_C.  Both updates
     scale t and sx by one factor per class, so the class sums go up the
     tree and the corrections come back down it.  The denominator is built
-    as the positive sum h*e_k*t/p**k + mean(m), m = 1 - h*e_k*t/p**k over
-    the subclasses: 1 + c_k*t itself cancels when h*e_0*sigma is large.
+    as the positive sum h*e_k/p**k * t + p**-k * m, where m, the class
+    sum of the subclasses' divided m rows (m = 1/d at the points), makes
+    p**-k * m = 1 - h*e_{k-1}*t/p**k without a subtraction: 1 + c_k*t
+    itself cancels when h*e_0*sigma is large.
+
+    The rows t, sx and m go up the tree together: per level one
+    reduction, the denominator from two scaled rows, one division of
+    all three rows by it, and the shift c_k*sx read off the divided sx
+    row; six array operations and no BLAS call.
     """
     p, L = model.p, model.N + model.M
+    e = e.tolist()
     d = 1.0 + h * e[0] * sigma
-    # rows t, sx and m, carried up the tree together: one reduction and
-    # one division per level
     tsm = np.empty((3, sigma.size))
     tsm[0] = sigma
     np.multiply(sigma, r, out=tsm[1])
@@ -192,12 +198,11 @@ def _tree_jacobian_solve(model: BallModel, e: np.ndarray, h: float,
     denoms, shifts = [], []
     for k in range(1, L + 1):
         tsm = np.add.reduce(tsm.reshape(3, p, -1), axis=1)
-        tsm[2] /= p
-        t, sx, m = tsm
-        denom = h * e[k] / p ** k * t + m
-        shifts.append(h * (e[k] - e[k - 1]) / p ** k * sx / denom)
-        denoms.append(denom)
+        denom = h * e[k] / p ** k * tsm[0]
+        denom += float(p) ** -k * tsm[2]
         tsm /= denom
+        shifts.append(h * (e[k] - e[k - 1]) / p ** k * tsm[1])
+        denoms.append(denom)
     # x*d = r - sum_k shift_k / (the denominators of the finer classes),
     # each class's correction broadcast over its p subclasses
     g = 0.0

@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padic_heat import (
     BallModel,
@@ -12,7 +15,9 @@ from padic_heat import (
     inverse,
     random_function,
 )
+from padic_heat import fourier_ball
 from padic_heat.fourier_ball import apply_multiplier, apply_radial, radial_levels
+from padic_heat.ball_model import valuation_table
 from padic_heat.vladimirov import multiplier
 
 from tests.conftest import STANDARD_MODELS, rel_linf
@@ -75,6 +80,37 @@ def test_fft_matches_direct_dft():
             slow = dft_direct(u.values, sign)
             scale = float(np.max(np.abs(slow)))
             assert np.max(np.abs(fast - slow)) < 1e-12 * scale
+
+
+def _dft_full_table(values, sign):
+    """dft_direct evaluated over the whole S x S index table at once."""
+    v = np.asarray(values, dtype=np.complex128)
+    S = v.size
+    table = np.exp((1 if sign > 0 else -1) * 2j * np.pi * np.arange(S) / S)
+    return table[np.outer(np.arange(S), np.arange(S)) % S] @ v
+
+
+def test_dft_direct_rows_in_blocks_equal_the_full_table():
+    rng = np.random.default_rng(5)
+    for S in (1, 7, 512, 729, 2401):
+        values = rng.standard_normal(S) + 1j * rng.standard_normal(S)
+        for sign in (+1, -1):
+            assert np.array_equal(dft_direct(values, sign), _dft_full_table(values, sign))
+
+
+def test_dft_direct_keeps_its_memory_linear():
+    # S = 4096, the largest model verify accepts: the full index table
+    # and its complex gather would hold about 400 MB
+    model = BallModel(2, 0, 12)
+    u = random_function(model, 9)
+    tracemalloc.start()
+    try:
+        got = dft_direct(u.values, +1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+    assert rel_linf(model.S * forward(u).coeffs, got) < 1e-12
 
 
 def test_forward_agrees_with_numpy_ifft():
@@ -164,6 +200,15 @@ def _radial_oracles(model, factors, values):
     return fast, direct
 
 
+def _radial_factor_sets(model, alpha, rng):
+    """The operator, a semigroup step, a resolvent and a generic radial factor."""
+    eig = multiplier(model, alpha).eigenvalues
+    lam = eig[0]
+    radial = rng.uniform(0.5, 2.0, model.N + model.M + 1)
+    return [eig, np.exp(-0.3 * (eig - lam)), 1.0 / (eig - lam + 0.9),
+            radial[valuation_table(model)]]
+
+
 LADDER_MODELS = STANDARD_MODELS + [
     (2, 0, 0, 1.0),   # S = 1
     (3, -1, 1, 0.7),  # S = 1 with a negative N
@@ -176,14 +221,7 @@ LADDER_MODELS = STANDARD_MODELS + [
                          ids=[f"p{p}_N{N}_M{M}_a{a}" for p, N, M, a in LADDER_MODELS])
 def test_apply_radial_matches_transform_oracles(p, N, M, alpha):
     model = BallModel(p, N, M)
-    eig = multiplier(model, alpha).eigenvalues
-    lam = eig[0]
-    rng = np.random.default_rng(p * 100 + M)
-    # the operator, a semigroup step, a resolvent and a generic radial factor
-    radial = rng.uniform(0.5, 2.0, N + M + 1)
-    vt_factors = radial[[model.valuation(k) for k in range(model.S)]]
-    factor_sets = [eig, np.exp(-0.3 * (eig - lam)), 1.0 / (eig - lam + 0.9),
-                   vt_factors]
+    factor_sets = _radial_factor_sets(model, alpha, np.random.default_rng(p * 100 + M))
     u = random_function(model, p + M).values
     z = u + 1j * random_function(model, p + M + 1).values
     for factors in factor_sets:
@@ -194,6 +232,62 @@ def test_apply_radial_matches_transform_oracles(p, N, M, alpha):
             fast, direct = _radial_oracles(model, factors, values)
             assert rel_linf(fast, got) <= 1e-13
             assert rel_linf(direct, got) <= 1e-13
+
+
+# deepest ladder per p with S <= 8192: the draws run full blocks, partial
+# last blocks and one-level steps
+_RADIAL_DEPTH = {2: 13, 3: 8, 5: 5, 7: 4}
+
+
+@st.composite
+def _radial_problems(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    N = draw(st.integers(-2, 1))
+    L = draw(st.sampled_from(range(_RADIAL_DEPTH[p] + 1)))
+    alpha = draw(st.one_of(st.just(1.0), st.floats(0.3, 2.4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    values = rng.standard_normal(p ** L)
+    if draw(st.booleans()):
+        values = values + 1j * rng.standard_normal(p ** L)
+    return BallModel(p, N, L - N), alpha, rng, values
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_radial_problems())
+def test_blocked_ladder_matches_apply_multiplier(problem):
+    model, alpha, rng, values = problem
+    for factors in _radial_factor_sets(model, alpha, rng):
+        got = apply_radial(model, radial_levels(model, factors), values)
+        assert got.dtype == values.dtype
+        assert rel_linf(apply_multiplier(model, factors, values), got) <= 1e-13
+
+
+# past the serial BLAS cutoff: the finest levels take one-level steps
+@pytest.mark.parametrize("p, N, M", [(2, 0, 15), (3, -1, 10)], ids=["p2_M15", "p3_M10"])
+def test_ladder_falls_back_to_one_level_steps_above_the_cutoff(p, N, M):
+    model = BallModel(p, N, M)
+    widths = fourier_ball._ladder_widths(p, N + M)
+    assert widths[0] == 1 and max(widths) > 1
+    rng = np.random.default_rng(M)
+    u = rng.standard_normal(model.S)
+    for values in (u, u + 1j * rng.standard_normal(model.S)):
+        for factors in _radial_factor_sets(model, 1.3, rng):
+            got = apply_radial(model, radial_levels(model, factors), values)
+            assert rel_linf(apply_multiplier(model, factors, values), got) <= 1e-13
+
+
+def test_ladder_blocks_stay_single_threaded():
+    # every block product (p**w)**2 * S/p**(r+w) stays at or below 2**18
+    # multiply-adds, and only one-level steps run above it
+    for p in (2, 3, 5, 7):
+        for L in range(0, int(math.log(2 ** 22, p)) + 1):
+            widths = fourier_ball._ladder_widths(p, L)
+            assert sum(widths) == L
+            r = 0
+            for w in widths:
+                assert w == 1 or p ** (L - r + w) <= 2 ** 18
+                assert p ** w <= 32
+                r += w
 
 
 def test_apply_radial_keeps_the_mean_at_large_eigenvalues():

@@ -3,6 +3,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padic_heat import (
     BallModel,
@@ -25,9 +27,11 @@ from padic_heat import (
     random_function,
     resolvent_apply,
 )
-from padic_heat import kernels
+from padic_heat import fourier_ball, kernels
 from padic_heat.ball_model import freq_abs_table, valuation_table
 from padic_heat.vladimirov import apply_spectral
+
+from tests.conftest import rel_linf
 
 
 # -- whole-field heat kernel -------------------------------------------
@@ -287,6 +291,51 @@ def test_grid_kernel_chapman_kolmogorov(model_alpha):
         both = w1.convolve(w2)
         direct = ball_kernel_gridfunction(model, alpha, t1 + t2)
         assert np.max(np.abs(both.values - direct.values)) < 1e-9
+
+
+@st.composite
+def _kernel_models(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    N = draw(st.integers(-2, 1))
+    L = draw(st.sampled_from(range({2: 12, 3: 7, 5: 5, 7: 4}[p] + 1)))
+    alpha = draw(st.one_of(st.just(1.0), st.floats(0.3, 2.8)))
+    t = 10.0 ** draw(st.floats(-3.0, 1.5))
+    return BallModel(p, N, L - N), alpha, t
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_kernel_models())
+def test_grid_kernel_is_the_character_sum_on_every_sphere(case):
+    model, alpha, t = case
+    p, N, M = model.p, model.N, model.M
+    L = N + M
+    grid = ball_kernel_gridfunction(model, alpha, t).values
+    # bit-radial: one value per sphere, read at n = p**v
+    spheres = grid[np.append(p ** np.arange(L), 0)]
+    assert np.array_equal(grid, spheres[valuation_table(model)])
+    if L:
+        want = [heat_kernel_ball(p, N, alpha, t, N - v) for v in range(L)]
+        assert rel_linf(want, spheres[:L], floor=1e-300) <= 1e-13
+    # zero coset: p**M times the sphere sum below -M, the centre value
+    # closing the tail
+    q = 1.0 - 1.0 / p
+    parts = [q * float(p) ** m * heat_kernel_ball(p, N, alpha, t, m)
+             for m in range(-M, -M - 60, -1)]
+    parts.append(float(p) ** (-M - 60) * heat_kernel_ball(p, N, alpha, t, None))
+    want0 = float(p) ** M * math.fsum(parts)
+    assert abs(spheres[L] - want0) <= 1e-13 * abs(want0)
+
+
+def test_grid_kernel_runs_no_ladder(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the kernel path ran the ball-average ladder")
+
+    monkeypatch.setattr(fourier_ball, "apply_radial", forbidden)
+    monkeypatch.setattr(kernels, "apply_radial", forbidden)
+    for p, N, M in ((2, 0, 9), (3, -1, 5), (7, 1, 2), (5, 0, 0)):
+        model = BallModel(p, N, M)
+        grid = ball_kernel_gridfunction(model, 1.3, 0.4)
+        assert abs(grid.integral() - 1.0) < 1e-12
 
 
 # -- Green function -----------------------------------------------------

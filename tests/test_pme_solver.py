@@ -5,7 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from padic_heat import (
@@ -162,6 +162,52 @@ def test_step_mass_identity(model_alpha):
     v = implicit_step(u, h, alpha, phi)
     phi_mass = GridFunction(model, phi.value(v.values)).integral()
     assert abs(v.integral() - u.integral() + h * lam * phi_mass) < 1e-12
+
+
+_MASS_PHIS = {
+    "identity": Nonlinearity.identity(),
+    "power:2": Nonlinearity.power(2.0),
+    "power:3": Nonlinearity.power(3.0),
+    "table": Nonlinearity.table([(-1.0, -2.0), (0.0, 0.0), (0.5, 0.25), (2.0, 3.0)]),
+}
+
+
+@st.composite
+def _mass_steps(draw):
+    """(g, h, alpha, phi): S = 1 and Phi'(0) = 0 on vanishing data included."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    N = draw(st.sampled_from([-2, -1, 0, 1]))
+    L = draw(st.sampled_from(range(_MAX_DEPTH[p] + 1)))
+    model = BallModel(p, N, L - N)
+    alpha = draw(st.one_of(st.just(1.0), st.floats(0.3, 2.4)))
+    h = 10.0 ** draw(st.floats(-4.0, 1.0))
+    phi = _MASS_PHIS[draw(st.sampled_from(sorted(_MASS_PHIS)))]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    data = draw(st.sampled_from(["positive", "signed", "vanishing"]))
+    if data == "positive":
+        vals = 1.0 + 0.25 * rng.random(model.S)
+    elif data == "signed":
+        vals = rng.standard_normal(model.S)
+    else:
+        # zero off a random sub-ball, so power:3 has Phi' = 0 there
+        vals = rng.random(model.S) * ball_indicator(
+            model, int(rng.integers(model.S)), -int(rng.integers(0, L + 1)) + N).values
+    return GridFunction(model, vals), h, alpha, phi
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_mass_steps())
+@example((GridFunction(BallModel(3, 1, -1), np.array([0.7])), 0.5, 1.0, _MASS_PHIS["power:2"]))
+@example((GridFunction(BallModel(3, 0, 4), ball_indicator(BallModel(3, 0, 4), 5, -2).values
+                       * np.linspace(0.5, 1.5, 81)), 0.05, 1.0, _MASS_PHIS["power:3"]))
+def test_step_mass_identity_over_the_model_space(case):
+    # mass_new - mass_old = -h*lambda*integral(Phi(u_new)), exactly
+    g, h, alpha, phi = case
+    model = g.model
+    lam = lambda_value(model.p, alpha, model.N)
+    v = implicit_step(g, h, alpha, phi)
+    phi_mass = GridFunction(model, phi.value(v.values)).integral()
+    assert abs(v.integral() - g.integral() + h * lam * phi_mass) < 1e-12
 
 
 def test_step_validation():
@@ -330,7 +376,7 @@ def _jacobian_problems(draw, alphas):
     L = draw(st.integers(0, _MAX_DEPTH[p]))
     model = BallModel(p, N, L - N)
     alpha = draw(st.one_of(st.just(1.0), alphas))
-    h = 10.0 ** draw(st.floats(-4.0, 3.0))
+    h = 10.0 ** draw(st.floats(-6.0, 3.0))
     zero_frac = draw(st.sampled_from([0.0, 0.3, 1.0]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     sigma = rng.uniform(0.0, 3.0, model.S)
