@@ -32,22 +32,33 @@ per element, so it walks several levels per call.  A block of k levels,
 k = floor(log_p 32) (5 for p = 2, 3 for p = 3, 2 for p = 5, 1 for
 p = 7), views the finer average as a (p**k, -1) array whose columns are
 the classes of the coarser one, and applies all k levels' details at
-once by one p**k x p**k band matrix (one BLAS product).  Each block's
-product is re-centred per column: the band's columns sum to zero, and
-re-centring removes the product's rounding residue from the class means
-that the coarser levels carry.  A block whose product would exceed
-2**18 multiply-adds, OpenBLAS's single-thread cutoff (65536 times its
-default GEMM_MULTITHREAD_THRESHOLD of 4), takes its levels one at a time
-instead.  So every product the ladder asks for runs on the calling
-thread, and its cost does not depend on the BLAS thread count or on the
-load of the other cores; at those sizes the arithmetic, not the call
-count, dominates anyway.  The one-level steps reduce with bare
+once by one p**k x p**k band matrix (one BLAS product).  The band's
+columns sum to zero, but the product's rounding does not, and where
+every column holds the same data (u a function of the top digits) that
+residue adds up in the class means the coarser levels carry.  So after
+the finest block, whose level values are the largest, each column's sum
+is taken exactly (``_restore_class_sums``) and set to p**k times the
+coarser result; mean(D u) then stays well inside the Fourier path's
+error, where re-centring each column in floating point missed it by up
+to 38 times.  A block whose product would exceed 2**18 multiply-adds
+(counting the real view of complex data, twice as wide), OpenBLAS's
+single-thread cutoff (65536 times its default GEMM_MULTITHREAD_THRESHOLD
+of 4), takes its levels one at a time instead.  So every product the
+ladder asks for runs on the calling thread.  A two-thread product's
+time swings with the load of the other core: on a 2-core VM one
+32 x 32 @ 32 x 32768 product took 15-16 ms in one process and 1.4-1.6
+ms in the next (2.7-2.9 ms on one thread), and with the other core busy
+an apply at p = 5, S = 5**7 took 1.2-1.4 ms with blocks throughout
+against 0.42-0.45 ms with the cutoff.  The price is paid at large S
+with both cores free: 24-33 ms per apply at S = 2**20 against 7-12 ms
+with blocks throughout.  The one-level steps reduce with bare
 ``np.add.reduce`` (the arithmetic of ``mean``, without its Python
 wrapper) and update their details in place.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -117,12 +128,13 @@ _SERIAL_PRODUCT = 2 ** 18
 
 
 @lru_cache(maxsize=None)
-def _ladder_widths(p: int, L: int) -> tuple[int, ...]:
+def _ladder_widths(p: int, L: int, lanes: int = 1) -> tuple[int, ...]:
     """Levels per step of the ladder, finest first.
 
     Blocks of k = floor(log_p 32) levels, the last one partial, except
-    that a block whose band product (p**k)**2 * S/p**(r+k) at level r
-    would exceed ``_SERIAL_PRODUCT`` becomes a one-level step.
+    that a block whose band product lanes * (p**k)**2 * S/p**(r+k) at
+    level r would exceed ``_SERIAL_PRODUCT`` becomes a one-level step.
+    ``lanes`` is 2 for complex data, whose real view doubles the columns.
     """
     k = 1
     while p ** (k + 1) <= _BLOCK_CLASSES:
@@ -130,7 +142,7 @@ def _ladder_widths(p: int, L: int) -> tuple[int, ...]:
     widths, r = [], 0
     while r < L:
         w = min(k, L - r)
-        if p ** (L - r + w) > _SERIAL_PRODUCT:
+        if lanes * p ** (L - r + w) > _SERIAL_PRODUCT:
             w = 1
         widths.append(w)
         r += w
@@ -153,6 +165,32 @@ def _band_basis(p: int, k: int) -> np.ndarray:
     return basis
 
 
+def _restore_class_sums(z: np.ndarray, coarse: np.ndarray) -> None:
+    """Make each column of the (q, C) array z sum to q * coarse.
+
+    The column sums are taken without rounding error: with sigma a power
+    of two at least (q + 2) * max|z|, the high parts (z + sigma) - sigma
+    lie on the grid of ulp(sigma) and add exactly, and the low parts
+    z - high lie below that grid, so their sums round far below ulp(z)
+    (the ExtractScalar split of Rump, Ogita and Oishi).  The excess over
+    q * coarse comes off the first row, in one rounding.  A block that
+    is zero, not finite, or too large for sigma is left as it is.
+    """
+    q = z.shape[0]
+    high = np.abs(z)
+    top = float(np.maximum.reduce(high, axis=None))
+    if not 0.0 < top < 2.0 ** 1000:
+        return
+    sigma = math.ldexp(1.0, math.frexp(top)[1] + (q + 2).bit_length())
+    np.add(z, sigma, out=high)
+    high -= sigma
+    excess = np.add.reduce(high, axis=0)
+    excess -= q * coarse
+    high -= z
+    excess -= np.add.reduce(high, axis=0)
+    z[0] -= excess
+
+
 def apply_radial(model: BallModel, levels: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Apply a radial multiplier through nested ball averages, in O(S).
 
@@ -168,12 +206,12 @@ def apply_radial(model: BallModel, levels: np.ndarray, values: np.ndarray) -> np
     w levels from r subtracts the coarse average A_{r+w} from A_r viewed
     as (p**w, -1), multiplies once by the band matrix
     sum_j e_{r+j} (Q_j - Q_{j+1}), formed per call from ``_band_basis``,
-    re-centres each column, and adds the coarser result.  A complex
-    array goes through the product as its real view, so the band stays
-    real.
+    and adds the coarser result; the finest block then has its column
+    sums restored exactly by ``_restore_class_sums``.  A complex array
+    goes through the product as its real view, so the band stays real.
     """
     p, L = model.p, model.N + model.M
-    widths = _ladder_widths(p, L)
+    widths = _ladder_widths(p, L, 2 if np.iscomplexobj(values) else 1)
     # np.add.reduce(x, axis=0) / q is the arithmetic of x.mean(axis=0)
     # without its Python wrapper, which dominates at small S
     averages = [np.asarray(values)]
@@ -194,7 +232,7 @@ def apply_radial(model: BallModel, levels: np.ndarray, values: np.ndarray) -> np
             # whole averages loses 3e-6 of lambda*mean(u) there, and
             # without re-centring the rounding residue of A_{r+1} in the
             # detail's class sums leaks 1.6e-7 into the mean.  This form
-            # and the Fourier path both stay near 1e-10.
+            # and the Fourier path both stay near 1e-10 on that data.
             detail -= np.add.reduce(detail, axis=0) / p
             detail *= levels[r]
         else:
@@ -203,8 +241,11 @@ def apply_radial(model: BallModel, levels: np.ndarray, values: np.ndarray) -> np
                 detail = (band @ detail.view(np.float64)).view(detail.dtype)
             else:
                 detail = band @ detail
-            detail -= np.add.reduce(detail, axis=0) / q
         detail += out
+        # the finest block: the last of the ladder or the first above
+        # its one-level steps
+        if w > 1 and (i == 0 or widths[i - 1] == 1):
+            _restore_class_sums(detail.view(np.float64), out.view(np.float64))
         out = detail.reshape(-1)
     return out
 

@@ -277,17 +277,23 @@ def test_ladder_falls_back_to_one_level_steps_above_the_cutoff(p, N, M):
 
 
 def test_ladder_blocks_stay_single_threaded():
-    # every block product (p**w)**2 * S/p**(r+w) stays at or below 2**18
-    # multiply-adds, and only one-level steps run above it
+    # every block product lanes*(p**w)**2 * S/p**(r+w) stays at or below
+    # 2**18 multiply-adds, and only one-level steps run above it; complex
+    # data (lanes = 2) goes through the product as its real view
     for p in (2, 3, 5, 7):
         for L in range(0, int(math.log(2 ** 22, p)) + 1):
-            widths = fourier_ball._ladder_widths(p, L)
-            assert sum(widths) == L
-            r = 0
-            for w in widths:
-                assert w == 1 or p ** (L - r + w) <= 2 ** 18
-                assert p ** w <= 32
-                r += w
+            for lanes in (1, 2):
+                widths = fourier_ball._ladder_widths(p, L, lanes)
+                assert sum(widths) == L
+                r = 0
+                for w in widths:
+                    assert w == 1 or lanes * p ** (L - r + w) <= 2 ** 18
+                    assert p ** w <= 32
+                    r += w
+    # S = 8192 at p = 2: one block for real data, one-level steps first
+    # for complex data
+    assert fourier_ball._ladder_widths(2, 13, 1) == (5, 5, 3)
+    assert fourier_ball._ladder_widths(2, 13, 2) == (1, 5, 5, 2)
 
 
 def test_apply_radial_keeps_the_mean_at_large_eigenvalues():
@@ -295,17 +301,51 @@ def test_apply_radial_keeps_the_mean_at_large_eigenvalues():
     # top eigenvalues, must not leak into the mean of D u = lambda*mean(u).
     # The Fourier path lands near 1e-10 relative here; a telescoped sum
     # of eigenvalue differences misses by about 3e-6.
+    def mean_errors(model, alpha, u):
+        eig = multiplier(model, alpha).eigenvalues
+        want = float(eig[0]) * math.fsum(u) / model.S
+
+        def error(du):
+            return abs(math.fsum(du) / model.S - want) / abs(want)
+
+        return (error(apply_radial(model, radial_levels(model, eig), u)),
+                error(apply_multiplier(model, eig, u)))
+
     model = BallModel(2, 0, 16)
-    eig = multiplier(model, 2.4).eigenvalues
-    lam = float(eig[0])
     rng = np.random.default_rng(0)
     u = 1.0 + 1e-3 * rng.standard_normal(model.S)
-    want = lam * math.fsum(u) / model.S
-
-    def mean_error(du):
-        return abs(math.fsum(du) / model.S - want) / abs(want)
-
-    err_fft = mean_error(apply_multiplier(model, eig, u))
-    err_ladder = mean_error(apply_radial(model, radial_levels(model, eig), u))
+    err_ladder, err_fft = mean_errors(model, 2.4, u)
     assert err_ladder <= 4.0 * err_fft
     assert err_ladder < 1e-9
+
+    # u a function of the top digits: every column of the finest block is
+    # the same, so the rounding of its product does not average out over
+    # the columns.  With exact class sums the ladder stays below 0.4x the
+    # Fourier path's error; re-centring each column instead leaves up to
+    # 38x, no correction up to 168x, and one-level steps throughout 12x.
+    for p, M in ((2, 13), (3, 8)):
+        model = BallModel(p, 0, M)
+        assert fourier_ball._ladder_widths(p, M)[0] > 1
+        for seed in range(3):
+            g = np.random.default_rng(seed).standard_normal(32)
+            u = 1.0 + 1e-3 * g[np.arange(model.S) * 32 // model.S]
+            err_ladder, err_fft = mean_errors(model, 2.8, u)
+            assert err_ladder <= 4.0 * err_fft
+
+
+def test_restored_class_sums_are_exact():
+    # a block whose columns sum to q*coarse up to rounding comes back with
+    # exact column sums, within one rounding of the first row
+    rng = np.random.default_rng(5)
+    q, C = 32, 64
+    z = 1e8 * rng.standard_normal((q, C))
+    z -= np.add.reduce(z, axis=0) / q
+    coarse = rng.standard_normal(C)
+    z += coarse
+    fourier_ball._restore_class_sums(z, coarse)
+    for c in range(C):
+        excess = math.fsum(z[:, c]) - math.fsum([q * coarse[c]])
+        assert abs(excess) <= np.spacing(abs(z[0, c]))
+    zero = np.zeros((q, C))
+    fourier_ball._restore_class_sums(zero, np.zeros(C))
+    assert not zero.any()
