@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ball_model import BallModel, freq_abs_table
+from .ball_model import BallModel, freq_abs_table, valuation_table
 from .fourier_ball import dft_direct, forward
 from .function_space import GridFunction, make_initial
 from .kernels import (
@@ -54,6 +54,7 @@ from .vladimirov import (
     apply_spectral,
     build_matrix,
     multiplier,
+    operator_levels,
     spectrum_multiset,
 )
 
@@ -84,6 +85,11 @@ def _fmt(x) -> str:
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return str(x)
+
+
+def _reprs(values: np.ndarray) -> list[str]:
+    """``_fmt`` of every entry of a float array."""
+    return [repr(v) for v in values.tolist()]
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
@@ -263,23 +269,49 @@ def _parse_phi(cfg: dict) -> Nonlinearity:
 
 
 def _task_spectrum(cfg: dict) -> int:
+    """Eigenvalue table, optional dense matrix, multiset check.
+
+    Both columns of ``spectrum.csv`` take one value per valuation: the
+    eigenvalue is ``operator_levels`` gathered through
+    ``valuation_table``, and freq_abs is p**(M - v), 0.0 at k = 0.  So
+    the CSV formats one "freq_abs,eigenvalue" tail per valuation, L + 1
+    of them, and writes row k as k and the tail of its valuation.  The
+    matrix is circulant, A[i, j] = A[0, (j - i) mod S], so its dump
+    formats row 0 once and writes row i as those strings rotated by i.
+    repr of a float holds no delimiter, quote or line break, so strings
+    joined by "," and ended by "\\r\\n" are the bytes that ``_write_csv``
+    (csv.writer over ``_fmt`` of every cell) writes.  ``--format json``
+    writes the cells one by one.
+    """
     model = _model_from(cfg)
     alpha = _alpha_from(cfg)
     mult = multiplier(model, alpha)
     closed = spectrum_multiset(model, alpha)
-    rows = zip(range(model.S), freq_abs_table(model).tolist(),
-               mult.eigenvalues.tolist())
-    _write_table(cfg, "spectrum", ["k", "freq_abs", "eigenvalue"], rows)
+    header = ["k", "freq_abs", "eigenvalue"]
+    if cfg["format"] == "csv":
+        # frequency k = p**r has valuation r; k = 0 holds the sentinel L
+        first = [model.p ** r for r in range(model.N + model.M)] + [0]
+        tails = [f"{f},{e}\r\n" for f, e in zip(_reprs(freq_abs_table(model)[first]),
+                                               _reprs(operator_levels(model, alpha)))]
+        with open(os.path.join(cfg["out"], "spectrum.csv"), "w", newline="") as fh:
+            fh.write(",".join(header) + "\r\n")
+            fh.write("".join([f"{k},{tails[v]}"
+                              for k, v in enumerate(valuation_table(model).tolist())]))
+    else:
+        _write_table(cfg, "spectrum", header,
+                     zip(range(model.S), freq_abs_table(model).tolist(),
+                         mult.eigenvalues.tolist()))
     if cfg.get("dump_matrix"):
         try:
             mat = build_matrix(model, alpha)
         except ValueError as exc:
             raise ValidationFailure(str(exc)) from exc
+        row0 = _reprs(mat[0])
+        S = model.S
         with open(os.path.join(cfg["out"], "operator_matrix.csv"),
                   "w", newline="") as fh:
-            w = csv.writer(fh)
-            for row in mat:
-                w.writerow([_fmt(v) for v in row])
+            for i in range(S):
+                fh.write(",".join(row0[S - i:] + row0[:S - i]) + "\r\n")
     err = float(np.max(np.abs(np.sort(mult.eigenvalues) - closed)))
     tol = float(cfg.get("tol") or 1e-9)
     _write_json(os.path.join(cfg["out"], "spectrum_report.json"), {

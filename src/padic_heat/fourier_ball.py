@@ -257,7 +257,12 @@ def dft_direct(values: np.ndarray, sign: int) -> np.ndarray:
     Index products are reduced mod S exactly before the exponential.
     The rows are evaluated in blocks of at most 2**18 kernel entries, so
     the working memory stays O(S) (about 6 MB) instead of two S x S
-    tables; each row's sum is the same matvec as over the full table.
+    tables.  Each row sums the same products as over the full table,
+    but the order of the sum is the BLAS gemv's, which may depend on
+    the block's row count: with OpenBLAS 0.3.31 at S = 729, blocks of
+    1, 2, 4, 7 or 8 rows differ from the full table in the last bits,
+    while the 2**18-entry blocks happen to match it bit for bit at the
+    sizes the tests check.
     """
     v = np.asarray(values, dtype=np.complex128)
     S = v.size

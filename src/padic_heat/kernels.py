@@ -71,24 +71,30 @@ def heat_kernel_global(p: int, alpha: float, t: float, m: int | None = None,
                            - p**(-m) exp(-t p**(alpha*(1-m)))
 
     and for x = 0 the full two-sided sphere sum.  The downward tail is
-    truncated once its geometric bound drops below ``eps_tail``.
+    truncated once its geometric bound drops below ``eps_tail``.  Each
+    term is ``_exp_neg``'s expression with log(p), log(t) and float(p)
+    formed once per call instead of once per term; the values are
+    bit-identical.
     """
     if t <= 0:
         raise ValueError(f"t must be positive, got {t}")
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     q = 1.0 - 1.0 / p
+    fp, log_p, log_t = float(p), math.log(p), math.log(t)
     if m is None:
         # start above the superexponential cutoff of exp(-t p**(alpha l))
-        l = int(math.ceil(math.log(745.0 / t) / (alpha * math.log(p)))) + 1
+        l = int(math.ceil(math.log(745.0 / t) / (alpha * log_p))) + 1
         acc = 0.0
     else:
         e_bnd = _exp_neg(t, p, alpha * (1 - m))
-        acc = -float(p) ** (-m) * e_bnd if e_bnd > 0.0 else 0.0
+        acc = -fp ** (-m) * e_bnd if e_bnd > 0.0 else 0.0
         l = -m
     while True:
-        acc += q * float(p) ** l * _exp_neg(t, p, alpha * l)
-        if float(p) ** l < eps_tail:
+        exponent = alpha * l
+        decay = 0.0 if exponent * log_p + log_t > 709.0 else math.exp(-t * fp ** exponent)
+        acc += q * fp ** l * decay
+        if fp ** l < eps_tail:
             return acc
         l -= 1
 
@@ -135,18 +141,23 @@ def _c_total_mp(p: int, N: int, alpha: float, t: float,
     x = t*p**(-N*alpha); the n = 0 term carries 1/(1 - p**(-1))
     literally.  Runs at the caller's mpmath working precision; stops
     once the increment drops below ``eps_increment`` past the hump.
+    The powers p**(-alpha*n-1) = p**(-1) * (p**(-alpha))**n are carried
+    by a running product, one multiplication per term in place of one
+    mpmath power.
     """
     P = mp.mpf(p)
     x = mp.mpf(t) * P ** (-N * alpha)
     hump = float(x)
+    # the ratio p**(-alpha) in working precision: an exponent formed in
+    # float moved the sum by 1.5e-12 at p=3, N=-1, alpha=1.6, t=10, which
+    # the exp(lambda*t) = e**41 of the series route made 2e6
+    ratio = P ** (-mp.mpf(alpha))
+    power = 1 / P  # p**(-alpha*n - 1)
     term_base = mp.mpf(1)  # (-x)**n / n!
     total = mp.mpf(0)
     n = 0
     while True:
-        # the exponent in working precision: formed in float, its rounding
-        # moved the sum by 1.5e-12 at p=3, N=-1, alpha=1.6, t=10, which
-        # the exp(lambda*t) = e**41 of the series route made 2e6
-        inc = term_base / (1 - P ** (-mp.mpf(alpha) * n - 1))
+        inc = term_base / (1 - power)
         total += inc
         if abs(inc) < eps_increment and n > hump:
             return total
@@ -156,6 +167,24 @@ def _c_total_mp(p: int, N: int, alpha: float, t: float,
                 f"c(t) series: increment {float(abs(inc))!r} after {term_cap} terms"
             )
         term_base *= -x / n
+        power *= ratio
+
+
+def _series_term_cap(x: float, log_eps: float) -> int:
+    """Terms ``_c_total_mp`` needs to stop below exp(log_eps) at hump x.
+
+    Its increments are x**n/n! over denominators of at least 1/2, and
+    past the hump x**n/n! falls monotonically, so the first n > x with
+    2*x**n/n! < exp(log_eps) meets the stopping rule: about 3.5*x terms
+    at the thresholds of the series route, where e*x falls short.  The
+    scan costs a float operation per mpmath term it bounds; two terms of
+    margin cover the float rounding of x and lgamma.
+    """
+    log_x = math.log(x)
+    n = math.floor(x) + 1
+    while math.log(2.0) + n * log_x - math.lgamma(n + 1) >= log_eps:
+        n += 1
+    return n + 2
 
 
 def _lambda_mp(p: int, alpha: float, N: int):
@@ -296,7 +325,9 @@ def _grow_and_c_mp(p: int, N: int, alpha: float, t: float, dps: int):
         grow = mp.e ** (_lambda_mp(p, alpha, N) * t)
         # the series total is multiplied by exp(lambda*t), so its
         # stopping threshold must shrink by the same factor
-        total = _c_total_mp(p, N, alpha, t, mp.mpf(10) ** (-16) / grow, 2000)
+        eps = mp.mpf(10) ** (-16) / grow
+        cap = _series_term_cap(t * float(p) ** (-N * alpha), float(mp.log(eps)))
+        total = _c_total_mp(p, N, alpha, t, eps, cap)
         c = mp.mpf(p) ** (-N) * (1 - (1 - mp.mpf(1) / p) * grow * total)
     return grow, c
 

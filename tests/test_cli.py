@@ -1,9 +1,11 @@
+import csv
 import filecmp
 import json
 import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from padic_heat import (
     BallModel,
@@ -13,7 +15,9 @@ from padic_heat import (
     positive_bump,
 )
 from padic_heat import cli
+from padic_heat.ball_model import freq_abs_table
 from padic_heat.cli import main
+from padic_heat.vladimirov import multiplier
 
 
 def read_csv_lines(path):
@@ -42,6 +46,43 @@ def test_spectrum_matrix_dump(tmp_path):
     got = np.array([[float(v) for v in line.split(",")] for line in lines])
     want = build_matrix(BallModel(3, 0, 2), 1.5)
     assert np.max(np.abs(got - want)) == 0.0
+
+
+def _spectrum_files_per_cell(model, alpha, out):
+    """spectrum.csv, spectrum.json and operator_matrix.csv written as the
+    spectrum task wrote them before its per-valuation CSV: ``_fmt`` on
+    every cell, the matrix from ``build_matrix`` row by row."""
+    header = ["k", "freq_abs", "eigenvalue"]
+    rows = list(zip(range(model.S), freq_abs_table(model).tolist(),
+                    multiplier(model, alpha).eigenvalues.tolist()))
+    for fmt in ("csv", "json"):
+        cli._write_table({"out": str(out), "format": fmt}, "spectrum", header, rows)
+    with open(out / "operator_matrix.csv", "w", newline="") as fh:
+        w = csv.writer(fh)
+        for row in build_matrix(model, alpha):
+            w.writerow([cli._fmt(v) for v in row])
+
+
+SPECTRUM_PIN_CASES = [(p, N, {2: 6, 3: 4, 5: 3, 7: 2}[p] - N)
+                      for p in (2, 3, 5, 7) for N in (-1, 0, 1)] + [(3, 1, -1)]
+
+
+@pytest.mark.parametrize("case", range(len(SPECTRUM_PIN_CASES)))
+def test_spectrum_files_equal_the_per_cell_writer(tmp_path, case):
+    p, N, M = SPECTRUM_PIN_CASES[case]
+    alpha = (0.35, 0.9, 1.65, 2.4)[case % 4]
+    model = BallModel(p, N, M)
+    want = tmp_path / "want"
+    want.mkdir()
+    _spectrum_files_per_cell(model, alpha, want)
+    args = ["spectrum", "--p", str(p), "--N", str(N), "--M", str(M),
+            "--alpha", repr(alpha)]
+    assert main(args + ["--dump-matrix", "--out", str(tmp_path / "csv")]) == 0
+    assert main(args + ["--format", "json", "--out", str(tmp_path / "json")]) == 0
+    for got in (tmp_path / "csv" / "spectrum.csv",
+                tmp_path / "csv" / "operator_matrix.csv",
+                tmp_path / "json" / "spectrum.json"):
+        assert got.read_bytes() == (want / got.name).read_bytes(), got.name
 
 
 def test_json_table_format(tmp_path):
@@ -358,9 +399,10 @@ def test_consistency_exit_code(tmp_path, capsys):
 
 
 def test_nonconvergence_exit_code(tmp_path, capsys):
-    # lambda*t so extreme the compensated series route refuses
+    # lambda*t so extreme the compensated series route refuses: 5.3e4,
+    # past its 20000-digit guard (at t = 80 the route now converges)
     rc = main(["heat-kernel", "--p", "2", "--N", "-3", "--M", "5",
-               "--alpha", "1.0", "--times", "80", "--out", str(tmp_path)])
+               "--alpha", "1.0", "--times", "10000", "--out", str(tmp_path)])
     assert rc == 3
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "non-convergence"

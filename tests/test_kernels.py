@@ -3,7 +3,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from padic_heat import (
@@ -105,6 +105,39 @@ def test_global_kernel_validation():
         heat_kernel_global(2, 0.0, 1.0, 0)
 
 
+def _heat_kernel_global_per_term(p, alpha, t, m, eps_tail=1e-16):
+    """heat_kernel_global as it summed before its per-call constants were
+    hoisted: log(p), log(t) and float(p) formed again in every term."""
+    def exp_neg(exponent):
+        logarg = exponent * math.log(p) + math.log(t)
+        if logarg > 709.0:
+            return 0.0
+        return math.exp(-t * float(p) ** exponent)
+
+    q = 1.0 - 1.0 / p
+    if m is None:
+        l = int(math.ceil(math.log(745.0 / t) / (alpha * math.log(p)))) + 1
+        acc = 0.0
+    else:
+        e_bnd = exp_neg(alpha * (1 - m))
+        acc = -float(p) ** (-m) * e_bnd if e_bnd > 0.0 else 0.0
+        l = -m
+    while True:
+        acc += q * float(p) ** l * exp_neg(alpha * l)
+        if float(p) ** l < eps_tail:
+            return acc
+        l -= 1
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from([2, 3, 5, 7]), st.floats(0.3, 2.8), st.floats(-3.0, 2.5),
+       st.one_of(st.none(), st.integers(-8, 8)))
+def test_global_kernel_bit_equals_the_per_term_loop(p, alpha, log_t, m):
+    t = 10.0 ** log_t
+    got = heat_kernel_global(p, alpha, t, m)
+    assert got.hex() == _heat_kernel_global_per_term(p, alpha, t, m).hex()
+
+
 # -- additive constant of the ball kernel ------------------------------
 
 
@@ -146,6 +179,55 @@ def test_c_series_term_cap():
     # slow alternating regime: the default cap must refuse, not stall
     with pytest.raises(NonConvergenceError):
         c_series(2, -3, 1.0, 80.0)
+
+
+def _c_total_power_per_term(p, N, alpha, t, eps_increment, term_cap):
+    """``kernels._c_total_mp`` as it summed before the running product, one
+    mpmath power per term; also returns the sum of |increments| and the
+    index of the last term."""
+    P = mp.mpf(p)
+    x = mp.mpf(t) * P ** (-N * alpha)
+    hump = float(x)
+    term_base = mp.mpf(1)
+    total = mp.mpf(0)
+    size = mp.mpf(0)
+    n = 0
+    while True:
+        inc = term_base / (1 - P ** (-mp.mpf(alpha) * n - 1))
+        total += inc
+        size += abs(inc)
+        if abs(inc) < eps_increment and n > hump:
+            return total, size, n
+        n += 1
+        if n > term_cap:
+            raise NonConvergenceError(f"no convergence in {term_cap} terms")
+        term_base *= -x / n
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(-2, 1), st.floats(0.35, 2.4),
+       st.floats(0.01, 30.0))
+def test_c_series_running_product_matches_power_per_term(p, N, alpha, t):
+    # c_series's defaults: increments below 1e-15, at most 500 terms, which
+    # a hump x past 500 exhausts before the stopping rule may fire
+    assume(t * float(p) ** (-N * alpha) < 500)
+    with mp.workdps(kernels._series_dps(p, N, alpha, t)):
+        try:
+            want, size, last = _c_total_power_per_term(p, N, alpha, t, 1e-15, 500)
+        except NonConvergenceError:
+            with pytest.raises(NonConvergenceError):
+                kernels._c_total_mp(p, N, alpha, t, 1e-15, 500)
+            return
+        got = kernels._c_total_mp(p, N, alpha, t, 1e-15, 500)
+        # the running power carries last + 1 roundings where mpmath's power
+        # carries one, and the partial sums round differently: a few
+        # 2**-prec per term, relative to the sum of |increments|; about
+        # one draw in thirty differs at all
+        assert abs(got - want) <= 4 * (last + 2) * mp.eps * size
+        P = mp.mpf(p)
+        c_want = float(P ** (-N) * (1 - (1 - 1 / P)
+                                    * mp.e ** (kernels._lambda_mp(p, alpha, N) * t) * want))
+    assert c_series(p, N, alpha, t) == c_want
 
 
 def test_series_route_sums_c_once_per_time(monkeypatch):
@@ -202,6 +284,16 @@ def test_series_route_at_negative_N(t):
         a = heat_kernel_ball(p, N, alpha, t, m)
         b = heat_kernel_ball_series(p, N, alpha, t, m)
         assert abs(a - b) < 1e-10 * max(abs(a), 1.0)
+
+
+@pytest.mark.parametrize("m", [-3, None])
+def test_series_route_term_cap_follows_the_stopping_rule(m):
+    # lambda*t = 427, hump x = 640: the series needs 2153 terms, more
+    # than a fixed cap of 2000 allowed
+    p, N, alpha, t = 2, -3, 1.0, 80.0
+    a = heat_kernel_ball(p, N, alpha, t, m)
+    b = heat_kernel_ball_series(p, N, alpha, t, m)
+    assert abs(a - b) < 1e-10 * max(abs(a), 1.0)
 
 
 # -- ball heat kernel ---------------------------------------------------
