@@ -125,6 +125,8 @@ _BLOCK_CLASSES = 32
 # OpenBLAS runs a product of at most this many multiply-adds on one
 # thread; a larger block product would go multi-threaded
 _SERIAL_PRODUCT = 2 ** 18
+# kernel entries per row block of ``dft_direct``: 1 MB of complex128
+_DFT_BLOCK = 2 ** 16
 
 
 @lru_cache(maxsize=None)
@@ -250,28 +252,43 @@ def apply_radial(model: BallModel, levels: np.ndarray, values: np.ndarray) -> np
     return out
 
 
+def _dft_index_dtype(S: int) -> type:
+    """The narrowest integer type that holds every index product n*k exactly.
+
+    Both factors are at most S - 1, so the products fit int32 while
+    (S - 1)**2 < 2**31, that is up to S = 46341; larger S takes int64.
+    """
+    return np.int32 if (S - 1) ** 2 < 2 ** 31 else np.int64
+
+
 def dft_direct(values: np.ndarray, sign: int) -> np.ndarray:
     """O(S^2) reference transform: sum with kernel exp(sign*2*pi*i*n*k/S).
 
     Carries no 1/S scale; the caller applies the forward normalisation.
-    Index products are reduced mod S exactly before the exponential.
-    The rows are evaluated in blocks of at most 2**18 kernel entries, so
-    the working memory stays O(S) (about 6 MB) instead of two S x S
-    tables.  Each row sums the same products as over the full table,
-    but the order of the sum is the BLAS gemv's, which may depend on
-    the block's row count: with OpenBLAS 0.3.31 at S = 729, blocks of
-    1, 2, 4, 7 or 8 rows differ from the full table in the last bits,
-    while the 2**18-entry blocks happen to match it bit for bit at the
-    sizes the tests check.
+    Index products are formed exactly (``np.multiply.outer`` in int32
+    while (S - 1)**2 < 2**31, int64 beyond) and reduced mod S in place
+    before the exponential table is gathered with ``np.take``.  The rows
+    are evaluated in blocks of at most ``_DFT_BLOCK`` = 2**16 kernel
+    entries: the block's gather is 1 MB of complex128 and its index
+    table 256 KB of int32, so with the S-long table, data and result the
+    working set stays inside a 2 MB L2 and the memory O(S) instead of two
+    S x S tables.  (Four times the block, with an int64 table and a copy
+    of it for the ``%``, holds about 8 MB and spills the L2.)  Each row
+    sums the same products as over the full table, but the order of the
+    sum is the BLAS gemv's, which may depend on the block's row count:
+    with OpenBLAS 0.3.31 at S = 729, blocks of 1, 2, 4, 7 or 8 rows
+    differ from the full table in the last bits, while the 2**16-entry
+    blocks match it bit for bit at the sizes the tests check.
     """
     v = np.asarray(values, dtype=np.complex128)
     S = v.size
     s = +1 if sign > 0 else -1
     table = np.exp(s * 2j * np.pi * np.arange(S) / S)
-    n = np.arange(S)
-    rows = max(1, 2 ** 18 // max(S, 1))
+    n = np.arange(S, dtype=_dft_index_dtype(S))
+    rows = max(1, _DFT_BLOCK // max(S, 1))
     out = np.empty(S, dtype=np.complex128)
     for start in range(0, S, rows):
-        idx = np.outer(n[start:start + rows], n) % S
-        out[start:start + rows] = table[idx] @ v
+        idx = np.multiply.outer(n[start:start + rows], n)
+        np.remainder(idx, S, out=idx)
+        out[start:start + rows] = np.take(table, idx) @ v
     return out

@@ -261,29 +261,63 @@ def heat_kernel_ball(p: int, N: int, alpha: float, t: float,
     return float(p) ** (-N) + acc
 
 
-def _global_kernel_mp(p: int, alpha: float, t: float, m: int | None,
-                      tail_digits: int):
-    """Global kernel sphere sum at the caller's mpmath precision.
+def _global_kernel_mp(p: int, N: int, alpha: float, t: float, m: int | None,
+                      tail_digits: int, dps: int):
+    """Global kernel sphere sum at the caller's precision of ``dps`` digits.
 
     The downward tail is cut at p**l < 10**(-tail_digits); the caller
-    sizes that to survive multiplication by exp(lambda*t).
+    sizes that to survive multiplication by exp(lambda*t).  The spheres
+    l <= -m are read off ``_sphere_sums_mp``, whose sums are shared by
+    every radius m <= N, so only the boundary term is formed per call.
+    For x = 0 the sum starts at the superexponential cutoff of
+    exp(-t p**(alpha l)), or at l = -N if that lies below it (the
+    spheres in between add less than 10**(-tail_digits - 10)).
     """
     P = mp.mpf(p)
-    q = 1 - 1 / P
     T = mp.mpf(t)
     if m is None:
-        l = int(math.ceil(math.log((tail_digits + 10) * math.log(10) / t)
-                          / (alpha * math.log(p)))) + 1
+        top = int(math.ceil(math.log((tail_digits + 10) * math.log(10) / t)
+                            / (alpha * math.log(p)))) + 1
+        top = max(top, -N)
         acc = mp.mpf(0)
     else:
+        top = -m
         acc = -P ** (-m) * mp.e ** (-T * P ** (alpha * (1 - m)))
-        l = -m
-    cutoff = mp.mpf(10) ** (-tail_digits)
-    while True:
-        acc += q * P ** l * mp.e ** (-T * P ** (mp.mpf(alpha) * l))
-        if P ** l < cutoff:
-            return acc
-        l -= 1
+    sums = _sphere_sums_mp(p, N, alpha, t, tail_digits, dps)
+    # one sphere per radius not yet summed, as ``_green_radial`` carries
+    # its prefix
+    q = 1 - 1 / P
+    while len(sums) <= top + N:
+        l = len(sums) - N
+        sums.append(sums[-1] + q * P ** l * mp.e ** (-T * P ** (mp.mpf(alpha) * l)))
+    return acc + sums[top + N]
+
+
+@lru_cache(maxsize=64)
+def _sphere_sums_mp(p: int, N: int, alpha: float, t: float, tail_digits: int,
+                    dps: int) -> list:
+    """Running sums of the global kernel's spheres, the shared part of every radius.
+
+    Entry k is sum_{l <= k - N} (1-1/p) p**l exp(-t p**(alpha*l)) at
+    ``dps`` digits, the downward tail cut at p**l < 10**(-tail_digits).
+    The list starts with the spheres l <= -N, summed once (about 540
+    full-precision exponentials at p=5, N=-1, alpha=2.2, t=30), and
+    ``_global_kernel_mp`` appends one sphere per radius it is first asked
+    for.  The cache hands every caller the same list on purpose: entry k
+    depends only on the key, so whoever appends it appends the same value.
+    """
+    P = mp.mpf(p)
+    T = mp.mpf(t)
+    with mp.workdps(dps):
+        q = 1 - 1 / P
+        cutoff = mp.mpf(10) ** (-tail_digits)
+        tail = mp.mpf(0)
+        l = -N
+        while True:
+            tail += q * P ** l * mp.e ** (-T * P ** (mp.mpf(alpha) * l))
+            if P ** l < cutoff:
+                return [tail]
+            l -= 1
 
 
 def heat_kernel_ball_series(p: int, N: int, alpha: float, t: float,
@@ -300,6 +334,8 @@ def heat_kernel_ball_series(p: int, N: int, alpha: float, t: float,
     """
     if t <= 0:
         raise ValueError(f"t must be positive, got {t}")
+    if m is not None and m > N:
+        raise ValueError(f"radius exponent m must be <= N = {N}, got {m}")
     lam = lambda_value(p, alpha, N)
     if lam * t <= 30.0:
         return math.exp(lam * t) * heat_kernel_global(p, alpha, t, m, eps_tail) \
@@ -312,7 +348,7 @@ def heat_kernel_ball_series(p: int, N: int, alpha: float, t: float,
     dps = _series_dps(p, N, alpha, t) + tail_digits
     grow, c = _grow_and_c_mp(p, N, alpha, t, dps)
     with mp.workdps(dps):
-        Z = _global_kernel_mp(p, alpha, t, m, tail_digits)
+        Z = _global_kernel_mp(p, N, alpha, t, m, tail_digits, dps)
         return float(grow * Z + c)
 
 

@@ -265,9 +265,14 @@ def convolve_riesz(u: GridFunction, alpha: float) -> GridFunction:
 def build_matrix(model: BallModel, alpha: float, cap: int = DEFAULT_MATRIX_CAP) -> np.ndarray:
     """Dense symmetric matrix of the operator; refuses orders above ``cap``.
 
-    Row n holds lambda - sum(w) on the diagonal pattern and the
-    difference weights w_j at column (n - j) mod S; row sums equal
-    lambda because the weights cancel.
+    Row n holds lambda - sum(w) on the diagonal and the difference
+    weights w_j at column (n - j) mod S.  In exact arithmetic the
+    weights cancel and every row sums to lambda, the eigenvalue on
+    constants.  In floating point the diagonal's subtraction and the
+    row's own sum both round at the scale of sum(w), so a row sum misses
+    lambda by a few eps*sum(w): 1.0e-9 relative at BallModel(2, -1, 10),
+    alpha = 2.4, where sum(w) is about 3e6 times lambda.  A comparison
+    against this matrix at large alpha*M measures that rounding.
     """
     if model.S > cap:
         raise ValueError(f"group order {model.S} exceeds the dense-matrix cap {cap}")

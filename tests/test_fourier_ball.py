@@ -100,7 +100,8 @@ def test_dft_direct_rows_in_blocks_equal_the_full_table():
 
 def test_dft_direct_keeps_its_memory_linear():
     # S = 4096, the largest model verify accepts: the full index table
-    # and its complex gather would hold about 400 MB
+    # and its complex gather would hold about 400 MB, one 2**16-entry
+    # block about 1.3 MB
     model = BallModel(2, 0, 12)
     u = random_function(model, 9)
     tracemalloc.start()
@@ -109,8 +110,17 @@ def test_dft_direct_keeps_its_memory_linear():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 32 * 2 ** 20
+    assert peak < 4 * 2 ** 20
     assert rel_linf(model.S * forward(u).coeffs, got) < 1e-12
+
+
+def test_dft_index_products_fit_their_integer_type():
+    # the products n*k reach (S - 1)**2; int32 holds them up to S = 46341
+    for S, want in ((46340, np.int32), (46341, np.int32), (46342, np.int64)):
+        dtype = fourier_ball._dft_index_dtype(S)
+        assert dtype is want
+        assert (S - 1) ** 2 <= np.iinfo(dtype).max
+    assert 46341 ** 2 > np.iinfo(np.int32).max
 
 
 def test_forward_agrees_with_numpy_ifft():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from padic_heat import (
@@ -19,6 +19,7 @@ from padic_heat import (
 )
 from padic_heat.ball_model import valuation_table
 from padic_heat.cli import main
+from padic_heat.function_space import circulant_apply
 from padic_heat.linear_solver import evolve
 from tests.conftest import rel_linf
 
@@ -105,6 +106,33 @@ def test_convolution_complex_values():
 
 # largest ladder depth L with p**L near 2187, so the O(S^2) oracle stays quick
 _MAX_DEPTH = {2: 11, 3: 7, 5: 4, 7: 4}
+
+
+def _roll_circulant(w, u):
+    acc = np.zeros(u.size, dtype=np.result_type(u, w))
+    for j in range(u.size):
+        acc += w[j] * np.roll(u, j)
+    return acc
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.tuples(st.sampled_from([2, 3, 5, 7]), st.sampled_from([-1, 0, 1]),
+                 st.integers(0, 11), st.integers(0, 2 ** 32 - 1),
+                 st.booleans(), st.booleans()))
+@example((7, -1, 0, 1, True, True))  # S = 1
+@example((7, -1, 4, 2, True, True))
+@example((7, -1, 3, 3, True, False))
+@example((2, -1, 9, 4, False, True))
+def test_circulant_apply_matches_the_roll_loop(case):
+    # sum_j w[j] u[(n - j) mod S], with no conjugation of complex w
+    p, N, L, seed, complex_w, complex_u = case
+    model = BallModel(p, N, min(L, _MAX_DEPTH[p]) - N)
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal(model.S) + (1j * rng.standard_normal(model.S) if complex_w else 0)
+    u = rng.standard_normal(model.S) + (1j * rng.standard_normal(model.S) if complex_u else 0)
+    got = circulant_apply(w, u)
+    assert got.shape == (model.S,)
+    assert rel_linf(_roll_circulant(w, u), got, floor=1e-300) < 1e-13
 
 
 @st.composite
@@ -277,6 +305,29 @@ def test_json_round_trip(tmp_path):
     back = GridFunction.from_json(path)
     assert back.model == model
     assert np.array_equal(back.values, u.values)
+
+
+@pytest.mark.parametrize("kind", ["float", "complex", "int", "read-only"])
+def test_grid_function_owns_frozen_values(kind):
+    model = BallModel(3, 0, 2)
+    data = {
+        "float": np.linspace(0.0, 1.0, model.S),
+        "complex": np.linspace(0.0, 1.0, model.S) * (1 + 2j),
+        "int": np.arange(model.S),
+        "read-only": np.linspace(0.0, 1.0, model.S),
+    }[kind]
+    if kind == "read-only":
+        data.setflags(write=False)
+    g = GridFunction(model, data)
+    assert not np.shares_memory(g.values, data)
+    assert g.values.dtype == (np.complex128 if kind == "complex" else np.float64)
+    assert np.array_equal(g.values, data)
+    assert not g.values.flags.writeable
+    with pytest.raises(ValueError):
+        g.values[0] = 5.0
+    if data.flags.writeable:
+        data[0] = 7
+        assert g.values[0] == 0.0
 
 
 def test_algebra_and_errors():

@@ -286,6 +286,59 @@ def test_series_route_at_negative_N(t):
         assert abs(a - b) < 1e-10 * max(abs(a), 1.0)
 
 
+def _per_radius_series(p, N, alpha, t, m):
+    """The extended branch with every sphere summed again for this radius."""
+    lam = lambda_value(p, alpha, N)
+    tail_digits = 15 + int(math.ceil(lam * t * math.log10(math.e)))
+    dps = kernels._series_dps(p, N, alpha, t) + tail_digits
+    grow, c = kernels._grow_and_c_mp(p, N, alpha, t, dps)
+    with mp.workdps(dps):
+        P = mp.mpf(p)
+        q = 1 - 1 / P
+        T = mp.mpf(t)
+        if m is None:
+            l = int(math.ceil(math.log((tail_digits + 10) * math.log(10) / t)
+                              / (alpha * math.log(p)))) + 1
+            acc = mp.mpf(0)
+        else:
+            acc = -P ** (-m) * mp.e ** (-T * P ** (alpha * (1 - m)))
+            l = -m
+        cutoff = mp.mpf(10) ** (-tail_digits)
+        while True:
+            acc += q * P ** l * mp.e ** (-T * P ** (mp.mpf(alpha) * l))
+            if P ** l < cutoff:
+                return float(grow * acc + c)
+            l -= 1
+
+
+@st.composite
+def _extended_series_cases(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    N = draw(st.integers(-2, 1))
+    alpha = draw(st.floats(0.3, 2.4))
+    lam_t = draw(st.floats(30.0, 200.0, exclude_min=True))
+    return p, N, alpha, lam_t / lambda_value(p, alpha, N)
+
+
+@settings(max_examples=24, deadline=None, derandomize=True)
+@given(_extended_series_cases())
+def test_extended_series_shares_its_spheres_across_radii(case):
+    # the spheres below the ball's top are summed once per time and one
+    # sphere is added per radius; every radius keeps its float
+    p, N, alpha, t = case
+    assume(30.0 < lambda_value(p, alpha, N) * t <= 200.0)
+    for m in list(range(N, N - 6, -1)) + [None]:
+        assert heat_kernel_ball_series(p, N, alpha, t, m) == \
+            _per_radius_series(p, N, alpha, t, m)
+
+
+@pytest.mark.parametrize("t", [1.0, 30.0])
+def test_series_route_refuses_radii_outside_the_ball(t):
+    # the shared sphere sums start at the ball's top sphere l = -N
+    with pytest.raises(ValueError, match="must be <= N"):
+        heat_kernel_ball_series(3, -1, 1.6, t, 0)
+
+
 @pytest.mark.parametrize("m", [-3, None])
 def test_series_route_term_cap_follows_the_stopping_rule(m):
     # lambda*t = 427, hump x = 640: the series needs 2153 terms, more

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import padic_heat.vladimirov as vlad
+from padic_heat import fourier_ball, kernels
 from padic_heat import (
     BallModel,
     ConsistencyError,
@@ -15,6 +16,7 @@ from padic_heat import (
     build_matrix,
     constant,
     convolve_riesz,
+    dft_direct,
     domain_check,
     lambda_value,
     multiplier,
@@ -256,6 +258,19 @@ def test_operator_levels_are_the_multiplier_levels(p, N, M, alpha):
         levels[0] = 0.0
 
 
+def test_matrix_row_sums_round_at_the_scale_of_the_weights():
+    # row sums are lambda only in exact arithmetic: the diagonal
+    # lambda - sum(w) and the row's own sum round at the scale of sum(w)
+    eps = np.finfo(np.float64).eps
+    for (p, N, M), alpha in (((2, -1, 10), 2.4), ((5, 0, 4), 2.22),
+                             ((3, -2, 7), 2.4), ((7, 1, 2), 1.0), ((2, 2, 8), 3.0)):
+        model = BallModel(p, N, M)
+        w = vlad._difference_weights(model, alpha)
+        A = build_matrix(model, alpha)
+        lam = lambda_value(p, alpha, N)
+        assert np.max(np.abs(A.sum(axis=1) - lam)) <= 16 * eps * np.abs(w).sum()
+
+
 # -- the O(S^2) oracles against their roll-loop definitions ----------
 
 
@@ -325,3 +340,25 @@ def test_circulant_oracles_match_their_roll_loops(case):
     assert rel_linf(_roll_global_restriction(u, alpha),
                     apply_global_restriction(u, alpha).values, floor=1e-300) < 1e-13
     assert rel_linf(_roll_convolve(u, v), u.convolve(v).values, floor=1e-300) < 1e-13
+
+
+def test_oracles_use_neither_the_transform_nor_the_ladder(monkeypatch):
+    model = BallModel(3, -1, 5)
+    u = random_function(model, 11)
+    want = (apply_hypersingular(u, 1.3).values, apply_global_restriction(u, 1.3).values,
+            dft_direct(u.values, +1), dft_direct(u.values, -1))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an O(S^2) oracle reached the spectral path")
+
+    for name in ("fft", "ifft", "rfft", "irfft", "hfft", "ihfft",
+                 "fftn", "ifftn", "rfftn", "irfftn", "fft2", "ifft2"):
+        monkeypatch.setattr(np.fft, name, refuse)
+    for module in (fourier_ball, vlad, kernels):
+        monkeypatch.setattr(module, "apply_radial", refuse)
+    with pytest.raises(AssertionError):
+        apply_spectral(u, 1.3)
+    got = (apply_hypersingular(u, 1.3).values, apply_global_restriction(u, 1.3).values,
+           dft_direct(u.values, +1), dft_direct(u.values, -1))
+    for a, b in zip(want, got):
+        assert np.array_equal(a, b)
