@@ -249,13 +249,17 @@ def constant(model: BallModel, c: float) -> GridFunction:
     return GridFunction(model, np.full(model.S, float(c)))
 
 
-def ball_indicator(model: BallModel, center: int = 0, radius_exp: int = 0) -> GridFunction:
+def ball_indicator(model: BallModel, center: int = 0,
+                   radius_exp: int | None = None) -> GridFunction:
     """Indicator of the sub-ball of radius p**radius_exp around coset ``center``.
 
     radius_exp must lie in [-M, N]; the sub-ball then consists of the
     p**(M + radius_exp) cosets whose representatives are congruent to
-    ``center`` modulo p**(N - radius_exp).
+    ``center`` modulo p**(N - radius_exp).  It defaults to min(0, N):
+    the unit ball, or the whole ball where that is smaller.
     """
+    if radius_exp is None:
+        radius_exp = min(0, model.N)
     if not (-model.M <= radius_exp <= model.N):
         raise ValueError(
             f"radius_exp must be in [{-model.M}, {model.N}], got {radius_exp}"
@@ -272,8 +276,10 @@ def random_function(model: BallModel, seed: int) -> GridFunction:
     return GridFunction(model, rng.standard_normal(model.S))
 
 
-def positive_bump(model: BallModel, center: int = 0, radius_exp: int = 0) -> GridFunction:
-    """1 plus a sub-ball indicator: strictly positive data with a localized excess."""
+def positive_bump(model: BallModel, center: int = 0,
+                  radius_exp: int | None = None) -> GridFunction:
+    """1 plus a sub-ball indicator (``ball_indicator``'s default radius):
+    strictly positive data with a localized excess."""
     return constant(model, 1.0) + ball_indicator(model, center, radius_exp)
 
 
@@ -294,9 +300,9 @@ def make_initial(model: BallModel, spec: dict) -> GridFunction:
     if kind == "constant":
         return constant(model, spec.get("value", 1.0))
     if kind == "indicator":
-        return ball_indicator(model, spec.get("center", 0), spec.get("radius_exp", 0))
+        return ball_indicator(model, spec.get("center", 0), spec.get("radius_exp"))
     if kind == "random":
         return random_function(model, spec.get("seed", 0))
     if kind == "bump":
-        return positive_bump(model, spec.get("center", 0), spec.get("radius_exp", 0))
+        return positive_bump(model, spec.get("center", 0), spec.get("radius_exp"))
     raise ValueError(f"unknown initial-data kind {kind!r}")

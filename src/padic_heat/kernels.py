@@ -20,8 +20,10 @@ The ball heat kernel has two independent evaluation routes:
 
 The alternating series cancels catastrophically once t is a few units
 (terms swell to about e^t before the signs bite), so ``c_series`` sums
-it in extended working precision scaled to the hump and rounds the
-result to a double; every stored value in this package remains float64.
+it in fixed-point integers at a precision scaled to the hump and rounds
+the result to a double; every stored value in this package remains
+float64.  A sum whose terms times digits pass ``SERIES_WORK_BUDGET`` is
+refused with NonConvergenceError.
 """
 
 from __future__ import annotations
@@ -39,6 +41,13 @@ from .function_space import GridFunction
 from .vladimirov import operator_levels
 
 DEFAULT_EPS_TAIL = 1e-16
+
+# Work the c(t) series may take: terms times working digits.  The sum
+# costs about 1e-7 s per digit-term at 2500 digits, more per digit-term
+# above, so the budget bounds it to a few seconds.  The series route is
+# held to p=2, N=-3, alpha=2.8, t=8 (8716 terms at 2479 digits); it
+# refuses p=3, N=-2, alpha=2.8, t=10 (15677 terms at 4844 digits).
+SERIES_WORK_BUDGET = 3 * 10**7
 
 
 class NonConvergenceError(Exception):
@@ -134,40 +143,68 @@ def global_kernel_ball_mass(p: int, N: int, alpha: float, t: float,
         m -= 1
 
 
+def _check_series_work(terms: int) -> None:
+    """Refuse a c(t) series of ``terms`` terms at the working precision
+    once terms times digits pass ``SERIES_WORK_BUDGET``."""
+    if terms * mp.mp.dps > SERIES_WORK_BUDGET:
+        raise NonConvergenceError(
+            f"c(t) series: {terms} terms at {mp.mp.dps} digits pass the "
+            f"work budget of {SERIES_WORK_BUDGET} digit-terms; use the "
+            f"character-sum route instead")
+
+
 def _c_total_mp(p: int, N: int, alpha: float, t: float,
                 eps_increment: float, term_cap: int):
     """Alternating series sum_{n>=0} (-x)**n/n! / (1 - p**(-alpha*n-1)).
 
     x = t*p**(-N*alpha); the n = 0 term carries 1/(1 - p**(-1))
-    literally.  Runs at the caller's mpmath working precision; stops
-    once the increment drops below ``eps_increment`` past the hump.
-    The powers p**(-alpha*n-1) = p**(-1) * (p**(-alpha))**n are carried
-    by a running product, one multiplication per term in place of one
-    mpmath power.
+    literally.  Stops once the increment drops below ``eps_increment``
+    past the hump; a sum that needs more than ``term_cap`` terms raises
+    NonConvergenceError, and so does one whose ``term_cap`` terms at the
+    caller's working precision would pass ``SERIES_WORK_BUDGET``.
+
+    The terms are summed in fixed point: Python integers scaled by
+    2**B, B = mp.prec + 64 guard bits.  x and the ratio p**(-alpha) are
+    formed once in mpmath at the caller's precision and rounded to
+    integers X and R; each term then costs two integer products and two
+    integer divisions, each rounded to the floor.  A floor costs at most
+    one unit of 2**-B, and the factor x/n that scales a term scales the
+    error it carries, so term n is off by at most about n units and the
+    total by about terms**2/2 units.  That stays below 2**-prec times the
+    sum of |increments| (at least 1), the rounding of an mpmath loop at
+    the caller's precision, for up to 2**32 terms.  The total is
+    converted to mpmath once, at the end.
     """
+    _check_series_work(term_cap)
     P = mp.mpf(p)
-    x = mp.mpf(t) * P ** (-N * alpha)
+    # the exponent in working precision: -N*alpha rounded in float
+    # (3*2.8 = 8.399999999999999) put the two summands of the series
+    # route apart from their 17th digit on
+    x = mp.mpf(t) * P ** (-N * mp.mpf(alpha))
     hump = float(x)
-    # the ratio p**(-alpha) in working precision: an exponent formed in
-    # float moved the sum by 1.5e-12 at p=3, N=-1, alpha=1.6, t=10, which
-    # the exp(lambda*t) = e**41 of the series route made 2e6
-    ratio = P ** (-mp.mpf(alpha))
-    power = 1 / P  # p**(-alpha*n - 1)
-    term_base = mp.mpf(1)  # (-x)**n / n!
-    total = mp.mpf(0)
+    B = mp.mp.prec + 64
+    one = 1 << B
+    X = int(mp.nint(mp.ldexp(x, B)))
+    R = int(mp.nint(mp.ldexp(P ** (-mp.mpf(alpha)), B)))
+    eps = int(mp.ceil(mp.ldexp(mp.mpf(eps_increment), B)))
+    term = one  # (-x)**n / n!
+    power = one // p  # p**(-alpha*n - 1)
+    total = 0
     n = 0
     while True:
-        inc = term_base / (1 - power)
+        # once p**(-alpha*n-1) falls below 2**-B the quotient is the term
+        inc = (term << B) // (one - power) if power else term
         total += inc
-        if abs(inc) < eps_increment and n > hump:
-            return total
+        if abs(inc) < eps and n > hump:
+            return mp.ldexp(total, -B)
         n += 1
         if n > term_cap:
             raise NonConvergenceError(
-                f"c(t) series: increment {float(abs(inc))!r} after {term_cap} terms"
+                f"c(t) series: increment {float(mp.ldexp(abs(inc), -B))!r} "
+                f"after {term_cap} terms"
             )
-        term_base *= -x / n
-        power *= ratio
+        term = -((term * X) >> B) // n
+        power = (power * R) >> B
 
 
 def _series_term_cap(x: float, log_eps: float) -> int:
@@ -193,9 +230,15 @@ def _lambda_mp(p: int, alpha: float, N: int):
 
 
 def _series_dps(p: int, N: int, alpha: float, t: float) -> int:
+    """Digits the c(t) series needs: 25 beyond its largest term, e**x at
+    the hump x, times exp(lambda*t), the factor its total is multiplied
+    by.  There is no cap: ``_c_total_mp`` refuses a sum whose terms
+    times digits pass ``SERIES_WORK_BUDGET``, so a precision too large to
+    afford raises NonConvergenceError instead of rounding the answer
+    away."""
     hump = t * float(p) ** (-N * alpha)
     lam = lambda_value(p, alpha, N)
-    return min(25 + int(math.ceil((hump + lam * t) * math.log10(math.e))), 2000)
+    return 25 + int(math.ceil((hump + lam * t) * math.log10(math.e)))
 
 
 @lru_cache(maxsize=64)
@@ -218,7 +261,7 @@ def c_series(p: int, N: int, alpha: float, t: float,
     with mp.workdps(_series_dps(p, N, alpha, t)):
         total = _c_total_mp(p, N, alpha, t, eps_increment, term_cap)
         c = mp.mpf(p) ** (-N) * (1 - (1 - mp.mpf(1) / p)
-                                 * mp.e ** (_lambda_mp(p, alpha, N) * t) * total)
+                                 * mp.exp(_lambda_mp(p, alpha, N) * t) * total)
         return float(c)
 
 
@@ -282,14 +325,14 @@ def _global_kernel_mp(p: int, N: int, alpha: float, t: float, m: int | None,
         acc = mp.mpf(0)
     else:
         top = -m
-        acc = -P ** (-m) * mp.e ** (-T * P ** (alpha * (1 - m)))
+        acc = -P ** (-m) * mp.exp(-T * P ** (alpha * (1 - m)))
     sums = _sphere_sums_mp(p, N, alpha, t, tail_digits, dps)
     # one sphere per radius not yet summed, as ``_green_radial`` carries
     # its prefix
     q = 1 - 1 / P
     while len(sums) <= top + N:
         l = len(sums) - N
-        sums.append(sums[-1] + q * P ** l * mp.e ** (-T * P ** (mp.mpf(alpha) * l)))
+        sums.append(sums[-1] + q * P ** l * mp.exp(-T * P ** (mp.mpf(alpha) * l)))
     return acc + sums[top + N]
 
 
@@ -300,24 +343,37 @@ def _sphere_sums_mp(p: int, N: int, alpha: float, t: float, tail_digits: int,
 
     Entry k is sum_{l <= k - N} (1-1/p) p**l exp(-t p**(alpha*l)) at
     ``dps`` digits, the downward tail cut at p**l < 10**(-tail_digits).
-    The list starts with the spheres l <= -N, summed once (about 540
-    full-precision exponentials at p=5, N=-1, alpha=2.2, t=30), and
+    The list starts with the spheres l <= -N, summed once, and
     ``_global_kernel_mp`` appends one sphere per radius it is first asked
     for.  The cache hands every caller the same list on purpose: entry k
     depends only on the key, so whoever appends it appends the same value.
+
+    p**l and p**(alpha*l) are carried from sphere to sphere by running
+    products at ``dps`` digits.  The sum is multiplied by exp(lambda*t),
+    about 10**(tail_digits - 15), so it needs only ``tail_digits`` digits
+    after the point plus a guard: each sphere's term, at most p**l in
+    size, is formed at tail_digits + 20 + l*log10(p) digits (at least
+    20), one exponential at that precision.
     """
     P = mp.mpf(p)
     T = mp.mpf(t)
+    log10_p = math.log10(p)
     with mp.workdps(dps):
         q = 1 - 1 / P
         cutoff = mp.mpf(10) ** (-tail_digits)
+        ratio = P ** (-mp.mpf(alpha))
+        power = P ** (-N)  # p**l
+        scale = P ** (-N * mp.mpf(alpha))  # p**(alpha*l)
         tail = mp.mpf(0)
         l = -N
         while True:
-            tail += q * P ** l * mp.e ** (-T * P ** (mp.mpf(alpha) * l))
-            if P ** l < cutoff:
+            digits = max(tail_digits + 20 + int(l * log10_p), 20)
+            tail += mp.fmul(q * power, mp.exp(-T * scale, dps=digits), dps=digits)
+            if power < cutoff:
                 return [tail]
             l -= 1
+            power /= P
+            scale *= ratio
 
 
 def heat_kernel_ball_series(p: int, N: int, alpha: float, t: float,
@@ -330,7 +386,9 @@ def heat_kernel_ball_series(p: int, N: int, alpha: float, t: float,
     like exp(lambda*t) while their sum stays order p**(-N), so once
     lambda*t is large enough to cost double precision the whole
     combination is evaluated in extended precision and rounded;
-    ``eps_tail`` governs only the double-precision branch.
+    ``eps_tail`` governs only the double-precision branch.  That branch
+    raises NonConvergenceError where exp(lambda*t) would need more than
+    20000 guard digits, or c(t) more work than ``SERIES_WORK_BUDGET``.
     """
     if t <= 0:
         raise ValueError(f"t must be positive, got {t}")
@@ -356,14 +414,18 @@ def heat_kernel_ball_series(p: int, N: int, alpha: float, t: float,
 def _grow_and_c_mp(p: int, N: int, alpha: float, t: float, dps: int):
     """exp(lambda*t) and c(t) at ``dps`` digits, for the extended branch
     of ``heat_kernel_ball_series``; neither depends on the radius, so the
-    series is summed once per time."""
+    series is summed once per time.  The work budget is checked before
+    exp(lambda*t) is formed, so a refused case costs no exponential at
+    its full precision."""
     with mp.workdps(dps):
-        grow = mp.e ** (_lambda_mp(p, alpha, N) * t)
+        lam_t = _lambda_mp(p, alpha, N) * t
         # the series total is multiplied by exp(lambda*t), so its
         # stopping threshold must shrink by the same factor
-        eps = mp.mpf(10) ** (-16) / grow
-        cap = _series_term_cap(t * float(p) ** (-N * alpha), float(mp.log(eps)))
-        total = _c_total_mp(p, N, alpha, t, eps, cap)
+        cap = _series_term_cap(t * float(p) ** (-N * alpha),
+                               math.log(1e-16) - float(lam_t))
+        _check_series_work(cap)
+        grow = mp.exp(lam_t)
+        total = _c_total_mp(p, N, alpha, t, mp.mpf(10) ** (-16) / grow, cap)
         c = mp.mpf(p) ** (-N) * (1 - (1 - mp.mpf(1) / p) * grow * total)
     return grow, c
 

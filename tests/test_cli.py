@@ -176,6 +176,15 @@ def test_solve_pme_task(tmp_path):
     assert "crandall_liggett" not in report
 
 
+@pytest.mark.parametrize("task", ["solve-pme", "solve-linear"])
+def test_default_initial_data_at_negative_N(tmp_path, task):
+    # the default bump's sub-ball is the whole ball when N < 0; a radius
+    # of p**0 there lay outside the ball and exited 1
+    rc = main([task, "--p", "3", "--N", "-1", "--M", "4", "--alpha", "1.3",
+               "--out", str(tmp_path)])
+    assert rc == 0
+
+
 def test_solve_pme_with_doubling_report(tmp_path):
     rc = main(["solve-pme", "--p", "2", "--N", "0", "--M", "3",
                "--alpha", "1.0", "--t", "0.5", "--steps", "8",

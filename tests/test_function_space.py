@@ -249,6 +249,18 @@ def test_ball_indicator_membership():
         assert ind.values[n] == (1.0 if (n - 4) % q == 0 else 0.0)
 
 
+def test_default_radius_is_the_unit_ball_or_the_whole_ball():
+    # radius_exp defaults to min(0, N): 0 at N >= 0, the whole ball at N < 0
+    for model, r in ((BallModel(2, 1, 4), 0), (BallModel(3, 0, 3), 0),
+                     (BallModel(3, -1, 4), -1), (BallModel(2, -3, 5), -3)):
+        assert np.array_equal(ball_indicator(model, 1).values,
+                              ball_indicator(model, 1, r).values)
+        assert np.array_equal(positive_bump(model).values,
+                              positive_bump(model, 0, r).values)
+        assert np.array_equal(make_initial(model, {"kind": "bump"}).values,
+                              positive_bump(model, 0, r).values)
+
+
 def test_make_initial_kinds():
     model = BallModel(2, 0, 4)
     c = make_initial(model, {"kind": "constant", "value": 2.5})

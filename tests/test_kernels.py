@@ -1,4 +1,6 @@
+import contextlib
 import math
+import signal
 
 import mpmath as mp
 import numpy as np
@@ -347,6 +349,87 @@ def test_series_route_term_cap_follows_the_stopping_rule(m):
     a = heat_kernel_ball(p, N, alpha, t, m)
     b = heat_kernel_ball_series(p, N, alpha, t, m)
     assert abs(a - b) < 1e-10 * max(abs(a), 1.0)
+
+
+@pytest.mark.parametrize("dps, case", [
+    (30, (2, 0, 1.3, 4.0)),
+    (200, (5, -1, 0.9, 25.0)),
+    (650, (3, -2, 1.1, 40.0)),
+])
+def test_fixed_point_c_total_matches_an_mpmath_sum(dps, case):
+    # the fixed-point sum against mpmath's own, one power per term, at
+    # the same precision and stopping threshold; mpmath's rounding of a
+    # few 2**-prec per term, relative to the sum of |increments|, bounds
+    # the gap
+    p, N, alpha, t = case
+    with mp.workdps(dps):
+        eps = mp.mpf(10) ** (20 - dps)
+        x = t * float(p) ** (-N * alpha)
+        cap = kernels._series_term_cap(x, float(mp.log(eps)))
+        want, size, last = _c_total_power_per_term(p, N, alpha, t, eps, cap)
+        got = kernels._c_total_mp(p, N, alpha, t, eps, cap)
+        assert last > x
+        assert abs(got - want) <= 4 * (last + 2) * mp.eps * size
+
+
+@contextlib.contextmanager
+def _alarm(seconds):
+    def fire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, fire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.parametrize("alpha, t", [(1.3, 10.0), (2.8, 2.0)])
+def test_series_route_forms_the_hump_exponent_in_working_precision(alpha, t):
+    # -N*alpha rounded in float (3*2.8 = 8.399999999999999) set the two
+    # summands apart from their 17th digit: the route gave 6.4e23 at
+    # alpha=1.3, t=10 and -1.3e142 at alpha=2.8, t=2
+    p, N = 2, -3
+    with _alarm(30):
+        a = heat_kernel_ball(p, N, alpha, t, N)
+        b = heat_kernel_ball_series(p, N, alpha, t, N)
+    assert abs(a - b) < 1e-10 * max(abs(a), 1.0)
+
+
+def test_series_route_sizes_its_precision_with_no_cap():
+    # c(t) here needs 3447 digits; a silent cap of 2000 returned -1.33e20
+    # against the character sum's 9.0.  The sum must now agree, or refuse
+    # within the work budget, never run for minutes.
+    p, N, alpha, t = 3, -2, 2.8, 10.0
+    assert kernels._series_dps(p, N, alpha, t) >= 3447
+    a = heat_kernel_ball(p, N, alpha, t, N)
+    with _alarm(30):
+        try:
+            b = heat_kernel_ball_series(p, N, alpha, t, N)
+        except NonConvergenceError:
+            return
+    assert abs(a - b) < 1e-10 * max(abs(a), 1.0)
+
+
+def test_series_route_sums_the_largest_budgeted_case():
+    # the case the work budget is sized to admit: about 8700 terms at
+    # 2479 digits, and some 2150 spheres
+    p, N, alpha, t = 2, -3, 2.8, 8.0
+    with _alarm(30):
+        b = heat_kernel_ball_series(p, N, alpha, t, N)
+    assert abs(heat_kernel_ball(p, N, alpha, t, N) - b) < 1e-10 * 8.0
+
+
+def test_series_work_budget_refuses_before_summing():
+    # 83582 terms at 28396 digits: refused before exp(lambda*t) is formed
+    with _alarm(30):
+        with pytest.raises(NonConvergenceError, match="work budget"):
+            heat_kernel_ball_series(7, -2, 2.0, 10.0, -2)
+    with mp.workdps(80000):
+        with pytest.raises(NonConvergenceError, match="work budget"):
+            kernels._c_total_mp(2, 0, 1.0, 1.0, 1e-15, 500)
 
 
 # -- ball heat kernel ---------------------------------------------------
