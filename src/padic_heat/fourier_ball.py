@@ -44,14 +44,9 @@ to 38 times.  A block whose product would exceed 2**18 multiply-adds
 (counting the real view of complex data, twice as wide), OpenBLAS's
 single-thread cutoff (65536 times its default GEMM_MULTITHREAD_THRESHOLD
 of 4), takes its levels one at a time instead.  So every product the
-ladder asks for runs on the calling thread.  A two-thread product's
-time swings with the load of the other core: on a 2-core VM one
-32 x 32 @ 32 x 32768 product took 15-16 ms in one process and 1.4-1.6
-ms in the next (2.7-2.9 ms on one thread), and with the other core busy
-an apply at p = 5, S = 5**7 took 1.2-1.4 ms with blocks throughout
-against 0.42-0.45 ms with the cutoff.  The price is paid at large S
-with both cores free: 24-33 ms per apply at S = 2**20 against 7-12 ms
-with blocks throughout.  The one-level steps reduce with bare
+ladder asks for runs on the calling thread, and its time does not swing
+with the load of another core; large S pays for that in one-level
+steps.  The one-level steps reduce with bare
 ``np.add.reduce`` (the arithmetic of ``mean``, without its Python
 wrapper) and update their details in place.
 """

@@ -6,8 +6,16 @@ bookkeeping per implicit step is exact:
 
     integral(u_new) - integral(u_old) = -h * lambda * integral(Phi(u_new)).
 
-Each step solves v + h*D(Phi(v)) = g by damped Newton, at most
-1 + max_newton*(max_halvings + 1) applications of D.  Newton stops once
+Each step solves v + h*D(Phi(v)) = g by damped Newton.  It applies D
+1 + iterations + line-search halvings times, at most
+1 + max_newton*(max_halvings + 1), and one time fewer when g is the
+state the previous accepted step returned, for the same model, alpha
+and Phi: that step hands over its Phi(v) and D(Phi(v)), which are
+Phi(g) and D(Phi(g)) here, to the next step's first residual (and to
+``pme_trajectory``'s mass row).  The hand-over holds two S-arrays and a
+reference to the last returned state until the next step; it is keyed
+on the identity of that state's frozen values array, and any other
+input recomputes, so no result depends on it.  Newton stops once
 the residual is below the tolerance or below its own rounding floor,
 the size of eps times the h*D(Phi(v)) term it cancels; a step that ends
 above both raises SolverError.  D is a radial multiplier, applied
@@ -91,7 +99,12 @@ class Nonlinearity:
         if self.kind == "identity":
             return u.copy()
         if self.kind == "power":
-            return np.sign(u) * np.abs(u) ** self.exponent
+            # copysign(|u|**m, u), the sign taken from u + 0.0 so that
+            # u = -0.0 gives +0.0, as sign(u)*|u|**m does
+            s = u + 0.0
+            out = np.abs(s)
+            out **= self.exponent
+            return np.copysign(out, s, out=out)
         xs, ys = np.asarray(self.knots_x), np.asarray(self.knots_y)
         out = np.interp(u, xs, ys)
         s_lo = (ys[1] - ys[0]) / (xs[1] - xs[0])
@@ -108,7 +121,10 @@ class Nonlinearity:
             m = self.exponent
             if m == 1.0:
                 return np.ones_like(u)
-            return m * np.abs(u) ** (m - 1.0)
+            out = np.abs(u)
+            out **= m - 1.0
+            out *= m
+            return out
         xs = np.asarray(self.knots_x)
         ys = np.asarray(self.knots_y)
         slopes = np.diff(ys) / np.diff(xs)
@@ -213,10 +229,33 @@ def _tree_jacobian_solve(model: BallModel, e: np.ndarray, h: float,
     return r / d
 
 
+def _max_abs(a: np.ndarray) -> float:
+    """max |a| from two reductions and no temporary; NaN if a holds one."""
+    # abs() only maps a -0.0 maximum to +0.0, as np.max(np.abs(a)) has it
+    return abs(max(float(a.max()), -float(a.min())))
+
+
+# The last accepted step's (v, (model, alpha, Phi), Phi(v), D(Phi(v))),
+# v the returned GridFunction's frozen values array, held so that its
+# identity names that output and no other.  Every step drops it as it
+# starts; D(Phi(v)) depends on neither h nor the config.
+_handover: tuple | None = None
+
+
+def _handed_over(values: np.ndarray, model: BallModel, alpha: float,
+                 phi: Nonlinearity) -> tuple[np.ndarray, np.ndarray] | None:
+    """The hand-over's (Phi(v), D(Phi(v))) if v is ``values``, else None."""
+    last = _handover
+    if last is not None and last[0] is values and last[1] == (model, alpha, phi):
+        return last[2:]
+    return None
+
+
 def _implicit_step_info(g: GridFunction, h: float, alpha: float,
                         phi: Nonlinearity,
                         config: ImplicitStepConfig) -> tuple[GridFunction, int, float]:
     """Solve v + h*D(Phi(v)) = g; returns (v, newton_iterations, residual)."""
+    global _handover
     # NaN passes "h <= 0" and would run Newton on a NaN residual
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"step size must be positive and finite, got {h}")
@@ -225,28 +264,43 @@ def _implicit_step_info(g: GridFunction, h: float, alpha: float,
     model = g.model
     gvals = g.values
     e = operator_levels(model, alpha)
-    tol = config.newton_tol * (1.0 + float(np.max(np.abs(gvals))))
+    tol = config.newton_tol * (1.0 + _max_abs(gvals))
     # the residual's rounding floor, eps times the h*D(Phi(v)) term it
     # cancels: Newton stops there even above tol
     floor_scale = 4.0 * np.finfo(np.float64).eps * h * float(e[0])
 
-    def residual(v):
-        phi_v = phi.value(v)
-        r = v + h * _apply_operator(model, e, phi_v) - gvals
-        return r, float(np.max(np.abs(r))), floor_scale * float(np.max(np.abs(phi_v)))
+    def residual(v, phi_v, d_phi):
+        # h*D(Phi(v)) + v - g in one array
+        r = h * d_phi
+        r += v
+        r -= gvals
+        return r, _max_abs(r), floor_scale * _max_abs(phi_v)
 
-    v = gvals.copy()
-    r, rnorm, floor = residual(v)
+    phi_v, d_phi = _handed_over(gvals, model, alpha, phi) or (None, None)
+    _handover = None
+    if phi_v is None:
+        phi_v = phi.value(gvals)
+        d_phi = _apply_operator(model, e, phi_v)
+    # v is never written in place, so it may start as g's frozen array
+    v = gvals
+    r, rnorm, floor = residual(v, phi_v, d_phi)
     iters = 0
     while rnorm >= max(tol, floor) and iters < config.max_newton:
+        # only the last iterate's Phi(v) and D(Phi(v)) are handed over;
+        # this one's go now, so the iteration holds no more arrays than
+        # it would without the hand-over
+        phi_v = d_phi = phi_try = d_try = None
         delta = _tree_jacobian_solve(model, e, h, phi.derivative(v), r)
         step = 1.0
         improved = False
         for _ in range(config.max_halvings + 1):
-            v_try = v - step * delta
-            r_try, rnorm_try, floor_try = residual(v_try)
+            v_try = v - delta if step == 1.0 else v - step * delta
+            phi_try = phi.value(v_try)
+            d_try = _apply_operator(model, e, phi_try)
+            r_try, rnorm_try, floor_try = residual(v_try, phi_try, d_try)
             if rnorm_try < rnorm:
                 v, r, rnorm, floor = v_try, r_try, rnorm_try, floor_try
+                phi_v, d_phi = phi_try, d_try
                 improved = True
                 break
             step *= config.damping_factor
@@ -254,15 +308,28 @@ def _implicit_step_info(g: GridFunction, h: float, alpha: float,
         if not improved:
             break
     if rnorm < tol or rnorm <= floor:
-        return GridFunction(model, v), iters, rnorm
+        out = GridFunction(model, v)
+        if phi_v is not None:
+            _handover = (out.values, (model, alpha, phi), phi_v, d_phi)
+        return out, iters, rnorm
     raise SolverError(
         f"Newton failed: residual {rnorm:.3e} after {iters} iterations "
         f"(tolerance {tol:.3e}, rounding floor {floor:.3e})", residual=rnorm)
 
 
+def _phi_of(u: GridFunction, alpha: float, phi: Nonlinearity) -> np.ndarray:
+    """Phi(u.values), read from the hand-over when u is the last step's output."""
+    held = _handed_over(u.values, u.model, alpha, phi)
+    return held[0] if held else phi.value(u.values)
+
+
 def implicit_step(g: GridFunction, h: float, alpha: float, phi: Nonlinearity,
                   config: ImplicitStepConfig = DEFAULT_CONFIG) -> GridFunction:
-    """Backward-Euler resolvent: the v solving v + h*D(Phi(v)) = g."""
+    """Backward-Euler resolvent: the v solving v + h*D(Phi(v)) = g.
+
+    Applies D 1 + iterations + halvings times, one fewer when g is the
+    state the previous step returned (same model, alpha and Phi).
+    """
     v, _, _ = _implicit_step_info(g, h, float(alpha), phi, config)
     return v
 
@@ -306,7 +373,7 @@ def pme_trajectory(u0: GridFunction, t: float, k: int, alpha: float,
         mass_old = u.integral()
         u, iters, resid = _implicit_step_info(u, h, float(alpha), phi, config)
         mass_new = u.integral()
-        phi_mass = GridFunction(u.model, phi.value(u.values)).integral()
+        phi_mass = GridFunction(u.model, _phi_of(u, float(alpha), phi)).integral()
         rows.append({
             "step": j,
             "t": j * h,
@@ -345,7 +412,8 @@ def crandall_liggett(u0: GridFunction, t: float, alpha: float,
                      config: ImplicitStepConfig = DEFAULT_CONFIG
                      ) -> tuple[GridFunction, CLReport]:
     """Double the step count until the L1 increment falls below tol."""
-    if tol <= 0:
+    # NaN passes "tol <= 0" and would double the step count up to k_cap
+    if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     report = CLReport()
     k = k_start

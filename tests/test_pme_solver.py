@@ -47,6 +47,25 @@ def test_power_nonlinearity_round_trip():
         Nonlinearity.power(0.5)
 
 
+@pytest.mark.parametrize("m", [1.0, 1.5, 2.0, 3.0])
+def test_power_nonlinearity_is_bit_identical_to_its_formula(m):
+    # value and derivative are formed in place; every bit, the sign of
+    # zero included, equals sign(u)*|u|**m and m*|u|**(m-1)
+    tiny = np.finfo(np.float64).smallest_subnormal
+    u = np.concatenate([
+        [0.0, -0.0, tiny, -tiny, 3 * tiny, -1e-310, 1e-310, 1e-200, -1e-200,
+         1e300, -1e300, 1.0, -1.0, 0.5, -2.5],
+        np.random.default_rng(0).standard_normal(64),
+    ])
+    phi = Nonlinearity.power(m)
+    with np.errstate(over="ignore"):
+        want_value = np.sign(u) * np.abs(u) ** m
+        want_derivative = np.ones_like(u) if m == 1.0 else m * np.abs(u) ** (m - 1.0)
+        value, derivative = phi.value(u), phi.derivative(u)
+    assert np.array_equal(value.view(np.int64), want_value.view(np.int64))
+    assert np.array_equal(derivative.view(np.int64), want_derivative.view(np.int64))
+
+
 def test_identity_nonlinearity():
     phi = Nonlinearity.identity()
     u = np.linspace(-1, 1, 7)
@@ -291,6 +310,127 @@ def test_newton_stops_at_the_rounding_floor(monkeypatch):
     assert resid < max(ImplicitStepConfig().newton_tol * (1.0 + np.max(g.values)), floor)
 
 
+# -- the hand-over between steps -----------------------------------------
+
+
+def _without_handover(monkeypatch):
+    """Clear the hand-over before and after every step."""
+    step_info = pme_solver._implicit_step_info
+
+    def cleared(*args):
+        pme_solver._handover = None
+        try:
+            return step_info(*args)
+        finally:
+            pme_solver._handover = None
+
+    monkeypatch.setattr(pme_solver, "_implicit_step_info", cleared)
+
+
+def _count_applies(monkeypatch):
+    calls = [0]
+    apply_operator = pme_solver._apply_operator
+
+    def counting(*args):
+        calls[0] += 1
+        return apply_operator(*args)
+
+    monkeypatch.setattr(pme_solver, "_apply_operator", counting)
+    return calls
+
+
+def _march(u0, h, alpha, phi):
+    states, rows = pme_trajectory(u0, 6 * h, 6, alpha, phi)
+    final = evolve_pme(u0, 6 * h, 6, alpha, phi)
+    loop = [u0]
+    for _ in range(6):
+        loop.append(implicit_step(loop[-1], h, alpha, phi))
+    return ([u.values.tobytes() for u in states + [final] + loop[1:]], rows)
+
+
+@pytest.mark.parametrize("p, N, M, alpha, phi, data", [
+    (2, 0, 7, 1.3, Nonlinearity.power(2.0), "positive"),
+    (3, 0, 4, 0.5, Nonlinearity.power(3.0), "indicator"),
+    (5, -1, 3, 2.4, Nonlinearity.table([(-1.0, -1.0), (0.0, 0.0), (0.5, 0.25),
+                                        (1.0, 1.0), (2.0, 4.0)]), "signed"),
+])
+def test_handover_changes_no_bit(monkeypatch, p, N, M, alpha, phi, data):
+    model = BallModel(p, N, M)
+    rng = np.random.default_rng(3)
+    if data == "positive":
+        u0 = GridFunction(model, 1.0 + 0.25 * rng.random(model.S))
+    elif data == "indicator":
+        u0 = ball_indicator(model, 4, -2)
+    else:
+        u0 = GridFunction(model, rng.standard_normal(model.S))
+    with_handover = _march(u0, 0.01, alpha, phi)
+    with monkeypatch.context() as patch:
+        _without_handover(patch)
+        without = _march(u0, 0.01, alpha, phi)
+    assert with_handover == without
+
+
+def test_handover_saves_one_apply_per_step(monkeypatch):
+    model = BallModel(2, 0, 8)
+    alpha, h = 1.3, 0.05
+    phi = Nonlinearity.power(2.0)
+    u0 = GridFunction(model, 1.0 + 0.25 * np.random.default_rng(1).random(model.S))
+    calls = _count_applies(monkeypatch)
+
+    def per_step():
+        counts, u = [], u0
+        for _ in range(6):
+            before = calls[0]
+            u = implicit_step(u, h, alpha, phi)
+            counts.append(calls[0] - before)
+        return counts
+
+    with_handover = per_step()
+    with monkeypatch.context() as patch:
+        _without_handover(patch)
+        without = per_step()
+    assert with_handover == [without[0]] + [c - 1 for c in without[1:]]
+
+
+def test_handover_needs_the_returned_state_and_its_operator(monkeypatch):
+    # an equal-valued copy of the last output, or the output itself with
+    # another alpha, Phi or model, takes the cleared step's applies
+    model = BallModel(2, 0, 5)
+    alpha, h = 1.3, 0.05
+    phi = Nonlinearity.power(2.0)
+    calls = _count_applies(monkeypatch)
+    v = implicit_step(positive_bump(model, 0, 0), h, alpha, phi)
+    entry = pme_solver._handover
+    # the same S and values on another ball: another operator
+    other_model = GridFunction(BallModel(2, 1, 4), v.values)
+    other_model.values = v.values
+
+    def applies(g, alpha, phi, handover):
+        monkeypatch.setattr(pme_solver, "_handover", handover)
+        before = calls[0]
+        out = implicit_step(g, h, alpha, phi)
+        return calls[0] - before, out.values.tobytes()
+
+    def first_residual(g, alpha, phi, handover):
+        # no Newton iteration: the applies and the norm of h*D(Phi(g))
+        monkeypatch.setattr(pme_solver, "_handover", handover)
+        before = calls[0]
+        with pytest.raises(SolverError) as info:
+            implicit_step(g, h, alpha, phi, ImplicitStepConfig(max_newton=0))
+        return calls[0] - before, info.value.residual
+
+    hit, hit_bytes = applies(v, alpha, phi, entry)
+    cleared, cleared_bytes = applies(v, alpha, phi, None)
+    assert (hit, hit_bytes) == (cleared - 1, cleared_bytes)
+    assert first_residual(v, alpha, phi, entry) == (0, first_residual(v, alpha, phi, None)[1])
+    for g, a, f in [(GridFunction(model, v.values), alpha, phi),
+                    (v, 1.1, phi),
+                    (v, alpha, Nonlinearity.power(3.0)),
+                    (other_model, alpha, phi)]:
+        assert applies(g, a, f, entry) == applies(g, a, f, None)
+        assert first_residual(g, a, f, entry) == first_residual(g, a, f, None)
+
+
 def test_warm_implicit_step_builds_no_operator(monkeypatch):
     # the operator's levels are cached per (model, alpha): a step after
     # the first one neither builds the levels nor the multiplier
@@ -472,6 +612,36 @@ def test_solver_error_carries_residual():
     assert "rounding floor" in str(info.value)
 
 
+def test_max_norm_keeps_a_nan():
+    # two reductions in place of np.max(np.abs(r)): the same value,
+    # NaN wherever the array holds one, +0.0 for an all-zero array
+    rng = np.random.default_rng(2)
+    for a in (rng.standard_normal(50), -np.abs(rng.standard_normal(50)),
+              np.array([-0.0, -0.0]), np.array([0.0, -0.0]), np.array([-np.inf, 1.0])):
+        got, want = pme_solver._max_abs(a), float(np.max(np.abs(a)))
+        assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64)
+    for i in (0, 25, 49):
+        a = rng.standard_normal(50)
+        a[i] = np.nan
+        assert math.isnan(pme_solver._max_abs(a))
+
+
+@pytest.mark.parametrize("where", [0, 17, 31])
+def test_nan_in_the_residual_ends_the_step_in_solver_error(monkeypatch, where):
+    apply_operator = pme_solver._apply_operator
+
+    def poisoned(*args):
+        out = apply_operator(*args)
+        out[where] = np.nan
+        return out
+
+    monkeypatch.setattr(pme_solver, "_apply_operator", poisoned)
+    model = BallModel(2, 0, 5)
+    with pytest.raises(SolverError) as info:
+        implicit_step(positive_bump(model, 0, 0), 0.1, 1.0, Nonlinearity.power(2.0))
+    assert math.isnan(info.value.residual)
+
+
 def test_step_info_reports_converged_residual():
     model = BallModel(2, 0, 4)
     g = positive_bump(model, 0, 0)
@@ -571,6 +741,20 @@ def test_crandall_liggett_cap_raises():
                          tol=1e-14, k_cap=64)
     with pytest.raises(ValueError):
         crandall_liggett(u0, 1.0, 1.0, Nonlinearity.power(2.0), tol=0.0)
+
+
+def test_crandall_liggett_rejects_a_nan_tol_before_any_step(monkeypatch):
+    # NaN passes "tol <= 0"; before the check it doubled the step count
+    # to k_cap before raising SolverError
+    def refuse(*args):
+        raise AssertionError("operator applied for a non-positive tol")
+
+    monkeypatch.setattr(pme_solver, "_apply_operator", refuse)
+    model = BallModel(2, 0, 4)
+    u0 = positive_bump(model, 0, 0)
+    for tol in (math.nan, -1.0, 0.0, -math.inf):
+        with pytest.raises(ValueError, match="tol"):
+            crandall_liggett(u0, 0.1, 1.0, Nonlinearity.power(2.0), tol=tol, k_cap=64)
 
 
 def test_evolve_pme_validation():
