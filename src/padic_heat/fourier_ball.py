@@ -32,7 +32,9 @@ per element, so it walks several levels per call.  A block of k levels,
 k = floor(log_p 32) (5 for p = 2, 3 for p = 3, 2 for p = 5, 1 for
 p = 7), views the finer average as a (p**k, -1) array whose columns are
 the classes of the coarser one, and applies all k levels' details at
-once by one p**k x p**k band matrix (one BLAS product).  The band's
+once by one p**k x p**k band matrix (one BLAS product), formed once per
+read-only level array (``_ladder_bands``), so the operator levels the
+solvers read from ``vladimirov.operator_levels`` pay it once.  The band's
 columns sum to zero, but the product's rounding does not, and where
 every column holds the same data (u a function of the top digits) that
 residue adds up in the class means the coarser levels carry.  So after
@@ -188,6 +190,39 @@ def _restore_class_sums(z: np.ndarray, coarse: np.ndarray) -> None:
     z[0] -= excess
 
 
+# The last read-only level array whose block bands ``apply_radial``
+# formed: (levels, p, widths, bands), bands[i] the band of the i-th step
+# of the widths (None for a one-level step).  The entry holds the array,
+# so its identity names those values and no other.
+_band_memo: tuple | None = None
+
+
+def _ladder_bands(p: int, levels: np.ndarray, widths: tuple[int, ...]) -> tuple:
+    """Each step's band ``levels[r:r+w] @ _band_basis(p, w)`` as p**w x p**w.
+
+    Formed once per read-only level array (one entry, keyed on the
+    array's identity, p and the widths), so the solvers' operator levels
+    pay it once per operator; a writable array is formed per call, since
+    it may change in place between calls.
+    """
+    global _band_memo
+    memo = _band_memo
+    if memo is not None and memo[0] is levels and memo[1] == p and memo[2] == widths:
+        return memo[3]
+    bands, r = [], 0
+    for w in widths:
+        band = None
+        if w > 1:
+            band = (levels[r:r + w] @ _band_basis(p, w)).reshape(p ** w, p ** w)
+            band.setflags(write=False)
+        bands.append(band)
+        r += w
+    bands = tuple(bands)
+    if isinstance(levels, np.ndarray) and not levels.flags.writeable:
+        _band_memo = (levels, p, widths, bands)
+    return bands
+
+
 def apply_radial(model: BallModel, levels: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Apply a radial multiplier through nested ball averages, in O(S).
 
@@ -202,13 +237,15 @@ def apply_radial(model: BallModel, levels: np.ndarray, values: np.ndarray) -> np
     The levels are walked in the steps of ``_ladder_widths``.  A block of
     w levels from r subtracts the coarse average A_{r+w} from A_r viewed
     as (p**w, -1), multiplies once by the band matrix
-    sum_j e_{r+j} (Q_j - Q_{j+1}), formed per call from ``_band_basis``,
-    and adds the coarser result; the finest block then has its column
-    sums restored exactly by ``_restore_class_sums``.  A complex array
-    goes through the product as its real view, so the band stays real.
+    sum_j e_{r+j} (Q_j - Q_{j+1}) from ``_ladder_bands`` (formed once per
+    read-only level array, per call for a writable one), and adds the
+    coarser result; the finest block then has its column sums restored
+    exactly by ``_restore_class_sums``.  A complex array goes through the
+    product as its real view, so the band stays real.
     """
     p, L = model.p, model.N + model.M
     widths = _ladder_widths(p, L, 2 if np.iscomplexobj(values) else 1)
+    bands = _ladder_bands(p, levels, widths)
     # np.add.reduce(x, axis=0) / q is the arithmetic of x.mean(axis=0)
     # without its Python wrapper, which dominates at small S
     averages = [np.asarray(values)]
@@ -232,12 +269,10 @@ def apply_radial(model: BallModel, levels: np.ndarray, values: np.ndarray) -> np
             # and the Fourier path both stay near 1e-10 on that data.
             detail -= np.add.reduce(detail, axis=0) / p
             detail *= levels[r]
+        elif detail.dtype.kind == "c":
+            detail = (bands[i] @ detail.view(np.float64)).view(detail.dtype)
         else:
-            band = (levels[r:r + w] @ _band_basis(p, w)).reshape(q, q)
-            if detail.dtype.kind == "c":
-                detail = (band @ detail.view(np.float64)).view(detail.dtype)
-            else:
-                detail = band @ detail
+            detail = bands[i] @ detail
         detail += out
         # the finest block: the last of the ladder or the first above
         # its one-level steps
@@ -260,30 +295,35 @@ def dft_direct(values: np.ndarray, sign: int) -> np.ndarray:
     """O(S^2) reference transform: sum with kernel exp(sign*2*pi*i*n*k/S).
 
     Carries no 1/S scale; the caller applies the forward normalisation.
-    Index products are formed exactly (``np.multiply.outer`` in int32
-    while (S - 1)**2 < 2**31, int64 beyond) and reduced mod S in place
-    before the exponential table is gathered with ``np.take``.  The rows
-    are evaluated in blocks of at most ``_DFT_BLOCK`` = 2**16 kernel
-    entries: the block's gather is 1 MB of complex128 and its index
-    table 256 KB of int32, so with the S-long table, data and result the
-    working set stays inside a 2 MB L2 and the memory O(S) instead of two
-    S x S tables.  (Four times the block, with an int64 table and a copy
-    of it for the ``%``, holds about 8 MB and spills the L2.)  Each row
-    sums the same products as over the full table, but the order of the
-    sum is the BLAS gemv's, which may depend on the block's row count:
-    with OpenBLAS 0.3.31 at S = 729, blocks of 1, 2, 4, 7 or 8 rows
-    differ from the full table in the last bits, while the 2**16-entry
-    blocks match it bit for bit at the sizes the tests check.
+    The rows are evaluated in blocks of at most ``_DFT_BLOCK`` = 2**16
+    kernel entries, so the memory stays O(S).  The first block's index
+    products n*k are formed exactly (``np.multiply.outer`` in the type of
+    ``_dft_index_dtype``) and reduced mod S; each later block's table is
+    the previous one plus rows*k mod S, folded back into [0, S) by one
+    unsigned subtract of S and a minimum (a wrapped difference is the
+    larger), with no integer division.  The exponential table is gathered
+    with ``np.take`` and each block summed by one product.  Each row sums
+    the same products as over the full table, in the BLAS product's
+    order, which may depend on the block's row count.
     """
     v = np.asarray(values, dtype=np.complex128)
     S = v.size
     s = +1 if sign > 0 else -1
     table = np.exp(s * 2j * np.pi * np.arange(S) / S)
-    n = np.arange(S, dtype=_dft_index_dtype(S))
+    signed = _dft_index_dtype(S)
+    unsigned = np.uint32 if signed is np.int32 else np.uint64
+    n = np.arange(S, dtype=signed)
     rows = max(1, _DFT_BLOCK // max(S, 1))
+    idx = np.multiply.outer(n[:rows], n)
+    np.remainder(idx, S, out=idx)
+    idx = idx.view(unsigned)
+    step = (rows * n % S).view(unsigned)
+    wrapped = np.empty_like(idx)
     out = np.empty(S, dtype=np.complex128)
     for start in range(0, S, rows):
-        idx = np.multiply.outer(n[start:start + rows], n)
-        np.remainder(idx, S, out=idx)
-        out[start:start + rows] = np.take(table, idx) @ v
+        if start:
+            idx += step
+            np.subtract(idx, S, out=wrapped)
+            np.minimum(idx, wrapped, out=idx)
+        out[start:start + rows] = np.take(table, idx[:S - start]) @ v
     return out

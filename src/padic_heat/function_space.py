@@ -37,14 +37,10 @@ def circulant_apply(w: np.ndarray, u: np.ndarray) -> np.ndarray:
     "valid" part of the linear convolution of a with w is, at output n,
     sum_j w[j] * a[n + S - 1 - j] = sum_j w[j] * u[(n - j) mod S].
     numpy's ``convolve`` evaluates that as a direct sum, one dot product
-    per output, with no conjugation of complex w; it holds only the
-    2S - 1 entries of a and no S x S view, so at S = 4096 its working
-    set is under 200 KB of a 2 MB L2.  (numpy does not hand the product
-    of a strided ``sliding_window_view`` with w reversed to BLAS: the
-    same sum took 6-7 times as long that way at S = 729, 3 times at
-    S = 4096.)  No transform is involved (a convolution that may switch
-    to an FFT, such as ``scipy.signal.convolve``, would not do), so the
-    O(S^2) oracles built on it stay independent of the spectral path.
+    per output, with no conjugation of complex w, and holds O(S) memory.
+    No transform is involved (a convolution that may switch to an FFT,
+    such as ``scipy.signal.convolve``, would not do), so the O(S^2)
+    oracles built on it stay independent of the spectral path.
     """
     return np.convolve(np.concatenate((u, u))[1:], w, "valid")
 

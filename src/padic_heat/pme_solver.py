@@ -71,8 +71,9 @@ class Nonlinearity:
 
     @staticmethod
     def power(m: float) -> "Nonlinearity":
-        if m < 1:
-            raise ValueError(f"power exponent must be >= 1, got {m}")
+        # NaN passes "m < 1", and inf makes |u|**m 0 or inf
+        if not (math.isfinite(m) and m >= 1):
+            raise ValueError(f"power exponent must be finite and >= 1, got {m}")
         return Nonlinearity("power", exponent=float(m))
 
     @staticmethod
@@ -181,6 +182,36 @@ def _apply_operator(model: BallModel, levels: np.ndarray, values: np.ndarray) ->
     return apply_radial(model, levels, values)
 
 
+# The last read-only level array the tree solve formed its coefficients
+# for: (e, (p, h), coefficients), see ``_tree_coefficients``.  The entry
+# holds the array, so its identity names those values and no other.
+_tree_memo: tuple | None = None
+
+
+def _tree_coefficients(p: int, e: np.ndarray, h: float) -> tuple:
+    """(h*e_0, rows, c) of the tree solve for the levels e and step h.
+
+    rows[k-1] = [h*e_k/p**k, p**-k] and c[k-1] = c_k = h*(e_k - e_{k-1})/p**k
+    for k = 1..L.  Formed once per read-only level array and h (one
+    entry, keyed on the array's identity, p and h), so the Newton loop
+    pays it once per step; a writable array is formed per call, since it
+    may change in place between calls.
+    """
+    global _tree_memo
+    memo = _tree_memo
+    if memo is not None and memo[0] is e and memo[1] == (p, h):
+        return memo[2]
+    ev = e.tolist()
+    rows = np.array([[h * ev[k] / p ** k, float(p) ** -k]
+                     for k in range(1, len(ev))]).reshape(-1, 2)
+    rows.setflags(write=False)
+    c = [h * (ev[k] - ev[k - 1]) / p ** k for k in range(1, len(ev))]
+    coefficients = (h * ev[0], list(rows), c)
+    if not e.flags.writeable:
+        _tree_memo = (e, (p, h), coefficients)
+    return coefficients
+
+
 def _tree_jacobian_solve(model: BallModel, e: np.ndarray, h: float,
                          sigma: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Solve (I + h*D*diag(sigma)) x = r exactly, for sigma >= 0, in O(S).
@@ -198,26 +229,28 @@ def _tree_jacobian_solve(model: BallModel, e: np.ndarray, h: float,
     p**-k * m = 1 - h*e_{k-1}*t/p**k without a subtraction: 1 + c_k*t
     itself cancels when h*e_0*sigma is large.
 
-    The rows t, sx and m go up the tree together: per level one
-    reduction, the denominator from two scaled rows, one division of
-    all three rows by it, and the shift c_k*sx read off the divided sx
-    row; six array operations and no BLAS call.
+    The rows t, sx and m start as sigma/d, sigma*r/d and 1/d, and go up
+    the tree together: per level one reduction, the denominator as one
+    product of the level's row [h*e_k/p**k, p**-k] with the t and m rows,
+    one division of all three rows by it, and the shift c_k*sx read off
+    the divided sx row; four array operations.  The per-level scalars
+    come from ``_tree_coefficients``.
     """
     p, L = model.p, model.N + model.M
-    e = e.tolist()
-    d = 1.0 + h * e[0] * sigma
+    c0, rows, c = _tree_coefficients(p, e, h)
+    d = c0 * sigma
+    d += 1.0
     tsm = np.empty((3, sigma.size))
-    tsm[0] = sigma
+    np.divide(sigma, d, out=tsm[0])
     np.multiply(sigma, r, out=tsm[1])
-    tsm[2] = 1.0
-    tsm /= d
+    tsm[1] /= d
+    np.divide(1.0, d, out=tsm[2])
     denoms, shifts = [], []
-    for k in range(1, L + 1):
+    for row, c_k in zip(rows, c):
         tsm = np.add.reduce(tsm.reshape(3, p, -1), axis=1)
-        denom = h * e[k] / p ** k * tsm[0]
-        denom += float(p) ** -k * tsm[2]
+        denom = row @ tsm[::2]
         tsm /= denom
-        shifts.append(h * (e[k] - e[k - 1]) / p ** k * tsm[1])
+        shifts.append(c_k * tsm[1])
         denoms.append(denom)
     # x*d = r - sum_k shift_k / (the denominators of the finer classes),
     # each class's correction broadcast over its p subclasses
@@ -232,7 +265,7 @@ def _tree_jacobian_solve(model: BallModel, e: np.ndarray, h: float,
 def _max_abs(a: np.ndarray) -> float:
     """max |a| from two reductions and no temporary; NaN if a holds one."""
     # abs() only maps a -0.0 maximum to +0.0, as np.max(np.abs(a)) has it
-    return abs(max(float(a.max()), -float(a.min())))
+    return abs(max(float(np.maximum.reduce(a)), -float(np.minimum.reduce(a))))
 
 
 # The last accepted step's (v, (model, alpha, Phi), Phi(v), D(Phi(v))),
@@ -269,12 +302,16 @@ def _implicit_step_info(g: GridFunction, h: float, alpha: float,
     # cancels: Newton stops there even above tol
     floor_scale = 4.0 * np.finfo(np.float64).eps * h * float(e[0])
 
-    def residual(v, phi_v, d_phi):
+    def residual(v, d_phi):
         # h*D(Phi(v)) + v - g in one array
         r = h * d_phi
         r += v
         r -= gvals
-        return r, _max_abs(r), floor_scale * _max_abs(phi_v)
+        return r, _max_abs(r)
+
+    def floor_of(rnorm, phi_v):
+        # only read when the residual is not below tol
+        return 0.0 if rnorm < tol else floor_scale * _max_abs(phi_v)
 
     phi_v, d_phi = _handed_over(gvals, model, alpha, phi) or (None, None)
     _handover = None
@@ -283,7 +320,8 @@ def _implicit_step_info(g: GridFunction, h: float, alpha: float,
         d_phi = _apply_operator(model, e, phi_v)
     # v is never written in place, so it may start as g's frozen array
     v = gvals
-    r, rnorm, floor = residual(v, phi_v, d_phi)
+    r, rnorm = residual(v, d_phi)
+    floor = floor_of(rnorm, phi_v)
     iters = 0
     while rnorm >= max(tol, floor) and iters < config.max_newton:
         # only the last iterate's Phi(v) and D(Phi(v)) are handed over;
@@ -297,9 +335,10 @@ def _implicit_step_info(g: GridFunction, h: float, alpha: float,
             v_try = v - delta if step == 1.0 else v - step * delta
             phi_try = phi.value(v_try)
             d_try = _apply_operator(model, e, phi_try)
-            r_try, rnorm_try, floor_try = residual(v_try, phi_try, d_try)
+            r_try, rnorm_try = residual(v_try, d_try)
             if rnorm_try < rnorm:
-                v, r, rnorm, floor = v_try, r_try, rnorm_try, floor_try
+                v, r, rnorm = v_try, r_try, rnorm_try
+                floor = floor_of(rnorm, phi_try)
                 phi_v, d_phi = phi_try, d_try
                 improved = True
                 break
@@ -459,6 +498,15 @@ def lgamma_decay_suite(u0: GridFunction, times, gammas, alpha: float,
     The data must be strictly positive.  Violations are recorded as
     (gamma, t, increase) rather than raised.
     """
+    # -3 would take no step and report constant norms, and 0 divides by
+    # zero; a NaN slack would hide every violation
+    if (isinstance(steps_per_interval, bool)
+            or not isinstance(steps_per_interval, (int, np.integer))
+            or steps_per_interval < 1):
+        raise ValueError(
+            f"steps_per_interval must be an integer >= 1, got {steps_per_interval!r}")
+    if not (math.isfinite(slack) and slack >= 0):
+        raise ValueError(f"slack must be finite and >= 0, got {slack}")
     if np.min(u0.values) <= 0:
         raise ValueError("decay suite requires strictly positive data")
     ts = [float(t) for t in times]

@@ -114,6 +114,16 @@ def test_dft_direct_keeps_its_memory_linear():
     assert rel_linf(model.S * forward(u).coeffs, got) < 1e-12
 
 
+def test_dft_direct_int64_tables_equal_the_full_table(monkeypatch):
+    # the int64/uint64 path, which only S > 46341 takes, forced at
+    # small S: its blocks fold back into [0, S) exactly as int32's do
+    monkeypatch.setattr(fourier_ball, "_dft_index_dtype", lambda S: np.int64)
+    rng = np.random.default_rng(6)
+    for S in (1, 7, 729, 2401):
+        values = rng.standard_normal(S) + 1j * rng.standard_normal(S)
+        assert np.array_equal(dft_direct(values, -1), _dft_full_table(values, -1))
+
+
 def test_dft_index_products_fit_their_integer_type():
     # the products n*k reach (S - 1)**2; int32 holds them up to S = 46341
     for S, want in ((46340, np.int32), (46341, np.int32), (46342, np.int64)):
@@ -304,6 +314,78 @@ def test_ladder_blocks_stay_single_threaded():
     # for complex data
     assert fourier_ball._ladder_widths(2, 13, 1) == (5, 5, 3)
     assert fourier_ball._ladder_widths(2, 13, 2) == (1, 5, 5, 2)
+
+
+def _ladder_with_bands_per_call(model, levels, values):
+    """apply_radial with every block's band formed inside the call."""
+    p, L = model.p, model.N + model.M
+    widths = fourier_ball._ladder_widths(p, L, 2 if np.iscomplexobj(values) else 1)
+    averages = [np.asarray(values)]
+    for w in widths:
+        averages.append(np.add.reduce(averages[-1].reshape(p ** w, -1), axis=0) / p ** w)
+    out = levels[L] * averages[-1]
+    r = L
+    for i in range(len(widths) - 1, -1, -1):
+        w = widths[i]
+        q = p ** w
+        r -= w
+        detail = averages[i].reshape(q, -1) - averages[i + 1]
+        if w == 1:
+            detail -= np.add.reduce(detail, axis=0) / p
+            detail *= levels[r]
+        else:
+            band = (levels[r:r + w] @ fourier_ball._band_basis(p, w)).reshape(q, q)
+            if detail.dtype.kind == "c":
+                detail = (band @ detail.view(np.float64)).view(detail.dtype)
+            else:
+                detail = band @ detail
+        detail += out
+        if w > 1 and (i == 0 or widths[i - 1] == 1):
+            fourier_ball._restore_class_sums(detail.view(np.float64), out.view(np.float64))
+        out = detail.reshape(-1)
+    return out
+
+
+# every p, with blocks only and (p = 2, 3, 5) with one-level steps
+# below the blocks; p = 7 takes one-level steps throughout
+_HELD_BAND_MODELS = [(2, 0, 7), (2, -1, 15), (3, 0, 5), (3, 0, 10), (5, 0, 4), (5, 1, 5),
+                     (7, 0, 3)]
+
+
+@pytest.mark.parametrize("p, N, M", _HELD_BAND_MODELS,
+                         ids=[f"p{p}_N{N}_M{M}" for p, N, M in _HELD_BAND_MODELS])
+def test_held_bands_change_no_bit(monkeypatch, p, N, M):
+    model = BallModel(p, N, M)
+    monkeypatch.setattr(fourier_ball, "_band_memo", None)
+    rng = np.random.default_rng(p * 100 + M)
+    u = rng.standard_normal(model.S)
+    frozen = radial_levels(model, multiplier(model, 1.3).eigenvalues)
+    frozen.setflags(write=False)
+    for values in (u, u + 1j * rng.standard_normal(model.S)):
+        want = _ladder_with_bands_per_call(model, frozen, values)
+        # a miss, a hit, and a writable copy, which is never held
+        for levels in (frozen, frozen, frozen.copy()):
+            got = apply_radial(model, levels, values)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got.view(np.float64), want.view(np.float64))
+    widths = fourier_ball._ladder_widths(p, N + M, 2)
+    if max(widths) > 1:
+        assert fourier_ball._band_memo[0] is frozen
+
+
+def test_apply_radial_reads_a_writable_level_array_afresh(monkeypatch):
+    # a writable array may change in place between calls: the second
+    # call must see its new values, not bands formed for the old
+    model = BallModel(2, 0, 9)
+    monkeypatch.setattr(fourier_ball, "_band_memo", None)
+    u = np.random.default_rng(9).standard_normal(model.S)
+    levels = radial_levels(model, multiplier(model, 0.8).eigenvalues)
+    first = apply_radial(model, levels, u)
+    levels[:] = radial_levels(model, multiplier(model, 1.7).eigenvalues)
+    second = apply_radial(model, levels, u)
+    assert np.array_equal(second, _ladder_with_bands_per_call(model, levels, u))
+    assert not np.array_equal(first, second)
+    assert fourier_ball._band_memo is None
 
 
 def test_apply_radial_keeps_the_mean_at_large_eigenvalues():

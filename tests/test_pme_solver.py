@@ -66,6 +66,12 @@ def test_power_nonlinearity_is_bit_identical_to_its_formula(m):
     assert np.array_equal(derivative.view(np.int64), want_derivative.view(np.int64))
 
 
+@pytest.mark.parametrize("m", [math.nan, math.inf])
+def test_power_nonlinearity_rejects_non_finite_exponents(m):
+    with pytest.raises(ValueError, match="finite"):
+        Nonlinearity.power(m)
+
+
 def test_identity_nonlinearity():
     phi = Nonlinearity.identity()
     u = np.linspace(-1, 1, 7)
@@ -580,6 +586,67 @@ def test_tree_jacobian_solve_keeps_precision_when_h_e0_sigma_is_large():
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+def _dense_jacobian_solve(model, alpha, h, sigma, r):
+    J = np.eye(model.S) + h * build_matrix(model, alpha) * sigma[None, :]
+    return np.linalg.solve(J, r)
+
+
+# the ends of the model space: one point (L = 0, no level to fold in)
+# and p = 7, the widest classes
+@pytest.mark.parametrize("p, N, M", [(2, 0, 0), (7, -1, 1), (7, 0, 1), (7, 0, 3), (7, 1, 2)],
+                         ids=["S1", "p7_L0", "p7_L1", "p7_L3", "p7_N1_L3"])
+def test_tree_jacobian_solve_matches_dense_lu_at_the_ends(p, N, M):
+    model = BallModel(p, N, M)
+    rng = np.random.default_rng(p + 10 * M)
+    for alpha in (0.5, 1.0, 1.5):
+        e = operator_levels(model, alpha)
+        for h in (1e-6, 0.01, 1.0, 1e3):
+            sigma = rng.uniform(0.0, 3.0, model.S)
+            sigma[rng.random(model.S) < 0.3] = 0.0
+            r = rng.standard_normal(model.S)
+            want = _dense_jacobian_solve(model, alpha, h, sigma, r)
+            got = _tree_jacobian_solve(model, e, h, sigma, r)
+            assert got.shape == r.shape
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def test_tree_coefficients_are_keyed_on_h(monkeypatch):
+    # the coefficients of one read-only level array are held across
+    # calls; another h on the same array must not read them
+    model = BallModel(3, 0, 4)
+    e = operator_levels(model, 1.3)
+    rng = np.random.default_rng(4)
+    sigma, r = rng.uniform(0.0, 3.0, model.S), rng.standard_normal(model.S)
+    monkeypatch.setattr(pme_solver, "_tree_memo", None)
+    for h in (0.01, 5.0, 0.01, 5.0):
+        got = _tree_jacobian_solve(model, e, h, sigma, r)
+        assert pme_solver._tree_memo[0] is e
+        # a fresh solve: the memo cleared, and a writable copy never held
+        pme_solver._tree_memo = None
+        assert np.array_equal(got, _tree_jacobian_solve(model, e, h, sigma, r))
+        assert np.array_equal(got, _tree_jacobian_solve(model, e.copy(), h, sigma, r))
+        want = _dense_jacobian_solve(model, 1.3, h, sigma, r)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def test_tree_solve_reads_a_writable_level_array_afresh(monkeypatch):
+    # a writable array may change in place between calls: the second
+    # call must see its new values, not coefficients formed for the old
+    model = BallModel(2, 0, 6)
+    rng = np.random.default_rng(6)
+    sigma, r = rng.uniform(0.0, 3.0, model.S), rng.standard_normal(model.S)
+    monkeypatch.setattr(pme_solver, "_tree_memo", None)
+    e = operator_levels(model, 0.8).copy()
+    first = _tree_jacobian_solve(model, e, 0.1, sigma, r)
+    e[:] = operator_levels(model, 1.7)
+    second = _tree_jacobian_solve(model, e, 0.1, sigma, r)
+    assert np.array_equal(second, _tree_jacobian_solve(model, e.copy(), 0.1, sigma, r))
+    assert not np.array_equal(first, second)
+    pme_solver._tree_memo = None
+    _tree_jacobian_solve(model, e, 0.1, sigma, r)
+    assert pme_solver._tree_memo is None
+
+
 def test_step_uses_no_dense_linear_algebra(monkeypatch):
     # no O(S**2) path in the step: pme_solver neither imports nor calls
     # build_matrix or np.linalg.solve
@@ -802,6 +869,23 @@ def test_lgamma_decay_suite():
         lgamma_decay_suite(ball_indicator(model, 0, -1), times, [1.0], 1.0, phi)
     with pytest.raises(ValueError):
         lgamma_decay_suite(u0, [0.5, 0.25], [1.0], 1.0, phi)
+
+
+@pytest.mark.parametrize("steps, slack", [(-3, 1e-12), (0, 1e-12), (2.5, 1e-12),
+                                          (8, math.nan), (8, -1.0), (8, math.inf)],
+                         ids=["steps-3", "steps0", "steps2.5", "slack_nan",
+                              "slack-1", "slack_inf"])
+def test_lgamma_decay_suite_rejects_bad_arguments_before_stepping(monkeypatch, steps, slack):
+    # -3 used to report constant norms as nonincreasing, 0 raised
+    # ZeroDivisionError, and a NaN slack hid every violation
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a step was taken")
+
+    monkeypatch.setattr(pme_solver, "implicit_step", forbidden)
+    model = BallModel(2, 0, 4)
+    with pytest.raises(ValueError, match="steps_per_interval|slack"):
+        lgamma_decay_suite(positive_bump(model, 0, 0), [0.1, 0.2], [1.0], 1.0,
+                           Nonlinearity.power(2.0), steps_per_interval=steps, slack=slack)
 
 
 def test_table_nonlinearity_drives_the_solver():
