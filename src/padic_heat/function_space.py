@@ -79,6 +79,9 @@ class GridFunction:
         if gamma < 1:
             raise ValueError(f"gamma must be >= 1 or inf, got {gamma}")
         meas = float(self.model.p) ** (-self.model.M)
+        if gamma == 1:
+            # both powers are the identity at gamma = 1
+            return float(meas * np.abs(self.values).sum())
         return float((meas * (np.abs(self.values) ** gamma).sum()) ** (1.0 / gamma))
 
     # -- algebra -------------------------------------------------------

@@ -24,7 +24,9 @@ ladder values, which a step reads once from ``vladimirov.operator_levels``.
 The same ladder writes D as a diagonal plus one rank-1 term per class
 of the nested p-ary partition, so the Newton Jacobian
 I + h*D*diag(Phi'(v)) is solved exactly by Sherman-Morrison, level by
-level, in O(S) at every size.
+level, in O(S) at every size: per level of the up-pass one BLAS product
+of a (5, 3p) level matrix, formed once per step, with the finer level's
+rows, and one division.
 The Crandall-Liggett construction doubles the step count until
 successive solutions stop moving in L1.
 """
@@ -82,7 +84,12 @@ class Nonlinearity:
 
     @staticmethod
     def table(knots) -> "Nonlinearity":
-        pts = sorted((float(x), float(y)) for x, y in knots)
+        pts = [(float(x), float(y)) for x, y in knots]
+        # JSON reads NaN and Infinity: a NaN knot survives the order checks
+        # below and makes every residual NaN, an infinite one makes Phi inf
+        if not all(math.isfinite(x) and math.isfinite(y) for x, y in pts):
+            raise ValueError(f"table knots must be finite, got {pts}")
+        pts.sort()
         xs = tuple(x for x, _ in pts)
         ys = tuple(y for _, y in pts)
         if len(xs) < 2:
@@ -101,9 +108,12 @@ class Nonlinearity:
             return u.copy()
         if self.kind == "power":
             # copysign(|u|**m, u), the sign taken from u + 0.0 so that
-            # u = -0.0 gives +0.0, as sign(u)*|u|**m does
+            # u = -0.0 gives +0.0, as sign(u)*|u|**m does; at m = 2 the
+            # product s*|s| has those bits, in one pass fewer
             s = u + 0.0
             out = np.abs(s)
+            if self.exponent == 2.0:
+                return np.multiply(s, out, out=out)
             out **= self.exponent
             return np.copysign(out, s, out=out)
         xs, ys = np.asarray(self.knots_x), np.asarray(self.knots_y)
@@ -123,7 +133,8 @@ class Nonlinearity:
             if m == 1.0:
                 return np.ones_like(u)
             out = np.abs(u)
-            out **= m - 1.0
+            if m != 2.0:
+                out **= m - 1.0
             out *= m
             return out
         xs = np.asarray(self.knots_x)
@@ -169,8 +180,15 @@ class ImplicitStepConfig:
     max_halvings: int = 30
 
     def __post_init__(self):
-        if self.newton_tol <= 0:
-            raise ValueError("newton_tol must be positive")
+        # NaN and inf pass "newton_tol <= 0": an infinite tolerance accepts
+        # any g as its own solution, a NaN one fails every step
+        if not (math.isfinite(self.newton_tol) and self.newton_tol > 0):
+            raise ValueError(f"newton_tol must be positive and finite, got {self.newton_tol}")
+        for name in ("max_newton", "max_halvings"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+                    or value < 0):
+                raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
         if not 0 < self.damping_factor < 1:
             raise ValueError("damping factor must lie in (0, 1)")
 
@@ -189,27 +207,78 @@ _tree_memo: tuple | None = None
 
 
 def _tree_coefficients(p: int, e: np.ndarray, h: float) -> tuple:
-    """(h*e_0, rows, c) of the tree solve for the levels e and step h.
+    """(h*e_0, W) of the tree solve for the levels e and step h.
 
-    rows[k-1] = [h*e_k/p**k, p**-k] and c[k-1] = c_k = h*(e_k - e_{k-1})/p**k
-    for k = 1..L.  Formed once per read-only level array and h (one
-    entry, keyed on the array's identity, p and h), so the Newton loop
-    pays it once per step; a writable array is formed per call, since it
-    may change in place between calls.
+    W is the read-only (L, 5, 3p) stack of the level matrices: W[k-1] is
+    [[a_k, 0, b_k], [1, 0, 0], [0, 1, 0], [0, 0, 1], [0, c_k, 0]] with
+    each column repeated p times, a_k = h*e_k/p**k, b_k = p**-k and
+    c_k = h*(e_k - e_{k-1})/p**k, for k = 1..L.  Applied to the finer
+    level's t, sx and m rows viewed as (3p, -1), it gives the class's
+    [denominator, T, X, M, c_k*X].  The stack is filled by broadcasting
+    in a few numpy calls, formed once per read-only level array and h
+    (one entry, keyed on the array's identity, p and h), so the Newton
+    loop pays it once per step; a writable array is formed per call,
+    since it may change in place between calls.
     """
     global _tree_memo
     memo = _tree_memo
     if memo is not None and memo[0] is e and memo[1] == (p, h):
         return memo[2]
-    ev = e.tolist()
-    rows = np.array([[h * ev[k] / p ** k, float(p) ** -k]
-                     for k in range(1, len(ev))]).reshape(-1, 2)
-    rows.setflags(write=False)
-    c = [h * (ev[k] - ev[k - 1]) / p ** k for k in range(1, len(ev))]
-    coefficients = (h * ev[0], list(rows), c)
+    k = np.arange(1, e.size)
+    pk = float(p) ** k
+    base = np.zeros((e.size - 1, 5, 3))
+    base[:, 0, 0] = h * e[1:] / pk
+    base[:, 0, 2] = float(p) ** -k
+    base[:, 1:4] = np.eye(3)
+    base[:, 4, 1] = h * np.diff(e) / pk
+    stack = np.repeat(base, p, axis=2)
+    stack.setflags(write=False)
+    coefficients = (h * float(e[0]), stack)
     if not e.flags.writeable:
         _tree_memo = (e, (p, h), coefficients)
     return coefficients
+
+
+# The largest array the tree solve allocates as one.  glibc's malloc maps
+# a larger array afresh on every call, so its pages fault in each time; a
+# smaller one it serves from a heap it keeps, and gives the heap's free
+# top back to the system once that passes twice the largest array freed
+# so far.  With the rows and level 1 as one array, what else a solve
+# frees stays under that bound; as two arrays, solves repeated at
+# S = 2**16 faulted in 3 MB each and took twice as long.  Only p = 2 at
+# S = 2**20 passes this size, and there the two are apart.
+_ONE_ARRAY_BYTES = 32 << 20
+
+
+def _tree_up_pass(W: np.ndarray, rows: np.ndarray,
+                  level1: np.ndarray) -> list[np.ndarray]:
+    """The up-pass of the tree solve: one (5, S/p**k) array per level k.
+
+    rows holds the finest level's t, sx and m rows, (3, S) and
+    contiguous; level1 is a flat float array of 5*S/p entries.  Level k
+    is one product of W[k-1] with level k-1's divided rows viewed as
+    (3p, -1), giving [denominator, T, X, M, c_k*X] per class, and one
+    division of its rows 1-4 by row 0; its rows 1-3 are the next level's
+    rows.  Level 1 fills level1; the finest rows are then spent, and
+    levels 2..L fill their memory one after another, each clear of the
+    level it reads.
+    """
+    p = W.shape[-1] // 3
+    spent, start = rows.reshape(-1), 0
+    levels = []
+    for k, W_k in enumerate(W, 1):
+        n = rows.shape[1] // p
+        if k == 1:
+            level = level1.reshape(5, n)
+        else:
+            level = spent[start:start + 5 * n].reshape(5, n)
+            start += 5 * n
+        np.matmul(W_k, rows.reshape(3 * p, -1), out=level)
+        divided = level[1:]
+        divided /= level[0]
+        levels.append(level)
+        rows = divided[:3]
+    return levels
 
 
 def _tree_jacobian_solve(model: BallModel, e: np.ndarray, h: float,
@@ -224,42 +293,53 @@ def _tree_jacobian_solve(model: BallModel, e: np.ndarray, h: float,
     w = A^{-1} 1_C, t = (sigma.w)_C and sx = (sigma.x)_C.  Both updates
     scale t and sx by one factor per class, so the class sums go up the
     tree and the corrections come back down it.  The denominator is built
-    as the positive sum h*e_k/p**k * t + p**-k * m, where m, the class
-    sum of the subclasses' divided m rows (m = 1/d at the points), makes
-    p**-k * m = 1 - h*e_{k-1}*t/p**k without a subtraction: 1 + c_k*t
-    itself cancels when h*e_0*sigma is large.
+    as the positive sum of h*e_k/p**k * t + p**-k * m over the p
+    subclasses, where m, the class sum of the subclasses' divided m rows
+    (m = 1/d at the points), makes p**-k * m = 1 - h*e_{k-1}*t/p**k
+    without a subtraction: 1 + c_k*t itself cancels when h*e_0*sigma is
+    large.
 
     The rows t, sx and m start as sigma/d, sigma*r/d and 1/d, and go up
-    the tree together: per level one reduction, the denominator as one
-    product of the level's row [h*e_k/p**k, p**-k] with the t and m rows,
-    one division of all three rows by it, and the shift c_k*sx read off
-    the divided sx row; four array operations.  The per-level scalars
-    come from ``_tree_coefficients``.
+    the tree together (``_tree_up_pass``): per level one BLAS product of
+    the level matrix from ``_tree_coefficients`` with the finer level's
+    rows, giving the denominator, the class sums T, X, M and the shift
+    c_k*X, and one division of the last four by the denominator.  The
+    down-pass takes two array operations per level.
     """
     p, L = model.p, model.N + model.M
-    c0, rows, c = _tree_coefficients(p, e, h)
+    c0, W = _tree_coefficients(p, e, h)
+    S = sigma.size
     d = c0 * sigma
     d += 1.0
-    tsm = np.empty((3, sigma.size))
+    if not L:
+        return np.divide(r, d, out=d)
+    # A solve allocates d, the rows and level 1, and nothing else: the
+    # rows' place then holds levels 2..L, the down-pass's sums and x*d,
+    # and the result is formed in d's place.  Fresh arrays for those made
+    # a step at S = 2**20 fault in several times as many pages.  The rows
+    # and level 1 are one array up to _ONE_ARRAY_BYTES, two beyond.
+    size = 3 * S + 5 * S // p
+    if 8 * size <= _ONE_ARRAY_BYTES:
+        block = np.empty(size)
+        tsm, level1 = block[:3 * S].reshape(3, S), block[3 * S:]
+    else:
+        tsm, level1 = np.empty((3, S)), np.empty(5 * S // p)
     np.divide(sigma, d, out=tsm[0])
     np.multiply(sigma, r, out=tsm[1])
     tsm[1] /= d
     np.divide(1.0, d, out=tsm[2])
-    denoms, shifts = [], []
-    for row, c_k in zip(rows, c):
-        tsm = np.add.reduce(tsm.reshape(3, p, -1), axis=1)
-        denom = row @ tsm[::2]
-        tsm /= denom
-        shifts.append(c_k * tsm[1])
-        denoms.append(denom)
+    levels = _tree_up_pass(W, tsm, level1)
     # x*d = r - sum_k shift_k / (the denominators of the finer classes),
-    # each class's correction broadcast over its p subclasses
+    # each class's correction broadcast over its p subclasses; the sums
+    # are formed in the T rows, which the up-pass has spent
     g = 0.0
     for k in range(L, 1, -1):
-        g = ((shifts[k - 1] + g) / denoms[k - 2].reshape(p, -1)).reshape(-1)
-    if L:
-        r = (r.reshape(p, -1) - (shifts[0] + g)).reshape(-1)
-    return r / d
+        acc = np.add(levels[k - 1][4], g, out=levels[k - 1][1])
+        g = np.divide(acc, levels[k - 2][0].reshape(p, -1),
+                      out=levels[k - 2][1].reshape(p, -1)).reshape(-1)
+    corr = np.add(levels[0][4], g, out=levels[0][1])
+    xd = np.subtract(r.reshape(p, -1), corr, out=tsm[0].reshape(p, -1))
+    return np.divide(xd.reshape(-1), d, out=d)
 
 
 def _max_abs(a: np.ndarray) -> float:
@@ -412,7 +492,9 @@ def pme_trajectory(u0: GridFunction, t: float, k: int, alpha: float,
         mass_old = u.integral()
         u, iters, resid = _implicit_step_info(u, h, float(alpha), phi, config)
         mass_new = u.integral()
-        phi_mass = GridFunction(u.model, _phi_of(u, float(alpha), phi)).integral()
+        # the integral of Phi(u), summed in place as GridFunction.integral does
+        phi_mass = float(_phi_of(u, float(alpha), phi).sum()
+                         * float(u.model.p) ** (-u.model.M))
         rows.append({
             "step": j,
             "t": j * h,

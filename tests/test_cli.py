@@ -418,6 +418,19 @@ def test_nonconvergence_exit_code(tmp_path, capsys):
     assert err["exit_code"] == 3
 
 
+@pytest.mark.parametrize("knot", ["[NaN, 1]", "[1, Infinity]", "[-Infinity, -2]"])
+def test_non_finite_table_knot_is_a_validation_error(tmp_path, capsys, knot):
+    # json reads NaN and Infinity; a NaN knot exited 3 ("Newton failed:
+    # residual nan after 0 iterations") and -Infinity was accepted
+    cfg = tmp_path / "phi.json"
+    cfg.write_text('{"phi": {"kind": "table", "knots": [[-1, -1], [0, 0], %s]}}' % knot)
+    assert main(["solve-pme", "--p", "2", "--N", "0", "--M", "3", "--alpha", "1.0",
+                 "--steps", "2", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "validation" and "finite" in err["message"]
+    assert not (tmp_path / "pme_trajectory.csv").exists()
+
+
 def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "padic_heat.cli", "spectrum", "--p", "3",

@@ -55,6 +55,27 @@ def test_lp_norms_direct():
         u.lp_norm(0.5)
 
 
+def test_l1_norm_is_bit_identical_to_the_general_formula():
+    # gamma = 1 skips both powers, which are the identity there: the same
+    # bits on +-0.0, subnormals, negatives and NaN, real or complex
+    model = BallModel(3, 0, 5)
+    tiny = np.finfo(np.float64).smallest_subnormal
+    rng = np.random.default_rng(21)
+    vals = rng.standard_normal(model.S) * 10.0 ** rng.uniform(-300, 300, model.S)
+    vals[:8] = [0.0, -0.0, tiny, -tiny, -5e-310, 1e-310, -1.0, 2.0]
+    meas = float(model.p) ** (-model.M)
+    plain = rng.standard_normal(model.S)
+    for v in (vals, -np.abs(vals), plain, np.zeros(model.S), -np.zeros(model.S),
+              np.full(model.S, tiny), vals + 1j * vals[::-1], plain - 1j * plain[::-1]):
+        for gamma in (1, 1.0):
+            u = GridFunction(model, v)
+            want = float((meas * (np.abs(u.values) ** gamma).sum()) ** (1.0 / gamma))
+            assert np.float64(u.lp_norm(gamma)).view(np.int64) == np.float64(want).view(np.int64)
+    nan = vals.copy()
+    nan[17] = np.nan
+    assert math.isnan(GridFunction(model, nan).lp_norm(1))
+
+
 def test_norm_inequalities():
     model = BallModel(3, 0, 3)
     rng = np.random.default_rng(11)

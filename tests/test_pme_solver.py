@@ -1,6 +1,9 @@
 import ast
 import inspect
 import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
@@ -106,6 +109,61 @@ def test_table_validation():
         Nonlinearity.table([(0.0, 0.0), (1.0, -1.0)])
     with pytest.raises(ValueError):
         Nonlinearity.table([(-1.0, -1.0), (1.0, 1.0)])  # misses (0, 0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("coordinate", [0, 1])
+def test_table_rejects_non_finite_knots(bad, coordinate):
+    # JSON reads NaN and Infinity; such a knot passed the order checks
+    # (NaN compares false) and ended the first step in SolverError
+    for knot in ([2.0, 1.0], [-2.0, -1.0]):
+        knot[coordinate] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Nonlinearity.table([(-1.0, -1.0), (0.0, 0.0), (1.0, 0.5), tuple(knot)])
+
+
+def _general_power_value(u, m):
+    # the m = 2 path's reference: copysign(|s|**m, s), s = u + 0.0
+    s = u + 0.0
+    out = np.abs(s)
+    out **= m
+    return np.copysign(out, s, out=out)
+
+
+def _general_power_derivative(u, m):
+    out = np.abs(u)
+    out **= m - 1.0
+    out *= m
+    return out
+
+
+def _same_bits(a, b):
+    # every bit equal, except that a NaN only has to stay a NaN
+    nan = np.isnan(b)
+    return (np.array_equal(np.isnan(a), nan)
+            and np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64)))
+
+
+def test_square_nonlinearity_is_bit_identical_to_the_general_power_path():
+    # Phi = u**2 forms s*|s| and skips the derivative's **= 1.0: both are
+    # the general formulas' bits on +-0.0, subnormals, negatives, infs
+    # and NaN
+    tiny = np.finfo(np.float64).smallest_subnormal
+    rng = np.random.default_rng(12)
+    u = np.concatenate([
+        [0.0, -0.0, tiny, -tiny, 7 * tiny, -1e-310, 1e-160, -1e-160, 1e200,
+         -1e200, np.inf, -np.inf, np.nan, -np.nan, 1.0, -1.0, -2.5],
+        rng.standard_normal(4000) * 10.0 ** rng.uniform(-200, 150, 4000),
+    ])
+    phi = Nonlinearity.power(2.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _same_bits(phi.value(u), _general_power_value(u, 2.0))
+        assert _same_bits(phi.derivative(u), _general_power_derivative(u, 2.0))
+        # the other exponents keep the general path
+        for m in (1.5, 3.0):
+            assert _same_bits(Nonlinearity.power(m).value(u), _general_power_value(u, m))
+            assert _same_bits(Nonlinearity.power(m).derivative(u),
+                              _general_power_derivative(u, m))
 
 
 # -- single implicit step ----------------------------------------------
@@ -250,6 +308,26 @@ def test_step_validation():
         ImplicitStepConfig(newton_tol=0.0)
     with pytest.raises(ValueError):
         ImplicitStepConfig(damping_factor=1.5)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"newton_tol": math.nan}, {"newton_tol": math.inf}, {"newton_tol": -math.inf},
+    {"newton_tol": -1e-12}, {"max_newton": -1}, {"max_newton": 2.5},
+    {"max_newton": True}, {"max_newton": "3"}, {"max_halvings": -5},
+    {"max_halvings": 1.0}, {"max_halvings": False},
+], ids=lambda kw: "-".join(f"{k}={v!r}" for k, v in kw.items()))
+def test_step_config_rejects_non_finite_tolerances_and_bad_budgets(kwargs):
+    # an infinite newton_tol accepted g itself as the step's solution, a
+    # NaN one failed every step after 0 iterations, and negative budgets
+    # ran no iteration at all
+    with pytest.raises(ValueError):
+        ImplicitStepConfig(**kwargs)
+
+
+def test_step_config_accepts_zero_budgets():
+    cfg = ImplicitStepConfig(max_newton=0, max_halvings=0)
+    assert (cfg.max_newton, cfg.max_halvings) == (0, 0)
+    assert ImplicitStepConfig(max_newton=np.int64(3)).max_newton == 3
 
 
 def test_newton_accepts_at_the_rounding_floor(monkeypatch):
@@ -629,6 +707,104 @@ def test_tree_coefficients_are_keyed_on_h(monkeypatch):
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
+def test_tree_level_stack_is_read_only_and_holds_the_level_matrices(monkeypatch):
+    # W[k-1] is [[a_k,0,b_k],[1,0,0],[0,1,0],[0,0,1],[0,c_k,0]], each column
+    # repeated p times; the memo holds the stack for the read-only array
+    monkeypatch.setattr(pme_solver, "_tree_memo", None)
+    for p, M in ((2, 7), (3, 4), (5, 3), (7, 2)):
+        model = BallModel(p, 0, M)
+        e, h = operator_levels(model, 1.3), 0.37
+        c0, W = pme_solver._tree_coefficients(p, e, h)
+        assert pme_solver._tree_memo[0] is e and pme_solver._tree_memo[2][1] is W
+        assert not W.flags.writeable
+        assert W.shape == (M, 5, 3 * p) and c0 == h * e[0]
+        for k in range(1, M + 1):
+            a_k, b_k = h * e[k] / p ** k, float(p) ** -k
+            c_k = h * (e[k] - e[k - 1]) / p ** k
+            base = np.array([[a_k, 0, b_k], [1, 0, 0], [0, 1, 0], [0, 0, 1], [0, c_k, 0]])
+            assert np.array_equal(W[k - 1], np.repeat(base, p, axis=1))
+        with pytest.raises(ValueError):
+            W[0, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_tree_level_product_matches_the_four_call_form(p):
+    # one level as one product and one division against the reduction,
+    # the denominator as a gemv, the division of three rows and the
+    # scaled X row
+    L = {2: 8, 3: 5, 5: 3, 7: 3}[p]
+    model = BallModel(p, 0, L)
+    e, h = operator_levels(model, 1.1), 0.05
+    _, W = pme_solver._tree_coefficients(p, e, h)
+    rng = np.random.default_rng(p)
+    eps = np.finfo(np.float64).eps
+    for k in range(1, L + 1):
+        n = p ** (L - k)
+        rows = np.empty((3, p * n))
+        rows[0] = rng.uniform(0.0, 3.0, p * n) * 10.0 ** rng.uniform(-3, 3, p * n)
+        rows[1] = rng.standard_normal(p * n)
+        rows[2] = rng.uniform(1e-3, 1.0, p * n)
+        level, = pme_solver._tree_up_pass(W[k - 1:k], rows.copy(), np.empty(5 * n))
+        tsm = np.add.reduce(rows.reshape(3, p, -1), axis=1)
+        denom = np.array([h * e[k] / p ** k, float(p) ** -k]) @ tsm[::2]
+        tsm /= denom
+        shift = h * (e[k] - e[k - 1]) / p ** k * tsm[1]
+        for got, want in ((level[0], denom), (level[1], tsm[0]), (level[3], tsm[2])):
+            assert np.all(np.abs(got - want) <= 4 * eps * np.abs(want))
+        # X may cancel: bound by its children's absolute sum
+        x_scale = np.add.reduce(np.abs(rows[1]).reshape(p, -1), axis=0) / denom
+        assert np.all(np.abs(level[2] - tsm[1]) <= 4 * eps * x_scale)
+        c_k = abs(h * (e[k] - e[k - 1]) / p ** k)
+        assert np.all(np.abs(level[4] - shift) <= 4 * eps * c_k * x_scale)
+
+
+def test_tree_solve_is_the_same_with_the_rows_and_level_1_apart(monkeypatch):
+    # above _ONE_ARRAY_BYTES the rows and level 1 are two arrays: the
+    # same arithmetic, so the same bits
+    rng = np.random.default_rng(9)
+    for p, M in ((2, 9), (3, 5), (5, 3), (7, 3)):
+        model = BallModel(p, 0, M)
+        e = operator_levels(model, 0.9)
+        sigma, r = rng.uniform(0.0, 3.0, model.S), rng.standard_normal(model.S)
+        one = _tree_jacobian_solve(model, e, 0.2, sigma, r)
+        monkeypatch.setattr(pme_solver, "_ONE_ARRAY_BYTES", 0)
+        two = _tree_jacobian_solve(model, e, 0.2, sigma, r)
+        monkeypatch.undo()
+        assert np.array_equal(one.view(np.int64), two.view(np.int64))
+
+
+_THREAD_HASH = """
+import hashlib, numpy as np
+from padic_heat import BallModel
+from padic_heat.pme_solver import _tree_jacobian_solve
+from padic_heat.vladimirov import operator_levels
+model = BallModel(2, 0, 19)
+rng = np.random.default_rng(19)
+sigma = rng.uniform(0.0, 3.0, model.S)
+sigma[rng.random(model.S) < 0.2] = 0.0
+r = rng.standard_normal(model.S)
+x = _tree_jacobian_solve(model, operator_levels(model, 1.3), 0.01, sigma, r)
+print(hashlib.sha256(x.tobytes()).hexdigest())
+"""
+
+
+def test_tree_solve_is_bit_identical_under_one_and_two_blas_threads():
+    # at S = 2**19 the finer levels' products are past OpenBLAS's
+    # single-thread cutoff, so two threads split them
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pme_solver.__file__)))
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [q for q in os.environ.get("PYTHONPATH", "").split(os.pathsep) if q]))
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = threads
+        proc = subprocess.run([sys.executable, "-c", _THREAD_HASH], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
+
+
 def test_tree_solve_reads_a_writable_level_array_afresh(monkeypatch):
     # a writable array may change in place between calls: the second
     # call must see its new values, not coefficients formed for the old
@@ -645,6 +821,24 @@ def test_tree_solve_reads_a_writable_level_array_afresh(monkeypatch):
     pme_solver._tree_memo = None
     _tree_jacobian_solve(model, e, 0.1, sigma, r)
     assert pme_solver._tree_memo is None
+
+
+def test_trajectory_rows_are_bit_identical_to_their_formulas():
+    # the mass identity sums the handed-over Phi(v) in place; l1 skips
+    # its powers: both give the bits of the GridFunction forms
+    model = BallModel(2, 0, 8)
+    u0 = GridFunction(model, 1.0 + 0.25 * np.random.default_rng(31).random(model.S))
+    for phi in (Nonlinearity.power(2.0), Nonlinearity.power(3.0)):
+        states, rows = pme_trajectory(u0, 0.03, 3, 1.3, phi)
+        lam = float(operator_levels(model, 1.3)[-1])
+        u_old = u0
+        for row, u in zip(rows, states):
+            phi_mass = GridFunction(model, phi.value(u.values)).integral()
+            want = u.integral() - u_old.integral() + (0.03 / 3) * lam * phi_mass
+            assert row["mass_identity_residual"] == want
+            meas = float(model.p) ** (-model.M)
+            assert row["l1"] == float((meas * (np.abs(u.values) ** 1).sum()) ** (1.0 / 1))
+            u_old = u
 
 
 def test_step_uses_no_dense_linear_algebra(monkeypatch):
