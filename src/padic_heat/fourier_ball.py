@@ -33,9 +33,8 @@ k = floor(log_p 32) (5 for p = 2, 3 for p = 3, 2 for p = 5, 1 for
 p = 7), views the finer average as a (p**k, -1) array whose columns are
 the classes of the coarser one, and applies all k levels' details at
 once by one p**k x p**k band matrix (one BLAS product), formed once per
-read-only level array (``_ladder_bands``), so the operator levels the
-solvers read from ``vladimirov.operator_levels`` pay it once.  The band's
-columns sum to zero, but the product's rounding does not, and where
+set of level values (``_ladder_bands`` caches it on the values).  The
+band's columns sum to zero, but the product's rounding does not, and where
 every column holds the same data (u a function of the top digits) that
 residue adds up in the class means the coarser levels carry.  So after
 the finest block, whose level values are the largest, each column's sum
@@ -190,37 +189,24 @@ def _restore_class_sums(z: np.ndarray, coarse: np.ndarray) -> None:
     z[0] -= excess
 
 
-# The last read-only level array whose block bands ``apply_radial``
-# formed: (levels, p, widths, bands), bands[i] the band of the i-th step
-# of the widths (None for a one-level step).  The entry holds the array,
-# so its identity names those values and no other.
-_band_memo: tuple | None = None
+@lru_cache(maxsize=8)
+def _ladder_bands(p: int, widths: tuple[int, ...], levels: bytes) -> tuple:
+    """Each step's band ``e[r:r+w] @ _band_basis(p, w)`` as p**w x p**w.
 
-
-def _ladder_bands(p: int, levels: np.ndarray, widths: tuple[int, ...]) -> tuple:
-    """Each step's band ``levels[r:r+w] @ _band_basis(p, w)`` as p**w x p**w.
-
-    Formed once per read-only level array (one entry, keyed on the
-    array's identity, p and the widths), so the solvers' operator levels
-    pay it once per operator; a writable array is formed per call, since
-    it may change in place between calls.
+    ``levels`` is the float64 bytes of the level values e, so equal
+    values share one entry whatever array holds them; bands[i] belongs
+    to the i-th step of ``widths`` (None for a one-level step).
     """
-    global _band_memo
-    memo = _band_memo
-    if memo is not None and memo[0] is levels and memo[1] == p and memo[2] == widths:
-        return memo[3]
+    e = np.frombuffer(levels)
     bands, r = [], 0
     for w in widths:
         band = None
         if w > 1:
-            band = (levels[r:r + w] @ _band_basis(p, w)).reshape(p ** w, p ** w)
+            band = (e[r:r + w] @ _band_basis(p, w)).reshape(p ** w, p ** w)
             band.setflags(write=False)
         bands.append(band)
         r += w
-    bands = tuple(bands)
-    if isinstance(levels, np.ndarray) and not levels.flags.writeable:
-        _band_memo = (levels, p, widths, bands)
-    return bands
+    return tuple(bands)
 
 
 def apply_radial(model: BallModel, levels: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -237,15 +223,15 @@ def apply_radial(model: BallModel, levels: np.ndarray, values: np.ndarray) -> np
     The levels are walked in the steps of ``_ladder_widths``.  A block of
     w levels from r subtracts the coarse average A_{r+w} from A_r viewed
     as (p**w, -1), multiplies once by the band matrix
-    sum_j e_{r+j} (Q_j - Q_{j+1}) from ``_ladder_bands`` (formed once per
-    read-only level array, per call for a writable one), and adds the
-    coarser result; the finest block then has its column sums restored
-    exactly by ``_restore_class_sums``.  A complex array goes through the
-    product as its real view, so the band stays real.
+    sum_j e_{r+j} (Q_j - Q_{j+1}) from ``_ladder_bands`` (cached on the
+    level values), and adds the coarser result; the finest block then
+    has its column sums restored exactly by ``_restore_class_sums``.  A
+    complex array goes through the product as its real view, so the band
+    stays real.
     """
     p, L = model.p, model.N + model.M
     widths = _ladder_widths(p, L, 2 if np.iscomplexobj(values) else 1)
-    bands = _ladder_bands(p, levels, widths)
+    bands = _ladder_bands(p, widths, np.asarray(levels, dtype=np.float64).tobytes())
     # np.add.reduce(x, axis=0) / q is the arithmetic of x.mean(axis=0)
     # without its Python wrapper, which dominates at small S
     averages = [np.asarray(values)]

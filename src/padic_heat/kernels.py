@@ -449,8 +449,9 @@ def ball_kernel_gridfunction(model: BallModel, alpha: float, t: float) -> GridFu
     requires.  It runs no ladder, so the kernel path stays a check of
     the spectral one.
     """
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    # NaN passes "t < 0" and makes every value NaN
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"t must be finite and >= 0, got {t}")
     p, N, L = model.p, model.N, model.N + model.M
     e = operator_levels(model, float(alpha))
     # frequency spheres l = 1-N, ..., M are the ladder levels r = L-1, ..., 0
@@ -471,10 +472,12 @@ def _green_denominator(p: int, N: int, alpha: float, mu: float, l: int) -> float
 
 
 def _check_green_args(alpha: float, mu: float) -> None:
-    if mu <= 0:
-        raise ValueError(f"mu must be positive, got {mu}")
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    # NaN passes "mu <= 0" and "alpha <= 0", and the sphere sums then run
+    # into an OverflowError
+    if not (math.isfinite(mu) and mu > 0):
+        raise ValueError(f"mu must be positive and finite, got {mu}")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
 
 
 def _green_radial(p: int, N: int, alpha: float, mu: float):
@@ -542,8 +545,7 @@ def green_kernel_series(p: int, N: int, alpha: float, mu: float,
     """
     if alpha <= 1:
         raise ValueError("the sphere series requires alpha > 1")
-    if mu <= 0:
-        raise ValueError(f"mu must be positive, got {mu}")
+    _check_green_args(alpha, mu)
     q = 1.0 - 1.0 / p
     acc = 0.0
     l = -N + 1
@@ -627,8 +629,7 @@ def resolvent_apply(u: GridFunction, alpha: float, mu: float,
     grid function and adds the rank-one piece p**(-N)/mu * integral(u)
     that the kernel (mean-zero by construction) cannot carry.
     """
-    if mu <= 0:
-        raise ValueError(f"mu must be positive, got {mu}")
+    _check_green_args(alpha, mu)
     model = u.model
     if path == "spectral":
         e = operator_levels(model, float(alpha))

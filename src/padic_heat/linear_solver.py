@@ -13,6 +13,8 @@ solutions relax to the mean at rate p**(alpha*(1-N)) - lambda.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .fourier_ball import apply_radial
@@ -24,8 +26,9 @@ from .vladimirov import operator_levels
 def evolve(u0: GridFunction, alpha: float, t: float,
            path: str = "spectral") -> GridFunction:
     """Propagate initial data by time t."""
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    # NaN passes "t < 0", and t = inf meets inf*0 = NaN at the k = 0 level
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"t must be finite and >= 0, got {t}")
     if t == 0.0:
         return GridFunction(u0.model, u0.values)
     if path == "spectral":
@@ -42,8 +45,9 @@ def evolve_series(u0: GridFunction, alpha: float, times,
                   path: str = "spectral") -> list[GridFunction]:
     """Solution snapshots at an increasing grid of positive times."""
     ts = [float(t) for t in times]
-    if any(t <= 0 for t in ts) or any(b <= a for a, b in zip(ts, ts[1:])):
-        raise ValueError("times must be strictly increasing and positive")
+    if (not all(math.isfinite(t) and t > 0 for t in ts)
+            or any(b <= a for a, b in zip(ts, ts[1:]))):
+        raise ValueError("times must be finite, strictly increasing and positive")
     return [evolve(u0, alpha, t, path) for t in ts]
 
 
@@ -62,8 +66,8 @@ def pde_residual(u0: GridFunction, alpha: float, t: float,
     positive); the spatial term is applied exactly.  Small residual
     certifies a classical solution of the flow at that instant.
     """
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError(f"t must be positive and finite, got {t}")
     if dt is None:
         dt = min(1e-5 * max(t, 1.0), t / 2)
     u_min = evolve(u0, alpha, t - dt)

@@ -11,11 +11,12 @@ Each step solves v + h*D(Phi(v)) = g by damped Newton.  It applies D
 1 + max_newton*(max_halvings + 1), and one time fewer when g is the
 state the previous accepted step returned, for the same model, alpha
 and Phi: that step hands over its Phi(v) and D(Phi(v)), which are
-Phi(g) and D(Phi(g)) here, to the next step's first residual (and to
-``pme_trajectory``'s mass row).  The hand-over holds two S-arrays and a
-reference to the last returned state until the next step; it is keyed
-on the identity of that state's frozen values array, and any other
-input recomputes, so no result depends on it.  Newton stops once
+Phi(g) and D(Phi(g)) here, to the next step's first residual.  The
+hand-over holds two S-arrays and a reference to the last returned
+state until the next step; it is keyed on the identity of that state's
+frozen values array, and any other input recomputes, so no result
+depends on it.  A step also returns its Phi(v), which
+``pme_trajectory`` sums for its mass row.  Newton stops once
 the residual is below the tolerance or below its own rounding floor,
 the size of eps times the h*D(Phi(v)) term it cancels; a step that ends
 above both raises SolverError.  D is a radial multiplier, applied
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -143,31 +145,6 @@ class Nonlinearity:
         idx = np.clip(np.searchsorted(xs, u, side="right") - 1, 0, len(slopes) - 1)
         return slopes[idx]
 
-    def inverse(self, y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=np.float64)
-        if self.kind == "identity":
-            return y.copy()
-        if self.kind == "power":
-            return np.sign(y) * np.abs(y) ** (1.0 / self.exponent)
-        xs, ys = np.asarray(self.knots_x), np.asarray(self.knots_y)
-        out = np.interp(y, ys, xs)
-        s_lo = (xs[1] - xs[0]) / (ys[1] - ys[0])
-        s_hi = (xs[-1] - xs[-2]) / (ys[-1] - ys[-2])
-        out = np.where(y < ys[0], xs[0] + s_lo * (y - ys[0]), out)
-        out = np.where(y > ys[-1], xs[-1] + s_hi * (y - ys[-1]), out)
-        return out
-
-    def max_slope(self, bound: float) -> float:
-        """Upper bound on Phi' over [-bound, bound]."""
-        if self.kind == "identity":
-            return 1.0
-        if self.kind == "power":
-            m = self.exponent
-            return m * max(bound, 0.0) ** (m - 1.0) if m > 1.0 else 1.0
-        xs = np.asarray(self.knots_x)
-        ys = np.asarray(self.knots_y)
-        return float(np.max(np.diff(ys) / np.diff(xs)))
-
 
 # -- implicit step ------------------------------------------------------
 
@@ -200,30 +177,21 @@ def _apply_operator(model: BallModel, levels: np.ndarray, values: np.ndarray) ->
     return apply_radial(model, levels, values)
 
 
-# The last read-only level array the tree solve formed its coefficients
-# for: (e, (p, h), coefficients), see ``_tree_coefficients``.  The entry
-# holds the array, so its identity names those values and no other.
-_tree_memo: tuple | None = None
-
-
-def _tree_coefficients(p: int, e: np.ndarray, h: float) -> tuple:
+@lru_cache(maxsize=1)
+def _tree_coefficients(p: int, levels: bytes, h: float) -> tuple:
     """(h*e_0, W) of the tree solve for the levels e and step h.
 
-    W is the read-only (L, 5, 3p) stack of the level matrices: W[k-1] is
+    ``levels`` is the float64 bytes of e.  W is the read-only (L, 5, 3p)
+    stack of the level matrices: W[k-1] is
     [[a_k, 0, b_k], [1, 0, 0], [0, 1, 0], [0, 0, 1], [0, c_k, 0]] with
     each column repeated p times, a_k = h*e_k/p**k, b_k = p**-k and
     c_k = h*(e_k - e_{k-1})/p**k, for k = 1..L.  Applied to the finer
     level's t, sx and m rows viewed as (3p, -1), it gives the class's
     [denominator, T, X, M, c_k*X].  The stack is filled by broadcasting
-    in a few numpy calls, formed once per read-only level array and h
-    (one entry, keyed on the array's identity, p and h), so the Newton
-    loop pays it once per step; a writable array is formed per call,
-    since it may change in place between calls.
+    in a few numpy calls and cached on (p, e, h), so the Newton loop
+    pays it once per step.
     """
-    global _tree_memo
-    memo = _tree_memo
-    if memo is not None and memo[0] is e and memo[1] == (p, h):
-        return memo[2]
+    e = np.frombuffer(levels)
     k = np.arange(1, e.size)
     pk = float(p) ** k
     base = np.zeros((e.size - 1, 5, 3))
@@ -233,10 +201,7 @@ def _tree_coefficients(p: int, e: np.ndarray, h: float) -> tuple:
     base[:, 4, 1] = h * np.diff(e) / pk
     stack = np.repeat(base, p, axis=2)
     stack.setflags(write=False)
-    coefficients = (h * float(e[0]), stack)
-    if not e.flags.writeable:
-        _tree_memo = (e, (p, h), coefficients)
-    return coefficients
+    return h * float(e[0]), stack
 
 
 # The largest array the tree solve allocates as one.  glibc's malloc maps
@@ -307,7 +272,7 @@ def _tree_jacobian_solve(model: BallModel, e: np.ndarray, h: float,
     down-pass takes two array operations per level.
     """
     p, L = model.p, model.N + model.M
-    c0, W = _tree_coefficients(p, e, h)
+    c0, W = _tree_coefficients(p, np.asarray(e, dtype=np.float64).tobytes(), h)
     S = sigma.size
     d = c0 * sigma
     d += 1.0
@@ -355,19 +320,12 @@ def _max_abs(a: np.ndarray) -> float:
 _handover: tuple | None = None
 
 
-def _handed_over(values: np.ndarray, model: BallModel, alpha: float,
-                 phi: Nonlinearity) -> tuple[np.ndarray, np.ndarray] | None:
-    """The hand-over's (Phi(v), D(Phi(v))) if v is ``values``, else None."""
-    last = _handover
-    if last is not None and last[0] is values and last[1] == (model, alpha, phi):
-        return last[2:]
-    return None
-
-
 def _implicit_step_info(g: GridFunction, h: float, alpha: float,
                         phi: Nonlinearity,
-                        config: ImplicitStepConfig) -> tuple[GridFunction, int, float]:
-    """Solve v + h*D(Phi(v)) = g; returns (v, newton_iterations, residual)."""
+                        config: ImplicitStepConfig
+                        ) -> tuple[GridFunction, int, float, np.ndarray | None]:
+    """Solve v + h*D(Phi(v)) = g; returns (v, newton_iterations, residual,
+    Phi(v)), Phi(v) None when the last line search found no better v."""
     global _handover
     # NaN passes "h <= 0" and would run Newton on a NaN residual
     if not (math.isfinite(h) and h > 0):
@@ -393,7 +351,10 @@ def _implicit_step_info(g: GridFunction, h: float, alpha: float,
         # only read when the residual is not below tol
         return 0.0 if rnorm < tol else floor_scale * _max_abs(phi_v)
 
-    phi_v, d_phi = _handed_over(gvals, model, alpha, phi) or (None, None)
+    phi_v = d_phi = None
+    if (_handover is not None and _handover[0] is gvals
+            and _handover[1] == (model, alpha, phi)):
+        phi_v, d_phi = _handover[2:]
     _handover = None
     if phi_v is None:
         phi_v = phi.value(gvals)
@@ -430,16 +391,10 @@ def _implicit_step_info(g: GridFunction, h: float, alpha: float,
         out = GridFunction(model, v)
         if phi_v is not None:
             _handover = (out.values, (model, alpha, phi), phi_v, d_phi)
-        return out, iters, rnorm
+        return out, iters, rnorm, phi_v
     raise SolverError(
         f"Newton failed: residual {rnorm:.3e} after {iters} iterations "
         f"(tolerance {tol:.3e}, rounding floor {floor:.3e})", residual=rnorm)
-
-
-def _phi_of(u: GridFunction, alpha: float, phi: Nonlinearity) -> np.ndarray:
-    """Phi(u.values), read from the hand-over when u is the last step's output."""
-    held = _handed_over(u.values, u.model, alpha, phi)
-    return held[0] if held else phi.value(u.values)
 
 
 def implicit_step(g: GridFunction, h: float, alpha: float, phi: Nonlinearity,
@@ -449,7 +404,7 @@ def implicit_step(g: GridFunction, h: float, alpha: float, phi: Nonlinearity,
     Applies D 1 + iterations + halvings times, one fewer when g is the
     state the previous step returned (same model, alpha and Phi).
     """
-    v, _, _ = _implicit_step_info(g, h, float(alpha), phi, config)
+    v, _, _, _ = _implicit_step_info(g, h, float(alpha), phi, config)
     return v
 
 
@@ -490,11 +445,14 @@ def pme_trajectory(u0: GridFunction, t: float, k: int, alpha: float,
     states, rows = [], []
     for j in range(1, k + 1):
         mass_old = u.integral()
-        u, iters, resid = _implicit_step_info(u, h, float(alpha), phi, config)
+        u, iters, resid, phi_u = _implicit_step_info(u, h, float(alpha), phi, config)
         mass_new = u.integral()
+        if phi_u is None:
+            phi_u = phi.value(u.values)
         # the integral of Phi(u), summed in place as GridFunction.integral does
-        phi_mass = float(_phi_of(u, float(alpha), phi).sum()
-                         * float(u.model.p) ** (-u.model.M))
+        phi_mass = float(phi_u.sum() * float(u.model.p) ** (-u.model.M))
+        # not held through the next step, which drops it after its first residual
+        del phi_u
         rows.append({
             "step": j,
             "t": j * h,

@@ -18,7 +18,7 @@ from padic_heat import (
 from padic_heat import fourier_ball
 from padic_heat.fourier_ball import apply_multiplier, apply_radial, radial_levels
 from padic_heat.ball_model import valuation_table
-from padic_heat.vladimirov import multiplier
+from padic_heat.vladimirov import multiplier, operator_levels
 
 from tests.conftest import STANDARD_MODELS, rel_linf
 
@@ -354,30 +354,31 @@ _HELD_BAND_MODELS = [(2, 0, 7), (2, -1, 15), (3, 0, 5), (3, 0, 10), (5, 0, 4), (
 
 @pytest.mark.parametrize("p, N, M", _HELD_BAND_MODELS,
                          ids=[f"p{p}_N{N}_M{M}" for p, N, M in _HELD_BAND_MODELS])
-def test_held_bands_change_no_bit(monkeypatch, p, N, M):
+def test_held_bands_change_no_bit(p, N, M):
     model = BallModel(p, N, M)
-    monkeypatch.setattr(fourier_ball, "_band_memo", None)
+    fourier_ball._ladder_bands.cache_clear()
     rng = np.random.default_rng(p * 100 + M)
     u = rng.standard_normal(model.S)
     frozen = radial_levels(model, multiplier(model, 1.3).eigenvalues)
     frozen.setflags(write=False)
     for values in (u, u + 1j * rng.standard_normal(model.S)):
         want = _ladder_with_bands_per_call(model, frozen, values)
-        # a miss, a hit, and a writable copy, which is never held
+        # a miss, a hit, and a writable copy of the same values, a hit
         for levels in (frozen, frozen, frozen.copy()):
             got = apply_radial(model, levels, values)
             assert got.dtype == want.dtype
             assert np.array_equal(got.view(np.float64), want.view(np.float64))
-    widths = fourier_ball._ladder_widths(p, N + M, 2)
-    if max(widths) > 1:
-        assert fourier_ball._band_memo[0] is frozen
+    # one entry per ladder: real and complex data may step differently
+    ladders = {fourier_ball._ladder_widths(p, N + M, lanes) for lanes in (1, 2)}
+    info = fourier_ball._ladder_bands.cache_info()
+    assert (info.misses, info.hits) == (len(ladders), 6 - len(ladders))
 
 
-def test_apply_radial_reads_a_writable_level_array_afresh(monkeypatch):
+def test_apply_radial_reads_a_writable_level_array_afresh():
     # a writable array may change in place between calls: the second
     # call must see its new values, not bands formed for the old
     model = BallModel(2, 0, 9)
-    monkeypatch.setattr(fourier_ball, "_band_memo", None)
+    fourier_ball._ladder_bands.cache_clear()
     u = np.random.default_rng(9).standard_normal(model.S)
     levels = radial_levels(model, multiplier(model, 0.8).eigenvalues)
     first = apply_radial(model, levels, u)
@@ -385,7 +386,29 @@ def test_apply_radial_reads_a_writable_level_array_afresh(monkeypatch):
     second = apply_radial(model, levels, u)
     assert np.array_equal(second, _ladder_with_bands_per_call(model, levels, u))
     assert not np.array_equal(first, second)
-    assert fourier_ball._band_memo is None
+    # the new values formed their own bands: two misses, no hit
+    info = fourier_ball._ladder_bands.cache_info()
+    assert (info.misses, info.hits) == (2, 0)
+
+
+def test_equal_level_values_share_the_cached_bands():
+    # a writable copy of the operator levels, and the slice levels[3:] of
+    # a deeper ladder with the same values, find the bands already formed,
+    # and give the bits of a call made on a cleared cache
+    model = BallModel(2, 0, 9)
+    rng = np.random.default_rng(12)
+    u = rng.standard_normal(model.S)
+    e = operator_levels(model, 1.3)
+    deeper = operator_levels(BallModel(2, 0, 12), 1.3)[3:]
+    assert np.array_equal(deeper, e)
+    for values in (u, u + 1j * rng.standard_normal(model.S)):
+        fourier_ball._ladder_bands.cache_clear()
+        want = apply_radial(model, e, values)
+        for levels in (e.copy(), deeper):
+            got = apply_radial(model, levels, values)
+            assert np.array_equal(got.view(np.float64), want.view(np.float64))
+        info = fourier_ball._ladder_bands.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
 
 
 def test_apply_radial_keeps_the_mean_at_large_eigenvalues():

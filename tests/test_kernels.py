@@ -739,6 +739,29 @@ def test_resolvent_validation():
         resolvent_apply(u, 1.0, 1.0, path="magic")
 
 
+@pytest.mark.parametrize("alpha, mu", [(1.5, math.nan), (1.5, math.inf), (math.nan, 1.0),
+                                       (math.inf, 1.0)])
+def test_green_and_resolvent_refuse_non_finite_parameters(alpha, mu):
+    # NaN passed "mu <= 0" and "alpha <= 0": the spectral resolvent came
+    # back all NaN, green_kernel at m = -3 NaN, and the sphere sums ran
+    # into an OverflowError
+    model = BallModel(2, 0, 4)
+    u = GridFunction(model, np.arange(16.0))
+    calls = [lambda: resolvent_apply(u, alpha, mu),
+             lambda: resolvent_apply(u, alpha, mu, path="kernel"),
+             lambda: green_kernel(2, 0, alpha, mu, None),
+             lambda: green_kernel(2, 0, alpha, mu, -3),
+             lambda: green_kernel_series(2, 0, alpha, mu, None),
+             lambda: green_kernel_series(2, 0, alpha, mu, -3),
+             lambda: green_ball_integral(2, 0, alpha, mu),
+             lambda: green_ball_integral(2, 0, alpha, mu, m_min=None),
+             lambda: green_kernel_gridfunction(model, alpha, mu),
+             lambda: green_estimates_report(2, 0, alpha, mu)]
+    for call in calls:
+        with pytest.raises(ValueError, match="finite"):
+            call()
+
+
 def test_resolvent_is_laplace_transform_of_semigroup():
     from scipy.integrate import quad
     model = BallModel(2, 0, 3)

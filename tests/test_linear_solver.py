@@ -16,6 +16,7 @@ from padic_heat import (
     random_function,
     spectral_gap,
 )
+from padic_heat.kernels import ball_kernel_gridfunction
 
 
 def test_constants_are_fixed_points(model_alpha):
@@ -154,3 +155,17 @@ def test_validation_errors():
         pde_residual(u, 1.0, 0.0)
     out = evolve(u, 1.0, 0.0)
     assert np.array_equal(out.values, u.values)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_non_finite_times_are_refused(t):
+    # NaN passed every "t < 0" check and came back as all NaN, and t = inf
+    # met inf*0 = NaN at the k = 0 level of the spectral path
+    model = BallModel(2, 0, 4)
+    u = GridFunction(model, np.arange(16.0))
+    calls = [lambda: evolve(u, 1.3, t), lambda: evolve(u, 1.3, t, path="kernel"),
+             lambda: evolve_series(u, 1.3, [t]), lambda: evolve_series(u, 1.3, [0.5, t]),
+             lambda: pde_residual(u, 1.3, t), lambda: ball_kernel_gridfunction(model, 1.3, t)]
+    for call in calls:
+        with pytest.raises(ValueError, match="finite"):
+            call()

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 
 import mpmath
 import numpy as np
@@ -43,9 +44,7 @@ def test_power_nonlinearity_round_trip():
     phi = Nonlinearity.power(2.0)
     u = np.array([-2.0, -0.5, 0.0, 0.25, 3.0])
     assert np.max(np.abs(phi.value(u) - np.sign(u) * u ** 2)) < 1e-15
-    assert np.max(np.abs(phi.inverse(phi.value(u)) - u)) < 1e-14
     assert np.max(np.abs(phi.derivative(u) - 2.0 * np.abs(u))) < 1e-15
-    assert phi.max_slope(3.0) == 6.0
     with pytest.raises(ValueError):
         Nonlinearity.power(0.5)
 
@@ -79,9 +78,7 @@ def test_identity_nonlinearity():
     phi = Nonlinearity.identity()
     u = np.linspace(-1, 1, 7)
     assert np.array_equal(phi.value(u), u)
-    assert np.array_equal(phi.inverse(u), u)
     assert np.all(phi.derivative(u) == 1.0)
-    assert phi.max_slope(100.0) == 1.0
 
 
 def test_table_nonlinearity():
@@ -94,10 +91,8 @@ def test_table_nonlinearity():
     assert abs(phi.value(np.array([3.0]))[0] - 5.5) < 1e-15
     assert abs(phi.value(np.array([-2.0]))[0] - (-4.0)) < 1e-15
     u = np.array([-1.7, -0.3, 0.4, 1.2, 2.9])
-    assert np.max(np.abs(phi.inverse(phi.value(u)) - u)) < 1e-13
     # right-sided derivative at a kink
     assert abs(phi.derivative(np.array([1.0]))[0] - 2.5) < 1e-15
-    assert phi.max_slope(10.0) == 2.5
 
 
 def test_table_validation():
@@ -353,7 +348,7 @@ def test_newton_accepts_at_the_rounding_floor(monkeypatch):
             rng = np.random.default_rng(0)
             g = GridFunction(model, 1.0 + np.abs(rng.standard_normal(model.S)))
             calls[0] = 0
-            v, _, resid = _implicit_step_info(g, h, alpha, phi, cfg)
+            v, _, resid, _ = _implicit_step_info(g, h, alpha, phi, cfg)
             assert calls[0] <= budget
             phi_v = phi.value(v.values)
             mass = v.integral() - g.integral() \
@@ -383,7 +378,7 @@ def test_newton_stops_at_the_rounding_floor(monkeypatch):
     phi = Nonlinearity.power(2.0)
     rng = np.random.default_rng(0)
     g = GridFunction(model, 1.0 + 0.25 * rng.random(model.S))
-    v, _, resid = _implicit_step_info(g, h, alpha, phi, ImplicitStepConfig())
+    v, _, resid, _ = _implicit_step_info(g, h, alpha, phi, ImplicitStepConfig())
     assert calls[0] <= 8
     lam = lambda_value(2, alpha, 0)
     phi_v = phi.value(v.values)
@@ -474,6 +469,36 @@ def test_handover_saves_one_apply_per_step(monkeypatch):
         _without_handover(patch)
         without = per_step()
     assert with_handover == [without[0]] + [c - 1 for c in without[1:]]
+
+
+def test_a_carried_step_holds_no_handed_over_array(monkeypatch):
+    # once Newton starts, a step whose input was the last output holds the
+    # handed-over Phi(v) and D(Phi(v)) no longer, as a step that formed
+    # them itself would not; nor does pme_trajectory between its steps
+    model = BallModel(2, 0, 8)
+    alpha, h = 1.3, 0.05
+    phi = Nonlinearity.power(2.0)
+    u0 = GridFunction(model, 1.0 + 0.25 * np.random.default_rng(7).random(model.S))
+    handed, alive = [], []
+    step_info, solve = pme_solver._implicit_step_info, pme_solver._tree_jacobian_solve
+
+    def entering(*args):
+        if pme_solver._handover is not None:
+            handed.extend(weakref.ref(a) for a in pme_solver._handover[2:])
+        return step_info(*args)
+
+    def solving(*args):
+        alive.append(sum(ref() is not None for ref in handed))
+        return solve(*args)
+
+    monkeypatch.setattr(pme_solver, "_implicit_step_info", entering)
+    monkeypatch.setattr(pme_solver, "_tree_jacobian_solve", solving)
+    monkeypatch.setattr(pme_solver, "_handover", None)
+    pme_trajectory(u0, 4 * h, 4, alpha, phi)
+    u = u0
+    for _ in range(4):
+        u = implicit_step(u, h, alpha, phi)
+    assert len(handed) == 14 and len(alive) >= 8 and max(alive) == 0
 
 
 def test_handover_needs_the_returned_state_and_its_operator(monkeypatch):
@@ -688,34 +713,38 @@ def test_tree_jacobian_solve_matches_dense_lu_at_the_ends(p, N, M):
             assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
-def test_tree_coefficients_are_keyed_on_h(monkeypatch):
-    # the coefficients of one read-only level array are held across
-    # calls; another h on the same array must not read them
+def test_tree_coefficients_are_keyed_on_h():
+    # the coefficients of one set of levels are held across calls;
+    # another h on the same levels must not read them
     model = BallModel(3, 0, 4)
     e = operator_levels(model, 1.3)
     rng = np.random.default_rng(4)
     sigma, r = rng.uniform(0.0, 3.0, model.S), rng.standard_normal(model.S)
-    monkeypatch.setattr(pme_solver, "_tree_memo", None)
+    cache = pme_solver._tree_coefficients
+    cache.cache_clear()
     for h in (0.01, 5.0, 0.01, 5.0):
+        before = cache.cache_info()
         got = _tree_jacobian_solve(model, e, h, sigma, r)
-        assert pme_solver._tree_memo[0] is e
-        # a fresh solve: the memo cleared, and a writable copy never held
-        pme_solver._tree_memo = None
+        after = cache.cache_info()
+        assert (after.misses, after.hits) == (before.misses + 1, before.hits)
+        # a fresh solve on a cleared cache, and a writable copy, a hit
+        cache.cache_clear()
         assert np.array_equal(got, _tree_jacobian_solve(model, e, h, sigma, r))
         assert np.array_equal(got, _tree_jacobian_solve(model, e.copy(), h, sigma, r))
+        assert cache.cache_info().hits == 1
         want = _dense_jacobian_solve(model, 1.3, h, sigma, r)
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
-def test_tree_level_stack_is_read_only_and_holds_the_level_matrices(monkeypatch):
+def test_tree_level_stack_is_read_only_and_holds_the_level_matrices():
     # W[k-1] is [[a_k,0,b_k],[1,0,0],[0,1,0],[0,0,1],[0,c_k,0]], each column
-    # repeated p times; the memo holds the stack for the read-only array
-    monkeypatch.setattr(pme_solver, "_tree_memo", None)
+    # repeated p times; the cache holds the stack for the level values
+    pme_solver._tree_coefficients.cache_clear()
     for p, M in ((2, 7), (3, 4), (5, 3), (7, 2)):
         model = BallModel(p, 0, M)
         e, h = operator_levels(model, 1.3), 0.37
-        c0, W = pme_solver._tree_coefficients(p, e, h)
-        assert pme_solver._tree_memo[0] is e and pme_solver._tree_memo[2][1] is W
+        c0, W = pme_solver._tree_coefficients(p, e.tobytes(), h)
+        assert pme_solver._tree_coefficients(p, e.copy().tobytes(), h)[1] is W
         assert not W.flags.writeable
         assert W.shape == (M, 5, 3 * p) and c0 == h * e[0]
         for k in range(1, M + 1):
@@ -735,7 +764,7 @@ def test_tree_level_product_matches_the_four_call_form(p):
     L = {2: 8, 3: 5, 5: 3, 7: 3}[p]
     model = BallModel(p, 0, L)
     e, h = operator_levels(model, 1.1), 0.05
-    _, W = pme_solver._tree_coefficients(p, e, h)
+    _, W = pme_solver._tree_coefficients(p, e.tobytes(), h)
     rng = np.random.default_rng(p)
     eps = np.finfo(np.float64).eps
     for k in range(1, L + 1):
@@ -805,22 +834,41 @@ def test_tree_solve_is_bit_identical_under_one_and_two_blas_threads():
     assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
-def test_tree_solve_reads_a_writable_level_array_afresh(monkeypatch):
+def test_tree_solve_reads_a_writable_level_array_afresh():
     # a writable array may change in place between calls: the second
     # call must see its new values, not coefficients formed for the old
     model = BallModel(2, 0, 6)
     rng = np.random.default_rng(6)
     sigma, r = rng.uniform(0.0, 3.0, model.S), rng.standard_normal(model.S)
-    monkeypatch.setattr(pme_solver, "_tree_memo", None)
+    pme_solver._tree_coefficients.cache_clear()
     e = operator_levels(model, 0.8).copy()
     first = _tree_jacobian_solve(model, e, 0.1, sigma, r)
     e[:] = operator_levels(model, 1.7)
     second = _tree_jacobian_solve(model, e, 0.1, sigma, r)
     assert np.array_equal(second, _tree_jacobian_solve(model, e.copy(), 0.1, sigma, r))
     assert not np.array_equal(first, second)
-    pme_solver._tree_memo = None
-    _tree_jacobian_solve(model, e, 0.1, sigma, r)
-    assert pme_solver._tree_memo is None
+    # the new values formed their own stack; only the copy found it
+    info = pme_solver._tree_coefficients.cache_info()
+    assert (info.misses, info.hits) == (2, 1)
+
+
+def test_equal_level_values_share_the_cached_tree_stack():
+    # a writable copy of the operator levels, and the slice levels[2:] of
+    # a deeper ladder with the same values, find the stack already
+    # formed, and give the bits of a solve made on a cleared cache
+    model = BallModel(3, 0, 5)
+    rng = np.random.default_rng(15)
+    sigma, r = rng.uniform(0.0, 3.0, model.S), rng.standard_normal(model.S)
+    e = operator_levels(model, 1.3)
+    deeper = operator_levels(BallModel(3, 0, 7), 1.3)[2:]
+    assert np.array_equal(deeper, e)
+    pme_solver._tree_coefficients.cache_clear()
+    want = _tree_jacobian_solve(model, e, 0.05, sigma, r)
+    for levels in (e.copy(), deeper):
+        got = _tree_jacobian_solve(model, levels, 0.05, sigma, r)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    info = pme_solver._tree_coefficients.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
 
 
 def test_trajectory_rows_are_bit_identical_to_their_formulas():
@@ -906,9 +954,11 @@ def test_nan_in_the_residual_ends_the_step_in_solver_error(monkeypatch, where):
 def test_step_info_reports_converged_residual():
     model = BallModel(2, 0, 4)
     g = positive_bump(model, 0, 0)
-    v, iters, resid = _implicit_step_info(g, 0.5, 1.0, Nonlinearity.power(2.0),
-                                          ImplicitStepConfig())
+    phi = Nonlinearity.power(2.0)
+    v, iters, resid, phi_v = _implicit_step_info(g, 0.5, 1.0, phi, ImplicitStepConfig())
     assert iters >= 1
+    # the returned Phi(v) is that of the returned state, bit for bit
+    assert np.array_equal(phi_v, phi.value(v.values))
     assert resid < 1e-12 * (1.0 + float(np.max(np.abs(g.values))))
 
 
