@@ -272,7 +272,7 @@ def _tree_jacobian_solve(model: BallModel, e: np.ndarray, h: float,
     down-pass takes two array operations per level.
     """
     p, L = model.p, model.N + model.M
-    c0, W = _tree_coefficients(p, np.asarray(e, dtype=np.float64).tobytes(), h)
+    c0, W = _tree_coefficients(p, e.tobytes(), h)
     S = sigma.size
     d = c0 * sigma
     d += 1.0
