@@ -3,7 +3,13 @@
 Subcommands: spectrum, heat-kernel, green, solve-linear, solve-pme,
 verify.  Every run is configured by flags and/or a JSON config file
 (--config); explicit flags win over config values, unknown config keys
-are rejected before any computation.  Outputs are CSV and JSON files
+are rejected before any computation.  Key "m_lo" is flag --m-lo, and
+so on.  A config value is read by the same code as its flag's string:
+integers must be integral, switches (dump_matrix, dump_state) true or
+false, initial and phi a string or an object, and a null value counts
+as not given.  alpha, t, tol, cl_tol and every entry of times and mu
+must be finite and positive, steps and record_every at least 1; a value
+out of range exits 1 before any computation.  Outputs are CSV and JSON files
 under --out, written with repr-exact floats and fixed orderings so a
 rerun of the same config is byte-identical.
 
@@ -135,25 +141,111 @@ def _write_json(path: str, payload) -> None:
         fh.write("\n")
 
 
-# -- config merging ------------------------------------------------------
+# -- options -------------------------------------------------------------
+#
+# Every option is read by one reader, whether it comes as a flag's string or
+# as a config file's JSON value: ``reader(key, raw)`` converts ``raw``,
+# checks its range and returns the value, or raises ValidationFailure.
 
-COMMON_KEYS = {"p", "N", "M", "alpha", "out", "seed", "tol", "format"}
-TASK_KEYS = {
-    "spectrum": {"dump_matrix"},
-    "heat-kernel": {"times", "m_lo"},
-    "green": {"mu", "m_lo", "m_hi"},
-    "solve-linear": {"times", "initial", "path", "dump_state"},
-    "solve-pme": {"t", "steps", "phi", "initial", "cl_tol", "record_every",
-                  "dump_state"},
-    "verify": set(),
-}
-# numeric keys, converted once here: JSON config values may have any type
-NUMERIC_KEYS = {"p": int, "N": int, "M": int, "seed": int, "steps": int,
-                "record_every": int, "m_lo": int, "m_hi": int,
-                "alpha": float, "t": float, "tol": float, "cl_tol": float}
+
+def _number(kind, positive: bool = False):
+    """Reader of an int or float; ``positive`` asks for a value > 0."""
+    def read(key: str, raw):
+        if isinstance(raw, bool) or not isinstance(raw, (str, int, float)):
+            raise ValidationFailure(f"{key} must be a number, got {raw!r}")
+        try:
+            value = kind(raw)
+        except (ValueError, OverflowError) as exc:
+            raise ValidationFailure(f"{key} must be a number, got {raw!r}") from exc
+        # int(2.9) is 2: a JSON number read as an int must be integral
+        if kind is int and isinstance(raw, float) and value != raw:
+            raise ValidationFailure(f"{key} must be an integer, got {raw!r}")
+        # NaN passes every "<= 0" check of the tasks; inf runs solvers to their caps
+        if not math.isfinite(value):
+            raise ValidationFailure(f"{key} must be finite, got {value}")
+        if positive and value <= 0:
+            raise ValidationFailure(
+                f"{key} must be {'>= 1' if kind is int else 'positive'}, got {value}")
+        return value
+    return read
+
+
+_integer = _number(int)
+_count = _number(int, positive=True)
+_positive = _number(float, positive=True)
+
+
+def _positives(key: str, raw) -> list[float]:
+    """A non-empty list of positive floats: a comma-separated string, a
+    JSON list or one number."""
+    if isinstance(raw, str):
+        raw = [s for s in raw.split(",") if s.strip()]
+    elif not isinstance(raw, list):
+        raw = [raw]
+    if not raw:
+        raise ValidationFailure(f"{key} must hold at least one value")
+    return [_positive(key, v) for v in raw]
+
+
+def _text(key: str, raw) -> str:
+    if not isinstance(raw, str):
+        raise ValidationFailure(f"{key} must be a string, got {raw!r}")
+    return raw
+
+
+def _choice(*names: str):
+    def read(key: str, raw) -> str:
+        if raw not in names:
+            raise ValidationFailure(f"unknown {key} {raw!r}")
+        return raw
+    return read
+
+
+def _switch(key: str, raw) -> bool:
+    """A switch: a flag without a value, or true/false in a config file."""
+    if not isinstance(raw, bool):
+        raise ValidationFailure(f"{key} must be true or false, got {raw!r}")
+    return raw
+
+
+def _initial(key: str, raw):
+    """An initial-data spec: an object, a string holding a JSON object,
+    or a kind name."""
+    if isinstance(raw, str) and raw:
+        try:
+            spec = json.loads(raw)
+        except json.JSONDecodeError:
+            spec = None
+        return spec if isinstance(spec, dict) else {"kind": raw}
+    if not isinstance(raw, (str, dict)):
+        raise ValidationFailure(f"{key} must be a string or an object, got {raw!r}")
+    return raw
+
+
+def _phi(key: str, raw) -> Nonlinearity:
+    """A nonlinearity: "identity", "power:<m>", or an object with a kind."""
+    try:
+        if isinstance(raw, dict):
+            kind = raw.get("kind")
+            if kind == "power":
+                return Nonlinearity.power(float(raw["exponent"]))
+            if kind == "identity":
+                return Nonlinearity.identity()
+            if kind == "table":
+                return Nonlinearity.table(raw["knots"])
+            raise ValidationFailure(f"unknown phi kind {kind!r}")
+        if raw == "identity":
+            return Nonlinearity.identity()
+        if isinstance(raw, str) and raw.startswith("power:"):
+            return Nonlinearity.power(float(raw.split(":", 1)[1]))
+        raise ValidationFailure(f"cannot parse phi spec {raw!r}")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationFailure(f"bad phi spec {raw!r}: {exc}") from exc
 
 
 def _load_config(task: str, args: argparse.Namespace) -> dict:
+    """The task's options: each flag given, else its config value, read
+    by the option's reader.  A null config value counts as not given."""
     cfg: dict = {}
     if args.config is not None:
         try:
@@ -165,36 +257,20 @@ def _load_config(task: str, args: argparse.Namespace) -> dict:
             raise ValidationFailure(f"config is not valid JSON: {exc}") from exc
         if not isinstance(cfg, dict):
             raise ValidationFailure("config must be a JSON object")
-        allowed = COMMON_KEYS | TASK_KEYS[task]
-        unknown = set(cfg) - allowed
+        unknown = [k for k in cfg if k not in OPTIONS or task not in OPTIONS[k][1]]
         if unknown:
             raise ValidationFailure(
                 f"unknown config keys for task {task}: {sorted(unknown)}")
-    merged = dict(cfg)
-    for key in COMMON_KEYS | TASK_KEYS[task]:
-        flag_val = getattr(args, key, None)
-        if flag_val is not None:
-            merged[key] = flag_val
-    for key, kind in NUMERIC_KEYS.items():
-        if merged.get(key) is None:
-            continue
-        try:
-            merged[key] = kind(merged[key])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValidationFailure(
-                f"{key} must be a number, got {merged[key]!r}") from exc
-        # NaN passes every "<= 0" check of the tasks; inf runs solvers to their caps
-        if kind is float and not math.isfinite(merged[key]):
-            raise ValidationFailure(f"{key} must be finite, got {merged[key]}")
-    merged.setdefault("out", ".")
-    merged.setdefault("format", "csv")
-    if merged["format"] not in ("csv", "json"):
-        raise ValidationFailure(f"unknown format {merged['format']!r}")
+    flags = {k: v for k, v in vars(args).items() if k in OPTIONS and v is not None}
+    merged = {"out": ".", "format": "csv"}
+    for key, raw in {**cfg, **flags}.items():
+        if raw is not None:
+            merged[key] = OPTIONS[key][0](key, raw)
     return merged
 
 
 def _require(cfg: dict, key: str):
-    if key not in cfg or cfg[key] is None:
+    if key not in cfg:
         raise ValidationFailure(f"missing required parameter: {key}")
     return cfg[key]
 
@@ -206,63 +282,14 @@ def _model_from(cfg: dict) -> BallModel:
         raise ValidationFailure(str(exc)) from exc
 
 
-def _alpha_from(cfg: dict) -> float:
-    alpha = _require(cfg, "alpha")
-    if alpha <= 0:
-        raise ValidationFailure(f"alpha must be positive, got {alpha}")
-    return alpha
-
-
-def _parse_floats(raw, name: str) -> list[float]:
-    if isinstance(raw, str):
-        parts = [s for s in raw.split(",") if s.strip()]
-    elif isinstance(raw, (list, tuple)):
-        parts = raw
-    else:
-        parts = [raw]
-    try:
-        values = [float(v) for v in parts]
-    except (TypeError, ValueError) as exc:
-        raise ValidationFailure(f"cannot parse {name}: {raw!r}") from exc
-    if not all(math.isfinite(v) for v in values):
-        raise ValidationFailure(f"{name} must be finite, got {raw!r}")
-    return values
-
-
 def _parse_initial(cfg: dict, model: BallModel) -> GridFunction:
     spec = cfg.get("initial") or {"kind": "bump"}
-    if isinstance(spec, str):
-        try:
-            spec = json.loads(spec)
-        except json.JSONDecodeError:
-            spec = {"kind": spec}
     if spec.get("kind") == "random" and "seed" not in spec:
-        spec = dict(spec, seed=int(cfg.get("seed", 0)))
+        spec = dict(spec, seed=cfg.get("seed", 0))
     try:
         return make_initial(model, spec)
-    except (ValueError, IndexError) as exc:
-        raise ValidationFailure(str(exc)) from exc
-
-
-def _parse_phi(cfg: dict) -> Nonlinearity:
-    spec = cfg.get("phi", "power:2")
-    try:
-        if isinstance(spec, dict):
-            kind = spec.get("kind")
-            if kind == "power":
-                return Nonlinearity.power(float(spec["exponent"]))
-            if kind == "identity":
-                return Nonlinearity.identity()
-            if kind == "table":
-                return Nonlinearity.table(spec["knots"])
-            raise ValidationFailure(f"unknown phi kind {kind!r}")
-        if spec == "identity":
-            return Nonlinearity.identity()
-        if isinstance(spec, str) and spec.startswith("power:"):
-            return Nonlinearity.power(float(spec.split(":", 1)[1]))
-        raise ValidationFailure(f"cannot parse phi spec {spec!r}")
-    except (KeyError, ValueError) as exc:
-        raise ValidationFailure(f"bad phi spec {spec!r}: {exc}") from exc
+    except (TypeError, ValueError, IndexError) as exc:
+        raise ValidationFailure(f"bad initial spec {spec!r}: {exc}") from exc
 
 
 # -- tasks ---------------------------------------------------------------
@@ -284,7 +311,7 @@ def _task_spectrum(cfg: dict) -> int:
     writes the cells one by one.
     """
     model = _model_from(cfg)
-    alpha = _alpha_from(cfg)
+    alpha = _require(cfg, "alpha")
     mult = multiplier(model, alpha)
     closed = spectrum_multiset(model, alpha)
     header = ["k", "freq_abs", "eigenvalue"]
@@ -313,7 +340,7 @@ def _task_spectrum(cfg: dict) -> int:
             for i in range(S):
                 fh.write(",".join(row0[S - i:] + row0[:S - i]) + "\r\n")
     err = float(np.max(np.abs(np.sort(mult.eigenvalues) - closed)))
-    tol = float(cfg.get("tol") or 1e-9)
+    tol = cfg.get("tol", 1e-9)
     _write_json(os.path.join(cfg["out"], "spectrum_report.json"), {
         "p": model.p, "N": model.N, "M": model.M, "alpha": alpha,
         "size": model.S,
@@ -328,15 +355,13 @@ def _task_spectrum(cfg: dict) -> int:
 
 def _task_heat_kernel(cfg: dict) -> int:
     model = _model_from(cfg)
-    alpha = _alpha_from(cfg)
+    alpha = _require(cfg, "alpha")
     p, N = model.p, model.N
-    times = _parse_floats(cfg.get("times", "0.1,1.0,10.0"), "times")
-    if any(t <= 0 for t in times):
-        raise ValidationFailure("times must be positive")
-    m_lo = int(cfg.get("m_lo", N - 6))
+    times = cfg.get("times", [0.1, 1.0, 10.0])
+    m_lo = cfg.get("m_lo", N - 6)
     if m_lo > N:
         raise ValidationFailure(f"m_lo must be <= N = {N}")
-    tol = float(cfg.get("tol") or 1e-10)
+    tol = cfg.get("tol", 1e-10)
     rows = []
     worst = 0.0
     for t in times:
@@ -362,13 +387,11 @@ def _task_heat_kernel(cfg: dict) -> int:
 
 def _task_green(cfg: dict) -> int:
     model = _model_from(cfg)
-    alpha = _alpha_from(cfg)
+    alpha = _require(cfg, "alpha")
     p, N = model.p, model.N
-    mus = _parse_floats(cfg.get("mu", "1.0"), "mu")
-    if any(mu <= 0 for mu in mus):
-        raise ValidationFailure("mu must be positive")
-    m_lo = int(cfg.get("m_lo", -25))
-    m_hi = int(cfg.get("m_hi", min(N, 0)))
+    mus = cfg.get("mu", [1.0])
+    m_lo = cfg.get("m_lo", -25)
+    m_hi = cfg.get("m_hi", min(N, 0))
     summary = {"p": p, "N": N, "alpha": alpha, "tables": []}
     for mu in mus:
         try:
@@ -391,13 +414,11 @@ def _task_green(cfg: dict) -> int:
 
 def _task_solve_linear(cfg: dict) -> int:
     model = _model_from(cfg)
-    alpha = _alpha_from(cfg)
-    times = _parse_floats(cfg.get("times", "0.1,0.2,0.5,1.0,2.0"), "times")
+    alpha = _require(cfg, "alpha")
+    times = cfg.get("times", [0.1, 0.2, 0.5, 1.0, 2.0])
     u0 = _parse_initial(cfg, model)
     path = cfg.get("path", "spectral")
-    if path not in ("spectral", "kernel"):
-        raise ValidationFailure(f"unknown path {path!r}")
-    tol = float(cfg.get("tol") or 1e-9)
+    tol = cfg.get("tol", 1e-9)
     try:
         snaps = evolve_series(u0, alpha, times, path)
         other = evolve_series(u0, alpha, times,
@@ -428,18 +449,12 @@ def _task_solve_linear(cfg: dict) -> int:
 
 def _task_solve_pme(cfg: dict) -> int:
     model = _model_from(cfg)
-    alpha = _alpha_from(cfg)
-    t = float(cfg.get("t", 1.0))
-    if t <= 0:
-        raise ValidationFailure(f"t must be positive, got {t}")
-    steps = int(cfg.get("steps", 64))
-    if steps < 1:
-        raise ValidationFailure(f"steps must be >= 1, got {steps}")
-    phi = _parse_phi(cfg)
+    alpha = _require(cfg, "alpha")
+    t = cfg.get("t", 1.0)
+    steps = cfg.get("steps", 64)
+    phi = cfg.get("phi") or Nonlinearity.power(2.0)
     u0 = _parse_initial(cfg, model)
-    record_every = int(cfg.get("record_every", 1))
-    if record_every < 1:
-        raise ValidationFailure(f"record_every must be >= 1, got {record_every}")
+    record_every = cfg.get("record_every", 1)
     states, rows = pme_trajectory(u0, t, steps, alpha, phi,
                                   record_every=record_every)
     _write_table(cfg, "pme_trajectory",
@@ -457,9 +472,8 @@ def _task_solve_pme(cfg: dict) -> int:
         "worst_mass_identity_residual":
             max(abs(r["mass_identity_residual"]) for r in rows),
     }
-    if cfg.get("cl_tol") is not None:
-        _, report = crandall_liggett(u0, t, alpha, phi,
-                                     tol=float(cfg["cl_tol"]))
+    if "cl_tol" in cfg:
+        _, report = crandall_liggett(u0, t, alpha, phi, tol=cfg["cl_tol"])
         payload["crandall_liggett"] = report.as_dict()
     _write_json(os.path.join(cfg["out"], "pme_report.json"), payload)
     return EXIT_OK
@@ -467,17 +481,15 @@ def _task_solve_pme(cfg: dict) -> int:
 
 def _task_verify(cfg: dict) -> int:
     model = _model_from(cfg) if all(
-        cfg.get(k) is not None for k in ("p", "N", "M")) else BallModel(2, 0, 6)
-    alpha = float(cfg["alpha"]) if cfg.get("alpha") is not None else 1.0
-    if alpha <= 0:
-        raise ValidationFailure(f"alpha must be positive, got {alpha}")
+        k in cfg for k in ("p", "N", "M")) else BallModel(2, 0, 6)
+    alpha = cfg.get("alpha", 1.0)
     # the oracles below are O(S**2) in time and the direct DFT in memory
     if model.S > DEFAULT_MATRIX_CAP:
         raise ValidationFailure(
             f"verify runs O(S**2) oracles; group order {model.S} exceeds "
             f"the cap {DEFAULT_MATRIX_CAP}")
-    tol = float(cfg.get("tol") or 1e-9)
-    seed = int(cfg.get("seed", 0))
+    tol = cfg.get("tol", 1e-9)
+    seed = cfg.get("seed", 0)
     p, N = model.p, model.N
     checks: list[tuple[str, float, float]] = []
 
@@ -566,6 +578,33 @@ TASKS = {
 }
 
 
+# key -> (reader, tasks that take it); the flag of key "m_lo" is --m-lo
+_ALL = tuple(TASKS)
+OPTIONS = {
+    "out": (_text, _ALL),
+    "seed": (_integer, _ALL),
+    "tol": (_positive, _ALL),
+    "format": (_choice("csv", "json"), _ALL),
+    "p": (_integer, _ALL),
+    "N": (_integer, _ALL),
+    "M": (_integer, _ALL),
+    "alpha": (_positive, _ALL),
+    "dump_matrix": (_switch, ("spectrum",)),
+    "times": (_positives, ("heat-kernel", "solve-linear")),
+    "m_lo": (_integer, ("heat-kernel", "green")),
+    "mu": (_positives, ("green",)),
+    "m_hi": (_integer, ("green",)),
+    "initial": (_initial, ("solve-linear", "solve-pme")),
+    "dump_state": (_switch, ("solve-linear", "solve-pme")),
+    "path": (_choice("spectral", "kernel"), ("solve-linear",)),
+    "t": (_positive, ("solve-pme",)),
+    "steps": (_count, ("solve-pme",)),
+    "phi": (_phi, ("solve-pme",)),
+    "cl_tol": (_positive, ("solve-pme",)),
+    "record_every": (_count, ("solve-pme",)),
+}
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; route those through the
     # validation path so exit 2 stays reserved for consistency failures
@@ -577,44 +616,20 @@ class _Parser(argparse.ArgumentParser):
 # parse_args leaves the parser unchanged
 @lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
+    """Every flag is a plain string, read later by its option's reader,
+    or a switch."""
     parser = _Parser(prog="padic-heat", description=__doc__)
     sub = parser.add_subparsers(dest="task", required=True)
     for task in TASKS:
         sp = sub.add_parser(task)
-        sp.add_argument("--config", type=str, default=None)
-        sp.add_argument("--out", type=str, default=None)
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--tol", type=float, default=None)
-        sp.add_argument("--format", type=str, default=None,
-                        choices=("csv", "json"))
-        sp.add_argument("--p", type=int, default=None)
-        sp.add_argument("--N", type=int, default=None)
-        sp.add_argument("--M", type=int, default=None)
-        sp.add_argument("--alpha", type=float, default=None)
-        if task == "spectrum":
-            sp.add_argument("--dump-matrix", dest="dump_matrix",
-                            action="store_const", const=True, default=None)
-        if task in ("heat-kernel", "solve-linear"):
-            sp.add_argument("--times", type=str, default=None)
-        if task in ("heat-kernel", "green"):
-            sp.add_argument("--m-lo", dest="m_lo", type=int, default=None)
-        if task == "green":
-            sp.add_argument("--mu", type=str, default=None)
-            sp.add_argument("--m-hi", dest="m_hi", type=int, default=None)
-        if task in ("solve-linear", "solve-pme"):
-            sp.add_argument("--initial", type=str, default=None)
-            sp.add_argument("--dump-state", dest="dump_state",
-                            action="store_const", const=True, default=None)
-        if task == "solve-linear":
-            sp.add_argument("--path", type=str, default=None,
-                            choices=("spectral", "kernel"))
-        if task == "solve-pme":
-            sp.add_argument("--t", type=float, default=None)
-            sp.add_argument("--steps", type=int, default=None)
-            sp.add_argument("--phi", type=str, default=None)
-            sp.add_argument("--cl-tol", dest="cl_tol", type=float, default=None)
-            sp.add_argument("--record-every", dest="record_every", type=int,
-                            default=None)
+        sp.add_argument("--config")
+        for key, (read, tasks) in OPTIONS.items():
+            if task in tasks:
+                flag = "--" + key.replace("_", "-")
+                if read is _switch:
+                    sp.add_argument(flag, action="store_const", const=True)
+                else:
+                    sp.add_argument(flag)
     return parser
 
 

@@ -70,6 +70,13 @@ def _exp_shifted(t: float, lam: float, p: int, exponent: float) -> float:
     return math.exp(arg) if arg > -745.0 else 0.0
 
 
+def _check_time(t: float) -> None:
+    # NaN passes "t <= 0": the ball kernel's decays then vanish and it
+    # returned p**(-N), the global kernel NaN
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError(f"t must be positive and finite, got {t}")
+
+
 def heat_kernel_global(p: int, alpha: float, t: float, m: int | None = None,
                        eps_tail: float = DEFAULT_EPS_TAIL) -> float:
     """Heat kernel on the whole field at radius p**m (m=None for x = 0).
@@ -85,8 +92,7 @@ def heat_kernel_global(p: int, alpha: float, t: float, m: int | None = None,
     formed once per call instead of once per term; the values are
     bit-identical.
     """
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
+    _check_time(t)
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     q = 1.0 - 1.0 / p
@@ -254,8 +260,8 @@ def c_series(p: int, N: int, alpha: float, t: float,
     raises NonConvergenceError.  Summation runs in extended precision
     sized to the hump, the return value is an ordinary double.
     """
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"t must be finite and >= 0, got {t}")
     if t == 0.0:
         return 0.0
     with mp.workdps(_series_dps(p, N, alpha, t)):
@@ -279,8 +285,7 @@ def heat_kernel_ball(p: int, N: int, alpha: float, t: float,
     arbitrarily large t.  For x = 0 the sphere sum runs upward until
     those decays underflow.
     """
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
+    _check_time(t)
     if m is not None and m > N:
         raise ValueError(f"radius exponent m must be <= N = {N}, got {m}")
     q = 1.0 - 1.0 / p
@@ -390,8 +395,7 @@ def heat_kernel_ball_series(p: int, N: int, alpha: float, t: float,
     raises NonConvergenceError where exp(lambda*t) would need more than
     20000 guard digits, or c(t) more work than ``SERIES_WORK_BUDGET``.
     """
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
+    _check_time(t)
     if m is not None and m > N:
         raise ValueError(f"radius exponent m must be <= N = {N}, got {m}")
     lam = lambda_value(p, alpha, N)
@@ -467,10 +471,6 @@ def ball_kernel_gridfunction(model: BallModel, alpha: float, t: float) -> GridFu
 # -- Green function and resolvent --------------------------------------
 
 
-def _green_denominator(p: int, N: int, alpha: float, mu: float, l: int) -> float:
-    return float(p) ** (alpha * l) - lambda_value(p, alpha, N) + mu
-
-
 def _check_green_args(alpha: float, mu: float) -> None:
     # NaN passes "mu <= 0" and "alpha <= 0", and the sphere sums then run
     # into an OverflowError
@@ -519,19 +519,30 @@ def green_kernel(p: int, N: int, alpha: float, mu: float,
     if m is None:
         if alpha <= 1:
             raise ValueError("the Green function is unbounded at x = 0 for alpha <= 1")
-        q = 1.0 - 1.0 / p
-        acc = 0.0
-        l = -N + 1
-        ratio = float(p) ** (1.0 - alpha)
-        while True:
-            term = q * float(p) ** l / _green_denominator(p, N, alpha, mu, l)
-            acc += term
-            if term / (1.0 - ratio) < series_eps * max(abs(acc), 1e-300):
-                return acc
-            l += 1
+        return _green_at_zero(p, N, alpha, mu, series_eps)
     if m > N:
         raise ValueError(f"radius exponent m must be <= N = {N}, got {m}")
     return next(itertools.islice(_green_radial(p, N, alpha, mu), N - m, None))
+
+
+def _green_at_zero(p: int, N: int, alpha: float, mu: float, series_eps: float) -> float:
+    """K(0) = (1-1/p) * sum_{l > -N} p**l / d(l), for alpha > 1.
+
+    The terms fall like p**(l*(1-alpha)), so the sum stops once the
+    geometric bound on the rest, term/(1 - p**(1-alpha)), drops below
+    ``series_eps`` relative to the total.
+    """
+    q = 1.0 - 1.0 / p
+    lam = lambda_value(p, alpha, N)
+    acc = 0.0
+    l = -N + 1
+    ratio = float(p) ** (1.0 - alpha)
+    while True:
+        term = q * float(p) ** l / (float(p) ** (alpha * l) - lam + mu)
+        acc += term
+        if term / (1.0 - ratio) < series_eps * max(abs(acc), 1e-300):
+            return acc
+        l += 1
 
 
 def green_kernel_series(p: int, N: int, alpha: float, mu: float,
@@ -546,27 +557,20 @@ def green_kernel_series(p: int, N: int, alpha: float, mu: float,
     if alpha <= 1:
         raise ValueError("the sphere series requires alpha > 1")
     _check_green_args(alpha, mu)
+    if m is None:
+        return _green_at_zero(p, N, alpha, mu, series_eps)
     q = 1.0 - 1.0 / p
+    lam = lambda_value(p, alpha, N)
     acc = 0.0
-    l = -N + 1
-    ratio = float(p) ** (1.0 - alpha)
-    while True:
-        if m is None:
-            char_int = q * float(p) ** l
-        elif l <= -m:
+    for l in range(-N + 1, -m + 3):
+        if l <= -m:
             char_int = q * float(p) ** l
         elif l == -m + 1:
             char_int = -float(p) ** (l - 1)
         else:
             char_int = 0.0
-        term = char_int / _green_denominator(p, N, alpha, mu, l)
-        acc += term
-        if m is not None and l > -m + 1:
-            return acc
-        if m is None and q * float(p) ** l / _green_denominator(
-                p, N, alpha, mu, l) / (1.0 - ratio) < series_eps * max(abs(acc), 1e-300):
-            return acc
-        l += 1
+        acc += char_int / (float(p) ** (alpha * l) - lam + mu)
+    return acc
 
 
 def green_ball_integral(p: int, N: int, alpha: float, mu: float,

@@ -93,8 +93,10 @@ def operator_levels(model: BallModel, alpha: float) -> np.ndarray:
     solver fetches the operator once per (model, alpha) instead of once
     per apply.
     """
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    # NaN passes "alpha <= 0" and the quadrature cross-check below, and
+    # alpha = inf makes lambda NaN
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     p, M, L = model.p, model.M, model.N + model.M
     lam = lambda_value(p, alpha, model.N)
     levels = np.array([float(p) ** (alpha * (M - r)) for r in range(L)] + [lam])

@@ -438,3 +438,106 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert (tmp_path / "spectrum.csv").exists()
+
+
+MODEL_FLAGS = ["--p", "2", "--N", "0", "--M", "3", "--alpha", "1.0"]
+
+
+def _drop_flag(argv, key):
+    """argv without the flag of ``key`` and its value."""
+    if "--" + key not in argv:
+        return argv
+    i = argv.index("--" + key)
+    return argv[:i] + argv[i + 2:]
+
+# (task, flags beyond MODEL_FLAGS, config object or None); a config key
+# replaces the flag of the same name
+MALFORMED_INPUTS = [
+    ("spectrum", [], {"p": 2.9}),
+    ("solve-pme", ["--steps", "2"], {"steps": 2.7}),
+    ("heat-kernel", [], {"m_lo": -2.5}),
+    ("solve-pme", [], {"steps": True}),
+    ("spectrum", [], {"dump_matrix": "false"}),
+    ("spectrum", [], {"out": 5}),
+    ("solve-linear", [], {"initial": [1]}),
+    ("solve-linear", ["--initial", "7"], None),
+    ("solve-linear", ["--initial", '{"kind": "indicator", "center": "a"}'], None),
+    ("solve-linear", ["--initial", '{"kind": "random", "seed": "x"}'], None),
+    ("solve-pme", ["--steps", "2"], {"phi": {"kind": "table", "knots": 5}}),
+    ("spectrum", ["--tol", "0"], None),
+    ("spectrum", ["--tol", "-1"], None),
+    ("solve-linear", ["--times", "", "--dump-state"], None),
+    ("solve-pme", ["--steps", "2", "--cl-tol", "0"], None),
+]
+
+
+@pytest.mark.parametrize("case", range(len(MALFORMED_INPUTS)))
+def test_malformed_input_exits_1_with_one_json_line(tmp_path, capsys, monkeypatch, case):
+    # each of these ran with a truncated or truthy value, exited 2, or
+    # ended in a traceback
+    task, flags, config = MALFORMED_INPUTS[case]
+    argv = [task] + MODEL_FLAGS + flags
+    if config is not None:
+        for key in config:
+            argv = _drop_flag(argv, key)
+        (tmp_path / "run.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp_path / "run.json")]
+    if "out" not in (config or {}):
+        argv += ["--out", str(tmp_path / "out")]
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == "validation"
+    assert not list(work.iterdir())
+    assert not (tmp_path / "out").exists() or not list((tmp_path / "out").iterdir())
+
+
+# key -> (task, flags beyond MODEL_FLAGS, the key's flag string, its config value)
+FLAG_AND_CONFIG = {
+    "p": ("spectrum", [], "3", 3),
+    "N": ("spectrum", [], "-1", -1),
+    "M": ("spectrum", [], "2", 2),
+    "alpha": ("spectrum", [], "0.7", 0.7),
+    "out": ("spectrum", [], None, None),
+    "seed": ("solve-linear", ["--initial", "random"], "7", 7),
+    "tol": ("spectrum", [], "1e-8", 1e-8),
+    "format": ("spectrum", [], "json", "json"),
+    "dump_matrix": ("spectrum", [], None, True),
+    "times": ("heat-kernel", [], "0.5,2", [0.5, 2]),
+    "m_lo": ("heat-kernel", [], "-3", -3),
+    "mu": ("green", [], "0.5,2", [0.5, 2.0]),
+    "m_hi": ("green", [], "-1", -1),
+    "initial": ("solve-linear", [], '{"kind": "bump", "radius_exp": -1}',
+                {"kind": "bump", "radius_exp": -1}),
+    "dump_state": ("solve-pme", ["--steps", "2"], None, True),
+    "path": ("solve-linear", [], "kernel", "kernel"),
+    "t": ("solve-pme", ["--steps", "2"], "0.3", 0.3),
+    "steps": ("solve-pme", [], "3", 3),
+    "phi": ("solve-pme", ["--steps", "2"], "power:3", {"kind": "power", "exponent": 3}),
+    "cl_tol": ("solve-pme", ["--steps", "2"], "1e-2", 0.01),
+    "record_every": ("solve-pme", ["--steps", "4"], "2", 2),
+}
+
+
+@pytest.mark.parametrize("key", list(cli.OPTIONS))
+def test_flag_and_config_value_give_the_same_files(tmp_path, key):
+    task, flags, flag_value, config_value = FLAG_AND_CONFIG[key]
+    argv = [task] + _drop_flag(MODEL_FLAGS, key) + flags
+    flag = "--" + key.replace("_", "-")
+    by_flag, by_config = tmp_path / "flag", tmp_path / "config"
+    if key == "out":
+        assert main(argv + [flag, str(by_flag)]) == 0
+        config_value = str(by_config)
+    else:
+        given = [flag] if flag_value is None else [flag, flag_value]
+        assert main(argv + given + ["--out", str(by_flag)]) == 0
+        argv = argv + ["--out", str(by_config)]
+    (tmp_path / "run.json").write_text(json.dumps({key: config_value}))
+    assert main(argv + ["--config", str(tmp_path / "run.json")]) == 0
+    names = sorted(f.name for f in by_flag.iterdir())
+    assert names == sorted(f.name for f in by_config.iterdir())
+    for name in names:
+        assert (by_flag / name).read_bytes() == (by_config / name).read_bytes(), name

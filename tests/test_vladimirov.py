@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,9 +20,11 @@ from padic_heat import (
     convolve_riesz,
     dft_direct,
     domain_check,
+    evolve,
     lambda_value,
     multiplier,
     random_function,
+    resolvent_apply,
     riesz_pairing,
     spectrum_multiset,
     symbol_quadrature,
@@ -362,3 +366,20 @@ def test_oracles_use_neither_the_transform_nor_the_ladder(monkeypatch):
            dft_direct(u.values, +1), dft_direct(u.values, -1))
     for a, b in zip(want, got):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_non_finite_alpha_is_refused(alpha):
+    # NaN passed "alpha <= 0" and the quadrature cross-check, so the
+    # levels came back [nan ...] and alpha = inf [inf ... nan]: evolve
+    # and apply_spectral returned all NaN without an error
+    model = BallModel(2, 0, 4)
+    u = GridFunction(model, np.arange(16.0))
+    calls = [lambda: vlad.operator_levels(model, alpha),
+             lambda: evolve(u, alpha, 1.0),
+             lambda: evolve(u, alpha, 1.0, path="kernel"),
+             lambda: apply_spectral(u, alpha),
+             lambda: resolvent_apply(u, alpha, 0.9)]
+    for call in calls:
+        with pytest.raises(ValueError, match="finite"):
+            call()
