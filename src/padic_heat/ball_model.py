@@ -138,8 +138,7 @@ def valuation_table(model: BallModel) -> np.ndarray:
     while q < S:
         val[q::q] += 1
         q *= model.p
-    if S > 0:
-        val[0] = model.N + model.M
+    val[0] = model.N + model.M
     return _readonly(val)
 
 
@@ -161,6 +160,13 @@ def freq_abs_table(model: BallModel) -> np.ndarray:
     return _readonly(t)
 
 
+def _check_alpha(alpha: float) -> None:
+    """Refuse an order alpha that is not finite and positive."""
+    # NaN passes "alpha <= 0", and alpha = inf makes lambda NaN
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+
+
 def lambda_value(p: int, alpha: float, N: int) -> float:
     """Smallest eigenvalue of the ball operator of order alpha.
 
@@ -168,15 +174,13 @@ def lambda_value(p: int, alpha: float, N: int) -> float:
     exactly on constant functions and is strictly below the smallest
     nonzero-frequency eigenvalue p**(alpha*(1-N)).
     """
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    _check_alpha(alpha)
     return (p - 1) / (float(p) ** (alpha + 1) - 1.0) * float(p) ** (alpha * (1 - N))
 
 
 def coefficient_ap(p: int, alpha: float) -> float:
     """Normalisation (1 - p**alpha)/(1 - p**(-alpha-1)) of the difference form; negative."""
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    _check_alpha(alpha)
     return (1.0 - float(p) ** alpha) / (1.0 - float(p) ** (-alpha - 1.0))
 
 
@@ -191,8 +195,7 @@ class Constants:
     def __post_init__(self) -> None:
         if not _is_prime(self.p):
             raise ValueError(f"p must be prime, got {self.p!r}")
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        _check_alpha(self.alpha)
 
     @property
     def lam(self) -> float:

@@ -38,18 +38,15 @@ from .kernels import (
     ball_kernel_gridfunction,
     green_ball_integral,
     green_estimates_report,
-    green_kernel,
     heat_kernel_ball,
     heat_kernel_ball_series,
     resolvent_apply,
 )
-from .linear_solver import evolve, evolve_series
+from .linear_solver import evolve_series
 from .pme_solver import (
-    ImplicitStepConfig,
     Nonlinearity,
     SolverError,
     crandall_liggett,
-    implicit_step,
     pme_trajectory,
 )
 from .vladimirov import (
@@ -71,10 +68,6 @@ EXIT_NONCONVERGENCE = 3
 
 
 class ValidationFailure(Exception):
-    pass
-
-
-class ConsistencyFailure(Exception):
     pass
 
 
@@ -276,10 +269,7 @@ def _require(cfg: dict, key: str):
 
 
 def _model_from(cfg: dict) -> BallModel:
-    try:
-        return BallModel(_require(cfg, "p"), _require(cfg, "N"), _require(cfg, "M"))
-    except ValueError as exc:
-        raise ValidationFailure(str(exc)) from exc
+    return BallModel(_require(cfg, "p"), _require(cfg, "N"), _require(cfg, "M"))
 
 
 def _parse_initial(cfg: dict, model: BallModel) -> GridFunction:
@@ -293,6 +283,12 @@ def _parse_initial(cfg: dict, model: BallModel) -> GridFunction:
 
 
 # -- tasks ---------------------------------------------------------------
+
+
+def _multiset_deviation(model: BallModel, alpha: float) -> float:
+    """Largest gap between the sorted eigenvalues and ``spectrum_multiset``."""
+    return float(np.max(np.abs(np.sort(multiplier(model, alpha).eigenvalues)
+                               - spectrum_multiset(model, alpha))))
 
 
 def _task_spectrum(cfg: dict) -> int:
@@ -312,8 +308,7 @@ def _task_spectrum(cfg: dict) -> int:
     """
     model = _model_from(cfg)
     alpha = _require(cfg, "alpha")
-    mult = multiplier(model, alpha)
-    closed = spectrum_multiset(model, alpha)
+    err = _multiset_deviation(model, alpha)
     header = ["k", "freq_abs", "eigenvalue"]
     if cfg["format"] == "csv":
         # frequency k = p**r has valuation r; k = 0 holds the sentinel L
@@ -327,19 +322,14 @@ def _task_spectrum(cfg: dict) -> int:
     else:
         _write_table(cfg, "spectrum", header,
                      zip(range(model.S), freq_abs_table(model).tolist(),
-                         mult.eigenvalues.tolist()))
+                         multiplier(model, alpha).eigenvalues.tolist()))
     if cfg.get("dump_matrix"):
-        try:
-            mat = build_matrix(model, alpha)
-        except ValueError as exc:
-            raise ValidationFailure(str(exc)) from exc
-        row0 = _reprs(mat[0])
+        row0 = _reprs(build_matrix(model, alpha)[0])
         S = model.S
         with open(os.path.join(cfg["out"], "operator_matrix.csv"),
                   "w", newline="") as fh:
             for i in range(S):
                 fh.write(",".join(row0[S - i:] + row0[:S - i]) + "\r\n")
-    err = float(np.max(np.abs(np.sort(mult.eigenvalues) - closed)))
     tol = cfg.get("tol", 1e-9)
     _write_json(os.path.join(cfg["out"], "spectrum_report.json"), {
         "p": model.p, "N": model.N, "M": model.M, "alpha": alpha,
@@ -348,9 +338,25 @@ def _task_spectrum(cfg: dict) -> int:
         "tolerance": tol,
     })
     if err >= tol:
-        raise ConsistencyFailure(
+        raise ConsistencyError(
             f"eigenvalue multiset deviates from the closed form by {err:.3e}")
     return EXIT_OK
+
+
+def _kernel_rows(p: int, N: int, alpha: float, times, m_lo: int):
+    """Rows (m, |x|, t, character sum, series, relative gap) of the two
+    ball-kernel routes at radii p**N .. p**m_lo and x = 0, and the worst gap."""
+    rows = []
+    worst = 0.0
+    for t in times:
+        for m in list(range(N, m_lo - 1, -1)) + [None]:
+            a = heat_kernel_ball(p, N, alpha, t, m)
+            b = heat_kernel_ball_series(p, N, alpha, t, m)
+            rel = abs(a - b) / max(abs(a), 1.0)
+            worst = max(worst, rel)
+            rows.append(("zero" if m is None else m,
+                         0.0 if m is None else float(p) ** m, t, a, b, rel))
+    return rows, worst
 
 
 def _task_heat_kernel(cfg: dict) -> int:
@@ -362,16 +368,7 @@ def _task_heat_kernel(cfg: dict) -> int:
     if m_lo > N:
         raise ValidationFailure(f"m_lo must be <= N = {N}")
     tol = cfg.get("tol", 1e-10)
-    rows = []
-    worst = 0.0
-    for t in times:
-        for m in list(range(N, m_lo - 1, -1)) + [None]:
-            a = heat_kernel_ball(p, N, alpha, t, m)
-            b = heat_kernel_ball_series(p, N, alpha, t, m)
-            rel = abs(a - b) / max(abs(a), 1.0)
-            worst = max(worst, rel)
-            rows.append(("zero" if m is None else m,
-                         0.0 if m is None else float(p) ** m, t, a, b, rel))
+    rows, worst = _kernel_rows(p, N, alpha, times, m_lo)
     _write_table(cfg, "heat_kernel",
                  ["m", "abs_x", "t", "z_char_sum", "z_series", "rel_diff"],
                  rows)
@@ -380,9 +377,14 @@ def _task_heat_kernel(cfg: dict) -> int:
         "worst_rel_diff": worst, "tolerance": tol,
     })
     if worst >= tol:
-        raise ConsistencyFailure(
+        raise ConsistencyError(
             f"ball-kernel evaluation routes disagree by {worst:.3e}")
     return EXIT_OK
+
+
+def _green_mean(p: int, N: int, alpha: float, mu: float) -> float:
+    """The Green function's ball integral, summed adaptively below alpha = 1."""
+    return green_ball_integral(p, N, alpha, mu, None if alpha < 1 else -40)
 
 
 def _task_green(cfg: dict) -> int:
@@ -394,20 +396,13 @@ def _task_green(cfg: dict) -> int:
     m_hi = cfg.get("m_hi", min(N, 0))
     summary = {"p": p, "N": N, "alpha": alpha, "tables": []}
     for mu in mus:
-        try:
-            table = green_estimates_report(p, N, alpha, mu, (m_lo, m_hi))
-        except ValueError as exc:
-            raise ValidationFailure(str(exc)) from exc
-        rows = [(r["m"], r["abs_x"], r["K"], r["weight"], r["weighted"],
-                 r["ratio"]) for r in table]
+        rows = [(r["m"], r["abs_x"], r["K"], r["weight"], r["weighted"], r["ratio"])
+                for r in green_estimates_report(p, N, alpha, mu, (m_lo, m_hi))]
         name = _write_table(cfg, f"green_mu_{mu:g}",
                             ["m", "abs_x", "K", "weight", "weighted", "ratio"],
                             rows)
-        m_min = None if alpha < 1 else -40
         summary["tables"].append({
-            "mu": mu, "file": name,
-            "ball_integral": green_ball_integral(p, N, alpha, mu, m_min),
-        })
+            "mu": mu, "file": name, "ball_integral": _green_mean(p, N, alpha, mu)})
     _write_json(os.path.join(cfg["out"], "green_report.json"), summary)
     return EXIT_OK
 
@@ -419,12 +414,8 @@ def _task_solve_linear(cfg: dict) -> int:
     u0 = _parse_initial(cfg, model)
     path = cfg.get("path", "spectral")
     tol = cfg.get("tol", 1e-9)
-    try:
-        snaps = evolve_series(u0, alpha, times, path)
-        other = evolve_series(u0, alpha, times,
-                              "kernel" if path == "spectral" else "spectral")
-    except ValueError as exc:
-        raise ValidationFailure(str(exc)) from exc
+    snaps = evolve_series(u0, alpha, times, path)
+    other = evolve_series(u0, alpha, times, "kernel" if path == "spectral" else "spectral")
     rows = []
     worst = 0.0
     for t, u, v in zip(times, snaps, other):
@@ -442,7 +433,7 @@ def _task_solve_linear(cfg: dict) -> int:
         "worst_path_disagreement": worst, "tolerance": tol,
     })
     if worst >= tol:
-        raise ConsistencyFailure(
+        raise ConsistencyError(
             f"spectral and kernel paths disagree by {worst:.3e}")
     return EXIT_OK
 
@@ -493,11 +484,7 @@ def _task_verify(cfg: dict) -> int:
     p, N = model.p, model.N
     checks: list[tuple[str, float, float]] = []
 
-    mult = multiplier(model, alpha)
-    closed = spectrum_multiset(model, alpha)
-    checks.append(("spectrum multiset",
-                   float(np.max(np.abs(np.sort(mult.eigenvalues) - closed))),
-                   tol))
+    checks.append(("spectrum multiset", _multiset_deviation(model, alpha), tol))
 
     rng = np.random.default_rng(seed)
     u = GridFunction(model, rng.standard_normal(model.S))
@@ -509,12 +496,7 @@ def _task_verify(cfg: dict) -> int:
                    max(float(np.max(np.abs(a - b))),
                        float(np.max(np.abs(a - c)))) / scale, tol))
 
-    worst = 0.0
-    for tt in (0.1, 1.0, 10.0):
-        for m in list(range(N, N - 4, -1)) + [None]:
-            za = heat_kernel_ball(p, N, alpha, tt, m)
-            zb = heat_kernel_ball_series(p, N, alpha, tt, m)
-            worst = max(worst, abs(za - zb) / max(abs(za), 1.0))
+    _, worst = _kernel_rows(p, N, alpha, (0.1, 1.0, 10.0), N - 3)
     checks.append(("ball kernel two formulas", worst, max(tol, 1e-10)))
 
     Zt = ball_kernel_gridfunction(model, alpha, 0.4)
@@ -529,9 +511,7 @@ def _task_verify(cfg: dict) -> int:
     checks.append(("resolvent two paths",
                    float(np.max(np.abs(r1.values - r2.values))),
                    max(tol, 1e-10)))
-    m_min = None if alpha < 1 else -40
-    checks.append(("Green kernel mean zero",
-                   abs(green_ball_integral(p, N, alpha, 1.0, m_min)),
+    checks.append(("Green kernel mean zero", abs(_green_mean(p, N, alpha, 1.0)),
                    max(tol, 1e-10)))
 
     fc = forward(u).coeffs * model.S
@@ -541,12 +521,9 @@ def _task_verify(cfg: dict) -> int:
                    / max(float(np.max(np.abs(dc))), 1.0), 1e-12))
 
     g = GridFunction(model, 1.0 + np.abs(rng.standard_normal(model.S)))
-    vstep = implicit_step(g, 0.5, alpha, Nonlinearity.power(2))
-    lam = mult.eigenvalues[0]
-    phi_of_v = GridFunction(model, Nonlinearity.power(2).value(vstep.values))
-    mass_resid = abs(vstep.integral() - g.integral()
-                     + 0.5 * lam * phi_of_v.integral())
-    checks.append(("implicit-step mass identity", mass_resid, 1e-12))
+    _, rows = pme_trajectory(g, 0.5, 1, alpha, Nonlinearity.power(2))
+    checks.append(("implicit-step mass identity",
+                   abs(rows[0]["mass_identity_residual"]), 1e-12))
 
     lines = []
     failed = []
@@ -564,7 +541,7 @@ def _task_verify(cfg: dict) -> int:
         "passed": not failed,
     })
     if failed:
-        raise ConsistencyFailure(f"verification failed: {', '.join(failed)}")
+        raise ConsistencyError(f"verification failed: {', '.join(failed)}")
     return EXIT_OK
 
 
@@ -639,11 +616,9 @@ def main(argv=None) -> int:
         cfg = _load_config(args.task, args)
         os.makedirs(cfg["out"], exist_ok=True)
         return TASKS[args.task](cfg)
-    except ValidationFailure as exc:
+    except (ValidationFailure, ValueError, OSError) as exc:
         return _emit_error("validation", str(exc), EXIT_VALIDATION)
-    except (ValueError, OSError) as exc:
-        return _emit_error("validation", str(exc), EXIT_VALIDATION)
-    except (ConsistencyFailure, ConsistencyError) as exc:
+    except ConsistencyError as exc:
         return _emit_error("consistency", str(exc), EXIT_CONSISTENCY)
     except (NonConvergenceError, SolverError) as exc:
         return _emit_error("non-convergence", str(exc), EXIT_NONCONVERGENCE)

@@ -27,29 +27,19 @@ transform, from the multiplier's L + 1 level values (``radial_levels``;
 ``vladimirov.operator_levels`` caches the operator's); ``apply_multiplier``
 stays for general factors.
 
-At the sizes the solvers run, the ladder's cost is per numpy call, not
-per element, so it walks several levels per call.  A block of k levels,
-k = floor(log_p 32) (5 for p = 2, 3 for p = 3, 2 for p = 5, 1 for
-p = 7), views the finer average as a (p**k, -1) array whose columns are
-the classes of the coarser one, and applies all k levels' details at
-once by one p**k x p**k band matrix (one BLAS product), formed once per
-set of level values (``_ladder_bands`` caches it on the values).  The
-band's columns sum to zero, but the product's rounding does not, and where
-every column holds the same data (u a function of the top digits) that
-residue adds up in the class means the coarser levels carry.  So after
-the finest block, whose level values are the largest, each column's sum
-is taken exactly (``_restore_class_sums``) and set to p**k times the
-coarser result; mean(D u) then stays well inside the Fourier path's
-error, where re-centring each column in floating point missed it by up
-to 38 times.  A block whose product would exceed 2**18 multiply-adds
-(counting the real view of complex data, twice as wide), OpenBLAS's
-single-thread cutoff (65536 times its default GEMM_MULTITHREAD_THRESHOLD
-of 4), takes its levels one at a time instead.  So every product the
-ladder asks for runs on the calling thread, and its time does not swing
-with the load of another core; large S pays for that in one-level
-steps.  The one-level steps reduce with bare
-``np.add.reduce`` (the arithmetic of ``mean``, without its Python
-wrapper) and update their details in place.
+The ladder walks k = floor(log_p 32) levels per numpy call (5 for
+p = 2, 3 for p = 3, 2 for p = 5, 1 for p = 7).  A block views the finer
+average as a (p**k, -1) array whose columns are the classes of the
+coarser one and applies all k levels' details by one p**k x p**k band
+matrix, formed once per set of level values (``_ladder_bands``).  The
+finest block's column sums are then taken exactly and set to p**k times
+the coarser result (``_restore_class_sums``), so the product's rounding
+does not pile up in the class means and mean(D u) stays within the
+Fourier path's error.  A block whose product would pass 2**18
+multiply-adds (complex data counted twice) takes its levels one at a
+time, so every product stays below OpenBLAS's single-thread cutoff and
+runs on the calling thread.  The one-level steps reduce with bare
+``np.add.reduce`` and update their details in place.
 """
 
 from __future__ import annotations

@@ -248,6 +248,18 @@ def constant(model: BallModel, c: float) -> GridFunction:
     return GridFunction(model, np.full(model.S, float(c)))
 
 
+def _integer(key: str, value):
+    """``value`` as an int where it is an integral float (2.0 reads as 2).
+
+    None, a bool and a fractional, NaN or infinite float are refused;
+    any other value is handed back for the caller's own use to refuse.
+    """
+    if (value is None or isinstance(value, bool)
+            or isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value) if isinstance(value, float) else value
+
+
 def ball_indicator(model: BallModel, center: int = 0,
                    radius_exp: int | None = None) -> GridFunction:
     """Indicator of the sub-ball of radius p**radius_exp around coset ``center``.
@@ -255,10 +267,12 @@ def ball_indicator(model: BallModel, center: int = 0,
     radius_exp must lie in [-M, N]; the sub-ball then consists of the
     p**(M + radius_exp) cosets whose representatives are congruent to
     ``center`` modulo p**(N - radius_exp).  It defaults to min(0, N):
-    the unit ball, or the whole ball where that is smaller.
+    the unit ball, or the whole ball where that is smaller.  A center or
+    radius_exp that is not an integer is refused.
     """
     if radius_exp is None:
         radius_exp = min(0, model.N)
+    center, radius_exp = _integer("center", center), _integer("radius_exp", radius_exp)
     if not (-model.M <= radius_exp <= model.N):
         raise ValueError(
             f"radius_exp must be in [{-model.M}, {model.N}], got {radius_exp}"
@@ -289,6 +303,9 @@ def make_initial(model: BallModel, spec: dict) -> GridFunction:
            {"kind": "indicator", "center": n0, "radius_exp": r}
            {"kind": "random", "seed": s}
            {"kind": "bump", "center": n0, "radius_exp": r}
+
+    c must be a finite number; n0, r and s integers, where an integral
+    float such as 2.0 reads as 2.
     """
     if "kind" not in spec:
         raise ValueError("initial-data spec needs a 'kind'")
@@ -297,11 +314,18 @@ def make_initial(model: BallModel, spec: dict) -> GridFunction:
     if extra:
         raise ValueError(f"unknown initial-data keys {sorted(extra)}")
     if kind == "constant":
-        return constant(model, spec.get("value", 1.0))
+        value = spec.get("value", 1.0)
+        try:
+            finite = not isinstance(value, bool) and math.isfinite(value)
+        except (TypeError, OverflowError):  # not a number, or an int past float range
+            finite = False
+        if not finite:
+            raise ValueError(f"value must be a finite number, got {value!r}")
+        return constant(model, value)
     if kind == "indicator":
         return ball_indicator(model, spec.get("center", 0), spec.get("radius_exp"))
     if kind == "random":
-        return random_function(model, spec.get("seed", 0))
+        return random_function(model, _integer("seed", spec.get("seed", 0)))
     if kind == "bump":
         return positive_bump(model, spec.get("center", 0), spec.get("radius_exp"))
     raise ValueError(f"unknown initial-data kind {kind!r}")

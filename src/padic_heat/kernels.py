@@ -35,7 +35,7 @@ from functools import lru_cache
 import mpmath as mp
 import numpy as np
 
-from .ball_model import BallModel, lambda_value, valuation_table
+from .ball_model import BallModel, _check_alpha, lambda_value, valuation_table
 from .fourier_ball import apply_radial
 from .function_space import GridFunction
 from .vladimirov import operator_levels
@@ -93,8 +93,7 @@ def heat_kernel_global(p: int, alpha: float, t: float, m: int | None = None,
     bit-identical.
     """
     _check_time(t)
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    _check_alpha(alpha)
     q = 1.0 - 1.0 / p
     fp, log_p, log_t = float(p), math.log(p), math.log(t)
     if m is None:
@@ -122,6 +121,7 @@ def global_kernel_mass(p: int, alpha: float, t: float,
     upper cutoff scales with log(t/eps); below that the summand is
     rounding noise of the sphere evaluator.
     """
+    _check_alpha(alpha)
     q = 1.0 - 1.0 / p
     m = int(math.ceil(math.log(max(t, 1.0) * float(p) ** alpha / 1e-16)
                       / (alpha * math.log(p)))) + 2
@@ -471,13 +471,11 @@ def ball_kernel_gridfunction(model: BallModel, alpha: float, t: float) -> GridFu
 # -- Green function and resolvent --------------------------------------
 
 
-def _check_green_args(alpha: float, mu: float) -> None:
-    # NaN passes "mu <= 0" and "alpha <= 0", and the sphere sums then run
-    # into an OverflowError
+def _check_mu(mu: float) -> None:
+    # NaN passes "mu <= 0", and the sphere sums then run into an
+    # OverflowError; alpha is refused by lambda_value
     if not (math.isfinite(mu) and mu > 0):
         raise ValueError(f"mu must be positive and finite, got {mu}")
-    if not (math.isfinite(alpha) and alpha > 0):
-        raise ValueError(f"alpha must be positive and finite, got {alpha}")
 
 
 def _green_radial(p: int, N: int, alpha: float, mu: float):
@@ -489,7 +487,7 @@ def _green_radial(p: int, N: int, alpha: float, mu: float):
     term of K(m-1); the terms and their order are those of the
     finite progression, so every value is that of ``green_kernel``.
     """
-    _check_green_args(alpha, mu)
+    _check_mu(mu)
     q = 1.0 - 1.0 / p
     lam = lambda_value(p, alpha, N)
     prefix = 0.0
@@ -515,7 +513,8 @@ def green_kernel(p: int, N: int, alpha: float, mu: float,
     evaluates at x = 0, defined only for alpha > 1, where the upward
     sphere series converges geometrically.
     """
-    _check_green_args(alpha, mu)
+    _check_mu(mu)
+    _check_alpha(alpha)
     if m is None:
         if alpha <= 1:
             raise ValueError("the Green function is unbounded at x = 0 for alpha <= 1")
@@ -554,9 +553,10 @@ def green_kernel_series(p: int, N: int, alpha: float, mu: float,
     the critical one contribute zero, which this route evaluates
     explicitly rather than by the closed cutoff.
     """
+    _check_alpha(alpha)
     if alpha <= 1:
         raise ValueError("the sphere series requires alpha > 1")
-    _check_green_args(alpha, mu)
+    _check_mu(mu)
     if m is None:
         return _green_at_zero(p, N, alpha, mu, series_eps)
     q = 1.0 - 1.0 / p
@@ -573,6 +573,25 @@ def green_kernel_series(p: int, N: int, alpha: float, mu: float,
     return acc
 
 
+def _green_sphere_sum(p: int, top: int, radial, m_floor: int) -> float:
+    """sum_{m <= top} (1-1/p) p**m K(p**m), K read off the sweep ``radial``
+    from radius p**top down.
+
+    The terms shrink geometrically like p**(m*min(alpha, 1)), log factor
+    aside, so the sum stops at the first term below 1e-18 times the
+    largest one once m <= ``m_floor``.
+    """
+    q = 1.0 - 1.0 / p
+    acc = 0.0
+    scale = 0.0
+    for m, K in zip(itertools.count(top, -1), radial):
+        term = q * float(p) ** m * K
+        acc += term
+        scale = max(scale, abs(term))
+        if abs(term) < 1e-18 * max(scale, 1e-300) and m <= m_floor:
+            return acc
+
+
 def green_ball_integral(p: int, N: int, alpha: float, mu: float,
                         m_min: int | None = -40) -> float:
     """Sphere-sum of the Green function over the ball; should vanish.
@@ -581,20 +600,14 @@ def green_ball_integral(p: int, N: int, alpha: float, mu: float,
     alpha >= 1); ``m_min=None`` descends adaptively until the geometric
     tail bound is negligible.
     """
+    radial = _green_radial(p, N, alpha, mu)
+    if m_min is None:
+        return _green_sphere_sum(p, N, radial, -8)
     q = 1.0 - 1.0 / p
     acc = 0.0
-    scale = 0.0
-    for m, K in zip(itertools.count(N, -1), _green_radial(p, N, alpha, mu)):
-        term = q * float(p) ** m * K
-        acc += term
-        scale = max(scale, abs(term))
-        if m_min is not None:
-            if m <= m_min:
-                return acc
-        else:
-            # terms shrink geometrically like p**(m*min(alpha,1)), log factor aside
-            if abs(term) < 1e-18 * max(scale, 1e-300) and m <= -8:
-                return acc
+    for m, K in zip(range(N, min(m_min, N) - 1, -1), radial):
+        acc += q * float(p) ** m * K
+    return acc
 
 
 def green_kernel_gridfunction(model: BallModel, alpha: float, mu: float) -> GridFunction:
@@ -611,16 +624,7 @@ def green_kernel_gridfunction(model: BallModel, alpha: float, mu: float) -> Grid
     radial = np.array(list(itertools.islice(sweep, N + M)))
     vals[1:] = radial[vt[1:]]
     # zero coset: p**M * integral of K over the sub-ball of radius p**(-M)
-    q = 1.0 - 1.0 / p
-    acc = 0.0
-    scale = 0.0
-    for m, K in zip(itertools.count(-M, -1), sweep):
-        term = q * float(p) ** m * K
-        acc += term
-        scale = max(scale, abs(term))
-        if abs(term) < 1e-18 * max(scale, 1e-300) and m <= -M - 8:
-            break
-    vals[0] = float(p) ** M * acc
+    vals[0] = float(p) ** M * _green_sphere_sum(p, -M, sweep, -M - 8)
     return GridFunction(model, vals)
 
 
@@ -633,7 +637,7 @@ def resolvent_apply(u: GridFunction, alpha: float, mu: float,
     grid function and adds the rank-one piece p**(-N)/mu * integral(u)
     that the kernel (mean-zero by construction) cannot carry.
     """
-    _check_green_args(alpha, mu)
+    _check_mu(mu)
     model = u.model
     if path == "spectral":
         e = operator_levels(model, float(alpha))

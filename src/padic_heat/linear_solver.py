@@ -20,7 +20,7 @@ import numpy as np
 from .fourier_ball import apply_radial
 from .function_space import GridFunction
 from .kernels import ball_kernel_gridfunction
-from .vladimirov import operator_levels
+from .vladimirov import apply_spectral, operator_levels
 
 
 def evolve(u0: GridFunction, alpha: float, t: float,
@@ -75,6 +75,5 @@ def pde_residual(u0: GridFunction, alpha: float, t: float,
     u_pls = evolve(u0, alpha, t + dt)
     du_dt = (u_pls.values - u_min.values) / (2 * dt)
     lam = operator_levels(u0.model, float(alpha))[-1]
-    from .vladimirov import apply_spectral
     spatial = apply_spectral(u_mid, float(alpha)).values - lam * u_mid.values
     return float(np.max(np.abs(du_dt + spatial)))

@@ -36,6 +36,7 @@ import numpy as np
 
 from .ball_model import (
     BallModel,
+    _check_alpha,
     coefficient_ap,
     lambda_value,
     point_abs_table,
@@ -93,10 +94,6 @@ def operator_levels(model: BallModel, alpha: float) -> np.ndarray:
     solver fetches the operator once per (model, alpha) instead of once
     per apply.
     """
-    # NaN passes "alpha <= 0" and the quadrature cross-check below, and
-    # alpha = inf makes lambda NaN
-    if not (math.isfinite(alpha) and alpha > 0):
-        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     p, M, L = model.p, model.M, model.N + model.M
     lam = lambda_value(p, alpha, model.N)
     levels = np.array([float(p) ** (alpha * (M - r)) for r in range(L)] + [lam])
@@ -208,8 +205,7 @@ class RieszDistribution:
     sign: int
 
     def __post_init__(self) -> None:
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        _check_alpha(self.alpha)
         if self.sign not in (-1, 1):
             raise ValueError("sign must be -1 or +1")
         if self.sign == 1 and self.alpha == 1.0:

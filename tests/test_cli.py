@@ -468,6 +468,13 @@ MALFORMED_INPUTS = [
     ("spectrum", ["--tol", "-1"], None),
     ("solve-linear", ["--times", "", "--dump-state"], None),
     ("solve-pme", ["--steps", "2", "--cl-tol", "0"], None),
+    # initial data: NaN exited 3, center 1.5 and radius_exp -1.5 ran on the
+    # zero function or a truncated radius, center true ran as center 1
+    ("solve-pme", ["--steps", "2", "--initial", '{"kind": "constant", "value": NaN}'], None),
+    ("solve-pme", ["--steps", "2", "--initial", '{"kind": "indicator", "center": 1.5}'], None),
+    ("solve-pme", ["--steps", "2", "--initial", '{"kind": "indicator", "radius_exp": -1.5}'],
+     None),
+    ("solve-pme", ["--steps", "2", "--initial", '{"kind": "indicator", "center": true}'], None),
 ]
 
 

@@ -302,6 +302,29 @@ def test_make_initial_kinds():
         make_initial(model, {"kind": "constant", "amplitude": 2.0})
 
 
+def test_initial_data_refuses_non_integers_and_non_finite_values():
+    model = BallModel(2, 0, 3)
+    for spec in ({"kind": "constant", "value": math.nan},
+                 {"kind": "constant", "value": math.inf},
+                 {"kind": "constant", "value": "2"},
+                 {"kind": "constant", "value": True},
+                 {"kind": "indicator", "center": 1.5},
+                 {"kind": "indicator", "center": True},
+                 {"kind": "indicator", "radius_exp": -1.5},
+                 {"kind": "bump", "radius_exp": math.nan},
+                 {"kind": "random", "seed": 2.5},
+                 {"kind": "random", "seed": None}):
+        with pytest.raises(ValueError, match="finite number|integer"):
+            make_initial(model, spec)
+    with pytest.raises(ValueError, match="integer"):
+        ball_indicator(model, 1.5)
+    # an integral float reads as the integer
+    assert np.array_equal(make_initial(model, {"kind": "random", "seed": 2.0}).values,
+                          random_function(model, 2).values)
+    assert np.array_equal(ball_indicator(model, 2.0, -2.0).values,
+                          ball_indicator(model, 2, -2).values)
+
+
 def test_csv_round_trip_exact(tmp_path):
     model = BallModel(3, 0, 3)
     u = random_function(model, 17)

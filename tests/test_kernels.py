@@ -30,8 +30,14 @@ from padic_heat import (
     resolvent_apply,
 )
 from padic_heat import fourier_ball, kernels
-from padic_heat.ball_model import freq_abs_table, valuation_table
-from padic_heat.vladimirov import apply_spectral
+from padic_heat.ball_model import Constants, coefficient_ap, freq_abs_table, valuation_table
+from padic_heat.vladimirov import (
+    RieszDistribution,
+    apply_hypersingular,
+    apply_spectral,
+    build_matrix,
+    spectrum_multiset,
+)
 
 from tests.conftest import rel_linf
 
@@ -772,6 +778,35 @@ def test_kernels_refuse_non_finite_times(t):
              lambda: heat_kernel_global(2, 1.3, t, 0),
              lambda: c_series(2, 0, 1.3, t),
              lambda: heat_kernel_ball_series(2, 0, 1.3, t, 0)]
+    for call in calls:
+        with pytest.raises(ValueError, match="finite"):
+            call()
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, 0.0])
+def test_scalar_routes_refuse_non_finite_alpha(alpha):
+    # NaN and inf passed "alpha <= 0": heat_kernel_ball returned 1.0,
+    # heat_kernel_global, lambda_value, spectrum_multiset and build_matrix
+    # NaN, coefficient_ap(2, inf) -inf, and the series route failed on
+    # converting NaN to an integer
+    model = BallModel(2, 0, 3)
+    u = GridFunction(model, np.arange(8.0))
+    calls = [lambda: lambda_value(2, alpha, 0),
+             lambda: coefficient_ap(2, alpha),
+             lambda: heat_kernel_ball(2, 0, alpha, 1.0, 0),
+             lambda: heat_kernel_ball(2, 0, alpha, 1.0, None),
+             lambda: heat_kernel_ball_series(2, 0, alpha, 1.0, 0),
+             lambda: heat_kernel_global(2, alpha, 1.0, 0),
+             lambda: c_series(2, 0, alpha, 1.0),
+             lambda: spectrum_multiset(model, alpha),
+             lambda: build_matrix(model, alpha),
+             lambda: apply_hypersingular(u, alpha),
+             lambda: RieszDistribution(model, alpha, -1),
+             lambda: Constants(2, alpha, 0),
+             # these stopped on their own checks, with other messages
+             lambda: global_kernel_mass(2, alpha, 1.0),
+             lambda: green_kernel(2, 0, alpha, 1.0, None),
+             lambda: green_kernel_series(2, 0, alpha, 1.0, None)]
     for call in calls:
         with pytest.raises(ValueError, match="finite"):
             call()
