@@ -73,15 +73,24 @@ class BallModel:
     order_cap: int = field(default=DEFAULT_ORDER_CAP, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.p, int) or not _is_prime(self.p):
+        if not isinstance(self.p, int):
             raise ValueError(f"p must be a prime integer, got {self.p!r}")
-        if self.N + self.M < 0:
+        L = self.N + self.M
+        if L < 0:
             raise ValueError(f"need N + M >= 0, got N={self.N}, M={self.M}")
-        order = self.p ** (self.N + self.M)
-        if order > self.order_cap:
-            raise ValueError(
-                f"group order p**(N+M) = {order} exceeds the cap {self.order_cap}"
-            )
+        # The order is refused before p is tested, and one past 4096 bits
+        # without forming it: p**L of a huge L, or the trial division of a
+        # huge p, runs for hours.  p**L passes the cap once L passes the
+        # cap's bit length (p >= 2) or p passes the cap.
+        cap = self.order_cap
+        if L >= 1 and self.p >= 2:
+            huge = ((L > cap.bit_length() or self.p > cap)
+                    and L * self.p.bit_length() > 4096)
+            order = f"{self.p}**{L}" if huge else self.p ** L
+            if huge or order > cap:
+                raise ValueError(f"group order p**(N+M) = {order} exceeds the cap {cap}")
+        if not _is_prime(self.p):
+            raise ValueError(f"p must be a prime integer, got {self.p!r}")
 
     @property
     def S(self) -> int:

@@ -153,9 +153,13 @@ def _number(kind, positive: bool = False):
         # int(2.9) is 2: a JSON number read as an int must be integral
         if kind is int and isinstance(raw, float) and value != raw:
             raise ValidationFailure(f"{key} must be an integer, got {raw!r}")
-        # NaN passes every "<= 0" check of the tasks; inf runs solvers to their caps
-        if not math.isfinite(value):
+        # NaN passes every "<= 0" check of the tasks; inf runs solvers to their
+        # caps.  An int past float range overflows wherever a task makes a
+        # float of it, math.isfinite included.
+        if kind is float and not math.isfinite(value):
             raise ValidationFailure(f"{key} must be finite, got {value}")
+        if kind is int and abs(value) > sys.float_info.max:
+            raise ValidationFailure(f"{key} must lie within float range, got {value}")
         if positive and value <= 0:
             raise ValidationFailure(
                 f"{key} must be {'>= 1' if kind is int else 'positive'}, got {value}")

@@ -121,6 +121,8 @@ def global_kernel_mass(p: int, alpha: float, t: float,
     upper cutoff scales with log(t/eps); below that the summand is
     rounding noise of the sphere evaluator.
     """
+    # the cutoff below turns a NaN or infinite t into an integer
+    _check_time(t)
     _check_alpha(alpha)
     q = 1.0 - 1.0 / p
     m = int(math.ceil(math.log(max(t, 1.0) * float(p) ** alpha / 1e-16)

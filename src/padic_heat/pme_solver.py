@@ -27,7 +27,13 @@ of the nested p-ary partition, so the Newton Jacobian
 I + h*D*diag(Phi'(v)) is solved exactly by Sherman-Morrison, level by
 level, in O(S) at every size: per level of the up-pass one BLAS product
 of a (5, 3p) level matrix, formed once per step, with the finer level's
-rows, and one division.
+rows, and one division.  A solve allocates its result and, unless a
+plan is held for its (p, S), a plan: a scratch of 3S + 5S/p floats and
+the views its passes write through.  A plan of at most _KEEP_PLAN_BYTES
+(1 MiB: p = 2 up to S = 2**14) is held between solves, for one (p, S) at
+a time; a larger one is dropped after its solve.  A solve takes the held
+plan out while it runs, so solves on other threads form their own and
+never share scratch, and no result lies in a plan's memory.
 The Crandall-Liggett construction doubles the step count until
 successive solutions stop moving in L1.
 """
@@ -37,6 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -204,46 +211,106 @@ def _tree_coefficients(p: int, levels: bytes, h: float) -> tuple:
     return h * float(e[0]), stack
 
 
-# The largest array the tree solve allocates as one.  glibc's malloc maps
-# a larger array afresh on every call, so its pages fault in each time; a
-# smaller one it serves from a heap it keeps, and gives the heap's free
-# top back to the system once that passes twice the largest array freed
-# so far.  With the rows and level 1 as one array, what else a solve
-# frees stays under that bound; as two arrays, solves repeated at
+# A tree solve allocates its result and, unless a plan is held for its
+# (p, S), its scratch: the finest rows (3S floats) and level 1 (5S/p), with
+# levels 2..L written over the spent rows.  A scratch of at most
+# _KEEP_PLAN_BYTES is held between solves, taken out by the one solve that
+# uses it (see _tree_plans), so threads never share it.  The scratch is
+# one array up to _ONE_ARRAY_BYTES and two beyond.  glibc's malloc
+# maps a larger array afresh on every call, so its pages fault in each
+# time; a smaller one it serves from a heap it keeps, and gives the
+# heap's free top back to the system once that passes twice the largest
+# array freed so far.  With the rows and level 1 as one array, what else
+# a solve frees stays under that bound; as two arrays, solves repeated at
 # S = 2**16 faulted in 3 MB each and took twice as long.  Only p = 2 at
 # S = 2**20 passes this size, and there the two are apart.
 _ONE_ARRAY_BYTES = 32 << 20
 
+# The largest scratch a plan keeps between solves, about half the L2 of
+# one core: p = 2 up to S = 2**14 (704 KiB).  A larger plan is formed for
+# its solve and dropped after it, as the scratch was before plans.  Kept
+# at every size, plans made a carried step (p = 2, one thread) fault in
+# 480 pages at S = 2**15, 900 at 2**16 and 4200 at 2**18, where a step
+# faulted none, took 20-70% longer, and raised the peak RSS at S = 2**20
+# from 133 to 161 MB.
+_KEEP_PLAN_BYTES = 1 << 20
 
-def _tree_up_pass(W: np.ndarray, rows: np.ndarray,
-                  level1: np.ndarray) -> list[np.ndarray]:
-    """The up-pass of the tree solve: one (5, S/p**k) array per level k.
 
-    rows holds the finest level's t, sx and m rows, (3, S) and
-    contiguous; level1 is a flat float array of 5*S/p entries.  Level k
-    is one product of W[k-1] with level k-1's divided rows viewed as
-    (3p, -1), giving [denominator, T, X, M, c_k*X] per class, and one
-    division of its rows 1-4 by row 0; its rows 1-3 are the next level's
-    rows.  Level 1 fills level1; the finest rows are then spent, and
-    levels 2..L fill their memory one after another, each clear of the
-    level it reads.
+class _TreePlan(NamedTuple):
+    """The scratch of a tree solve at one (p, S), S = p**L > 1, and every
+    view of it the solve reads or writes, so that a solve forms none.
+
+    t, sx and m are the finest rows, one (3, S) array, and t_by_class is
+    t as (p, -1).  up[k-1] is level k's (finer rows as (3p, -1), level as
+    (5, S/p**k), its rows 1-4, its row 0): level 1 lies after the rows and
+    levels 2..L one after another in the rows' memory, each clear of the
+    level it reads.  down holds, for k = L..2, (level k's shift row, the
+    correction added to it, 0.0 at L and else its T row, that T row,
+    level k-1's denominator and T rows as (p, -1)); finish is the first
+    three for level 1.  nbytes is the scratch's size.
     """
-    p = W.shape[-1] // 3
-    spent, start = rows.reshape(-1), 0
-    levels = []
-    for k, W_k in enumerate(W, 1):
-        n = rows.shape[1] // p
-        if k == 1:
-            level = level1.reshape(5, n)
-        else:
-            level = spent[start:start + 5 * n].reshape(5, n)
-            start += 5 * n
-        np.matmul(W_k, rows.reshape(3 * p, -1), out=level)
-        divided = level[1:]
-        divided /= level[0]
-        levels.append(level)
-        rows = divided[:3]
-    return levels
+
+    t: np.ndarray
+    sx: np.ndarray
+    m: np.ndarray
+    up: tuple
+    down: tuple
+    finish: tuple
+    t_by_class: np.ndarray
+    nbytes: int
+
+
+def _tree_plan(p: int, S: int) -> _TreePlan:
+    size = 3 * S + 5 * S // p
+    if 8 * size <= _ONE_ARRAY_BYTES:
+        block = np.empty(size)
+        spent, level = block[:3 * S], block[3 * S:]
+    else:
+        spent, level = np.empty(3 * S), np.empty(5 * S // p)
+    tsm = spent.reshape(3, S)
+    rows, n, start = spent.reshape(3 * p, -1), S // p, 0
+    level = level.reshape(5, n)
+    up, shifts, sums, by_class = [], [], [], []
+    while True:
+        up.append((rows, level, level[1:], level[0]))
+        shifts.append(level[4])
+        sums.append(level[1])
+        if n == 1:
+            break
+        # level k as (5p, -1): the next level's rows, and the denominators
+        # and T row over the next level's classes for the down-pass
+        classes = level.reshape(5 * p, -1)
+        rows, n = classes[p:4 * p], n // p
+        by_class.append((classes[:p], classes[p:2 * p]))
+        level = spent[start:start + 5 * n].reshape(5, n)
+        start += 5 * n
+    # level k adds its shift to the correction from level k+1 (none from
+    # L), held in its T row, and divides the sum into level k-1's T row
+    L = len(up)
+    down = tuple((shifts[k], sums[k] if k < L - 1 else 0.0, sums[k], *by_class[k - 1])
+                 for k in range(L - 1, 0, -1))
+    return _TreePlan(tsm[0], tsm[1], tsm[2], tuple(up), down,
+                     (shifts[0], sums[0] if L > 1 else 0.0, sums[0]),
+                     tsm[0].reshape(p, -1), 8 * size)
+
+
+# The last held plan, keyed on (p, S).  A solve pops it and, done, puts it
+# back as the only entry, so a solve running alongside on another thread
+# finds no plan and forms its own: no two solves share scratch.  Never an
+# lru_cache, which would hand one plan to two threads at once.
+_tree_plans: dict = {}
+
+
+def _tree_up_pass(W: np.ndarray, up: tuple) -> None:
+    """The up-pass of the tree solve over the plan's levels ``up``.
+
+    Level k is one product of W[k-1] with level k-1's divided rows,
+    giving [denominator, T, X, M, c_k*X] per class, and one division of
+    its rows 1-4 by row 0; its rows 1-3 are the next level's rows.
+    """
+    for W_k, (rows, level, divided, denominator) in zip(W, up):
+        np.matmul(W_k, rows, out=level)
+        np.divide(divided, denominator, out=divided)
 
 
 def _tree_jacobian_solve(model: BallModel, e: np.ndarray, h: float,
@@ -271,40 +338,35 @@ def _tree_jacobian_solve(model: BallModel, e: np.ndarray, h: float,
     c_k*X, and one division of the last four by the denominator.  The
     down-pass takes two array operations per level.
     """
-    p, L = model.p, model.N + model.M
+    p, S = model.p, sigma.size
     c0, W = _tree_coefficients(p, e.tobytes(), h)
-    S = sigma.size
     d = c0 * sigma
     d += 1.0
-    if not L:
+    if S == 1:
         return np.divide(r, d, out=d)
-    # A solve allocates d, the rows and level 1, and nothing else: the
-    # rows' place then holds levels 2..L, the down-pass's sums and x*d,
-    # and the result is formed in d's place.  Fresh arrays for those made
-    # a step at S = 2**20 fault in several times as many pages.  The rows
-    # and level 1 are one array up to _ONE_ARRAY_BYTES, two beyond.
-    size = 3 * S + 5 * S // p
-    if 8 * size <= _ONE_ARRAY_BYTES:
-        block = np.empty(size)
-        tsm, level1 = block[:3 * S].reshape(3, S), block[3 * S:]
-    else:
-        tsm, level1 = np.empty((3, S)), np.empty(5 * S // p)
-    np.divide(sigma, d, out=tsm[0])
-    np.multiply(sigma, r, out=tsm[1])
-    tsm[1] /= d
-    np.divide(1.0, d, out=tsm[2])
-    levels = _tree_up_pass(W, tsm, level1)
+    # A solve allocates d and, unless it finds a held plan, the plan's
+    # scratch; the result is formed in d's place, never in the plan's.
+    plan = _tree_plans.pop((p, S), None) or _tree_plan(p, S)
+    t, sx, m = plan.t, plan.sx, plan.m
+    np.divide(sigma, d, out=t)
+    np.multiply(sigma, r, out=sx)
+    np.divide(sx, d, out=sx)
+    np.divide(1.0, d, out=m)
+    _tree_up_pass(W, plan.up)
     # x*d = r - sum_k shift_k / (the denominators of the finer classes),
     # each class's correction broadcast over its p subclasses; the sums
     # are formed in the T rows, which the up-pass has spent
-    g = 0.0
-    for k in range(L, 1, -1):
-        acc = np.add(levels[k - 1][4], g, out=levels[k - 1][1])
-        g = np.divide(acc, levels[k - 2][0].reshape(p, -1),
-                      out=levels[k - 2][1].reshape(p, -1)).reshape(-1)
-    corr = np.add(levels[0][4], g, out=levels[0][1])
-    xd = np.subtract(r.reshape(p, -1), corr, out=tsm[0].reshape(p, -1))
-    return np.divide(xd.reshape(-1), d, out=d)
+    for shift, g, acc, denominator, out in plan.down:
+        np.add(shift, g, out=acc)
+        np.divide(acc, denominator, out=out)
+    shift, g, acc = plan.finish
+    np.add(shift, g, out=acc)
+    np.subtract(r.reshape(p, -1), acc, out=plan.t_by_class)
+    x = np.divide(t, d, out=d)
+    if plan.nbytes <= _KEEP_PLAN_BYTES:
+        _tree_plans.clear()
+        _tree_plans[p, S] = plan
+    return x
 
 
 def _max_abs(a: np.ndarray) -> float:

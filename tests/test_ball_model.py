@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from padic_heat import BallModel, Constants, coefficient_ap, lambda_value
+from padic_heat import BallModel, Constants, ball_model, coefficient_ap, lambda_value
 from padic_heat.ball_model import freq_abs_table, point_abs_table, valuation_table
 
 
@@ -139,6 +139,25 @@ def test_validation_errors():
         model.valuation(model.S)
     with pytest.raises(IndexError):
         model.valuation(-1)
+
+
+def test_an_order_past_the_cap_is_refused_before_p_is_tested(monkeypatch):
+    # p**(N+M) of a huge N+M, and the trial division of a huge p, ran for
+    # hours; an order past 4096 bits is named by its power, not formed
+    tested = []
+    monkeypatch.setattr(ball_model, "_is_prime", lambda n: tested.append(n) or True)
+    for p, N, M in ((2, 10 ** 300, 0), (3, -5, 10 ** 18), (10 ** 300 + 7, 0, 5)):
+        with pytest.raises(ValueError, match=rf"= {p}\*\*{N + M} exceeds the cap"):
+            BallModel(p, N, M)
+    for p, M in ((10 ** 300 + 7, 3), (2 ** 61 - 1, 1)):
+        with pytest.raises(ValueError, match=rf"= {p ** M} exceeds the cap"):
+            BallModel(p, 0, M)
+    assert not tested
+    # orders up to 4096 bits keep their message
+    for p, N, M, order in ((2, 10, 30, 2 ** 40), (2, 0, 2000, 2 ** 2000), (1048583, 0, 1, 1048583)):
+        with pytest.raises(ValueError) as err:
+            BallModel(p, N, M)
+        assert str(err.value) == f"group order p**(N+M) = {order} exceeds the cap 1048576"
 
 
 def test_degenerate_single_point_model():

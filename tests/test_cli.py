@@ -475,6 +475,12 @@ MALFORMED_INPUTS = [
     ("solve-pme", ["--steps", "2", "--initial", '{"kind": "indicator", "radius_exp": -1.5}'],
      None),
     ("solve-pme", ["--steps", "2", "--initial", '{"kind": "indicator", "center": true}'], None),
+    # ints past float range ended in an OverflowError traceback, and an N
+    # within it hung forming p**(N+M)
+    ("spectrum", ["--seed", "1" + "0" * 400], None),
+    ("spectrum", [], {"p": 10 ** 400}),
+    ("spectrum", ["--N", "9" * 400], None),
+    ("spectrum", ["--N", "9" * 300], None),
 ]
 
 

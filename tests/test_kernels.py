@@ -771,13 +771,15 @@ def test_green_and_resolvent_refuse_non_finite_parameters(alpha, mu):
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
 def test_kernels_refuse_non_finite_times(t):
     # NaN passed "t <= 0": heat_kernel_ball returned 1.0 at t = nan and
-    # t = inf, heat_kernel_global NaN, and the series routes failed deep
-    # inside on converting NaN to an integer
+    # t = inf, heat_kernel_global NaN, and the series routes and
+    # global_kernel_mass failed deep inside on converting NaN (or inf) to
+    # an integer
     calls = [lambda: heat_kernel_ball(2, 0, 1.3, t, 0),
              lambda: heat_kernel_ball(2, 0, 1.3, t, None),
              lambda: heat_kernel_global(2, 1.3, t, 0),
              lambda: c_series(2, 0, 1.3, t),
-             lambda: heat_kernel_ball_series(2, 0, 1.3, t, 0)]
+             lambda: heat_kernel_ball_series(2, 0, 1.3, t, 0),
+             lambda: global_kernel_mass(2, 1.3, t)]
     for call in calls:
         with pytest.raises(ValueError, match="finite"):
             call()

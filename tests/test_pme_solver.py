@@ -4,6 +4,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import tracemalloc
 import weakref
 
 import mpmath
@@ -773,7 +775,11 @@ def test_tree_level_product_matches_the_four_call_form(p):
         rows[0] = rng.uniform(0.0, 3.0, p * n) * 10.0 ** rng.uniform(-3, 3, p * n)
         rows[1] = rng.standard_normal(p * n)
         rows[2] = rng.uniform(1e-3, 1.0, p * n)
-        level, = pme_solver._tree_up_pass(W[k - 1:k], rows.copy(), np.empty(5 * n))
+        # level 1 of a plan at S = p*n, reached by the first level matrix given
+        plan = pme_solver._tree_plan(p, p * n)
+        plan.t[:], plan.sx[:], plan.m[:] = rows
+        pme_solver._tree_up_pass(W[k - 1:k], plan.up)
+        level = plan.up[0][1]
         tsm = np.add.reduce(rows.reshape(3, p, -1), axis=1)
         denom = np.array([h * e[k] / p ** k, float(p) ** -k]) @ tsm[::2]
         tsm /= denom
@@ -796,10 +802,103 @@ def test_tree_solve_is_the_same_with_the_rows_and_level_1_apart(monkeypatch):
         e = operator_levels(model, 0.9)
         sigma, r = rng.uniform(0.0, 3.0, model.S), rng.standard_normal(model.S)
         one = _tree_jacobian_solve(model, e, 0.2, sigma, r)
+        # an empty plan dict, so that the solve forms a two-array plan and
+        # does not read the held one-array plan
+        monkeypatch.setattr(pme_solver, "_tree_plans", {})
         monkeypatch.setattr(pme_solver, "_ONE_ARRAY_BYTES", 0)
         two = _tree_jacobian_solve(model, e, 0.2, sigma, r)
         monkeypatch.undo()
         assert np.array_equal(one.view(np.int64), two.view(np.int64))
+
+
+def _plan_bytes(p, S):
+    return 8 * (3 * S + 5 * S // p)
+
+
+def _solve_problem(p, M, seed, alpha=1.3, h=0.05):
+    model = BallModel(p, 0, M)
+    rng = np.random.default_rng(seed)
+    sigma = rng.uniform(0.0, 3.0, model.S)
+    sigma[rng.random(model.S) < 0.2] = 0.0
+    return model, operator_levels(model, alpha), h, sigma, rng.standard_normal(model.S)
+
+
+def test_held_tree_plans_give_the_bits_of_a_fresh_plan():
+    # solves interleaved over p, L = 0 and 1 and sizes on both sides of
+    # the keep bound, two data sets per size, read the plan another solve
+    # left or form their own: each gives the bits of a solve on an empty
+    # plan dict, and none changes a result returned before it
+    sizes = [(2, 0), (3, 0), (2, 1), (3, 1), (5, 1), (7, 1), (2, 9), (3, 6),
+             (2, 14), (2, 15), (3, 9), (3, 10), (5, 6), (5, 7), (7, 5), (7, 6)]
+    kept = {_plan_bytes(p, p ** M) <= pme_solver._KEEP_PLAN_BYTES for p, M in sizes if M}
+    assert kept == {True, False}
+    problems = [[_solve_problem(p, M, seed=10 * p + M + 1000 * j) for j in (0, 1)]
+                for p, M in sizes]
+    want = []
+    for pair in problems:
+        for problem in pair:
+            pme_solver._tree_plans.clear()
+            want.append(_tree_jacobian_solve(*problem))
+    order = np.random.default_rng(3).permutation(3 * len(sizes)) % len(sizes)
+    got = []
+    for i in [*order, *order[::-1]]:
+        for j in (0, 1):
+            got.append((2 * i + j, _tree_jacobian_solve(*problems[i][j])))
+            assert np.array_equal(got[-1][1].view(np.int64), want[2 * i + j].view(np.int64))
+            held = pme_solver._tree_plans
+            assert len(held) <= 1
+            assert all(plan.nbytes <= pme_solver._KEEP_PLAN_BYTES for plan in held.values())
+    for i, x in got:
+        assert np.array_equal(x.view(np.int64), want[i].view(np.int64))
+
+
+def test_tree_solves_on_threads_give_their_serial_bits():
+    # 4 threads solve their own data over and over, at a size whose plan
+    # is held and at one whose plan is not: a plan in use by two solves
+    # at once would mix their rows
+    problems = [_solve_problem(2, M, seed=100 * M + i) for M in (12, 15) for i in range(4)]
+    assert _plan_bytes(2, 2 ** 12) <= pme_solver._KEEP_PLAN_BYTES < _plan_bytes(2, 2 ** 15)
+    want = [_tree_jacobian_solve(*problem) for problem in problems]
+    mismatches, done = [], []
+
+    def run(i):
+        for _ in range(15):
+            for j in (i, i + 4):
+                if not np.array_equal(_tree_jacobian_solve(*problems[j]), want[j]):
+                    mismatches.append(j)
+        done.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(done) == [0, 1, 2, 3] and not mismatches
+
+
+@pytest.mark.parametrize("M", [14, 15])
+def test_a_warm_tree_solve_allocates_its_result_and_no_held_scratch(M):
+    # with its plan held, a warm solve allocates d alone, besides one
+    # ufunc buffer and small objects; above the keep bound it allocates
+    # the scratch too, as every solve did before plans
+    problem = _solve_problem(2, M, seed=M)
+    S = problem[0].S
+    _tree_jacobian_solve(*problem)
+    tracemalloc.start()
+    try:
+        _tree_jacobian_solve(*problem)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    scratch = 0 if _plan_bytes(2, S) <= pme_solver._KEEP_PLAN_BYTES else _plan_bytes(2, S)
+    assert scratch == (0 if M == 14 else 8 * (3 * S + S // 2 * 5))
+    assert 8 * S + scratch <= peak <= 8 * S + scratch + 8 * np.getbufsize() + 32768
 
 
 _THREAD_HASH = """
