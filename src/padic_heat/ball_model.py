@@ -35,14 +35,23 @@ import numpy as np
 DEFAULT_ORDER_CAP = 1 << 20
 
 
+# Miller-Rabin on these bases decides every n below the limit
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_TEST_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    """Deterministic Miller-Rabin; refuses n >= ``_PRIME_TEST_LIMIT`` (3.3e24)."""
+    if n >= _PRIME_TEST_LIMIT:
+        raise ValueError(f"p = {n} is too large to test for primality (limit {_PRIME_TEST_LIMIT})")
+    if n < 2 or any(n % a == 0 for a in _PRIME_BASES):
+        return n in _PRIME_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s, d odd
+    d = (n - 1) >> s
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x != 1 and all(pow(x, 1 << r, n) != n - 1 for r in range(s)):
             return False
-        d += 1
     return True
 
 
@@ -79,9 +88,8 @@ class BallModel:
         if L < 0:
             raise ValueError(f"need N + M >= 0, got N={self.N}, M={self.M}")
         # The order is refused before p is tested, and one past 4096 bits
-        # without forming it: p**L of a huge L, or the trial division of a
-        # huge p, runs for hours.  p**L passes the cap once L passes the
-        # cap's bit length (p >= 2) or p passes the cap.
+        # without forming it (p**L of a huge L runs for hours): p**L passes
+        # the cap once L passes the cap's bit length (p >= 2) or p the cap.
         cap = self.order_cap
         if L >= 1 and self.p >= 2:
             huge = ((L > cap.bit_length() or self.p > cap)
@@ -202,7 +210,7 @@ class Constants:
     N: int
 
     def __post_init__(self) -> None:
-        if not _is_prime(self.p):
+        if not (isinstance(self.p, int) and _is_prime(self.p)):
             raise ValueError(f"p must be prime, got {self.p!r}")
         _check_alpha(self.alpha)
 

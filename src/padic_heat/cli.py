@@ -55,7 +55,7 @@ from .vladimirov import (
     apply_global_restriction,
     apply_hypersingular,
     apply_spectral,
-    build_matrix,
+    matrix_row,
     multiplier,
     operator_levels,
     spectrum_multiset,
@@ -304,7 +304,7 @@ def _task_spectrum(cfg: dict) -> int:
     the CSV formats one "freq_abs,eigenvalue" tail per valuation, L + 1
     of them, and writes row k as k and the tail of its valuation.  The
     matrix is circulant, A[i, j] = A[0, (j - i) mod S], so its dump
-    formats row 0 once and writes row i as those strings rotated by i.
+    formats row 0 (``matrix_row``) once and writes row i as its rotation by i.
     repr of a float holds no delimiter, quote or line break, so strings
     joined by "," and ended by "\\r\\n" are the bytes that ``_write_csv``
     (csv.writer over ``_fmt`` of every cell) writes.  ``--format json``
@@ -328,7 +328,7 @@ def _task_spectrum(cfg: dict) -> int:
                      zip(range(model.S), freq_abs_table(model).tolist(),
                          multiplier(model, alpha).eigenvalues.tolist()))
     if cfg.get("dump_matrix"):
-        row0 = _reprs(build_matrix(model, alpha)[0])
+        row0 = _reprs(matrix_row(model, alpha))
         S = model.S
         with open(os.path.join(cfg["out"], "operator_matrix.csv"),
                   "w", newline="") as fh:
@@ -620,7 +620,7 @@ def main(argv=None) -> int:
         cfg = _load_config(args.task, args)
         os.makedirs(cfg["out"], exist_ok=True)
         return TASKS[args.task](cfg)
-    except (ValidationFailure, ValueError, OSError) as exc:
+    except (ValidationFailure, ValueError, OverflowError, OSError) as exc:
         return _emit_error("validation", str(exc), EXIT_VALIDATION)
     except ConsistencyError as exc:
         return _emit_error("consistency", str(exc), EXIT_CONSISTENCY)

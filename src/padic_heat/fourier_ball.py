@@ -111,8 +111,10 @@ _BLOCK_CLASSES = 32
 # OpenBLAS runs a product of at most this many multiply-adds on one
 # thread; a larger block product would go multi-threaded
 _SERIAL_PRODUCT = 2 ** 18
-# kernel entries per row block of ``dft_direct``: 1 MB of complex128
-_DFT_BLOCK = 2 ** 16
+# kernel entries ``dft_direct`` gathers at a time: 512 KiB of complex128
+_DFT_BLOCK = 2 ** 15
+# the largest S whose index products n*k <= (S - 1)**2 fit int32
+_DFT_MAX_ORDER = 46341
 
 
 @lru_cache(maxsize=None)
@@ -258,42 +260,33 @@ def apply_radial(model: BallModel, levels: np.ndarray, values: np.ndarray) -> np
     return out
 
 
-def _dft_index_dtype(S: int) -> type:
-    """The narrowest integer type that holds every index product n*k exactly.
-
-    Both factors are at most S - 1, so the products fit int32 while
-    (S - 1)**2 < 2**31, that is up to S = 46341; larger S takes int64.
-    """
-    return np.int32 if (S - 1) ** 2 < 2 ** 31 else np.int64
-
-
 def dft_direct(values: np.ndarray, sign: int) -> np.ndarray:
     """O(S^2) reference transform: sum with kernel exp(sign*2*pi*i*n*k/S).
 
     Carries no 1/S scale; the caller applies the forward normalisation.
-    The rows are evaluated in blocks of at most ``_DFT_BLOCK`` = 2**16
-    kernel entries, so the memory stays O(S).  The first block's index
-    products n*k are formed exactly (``np.multiply.outer`` in the type of
-    ``_dft_index_dtype``) and reduced mod S; each later block's table is
-    the previous one plus rows*k mod S, folded back into [0, S) by one
-    unsigned subtract of S and a minimum (a wrapped difference is the
-    larger), with no integer division.  The exponential table is gathered
-    with ``np.take`` and each block summed by one product.  Each row sums
-    the same products as over the full table, in the BLAS product's
-    order, which may depend on the block's row count.
+    The index products n*k are int32, exact up to S = 46341; a larger S
+    raises ValueError before any table is formed.  The rows are indexed
+    in blocks of at most 2**16 entries: the first block's products by
+    ``np.multiply.outer`` reduced mod S, each later one the previous plus
+    rows*k, folded back into [0, S) by a uint32 subtract of S and a
+    minimum, with no integer division.  A block is gathered from the
+    exponential table and summed by one product per half, at most
+    ``_DFT_BLOCK`` = 2**15 entries (512 KiB) each once it holds 4 rows.
+    No half holds one row, which numpy sums as a dot product with other
+    rounding, so each row keeps the full table's bits, bar a lone last row.
     """
     v = np.asarray(values, dtype=np.complex128)
     S = v.size
+    if S > _DFT_MAX_ORDER:
+        raise ValueError(f"dft_direct takes at most {_DFT_MAX_ORDER} points, got {S}")
     s = +1 if sign > 0 else -1
     table = np.exp(s * 2j * np.pi * np.arange(S) / S)
-    signed = _dft_index_dtype(S)
-    unsigned = np.uint32 if signed is np.int32 else np.uint64
-    n = np.arange(S, dtype=signed)
-    rows = max(1, _DFT_BLOCK // max(S, 1))
+    n = np.arange(S, dtype=np.int32)
+    rows = max(1, 2 * _DFT_BLOCK // max(S, 1))
     idx = np.multiply.outer(n[:rows], n)
     np.remainder(idx, S, out=idx)
-    idx = idx.view(unsigned)
-    step = (rows * n % S).view(unsigned)
+    idx = idx.view(np.uint32)
+    step = (rows * n % S).view(np.uint32)
     wrapped = np.empty_like(idx)
     out = np.empty(S, dtype=np.complex128)
     for start in range(0, S, rows):
@@ -301,5 +294,8 @@ def dft_direct(values: np.ndarray, sign: int) -> np.ndarray:
             idx += step
             np.subtract(idx, S, out=wrapped)
             np.minimum(idx, wrapped, out=idx)
-        out[start:start + rows] = np.take(table, idx[:S - start]) @ v
+        block = idx[:S - start]
+        k = len(block)
+        for lo, hi in ((0, k // 2), (k // 2, k)) if k >= 4 else ((0, k),):
+            out[start + lo:start + hi] = np.take(table, block[lo:hi]) @ v
     return out

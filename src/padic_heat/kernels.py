@@ -42,11 +42,8 @@ from .vladimirov import operator_levels
 
 DEFAULT_EPS_TAIL = 1e-16
 
-# Work the c(t) series may take: terms times working digits.  The sum
-# costs about 1e-7 s per digit-term at 2500 digits, more per digit-term
-# above, so the budget bounds it to a few seconds.  The series route is
-# held to p=2, N=-3, alpha=2.8, t=8 (8716 terms at 2479 digits); it
-# refuses p=3, N=-2, alpha=2.8, t=10 (15677 terms at 4844 digits).
+# Work the c(t) series may take, terms times working digits: a few
+# seconds of fixed-point sums
 SERIES_WORK_BUDGET = 3 * 10**7
 
 
@@ -71,8 +68,7 @@ def _exp_shifted(t: float, lam: float, p: int, exponent: float) -> float:
 
 
 def _check_time(t: float) -> None:
-    # NaN passes "t <= 0": the ball kernel's decays then vanish and it
-    # returned p**(-N), the global kernel NaN
+    # NaN passes "t <= 0"
     if not (math.isfinite(t) and t > 0):
         raise ValueError(f"t must be positive and finite, got {t}")
 
@@ -88,9 +84,8 @@ def heat_kernel_global(p: int, alpha: float, t: float, m: int | None = None,
 
     and for x = 0 the full two-sided sphere sum.  The downward tail is
     truncated once its geometric bound drops below ``eps_tail``.  Each
-    term is ``_exp_neg``'s expression with log(p), log(t) and float(p)
-    formed once per call instead of once per term; the values are
-    bit-identical.
+    term is ``_exp_neg``'s expression, with log(p), log(t) and float(p)
+    formed once per call.
     """
     _check_time(t)
     _check_alpha(alpha)
@@ -175,19 +170,15 @@ def _c_total_mp(p: int, N: int, alpha: float, t: float,
     2**B, B = mp.prec + 64 guard bits.  x and the ratio p**(-alpha) are
     formed once in mpmath at the caller's precision and rounded to
     integers X and R; each term then costs two integer products and two
-    integer divisions, each rounded to the floor.  A floor costs at most
-    one unit of 2**-B, and the factor x/n that scales a term scales the
-    error it carries, so term n is off by at most about n units and the
-    total by about terms**2/2 units.  That stays below 2**-prec times the
-    sum of |increments| (at least 1), the rounding of an mpmath loop at
-    the caller's precision, for up to 2**32 terms.  The total is
-    converted to mpmath once, at the end.
+    integer divisions, each rounded to the floor.  Term n is off by at
+    most about n units of 2**-B and the total by about terms**2/2, below
+    the rounding of an mpmath loop at the caller's precision for up to
+    2**32 terms.  The total is converted to mpmath once, at the end.
     """
     _check_series_work(term_cap)
     P = mp.mpf(p)
-    # the exponent in working precision: -N*alpha rounded in float
-    # (3*2.8 = 8.399999999999999) put the two summands of the series
-    # route apart from their 17th digit on
+    # -N*alpha in working precision: rounded in float (3*2.8 =
+    # 8.399999999999999) it parts the route's summands at the 17th digit
     x = mp.mpf(t) * P ** (-N * mp.mpf(alpha))
     hump = float(x)
     B = mp.mp.prec + 64
@@ -220,9 +211,7 @@ def _series_term_cap(x: float, log_eps: float) -> int:
 
     Its increments are x**n/n! over denominators of at least 1/2, and
     past the hump x**n/n! falls monotonically, so the first n > x with
-    2*x**n/n! < exp(log_eps) meets the stopping rule: about 3.5*x terms
-    at the thresholds of the series route, where e*x falls short.  The
-    scan costs a float operation per mpmath term it bounds; two terms of
+    2*x**n/n! < exp(log_eps) meets the stopping rule.  Two terms of
     margin cover the float rounding of x and lgamma.
     """
     log_x = math.log(x)
@@ -352,15 +341,11 @@ def _sphere_sums_mp(p: int, N: int, alpha: float, t: float, tail_digits: int,
     ``dps`` digits, the downward tail cut at p**l < 10**(-tail_digits).
     The list starts with the spheres l <= -N, summed once, and
     ``_global_kernel_mp`` appends one sphere per radius it is first asked
-    for.  The cache hands every caller the same list on purpose: entry k
-    depends only on the key, so whoever appends it appends the same value.
-
-    p**l and p**(alpha*l) are carried from sphere to sphere by running
-    products at ``dps`` digits.  The sum is multiplied by exp(lambda*t),
-    about 10**(tail_digits - 15), so it needs only ``tail_digits`` digits
-    after the point plus a guard: each sphere's term, at most p**l in
-    size, is formed at tail_digits + 20 + l*log10(p) digits (at least
-    20), one exponential at that precision.
+    for; entry k depends only on the key, so every caller shares the
+    cached list.  p**l and p**(alpha*l) are running products.  The sum is
+    multiplied by exp(lambda*t), about 10**(tail_digits - 15), so each
+    sphere's term, at most p**l, is formed at tail_digits + 20 +
+    l*log10(p) digits (at least 20).
     """
     P = mp.mpf(p)
     T = mp.mpf(t)
@@ -440,20 +425,16 @@ def ball_kernel_gridfunction(model: BallModel, alpha: float, t: float) -> GridFu
     """Ball heat kernel as a grid function, from its character sum.
 
     Fourier coefficients p**(-N) * exp(-t*(m[k] - lambda)), so convolving
-    with it realises the semigroup exp(-t*(D - lambda*I)) on level-M
-    data.  The L + 1 sphere values are the character sum of
-    ``heat_kernel_ball``, formed together: the terms
+    with it realises exp(-t*(D - lambda*I)) on level-M data.  The L + 1
+    sphere values are ``heat_kernel_ball``'s character sum, its terms
     (1-1/p) p**l exp(t*(lambda - p**(alpha*l))), l = 1-N, ..., M, read
-    off ``operator_levels`` and summed by one cumulative sum in that
-    order.  The sphere of valuation v < L (radius p**(N - v)) takes
-    p**(-N) plus the first v terms minus the boundary term
-    p**(v-N) exp(t*(lambda - p**(alpha*(v+1-N)))); the zero coset takes
-    p**(-N) plus all L terms, which is the exact average of the radial
-    profile over the sub-ball of radius p**(-M).  The values are then
-    gathered through ``valuation_table``, so the kernel is bit for bit
+    off ``operator_levels`` and summed by one cumulative sum.  The sphere
+    of valuation v < L takes p**(-N) plus the first v terms minus the
+    boundary term p**(v-N) exp(t*(lambda - p**(alpha*(v+1-N)))); the
+    zero coset takes p**(-N) plus all L terms, the exact coset average.
+    Gathered through ``valuation_table``, the kernel is bit for bit
     constant on every sphere, as ``GridFunction.convolve_radial``
-    requires.  It runs no ladder, so the kernel path stays a check of
-    the spectral one.
+    requires.  It runs no ladder, so it stays a check of the spectral path.
     """
     # NaN passes "t < 0" and makes every value NaN
     if not (math.isfinite(t) and t >= 0):
@@ -474,10 +455,19 @@ def ball_kernel_gridfunction(model: BallModel, alpha: float, t: float) -> GridFu
 
 
 def _check_mu(mu: float) -> None:
-    # NaN passes "mu <= 0", and the sphere sums then run into an
-    # OverflowError; alpha is refused by lambda_value
+    # NaN passes "mu <= 0"; alpha is refused by lambda_value
     if not (math.isfinite(mu) and mu > 0):
         raise ValueError(f"mu must be positive and finite, got {mu}")
+
+
+def _green_term(c: float, p: int, a: float, b: float, lam: float, mu: float) -> float:
+    """c * p**a / (p**b - lam + mu), a term of every Green sum; past float
+    range of p**a or p**b, as c * p**(a - b) / (1 + (mu - lam) * p**(-b)).
+    Only a quotient itself past float range raises OverflowError."""
+    try:
+        return c * float(p) ** a / (float(p) ** b - lam + mu)
+    except OverflowError:
+        return c * float(p) ** (a - b) / (1.0 + (mu - lam) * float(p) ** (-b))
 
 
 def _green_radial(p: int, N: int, alpha: float, mu: float):
@@ -486,8 +476,8 @@ def _green_radial(p: int, N: int, alpha: float, mu: float):
     Carries the prefix sum (1-1/p) * sum_{l=-N+1}^{-m} p**l / d(l) from
     one radius to the next, with lambda computed once, so a sweep over
     R radii costs O(R).  Each d(1-m) serves K(m) and then the prefix
-    term of K(m-1); the terms and their order are those of the
-    finite progression, so every value is that of ``green_kernel``.
+    term of K(m-1); the terms and their order are those of the finite
+    progression, formed as ``_green_term`` forms them past float range.
     """
     _check_mu(mu)
     q = 1.0 - 1.0 / p
@@ -495,9 +485,14 @@ def _green_radial(p: int, N: int, alpha: float, mu: float):
     prefix = 0.0
     m = N
     while True:
-        d = float(p) ** (alpha * (1 - m)) - lam + mu
-        yield prefix - float(p) ** (-m) / d
-        prefix += q * float(p) ** (1 - m) / d
+        b = alpha * (1 - m)
+        try:
+            d = float(p) ** b - lam + mu
+            edge, step = float(p) ** (-m) / d, q * float(p) ** (1 - m) / d
+        except OverflowError:
+            edge, step = _green_term(1.0, p, -m, b, lam, mu), _green_term(q, p, 1 - m, b, lam, mu)
+        yield prefix - edge
+        prefix += step
         m -= 1
 
 
@@ -539,7 +534,7 @@ def _green_at_zero(p: int, N: int, alpha: float, mu: float, series_eps: float) -
     l = -N + 1
     ratio = float(p) ** (1.0 - alpha)
     while True:
-        term = q * float(p) ** l / (float(p) ** (alpha * l) - lam + mu)
+        term = _green_term(q, p, l, alpha * l, lam, mu)
         acc += term
         if term / (1.0 - ratio) < series_eps * max(abs(acc), 1e-300):
             return acc
@@ -565,13 +560,14 @@ def green_kernel_series(p: int, N: int, alpha: float, mu: float,
     lam = lambda_value(p, alpha, N)
     acc = 0.0
     for l in range(-N + 1, -m + 3):
+        # the sphere's character integral is c * p**e
         if l <= -m:
-            char_int = q * float(p) ** l
+            c, e = q, l
         elif l == -m + 1:
-            char_int = -float(p) ** (l - 1)
+            c, e = -1.0, l - 1
         else:
-            char_int = 0.0
-        acc += char_int / (float(p) ** (alpha * l) - lam + mu)
+            c, e = 0.0, l
+        acc += _green_term(c, p, e, alpha * l, lam, mu)
     return acc
 
 

@@ -21,9 +21,9 @@ solvers read, cross-checking the closed-form symbol against an exact
 sphere-by-sphere quadrature of the oscillatory integral and refusing to
 hand out an inconsistent operator; ``multiplier`` spreads them over the
 S frequencies.  Forms 2 and 4 are O(S^2) oracles, each one circulant
-matvec.  ``build_matrix`` materialises the dense symmetric matrix for
-small models, the oracle for spectrum tests, and ``spectrum_multiset``
-lists the expected eigenvalues with multiplicities.
+matvec.  ``build_matrix`` copies the dense symmetric matrix of small
+models from its first row (``matrix_row``), the oracle for spectrum
+tests, and ``spectrum_multiset`` lists the expected eigenvalues.
 """
 
 from __future__ import annotations
@@ -260,41 +260,41 @@ def convolve_riesz(u: GridFunction, alpha: float) -> GridFunction:
     return GridFunction(model, out)
 
 
+def matrix_row(model: BallModel, alpha: float, cap: int = DEFAULT_MATRIX_CAP) -> np.ndarray:
+    """Row 0 of ``build_matrix``, in O(S): the difference weights w_j,
+    even in j, with lambda - sum(w) at j = 0; refuses orders above ``cap``."""
+    if model.S > cap:
+        raise ValueError(f"group order {model.S} exceeds the dense-matrix cap {cap}")
+    w = _difference_weights(model, float(alpha))
+    row = np.array(w)
+    row[0] = lambda_value(model.p, alpha, model.N) - float(w.sum())
+    return row
+
+
 def build_matrix(model: BallModel, alpha: float, cap: int = DEFAULT_MATRIX_CAP) -> np.ndarray:
     """Dense symmetric matrix of the operator; refuses orders above ``cap``.
 
-    Row n holds lambda - sum(w) on the diagonal and the difference
-    weights w_j at column (n - j) mod S.  In exact arithmetic the
-    weights cancel and every row sums to lambda, the eigenvalue on
-    constants.  In floating point the diagonal's subtraction and the
-    row's own sum both round at the scale of sum(w), so a row sum misses
-    lambda by a few eps*sum(w): 1.0e-9 relative at BallModel(2, -1, 10),
-    alpha = 2.4, where sum(w) is about 3e6 times lambda.  A comparison
-    against this matrix at large alpha*M measures that rounding.
+    The matrix is circulant, A[i, j] = row[(j - i) mod S] for the
+    ``matrix_row``, copied in one go from the windows of the row written
+    twice.  Every row sums to lambda, the eigenvalue on constants, up to
+    a few eps*sum(w): the diagonal's subtraction and the row's sum both
+    round at the scale of sum(w), which can pass lambda by far.
     """
-    if model.S > cap:
-        raise ValueError(f"group order {model.S} exceeds the dense-matrix cap {cap}")
-    lam = lambda_value(model.p, alpha, model.N)
-    w = _difference_weights(model, float(alpha))
-    col = np.array(w)
-    col[0] = lam - float(w.sum())
+    row = matrix_row(model, alpha, cap)
     S = model.S
-    A = np.empty((S, S), dtype=np.float64)
-    base = np.arange(S)
-    for i in range(S):
-        A[i] = col[(i - base) % S]
-    return A
+    # window k of the doubled row starts at entry k; row i is window S - i
+    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((row, row)), S)
+    return windows[S:0:-1].copy()
 
 
 def spectrum_multiset(model: BallModel, alpha: float) -> np.ndarray:
     """Sorted expected eigenvalues: lambda once, then p**(alpha*k) with
     multiplicity p**(N+k-1) * (p-1) for k = -N+1, ..., M."""
     p = model.p
-    lam = lambda_value(p, alpha, model.N)
-    eigs = [lam]
-    for k in range(-model.N + 1, model.M + 1):
-        eigs.extend([float(p) ** (alpha * k)] * (p ** (model.N + k - 1) * (p - 1)))
-    out = np.sort(np.array(eigs))
+    ks = range(-model.N + 1, model.M + 1)
+    out = np.sort(np.repeat(
+        [lambda_value(p, alpha, model.N)] + [float(p) ** (alpha * k) for k in ks],
+        [1] + [p ** (model.N + k - 1) * (p - 1) for k in ks]))
     if out.size != model.S:
         raise AssertionError("multiplicity bookkeeping is wrong")
     return out

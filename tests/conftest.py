@@ -1,3 +1,6 @@
+import contextlib
+import signal
+
 import numpy as np
 import pytest
 
@@ -23,3 +26,18 @@ def rel_linf(a, b, floor=1.0):
 def model_alpha(request):
     p, N, M, alpha = request.param
     return BallModel(p, N, M), alpha
+
+
+@contextlib.contextmanager
+def alarm(seconds):
+    """Raise TimeoutError in the block once it runs past ``seconds``."""
+    def fire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, fire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)

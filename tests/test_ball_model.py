@@ -6,6 +6,8 @@ import pytest
 from padic_heat import BallModel, Constants, ball_model, coefficient_ap, lambda_value
 from padic_heat.ball_model import freq_abs_table, point_abs_table, valuation_table
 
+from tests.conftest import alarm
+
 
 def brute_valuation(n, p, cap):
     # count base-p trailing zeros directly
@@ -158,6 +160,39 @@ def test_an_order_past_the_cap_is_refused_before_p_is_tested(monkeypatch):
         with pytest.raises(ValueError) as err:
             BallModel(p, N, M)
         assert str(err.value) == f"group order p**(N+M) = {order} exceeds the cap 1048576"
+
+
+def test_is_prime_gives_the_sieve_verdict_below_10_5():
+    limit = 10 ** 5
+    sieve = np.ones(limit, dtype=bool)
+    sieve[:2] = False
+    for d in range(2, math.isqrt(limit) + 1):
+        if sieve[d]:
+            sieve[d * d::d] = False
+    assert [ball_model._is_prime(n) for n in range(limit)] == sieve.tolist()
+
+
+def test_huge_p_is_decided_without_trial_division():
+    # trial division up to sqrt(p) ran for hours at p = 2**61 - 1
+    mersenne = 2 ** 61 - 1
+    with alarm(5):
+        assert BallModel(mersenne, 1, -1).S == 1
+        assert Constants(mersenne, 1.0, 0).p == mersenne
+        assert ball_model._is_prime(2 ** 31 - 1) and ball_model._is_prime(10 ** 9 + 7)
+        for composite in (2 ** 61 + 1, 2 ** 67 - 1, (2 ** 31 - 1) * (10 ** 9 + 7),
+                          # strong pseudoprimes to the prime bases 2..23 and 2..37
+                          3825123056546413051, 318665857834031151167461):
+            assert not ball_model._is_prime(composite)
+            with pytest.raises(ValueError, match="must be a prime"):
+                BallModel(composite, 0, 0)
+        with pytest.raises(ValueError, match="must be prime"):
+            Constants(3.0, 1.0, 0)
+        # the limit itself is a strong pseudoprime to all 13 bases
+        for p in (ball_model._PRIME_TEST_LIMIT, 10 ** 300 + 7):
+            with pytest.raises(ValueError, match="too large to test for primality"):
+                BallModel(p, 0, 0)
+            with pytest.raises(ValueError, match="too large to test for primality"):
+                Constants(p, 1.0, 0)
 
 
 def test_degenerate_single_point_model():

@@ -3,6 +3,7 @@ import filecmp
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,10 +15,12 @@ from padic_heat import (
     evolve,
     positive_bump,
 )
-from padic_heat import cli
+from padic_heat import cli, vladimirov
 from padic_heat.ball_model import freq_abs_table
 from padic_heat.cli import main
 from padic_heat.vladimirov import multiplier
+
+from tests.conftest import alarm
 
 
 def read_csv_lines(path):
@@ -46,6 +49,32 @@ def test_spectrum_matrix_dump(tmp_path):
     got = np.array([[float(v) for v in line.split(",")] for line in lines])
     want = build_matrix(BallModel(3, 0, 2), 1.5)
     assert np.max(np.abs(got - want)) == 0.0
+
+
+def test_spectrum_matrix_dump_forms_no_dense_matrix(tmp_path, monkeypatch):
+    # the dump formats one row of the circulant matrix, so its memory is
+    # O(S); the dense matrix alone holds 729**2 * 8 bytes, 4.2 MB
+    model, alpha = BallModel(3, 0, 6), 1.3
+    with open(tmp_path / "want.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows([cli._fmt(v) for v in row]
+                                 for row in build_matrix(model, alpha))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the dump formed the dense matrix")
+
+    monkeypatch.setattr(vladimirov, "build_matrix", forbidden)
+    monkeypatch.setattr(cli, "build_matrix", forbidden, raising=False)
+    argv = ["spectrum", "--p", "3", "--N", "0", "--M", "6", "--alpha", "1.3",
+            "--dump-matrix", "--out", str(tmp_path / "out")]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * model.S
+    assert ((tmp_path / "out" / "operator_matrix.csv").read_bytes()
+            == (tmp_path / "want.csv").read_bytes())
 
 
 def _spectrum_files_per_cell(model, alpha, out):
@@ -103,6 +132,34 @@ def test_json_table_format(tmp_path):
     assert all(r["ratio"] is not None for r in rows[1:])
     report = json.loads((tmp_path / "green_report.json").read_text())
     assert report["tables"][0]["file"] == "green_mu_1.json"
+
+
+def test_huge_p_at_order_1_is_decided_in_time(tmp_path, capsys):
+    # trial division of p = 2**61 - 1 ran for hours at N + M = 0
+    argv = ["--N", "0", "--M", "0", "--alpha", "1.0", "--out", str(tmp_path)]
+    with alarm(5):
+        assert main(["spectrum", "--p", str(2 ** 61 - 1)] + argv) == 0
+        assert json.loads((tmp_path / "spectrum_report.json").read_text())["size"] == 1
+        assert main(["spectrum", "--p", str(2 ** 61 + 1)] + argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "must be a prime" in json.loads(err[0])["message"]
+
+
+def test_green_past_float_range_of_its_denominators(tmp_path, capsys):
+    # p**(alpha*(1 - m)) passes float range down to the ball integral's
+    # m = -40: 1009**(2.8*41) ended in an OverflowError traceback
+    out = tmp_path / "out"
+    assert main(["green", "--p", "1009", "--N", "0", "--M", "1", "--alpha", "2.8",
+                 "--out", str(out)]) == 0
+    report = json.loads((out / "green_report.json").read_text())
+    assert abs(report["tables"][0]["ball_integral"]) < 1e-10
+    assert main(["green", "--p", str(2 ** 61 - 1), "--N", "0", "--M", "0",
+                 "--alpha", "1.0", "--out", str(out)]) == 0
+    # at alpha < 1 the Green function itself passes float range there
+    assert main(["green", "--p", str(2 ** 61 - 1), "--N", "0", "--M", "0",
+                 "--alpha", "0.3", "--out", str(tmp_path / "huge")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == "validation"
 
 
 def test_heat_kernel_task(tmp_path):

@@ -91,8 +91,10 @@ def _dft_full_table(values, sign):
 
 
 def test_dft_direct_rows_in_blocks_equal_the_full_table():
+    # at S = 313 and 541, gathers of 2**15 entries would leave the last
+    # row alone, which numpy sums as a dot product and rounds differently
     rng = np.random.default_rng(5)
-    for S in (1, 7, 512, 729, 2401):
+    for S in (1, 7, 313, 512, 541, 729, 2401):
         values = rng.standard_normal(S) + 1j * rng.standard_normal(S)
         for sign in (+1, -1):
             assert np.array_equal(dft_direct(values, sign), _dft_full_table(values, sign))
@@ -100,8 +102,8 @@ def test_dft_direct_rows_in_blocks_equal_the_full_table():
 
 def test_dft_direct_keeps_its_memory_linear():
     # S = 4096, the largest model verify accepts: the full index table
-    # and its complex gather would hold about 400 MB, one 2**16-entry
-    # block about 1.3 MB
+    # and its complex gather would hold about 400 MB; one block's index
+    # table and fold (2 * 256 KiB) and a 2**15-entry gather, about 1 MiB
     model = BallModel(2, 0, 12)
     u = random_function(model, 9)
     tracemalloc.start()
@@ -114,23 +116,23 @@ def test_dft_direct_keeps_its_memory_linear():
     assert rel_linf(model.S * forward(u).coeffs, got) < 1e-12
 
 
-def test_dft_direct_int64_tables_equal_the_full_table(monkeypatch):
-    # the int64/uint64 path, which only S > 46341 takes, forced at
-    # small S: its blocks fold back into [0, S) exactly as int32's do
-    monkeypatch.setattr(fourier_ball, "_dft_index_dtype", lambda S: np.int64)
-    rng = np.random.default_rng(6)
-    for S in (1, 7, 729, 2401):
-        values = rng.standard_normal(S) + 1j * rng.standard_normal(S)
-        assert np.array_equal(dft_direct(values, -1), _dft_full_table(values, -1))
-
-
-def test_dft_index_products_fit_their_integer_type():
-    # the products n*k reach (S - 1)**2; int32 holds them up to S = 46341
-    for S, want in ((46340, np.int32), (46341, np.int32), (46342, np.int64)):
-        dtype = fourier_ball._dft_index_dtype(S)
-        assert dtype is want
-        assert (S - 1) ** 2 <= np.iinfo(dtype).max
+def test_dft_direct_refuses_orders_past_int32_before_forming_a_table():
+    # the index products n*k reach (S - 1)**2, within int32 up to S = 46341
+    assert fourier_ball._DFT_MAX_ORDER == 46341
+    assert (46341 - 1) ** 2 <= np.iinfo(np.int32).max
     assert 46341 ** 2 > np.iinfo(np.int32).max
+    # one block's index sum stays below 2 * 46341, within uint32
+    assert 2 * 46341 <= np.iinfo(np.uint32).max
+    values = np.ones(46342, dtype=np.complex128)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="46341"):
+            dft_direct(values, +1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the exponential table alone would hold 46342 * 16 bytes
+    assert peak < 2 ** 14
 
 
 def test_forward_agrees_with_numpy_ifft():

@@ -1,6 +1,4 @@
-import contextlib
 import math
-import signal
 
 import mpmath as mp
 import numpy as np
@@ -39,7 +37,7 @@ from padic_heat.vladimirov import (
     spectrum_multiset,
 )
 
-from tests.conftest import rel_linf
+from tests.conftest import alarm, rel_linf
 
 
 # -- whole-field heat kernel -------------------------------------------
@@ -378,27 +376,13 @@ def test_fixed_point_c_total_matches_an_mpmath_sum(dps, case):
         assert abs(got - want) <= 4 * (last + 2) * mp.eps * size
 
 
-@contextlib.contextmanager
-def _alarm(seconds):
-    def fire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    old = signal.signal(signal.SIGALRM, fire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, old)
-
-
 @pytest.mark.parametrize("alpha, t", [(1.3, 10.0), (2.8, 2.0)])
 def test_series_route_forms_the_hump_exponent_in_working_precision(alpha, t):
     # -N*alpha rounded in float (3*2.8 = 8.399999999999999) set the two
     # summands apart from their 17th digit: the route gave 6.4e23 at
     # alpha=1.3, t=10 and -1.3e142 at alpha=2.8, t=2
     p, N = 2, -3
-    with _alarm(30):
+    with alarm(30):
         a = heat_kernel_ball(p, N, alpha, t, N)
         b = heat_kernel_ball_series(p, N, alpha, t, N)
     assert abs(a - b) < 1e-10 * max(abs(a), 1.0)
@@ -411,7 +395,7 @@ def test_series_route_sizes_its_precision_with_no_cap():
     p, N, alpha, t = 3, -2, 2.8, 10.0
     assert kernels._series_dps(p, N, alpha, t) >= 3447
     a = heat_kernel_ball(p, N, alpha, t, N)
-    with _alarm(30):
+    with alarm(30):
         try:
             b = heat_kernel_ball_series(p, N, alpha, t, N)
         except NonConvergenceError:
@@ -423,14 +407,14 @@ def test_series_route_sums_the_largest_budgeted_case():
     # the case the work budget is sized to admit: about 8700 terms at
     # 2479 digits, and some 2150 spheres
     p, N, alpha, t = 2, -3, 2.8, 8.0
-    with _alarm(30):
+    with alarm(30):
         b = heat_kernel_ball_series(p, N, alpha, t, N)
     assert abs(heat_kernel_ball(p, N, alpha, t, N) - b) < 1e-10 * 8.0
 
 
 def test_series_work_budget_refuses_before_summing():
     # 83582 terms at 28396 digits: refused before exp(lambda*t) is formed
-    with _alarm(30):
+    with alarm(30):
         with pytest.raises(NonConvergenceError, match="work budget"):
             heat_kernel_ball_series(7, -2, 2.0, 10.0, -2)
     with mp.workdps(80000):
@@ -665,6 +649,41 @@ def test_green_sweeps_equal_the_per_radius_sums(p):
                         and m <= -M - 8)
                     got = green_kernel_gridfunction(model, alpha, mu).values
                     assert np.array_equal(got, want)
+
+
+def _green_mp(p, N, alpha, mu, m):
+    # the finite progression at radius p**m, or the center sum at m = None,
+    # at 30 digits
+    with mp.workdps(30):
+        P, q = mp.mpf(p), 1 - 1 / mp.mpf(p)
+        lam = mp.mpf(lambda_value(p, alpha, N))
+
+        def over_d(c, a, l):
+            return c * P ** a / (P ** (alpha * l) - lam + mu)
+
+        if m is None:
+            return q * mp.nsum(lambda l: over_d(1, l, l), [-N + 1, mp.inf])
+        return (mp.fsum(over_d(q, l, l) for l in range(-N + 1, -m + 1))
+                - over_d(1, -m, 1 - m))
+
+
+def test_green_past_float_range_of_its_denominators():
+    # p**(alpha*l) and p**l pass float range while their quotient does
+    # not: 1009**(2.8*41) at the ball integral's m = -40, and the center
+    # sum at alpha = 1.01, which runs to p**l ~ 2**1100 before it stops
+    cases = [(1009, 0, 2.8, 1.0, -40), (2 ** 61 - 1, 0, 1.0, 1.0, -40),
+             (2 ** 61 - 1, -1, 1.01, 0.5, -44), (2 ** 61 - 1, 0, 0.7, 1.0, -30),
+             (2, 0, 1.01, 1.0, None), (3, 1, 1.01, 2.0, None), (2 ** 61 - 1, 0, 1.6, 1.0, None)]
+    for p, N, alpha, mu, m in cases:
+        want = float(_green_mp(p, N, alpha, mu, m))
+        assert abs(green_kernel(p, N, alpha, mu, m) - want) < 1e-13 * abs(want)
+        if alpha > 1:
+            got = green_kernel_series(p, N, alpha, mu, m)
+            assert abs(got - want) < 1e-13 * abs(want)
+    assert abs(green_ball_integral(1009, 0, 2.8, 1.0)) < 1e-10
+    # at alpha < 1 the Green function itself passes float range
+    with pytest.raises(OverflowError):
+        green_kernel(2 ** 61 - 1, 0, 0.3, 1.0, -25)
 
 
 def test_green_continuity_at_center():
