@@ -295,8 +295,20 @@ def _multiset_deviation(model: BallModel, alpha: float) -> float:
                                - spectrum_multiset(model, alpha))))
 
 
+def _row_dft_deviation(model: BallModel, alpha: float, row: np.ndarray) -> float:
+    """Largest gap between the sorted DFT of the operator's first row,
+    whose circulant matrix has the DFT of its row as its eigenvalues, and
+    ``spectrum_multiset``, relative to max(|eigenvalue|, 1).  The row is
+    the difference-weight representation, so unlike ``multiplier`` it
+    shares no evaluation with the closed form."""
+    want = spectrum_multiset(model, alpha)
+    gap = float(np.max(np.abs(np.sort(np.fft.fft(row).real) - want)))
+    return gap / max(float(np.max(np.abs(want))), 1.0)
+
+
 def _task_spectrum(cfg: dict) -> int:
-    """Eigenvalue table, optional dense matrix, multiset check.
+    """Eigenvalue table, optional dense matrix, two checks of the spectrum:
+    the multiset of the symbol's eigenvalues and the DFT of the matrix row.
 
     Both columns of ``spectrum.csv`` take one value per valuation: the
     eigenvalue is ``operator_levels`` gathered through
@@ -313,6 +325,8 @@ def _task_spectrum(cfg: dict) -> int:
     model = _model_from(cfg)
     alpha = _require(cfg, "alpha")
     err = _multiset_deviation(model, alpha)
+    row = matrix_row(model, alpha)
+    dft_err = _row_dft_deviation(model, alpha, row)
     header = ["k", "freq_abs", "eigenvalue"]
     if cfg["format"] == "csv":
         # frequency k = p**r has valuation r; k = 0 holds the sentinel L
@@ -328,7 +342,10 @@ def _task_spectrum(cfg: dict) -> int:
                      zip(range(model.S), freq_abs_table(model).tolist(),
                          multiplier(model, alpha).eigenvalues.tolist()))
     if cfg.get("dump_matrix"):
-        row0 = _reprs(matrix_row(model, alpha))
+        if model.S > DEFAULT_MATRIX_CAP:
+            raise ValidationFailure(f"group order {model.S} exceeds the "
+                                    f"dense-matrix cap {DEFAULT_MATRIX_CAP}")
+        row0 = _reprs(row)
         S = model.S
         with open(os.path.join(cfg["out"], "operator_matrix.csv"),
                   "w", newline="") as fh:
@@ -339,11 +356,16 @@ def _task_spectrum(cfg: dict) -> int:
         "p": model.p, "N": model.N, "M": model.M, "alpha": alpha,
         "size": model.S,
         "max_multiset_deviation": err,
+        "max_row_dft_deviation": dft_err,
         "tolerance": tol,
     })
     if err >= tol:
         raise ConsistencyError(
             f"eigenvalue multiset deviates from the closed form by {err:.3e}")
+    if dft_err >= tol:
+        raise ConsistencyError(
+            f"DFT of the operator's first row deviates from the closed form "
+            f"by {dft_err:.3e} relative")
     return EXIT_OK
 
 

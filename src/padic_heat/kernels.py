@@ -16,14 +16,16 @@ The ball heat kernel has two independent evaluation routes:
   frequencies, exact up to exp() rounding;
 * ``heat_kernel_ball_series``: exp(lambda*t) times the global kernel
   plus the correction c(t), with c(t) summed from its alternating
-  series (``c_series``).
+  series.
 
 The alternating series cancels catastrophically once t is a few units
-(terms swell to about e^t before the signs bite), so ``c_series`` sums
-it in fixed-point integers at a precision scaled to the hump and rounds
-the result to a double; every stored value in this package remains
-float64.  A sum whose terms times digits pass ``SERIES_WORK_BUDGET`` is
-refused with NonConvergenceError.
+(terms swell to about e^t before the signs bite), so one evaluator,
+``_grow_and_c_mp``, sums it in fixed-point integers at a precision
+scaled to the hump, stopping relative to exp(lambda*t).  Both branches
+of the series route read exp(lambda*t) and c(t) from it, and
+``c_series`` rounds its c(t) to a double.  Every stored value in this
+package remains float64.  A sum whose terms times digits pass
+``SERIES_WORK_BUDGET`` is refused with NonConvergenceError.
 """
 
 from __future__ import annotations
@@ -168,23 +170,22 @@ def _c_total_mp(p: int, N: int, alpha: float, t: float,
 
     The terms are summed in fixed point: Python integers scaled by
     2**B, B = mp.prec + 64 guard bits.  x and the ratio p**(-alpha) are
-    formed once in mpmath at the caller's precision and rounded to
-    integers X and R; each term then costs two integer products and two
-    integer divisions, each rounded to the floor.  Term n is off by at
-    most about n units of 2**-B and the total by about terms**2/2, below
-    the rounding of an mpmath loop at the caller's precision for up to
-    2**32 terms.  The total is converted to mpmath once, at the end.
+    formed once in mpmath at the caller's precision, from one logarithm
+    of p, and rounded to integers X and R; each term then costs two
+    integer products and two integer divisions, each rounded to the
+    floor.  Term n is off by at most about n units of 2**-B and the
+    total by about terms**2/2, below the rounding of an mpmath loop at
+    the caller's precision for up to 2**32 terms.  The total is
+    converted to mpmath once, at the end.
     """
     _check_series_work(term_cap)
-    P = mp.mpf(p)
-    # -N*alpha in working precision: rounded in float (3*2.8 =
-    # 8.399999999999999) it parts the route's summands at the 17th digit
-    x = mp.mpf(t) * P ** (-N * mp.mpf(alpha))
+    p_alpha, p_hump = _p_powers_mp(p, N, alpha, mp.mp.prec)
+    x = t * p_hump
     hump = float(x)
     B = mp.mp.prec + 64
     one = 1 << B
     X = int(mp.nint(mp.ldexp(x, B)))
-    R = int(mp.nint(mp.ldexp(P ** (-mp.mpf(alpha)), B)))
+    R = int(mp.nint(mp.ldexp(1 / p_alpha, B)))
     eps = int(mp.ceil(mp.ldexp(mp.mpf(eps_increment), B)))
     term = one  # (-x)**n / n!
     power = one // p  # p**(-alpha*n - 1)
@@ -206,30 +207,38 @@ def _c_total_mp(p: int, N: int, alpha: float, t: float,
         power = (power * R) >> B
 
 
+@lru_cache(maxsize=1)
+def _p_powers_mp(p: int, N: int, alpha: float, prec: int):
+    """p**alpha and p**(-N*alpha) at ``prec`` bits, both from one
+    logarithm of p; ``_grow_and_c_mp`` and the ``_c_total_mp`` it calls
+    share them.  p**(-N*alpha) is an integer power of p**alpha, never
+    the power of -N*alpha rounded in float (3*2.8 = 8.399999999999999),
+    which parted the series route's summands at the 17th digit."""
+    with mp.workprec(prec):
+        p_alpha = mp.exp(mp.mpf(alpha) * mp.log(p))
+        return p_alpha, p_alpha ** (-N)
+
+
 def _series_term_cap(x: float, log_eps: float) -> int:
     """Terms ``_c_total_mp`` needs to stop below exp(log_eps) at hump x.
 
     Its increments are x**n/n! over denominators of at least 1/2, and
     past the hump x**n/n! falls monotonically, so the first n > x with
     2*x**n/n! < exp(log_eps) meets the stopping rule.  Two terms of
-    margin cover the float rounding of x and lgamma.
+    margin cover the float rounding of x and lgamma; a hump that
+    underflows to 0.0 stops after its first term.
     """
-    log_x = math.log(x)
+    log_x = math.log(x) if x > 0.0 else -math.inf
     n = math.floor(x) + 1
     while math.log(2.0) + n * log_x - math.lgamma(n + 1) >= log_eps:
         n += 1
     return n + 2
 
 
-def _lambda_mp(p: int, alpha: float, N: int):
-    P = mp.mpf(p)
-    return (P - 1) / (P ** (alpha + 1) - 1) * P ** (alpha * (1 - N))
-
-
 def _series_dps(p: int, N: int, alpha: float, t: float) -> int:
     """Digits the c(t) series needs: 25 beyond its largest term, e**x at
     the hump x, times exp(lambda*t), the factor its total is multiplied
-    by.  There is no cap: ``_c_total_mp`` refuses a sum whose terms
+    by.  There is no cap: ``_grow_and_c_mp`` refuses a sum whose terms
     times digits pass ``SERIES_WORK_BUDGET``, so a precision too large to
     afford raises NonConvergenceError instead of rounding the answer
     away."""
@@ -239,27 +248,46 @@ def _series_dps(p: int, N: int, alpha: float, t: float) -> int:
 
 
 @lru_cache(maxsize=64)
-def c_series(p: int, N: int, alpha: float, t: float,
-             eps_increment: float = 1e-15, term_cap: int = 500) -> float:
-    """Spatially constant correction c(t) relating global and ball kernels.
+def _grow_and_c_mp(p: int, N: int, alpha: float, t: float, dps: int):
+    """exp(lambda*t) and
 
         c(t) = p**(-N) * (1 - (1-1/p) * exp(lambda*t)
                * sum_{n>=0} (-x)**n / n! / (1 - p**(-alpha*n-1))),   x = t*p**(-N*alpha)
 
-    Terms are added until the increment falls below ``eps_increment``
-    past the hump of the alternating series; hitting ``term_cap`` first
-    raises NonConvergenceError.  Summation runs in extended precision
-    sized to the hump, the return value is an ordinary double.
+    at ``dps`` digits, the one evaluation of c(t): ``c_series`` rounds
+    its c, and both branches of ``heat_kernel_ball_series`` use both.
+    Neither depends on the radius, so the series is summed once
+    per time.  Its total is multiplied by exp(lambda*t), so the sum
+    stops once an increment falls below 1e-16/exp(lambda*t), and its
+    term cap follows from that rule.  The work budget is checked before
+    any arithmetic at ``dps`` digits: first on floor(x) + 3 terms, the
+    least cap ``_series_term_cap`` returns, so a huge hump x never runs
+    its loop, then on the cap itself.  Every power of p is formed from
+    one logarithm of p.
+    """
+    x = t * float(p) ** (-N * alpha)
+    with mp.workdps(dps):
+        _check_series_work(math.floor(x) + 3)
+        cap = _series_term_cap(x, math.log(1e-16) - lambda_value(p, alpha, N) * t)
+        _check_series_work(cap)
+        p_alpha, p_hump = _p_powers_mp(p, N, alpha, mp.mp.prec)
+        grow = mp.exp((p - 1) / (p * p_alpha - 1) * p_alpha * p_hump * t)
+        total = _c_total_mp(p, N, alpha, t, mp.mpf(10) ** (-16) / grow, cap)
+        c = mp.mpf(p) ** (-N) * (1 - (1 - mp.mpf(1) / p) * grow * total)
+    return grow, c
+
+
+def c_series(p: int, N: int, alpha: float, t: float) -> float:
+    """Spatially constant correction c(t) relating global and ball kernels,
+    ``_grow_and_c_mp``'s c at the digits ``_series_dps`` sizes, rounded to
+    a double.  Raises NonConvergenceError where that sum passes
+    ``SERIES_WORK_BUDGET``.
     """
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"t must be finite and >= 0, got {t}")
     if t == 0.0:
         return 0.0
-    with mp.workdps(_series_dps(p, N, alpha, t)):
-        total = _c_total_mp(p, N, alpha, t, eps_increment, term_cap)
-        c = mp.mpf(p) ** (-N) * (1 - (1 - mp.mpf(1) / p)
-                                 * mp.exp(_lambda_mp(p, alpha, N) * t) * total)
-        return float(c)
+    return float(_grow_and_c_mp(p, N, alpha, t, _series_dps(p, N, alpha, t))[1])
 
 
 def heat_kernel_ball(p: int, N: int, alpha: float, t: float,
@@ -374,51 +402,34 @@ def heat_kernel_ball_series(p: int, N: int, alpha: float, t: float,
     """Ball heat kernel via exp(lambda*t) * global kernel + c(t).
 
     Independent route from ``heat_kernel_ball``; the two must agree to
-    tight tolerance on every radius and time.  The two summands grow
-    like exp(lambda*t) while their sum stays order p**(-N), so once
+    tight tolerance on every radius and time.  Both branches take
+    exp(lambda*t) and c(t) from ``_grow_and_c_mp``.  The two summands
+    grow like exp(lambda*t) while their sum stays order p**(-N), so once
     lambda*t is large enough to cost double precision the whole
     combination is evaluated in extended precision and rounded;
-    ``eps_tail`` governs only the double-precision branch.  That branch
-    raises NonConvergenceError where exp(lambda*t) would need more than
-    20000 guard digits, or c(t) more work than ``SERIES_WORK_BUDGET``.
+    otherwise the global kernel is summed in double and meets
+    exp(lambda*t) and c(t) rounded to doubles, and ``eps_tail`` governs
+    only that branch.  The extended branch raises NonConvergenceError
+    where exp(lambda*t) would need more than 20000 guard digits, and
+    either branch where c(t) needs more work than ``SERIES_WORK_BUDGET``.
     """
     _check_time(t)
     if m is not None and m > N:
         raise ValueError(f"radius exponent m must be <= N = {N}, got {m}")
-    lam = lambda_value(p, alpha, N)
-    if lam * t <= 30.0:
-        return math.exp(lam * t) * heat_kernel_global(p, alpha, t, m, eps_tail) \
-            + c_series(p, N, alpha, t)
-    tail_digits = 15 + int(math.ceil(lam * t * math.log10(math.e)))
+    lam_t = lambda_value(p, alpha, N) * t
+    if lam_t <= 30.0:
+        grow, c = _grow_and_c_mp(p, N, alpha, t, _series_dps(p, N, alpha, t))
+        return float(grow) * heat_kernel_global(p, alpha, t, m, eps_tail) + float(c)
+    tail_digits = 15 + int(math.ceil(lam_t * math.log10(math.e)))
     if tail_digits > 20000:
         raise NonConvergenceError(
             f"series route needs ~{tail_digits} guard digits at lambda*t = "
-            f"{lam * t:.3g}; use the character-sum route instead")
+            f"{lam_t:.3g}; use the character-sum route instead")
     dps = _series_dps(p, N, alpha, t) + tail_digits
     grow, c = _grow_and_c_mp(p, N, alpha, t, dps)
     with mp.workdps(dps):
         Z = _global_kernel_mp(p, N, alpha, t, m, tail_digits, dps)
         return float(grow * Z + c)
-
-
-@lru_cache(maxsize=64)
-def _grow_and_c_mp(p: int, N: int, alpha: float, t: float, dps: int):
-    """exp(lambda*t) and c(t) at ``dps`` digits, for the extended branch
-    of ``heat_kernel_ball_series``; neither depends on the radius, so the
-    series is summed once per time.  The work budget is checked before
-    exp(lambda*t) is formed, so a refused case costs no exponential at
-    its full precision."""
-    with mp.workdps(dps):
-        lam_t = _lambda_mp(p, alpha, N) * t
-        # the series total is multiplied by exp(lambda*t), so its
-        # stopping threshold must shrink by the same factor
-        cap = _series_term_cap(t * float(p) ** (-N * alpha),
-                               math.log(1e-16) - float(lam_t))
-        _check_series_work(cap)
-        grow = mp.exp(lam_t)
-        total = _c_total_mp(p, N, alpha, t, mp.mpf(10) ** (-16) / grow, cap)
-        c = mp.mpf(p) ** (-N) * (1 - (1 - mp.mpf(1) / p) * grow * total)
-    return grow, c
 
 
 def ball_kernel_gridfunction(model: BallModel, alpha: float, t: float) -> GridFunction:
@@ -475,9 +486,10 @@ def _green_radial(p: int, N: int, alpha: float, mu: float):
 
     Carries the prefix sum (1-1/p) * sum_{l=-N+1}^{-m} p**l / d(l) from
     one radius to the next, with lambda computed once, so a sweep over
-    R radii costs O(R).  Each d(1-m) serves K(m) and then the prefix
-    term of K(m-1); the terms and their order are those of the finite
-    progression, formed as ``_green_term`` forms them past float range.
+    R radii costs O(R).  Both terms of a radius are ``_green_term``s:
+    p**(-m)/d(1-m) for K(m), then, once K(m) is yielded, the prefix term
+    of K(m-1), so a sweep raises OverflowError only when asked for a
+    radius whose own value passes float range.
     """
     _check_mu(mu)
     q = 1.0 - 1.0 / p
@@ -486,13 +498,8 @@ def _green_radial(p: int, N: int, alpha: float, mu: float):
     m = N
     while True:
         b = alpha * (1 - m)
-        try:
-            d = float(p) ** b - lam + mu
-            edge, step = float(p) ** (-m) / d, q * float(p) ** (1 - m) / d
-        except OverflowError:
-            edge, step = _green_term(1.0, p, -m, b, lam, mu), _green_term(q, p, 1 - m, b, lam, mu)
-        yield prefix - edge
-        prefix += step
+        yield prefix - _green_term(1.0, p, -m, b, lam, mu)
+        prefix += _green_term(q, p, 1 - m, b, lam, mu)
         m -= 1
 
 

@@ -260,11 +260,9 @@ def convolve_riesz(u: GridFunction, alpha: float) -> GridFunction:
     return GridFunction(model, out)
 
 
-def matrix_row(model: BallModel, alpha: float, cap: int = DEFAULT_MATRIX_CAP) -> np.ndarray:
-    """Row 0 of ``build_matrix``, in O(S): the difference weights w_j,
-    even in j, with lambda - sum(w) at j = 0; refuses orders above ``cap``."""
-    if model.S > cap:
-        raise ValueError(f"group order {model.S} exceeds the dense-matrix cap {cap}")
+def matrix_row(model: BallModel, alpha: float) -> np.ndarray:
+    """Row 0 of ``build_matrix``, in O(S) at any order: the difference
+    weights w_j, even in j, with lambda - sum(w) at j = 0."""
     w = _difference_weights(model, float(alpha))
     row = np.array(w)
     row[0] = lambda_value(model.p, alpha, model.N) - float(w.sum())
@@ -280,7 +278,9 @@ def build_matrix(model: BallModel, alpha: float, cap: int = DEFAULT_MATRIX_CAP) 
     a few eps*sum(w): the diagonal's subtraction and the row's sum both
     round at the scale of sum(w), which can pass lambda by far.
     """
-    row = matrix_row(model, alpha, cap)
+    if model.S > cap:
+        raise ValueError(f"group order {model.S} exceeds the dense-matrix cap {cap}")
+    row = matrix_row(model, alpha)
     S = model.S
     # window k of the doubled row starts at entry k; row i is window S - i
     windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((row, row)), S)

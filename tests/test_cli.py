@@ -40,6 +40,34 @@ def test_spectrum_task(tmp_path):
     assert not (tmp_path / "operator_matrix.csv").exists()
 
 
+@pytest.mark.parametrize("p, N, M, alpha", [
+    (2, 0, 0, 1.0), (7, -1, 1, 2.4), (7, 0, 4, 0.35), (3, -2, 6, 1.3), (2, -1, 9, 6.0)])
+def test_spectrum_checks_the_dft_of_the_matrix_row(tmp_path, p, N, M, alpha):
+    # S = 1, p = 7 and N < 0: the sorted DFT of the operator's first row
+    # meets the closed-form multiset, relative to the largest eigenvalue
+    assert main(["spectrum", "--p", str(p), "--N", str(N), "--M", str(M),
+                 "--alpha", str(alpha), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "spectrum_report.json").read_text())
+    assert report["size"] == p ** (N + M)
+    assert report["max_row_dft_deviation"] < 1e-13
+
+
+def test_spectrum_fails_on_a_perturbed_matrix_row(tmp_path, capsys, monkeypatch):
+    # the symbol's multiset cannot see the row; the DFT check must
+    def perturbed(model, alpha):
+        row = vladimirov.matrix_row(model, alpha)
+        row[0] += 1e-6
+        return row
+
+    monkeypatch.setattr(cli, "matrix_row", perturbed)
+    assert main(["spectrum", "--p", "2", "--N", "0", "--M", "5", "--alpha", "1.0",
+                 "--out", str(tmp_path)]) == 2
+    report = json.loads((tmp_path / "spectrum_report.json").read_text())
+    assert report["max_multiset_deviation"] < 1e-9 <= report["max_row_dft_deviation"]
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "consistency" and "first row" in err["message"]
+
+
 def test_spectrum_matrix_dump(tmp_path):
     rc = main(["spectrum", "--p", "3", "--N", "0", "--M", "2",
                "--alpha", "1.5", "--dump-matrix", "--out", str(tmp_path)])
@@ -160,6 +188,17 @@ def test_green_past_float_range_of_its_denominators(tmp_path, capsys):
                  "--alpha", "0.3", "--out", str(tmp_path / "huge")]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and json.loads(err[0])["error"] == "validation"
+
+
+def test_green_sweep_answers_up_to_the_radius_that_overflows(tmp_path):
+    # K(-157) = 3.2e306; only the next radius's prefix term passes float
+    # range, which the sweep formed before yielding K(-157) and exited 1
+    argv = ["green", "--p", "1009", "--N", "-3", "--M", "3", "--alpha", "0.35",
+            "--m-lo", "-157", "--m-hi", "-157", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    lines = read_csv_lines(tmp_path / "green_mu_1.csv")
+    assert len(lines) == 2 and lines[1].split(",")[:3] == [
+        "-157", repr(1009.0 ** -157), repr(3.247559159232082e+306)]
 
 
 def test_heat_kernel_task(tmp_path):

@@ -181,10 +181,39 @@ def test_c_series_small_time_limit():
     assert abs(c_series(2, 0, 1.0, 1e-8)) < 1e-6
 
 
+def test_c_series_at_a_hump_that_underflows():
+    # x = t*p**(-N*alpha) is 0.0 in float here, and the term cap takes
+    # no logarithm of it
+    assert abs(c_series(7, 5, 6.0, 1e-300)) < 1e-290
+
+
 def test_c_series_term_cap():
-    # slow alternating regime: the default cap must refuse, not stall
-    with pytest.raises(NonConvergenceError):
-        c_series(2, -3, 1.0, 80.0)
+    # the cap follows the stopping rule, as on the series route's extended
+    # branch: lambda*t = 427 and hump x = 640 need about 2150 terms, past
+    # the fixed 500 that once refused this case.  The reference is the
+    # term-by-term mpmath sum, 30 digits past the evaluator's, stopped 30
+    # digits further down
+    p, N, alpha, t = 2, -3, 1.0, 80.0
+    with alarm(30):
+        got = c_series(p, N, alpha, t)
+    with mp.workdps(kernels._series_dps(p, N, alpha, t) + 30):
+        P, A = mp.mpf(p), mp.mpf(alpha)
+        grow = mp.e ** ((P - 1) / (P ** (A + 1) - 1) * P ** (A * (1 - N)) * t)
+        total, _, last = _c_total_power_per_term(p, N, alpha, t,
+                                                 mp.mpf(10) ** (-46) / grow, 10 ** 4)
+        want = float(P ** (-N) * (1 - (1 - 1 / P) * grow * total))
+    assert last > 2000
+    assert abs(got - want) <= 1e-15 * abs(want)
+
+
+@pytest.mark.parametrize("t", [2e6, 1e12])
+def test_c_series_refuses_a_huge_hump_at_once(t):
+    # x = t: its floor(x) + 3 terms alone pass the work budget at the
+    # digits the hump needs, so the sum is refused before the term cap's
+    # loop or any arithmetic at that precision (1.4 million digits at 2e6)
+    with alarm(1):
+        with pytest.raises(NonConvergenceError, match="work budget"):
+            c_series(2, 0, 1.0, t)
 
 
 def _c_total_power_per_term(p, N, alpha, t, eps_increment, term_cap):
@@ -214,25 +243,24 @@ def _c_total_power_per_term(p, N, alpha, t, eps_increment, term_cap):
 @given(st.sampled_from([2, 3, 5, 7]), st.integers(-2, 1), st.floats(0.35, 2.4),
        st.floats(0.01, 30.0))
 def test_c_series_running_product_matches_power_per_term(p, N, alpha, t):
-    # c_series's defaults: increments below 1e-15, at most 500 terms, which
-    # a hump x past 500 exhausts before the stopping rule may fire
-    assume(t * float(p) ** (-N * alpha) < 500)
+    # the evaluator's rule: increments below 1e-16/exp(lambda*t), at most
+    # the ``_series_term_cap`` terms of that rule; a hump below 500 keeps
+    # the per-term mpmath reference quick
+    x = t * float(p) ** (-N * alpha)
+    assume(x < 500)
+    cap = kernels._series_term_cap(x, math.log(1e-16) - lambda_value(p, alpha, N) * t)
     with mp.workdps(kernels._series_dps(p, N, alpha, t)):
-        try:
-            want, size, last = _c_total_power_per_term(p, N, alpha, t, 1e-15, 500)
-        except NonConvergenceError:
-            with pytest.raises(NonConvergenceError):
-                kernels._c_total_mp(p, N, alpha, t, 1e-15, 500)
-            return
-        got = kernels._c_total_mp(p, N, alpha, t, 1e-15, 500)
+        P, A = mp.mpf(p), mp.mpf(alpha)
+        grow = mp.e ** ((P - 1) / (P ** (A + 1) - 1) * P ** (A * (1 - N)) * t)
+        eps = mp.mpf(10) ** (-16) / grow
+        want, size, last = _c_total_power_per_term(p, N, alpha, t, eps, cap)
+        got = kernels._c_total_mp(p, N, alpha, t, eps, cap)
         # the running power carries last + 1 roundings where mpmath's power
         # carries one, and the partial sums round differently: a few
         # 2**-prec per term, relative to the sum of |increments|; about
         # one draw in thirty differs at all
         assert abs(got - want) <= 4 * (last + 2) * mp.eps * size
-        P = mp.mpf(p)
-        c_want = float(P ** (-N) * (1 - (1 - 1 / P)
-                                    * mp.e ** (kernels._lambda_mp(p, alpha, N) * t) * want))
+        c_want = float(P ** (-N) * (1 - (1 - 1 / P) * grow * want))
     assert c_series(p, N, alpha, t) == c_want
 
 
@@ -684,6 +712,18 @@ def test_green_past_float_range_of_its_denominators():
     # at alpha < 1 the Green function itself passes float range
     with pytest.raises(OverflowError):
         green_kernel(2 ** 61 - 1, 0, 0.3, 1.0, -25)
+
+
+def test_green_sweep_yields_a_radius_before_its_next_prefix_term():
+    # K(-157) = 3.2e306, while the prefix term it hands to K(-158),
+    # 1009**158 / d(158), passes float range: a sweep that formed that
+    # term before yielding K(-157) raised OverflowError
+    p, N, alpha, mu, m = 1009, -3, 0.35, 1.0, -157
+    want = float(_green_mp(p, N, alpha, mu, m))
+    assert want > 1e306
+    assert abs(green_kernel(p, N, alpha, mu, m) - want) < 1e-13 * want
+    rows = green_estimates_report(p, N, alpha, mu, (m, m))
+    assert [r["K"] for r in rows] == [green_kernel(p, N, alpha, mu, m)]
 
 
 def test_green_continuity_at_center():
