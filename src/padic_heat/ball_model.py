@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -69,7 +69,8 @@ class BallModel:
     p : prime.
     N : ball radius exponent (may be negative).
     M : resolution exponent (may be negative); N + M >= 0 is required.
-    order_cap : refuse group orders p**(N+M) above this bound.
+
+    Group orders p**(N+M) above ``DEFAULT_ORDER_CAP`` are refused.
 
     Instances are immutable and hashable.  Derived lookup tables
     (valuations, absolute values) are cached per model and shared
@@ -79,7 +80,6 @@ class BallModel:
     p: int
     N: int
     M: int
-    order_cap: int = field(default=DEFAULT_ORDER_CAP, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.p, int):
@@ -90,7 +90,7 @@ class BallModel:
         # The order is refused before p is tested, and one past 4096 bits
         # without forming it (p**L of a huge L runs for hours): p**L passes
         # the cap once L passes the cap's bit length (p >= 2) or p the cap.
-        cap = self.order_cap
+        cap = DEFAULT_ORDER_CAP
         if L >= 1 and self.p >= 2:
             huge = ((L > cap.bit_length() or self.p > cap)
                     and L * self.p.bit_length() > 4096)

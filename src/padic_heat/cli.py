@@ -408,11 +408,6 @@ def _task_heat_kernel(cfg: dict) -> int:
     return EXIT_OK
 
 
-def _green_mean(p: int, N: int, alpha: float, mu: float) -> float:
-    """The Green function's ball integral, summed adaptively below alpha = 1."""
-    return green_ball_integral(p, N, alpha, mu, None if alpha < 1 else -40)
-
-
 def _task_green(cfg: dict) -> int:
     model = _model_from(cfg)
     alpha = _require(cfg, "alpha")
@@ -428,7 +423,7 @@ def _task_green(cfg: dict) -> int:
                             ["m", "abs_x", "K", "weight", "weighted", "ratio"],
                             rows)
         summary["tables"].append({
-            "mu": mu, "file": name, "ball_integral": _green_mean(p, N, alpha, mu)})
+            "mu": mu, "file": name, "ball_integral": green_ball_integral(p, N, alpha, mu)})
     _write_json(os.path.join(cfg["out"], "green_report.json"), summary)
     return EXIT_OK
 
@@ -537,7 +532,7 @@ def _task_verify(cfg: dict) -> int:
     checks.append(("resolvent two paths",
                    float(np.max(np.abs(r1.values - r2.values))),
                    max(tol, 1e-10)))
-    checks.append(("Green kernel mean zero", abs(_green_mean(p, N, alpha, 1.0)),
+    checks.append(("Green kernel mean zero", abs(green_ball_integral(p, N, alpha, 1.0)),
                    max(tol, 1e-10)))
 
     fc = forward(u).coeffs * model.S

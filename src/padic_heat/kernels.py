@@ -110,8 +110,7 @@ def heat_kernel_global(p: int, alpha: float, t: float, m: int | None = None,
         l -= 1
 
 
-def global_kernel_mass(p: int, alpha: float, t: float,
-                       eps_tail: float = DEFAULT_EPS_TAIL) -> float:
+def global_kernel_mass(p: int, alpha: float, t: float) -> float:
     """Sphere-sum of the global kernel over the whole field; should be 1.
 
     Upward spheres contribute ~ t*(1-p**(-alpha))*p**(-alpha*m), so the
@@ -128,22 +127,21 @@ def global_kernel_mass(p: int, alpha: float, t: float,
     while True:
         # cut each sphere's own tail relative to its p**(-m) scale, since
         # the weight p**m amplifies absolute truncation error
-        eps_m = eps_tail * min(1.0, float(p) ** (-m))
+        eps_m = DEFAULT_EPS_TAIL * min(1.0, float(p) ** (-m))
         acc += q * float(p) ** m * heat_kernel_global(p, alpha, t, m, eps_m)
-        if float(p) ** m < eps_tail and m < 0:
+        if float(p) ** m < DEFAULT_EPS_TAIL and m < 0:
             return acc
         m -= 1
 
 
-def global_kernel_ball_mass(p: int, N: int, alpha: float, t: float,
-                            eps_tail: float = DEFAULT_EPS_TAIL) -> float:
+def global_kernel_ball_mass(p: int, N: int, alpha: float, t: float) -> float:
     """Sphere-sum of the global kernel over the radius-p**N ball."""
     q = 1.0 - 1.0 / p
     acc = 0.0
     m = N
     while True:
-        acc += q * float(p) ** m * heat_kernel_global(p, alpha, t, m, eps_tail)
-        if float(p) ** m < eps_tail:
+        acc += q * float(p) ** m * heat_kernel_global(p, alpha, t, m)
+        if float(p) ** m < DEFAULT_EPS_TAIL:
             return acc
         m -= 1
 
@@ -397,8 +395,7 @@ def _sphere_sums_mp(p: int, N: int, alpha: float, t: float, tail_digits: int,
 
 
 def heat_kernel_ball_series(p: int, N: int, alpha: float, t: float,
-                            m: int | None = None,
-                            eps_tail: float = DEFAULT_EPS_TAIL) -> float:
+                            m: int | None = None) -> float:
     """Ball heat kernel via exp(lambda*t) * global kernel + c(t).
 
     Independent route from ``heat_kernel_ball``; the two must agree to
@@ -407,9 +404,9 @@ def heat_kernel_ball_series(p: int, N: int, alpha: float, t: float,
     grow like exp(lambda*t) while their sum stays order p**(-N), so once
     lambda*t is large enough to cost double precision the whole
     combination is evaluated in extended precision and rounded;
-    otherwise the global kernel is summed in double and meets
-    exp(lambda*t) and c(t) rounded to doubles, and ``eps_tail`` governs
-    only that branch.  The extended branch raises NonConvergenceError
+    otherwise the global kernel is summed in double, its tail cut at
+    p**l < ``DEFAULT_EPS_TAIL``, and meets exp(lambda*t) and c(t) rounded
+    to doubles.  The extended branch raises NonConvergenceError
     where exp(lambda*t) would need more than 20000 guard digits, and
     either branch where c(t) needs more work than ``SERIES_WORK_BUDGET``.
     """
@@ -419,7 +416,7 @@ def heat_kernel_ball_series(p: int, N: int, alpha: float, t: float,
     lam_t = lambda_value(p, alpha, N) * t
     if lam_t <= 30.0:
         grow, c = _grow_and_c_mp(p, N, alpha, t, _series_dps(p, N, alpha, t))
-        return float(grow) * heat_kernel_global(p, alpha, t, m, eps_tail) + float(c)
+        return float(grow) * heat_kernel_global(p, alpha, t, m) + float(c)
     tail_digits = 15 + int(math.ceil(lam_t * math.log10(math.e)))
     if tail_digits > 20000:
         raise NonConvergenceError(
@@ -504,7 +501,7 @@ def _green_radial(p: int, N: int, alpha: float, mu: float):
 
 
 def green_kernel(p: int, N: int, alpha: float, mu: float,
-                 m: int | None = None, series_eps: float = 1e-17) -> float:
+                 m: int | None = None) -> float:
     """Green function of (D - lambda + mu) at radius p**m.
 
     Finite progression for a point on the sphere |x| = p**m:
@@ -522,18 +519,18 @@ def green_kernel(p: int, N: int, alpha: float, mu: float,
     if m is None:
         if alpha <= 1:
             raise ValueError("the Green function is unbounded at x = 0 for alpha <= 1")
-        return _green_at_zero(p, N, alpha, mu, series_eps)
+        return _green_at_zero(p, N, alpha, mu)
     if m > N:
         raise ValueError(f"radius exponent m must be <= N = {N}, got {m}")
     return next(itertools.islice(_green_radial(p, N, alpha, mu), N - m, None))
 
 
-def _green_at_zero(p: int, N: int, alpha: float, mu: float, series_eps: float) -> float:
+def _green_at_zero(p: int, N: int, alpha: float, mu: float) -> float:
     """K(0) = (1-1/p) * sum_{l > -N} p**l / d(l), for alpha > 1.
 
     The terms fall like p**(l*(1-alpha)), so the sum stops once the
     geometric bound on the rest, term/(1 - p**(1-alpha)), drops below
-    ``series_eps`` relative to the total.
+    1e-17 relative to the total.
     """
     q = 1.0 - 1.0 / p
     lam = lambda_value(p, alpha, N)
@@ -543,13 +540,13 @@ def _green_at_zero(p: int, N: int, alpha: float, mu: float, series_eps: float) -
     while True:
         term = _green_term(q, p, l, alpha * l, lam, mu)
         acc += term
-        if term / (1.0 - ratio) < series_eps * max(abs(acc), 1e-300):
+        if term / (1.0 - ratio) < 1e-17 * max(abs(acc), 1e-300):
             return acc
         l += 1
 
 
 def green_kernel_series(p: int, N: int, alpha: float, mu: float,
-                        m: int | None = None, series_eps: float = 1e-17) -> float:
+                        m: int | None = None) -> float:
     """Green function summed frequency-sphere by frequency-sphere.
 
     Requires alpha > 1.  Each sphere |eta| = p**l contributes its exact
@@ -562,7 +559,7 @@ def green_kernel_series(p: int, N: int, alpha: float, mu: float,
         raise ValueError("the sphere series requires alpha > 1")
     _check_mu(mu)
     if m is None:
-        return _green_at_zero(p, N, alpha, mu, series_eps)
+        return _green_at_zero(p, N, alpha, mu)
     q = 1.0 - 1.0 / p
     lam = lambda_value(p, alpha, N)
     acc = 0.0
@@ -597,22 +594,13 @@ def _green_sphere_sum(p: int, top: int, radial, m_floor: int) -> float:
             return acc
 
 
-def green_ball_integral(p: int, N: int, alpha: float, mu: float,
-                        m_min: int | None = -40) -> float:
+def green_ball_integral(p: int, N: int, alpha: float, mu: float) -> float:
     """Sphere-sum of the Green function over the ball; should vanish.
 
-    ``m_min`` truncates the sphere sum (the default -40 suits
-    alpha >= 1); ``m_min=None`` descends adaptively until the geometric
-    tail bound is negligible.
+    ``_green_sphere_sum`` from the radius p**N down: it descends past
+    m = -8 until a term falls below 1e-18 times the largest.
     """
-    radial = _green_radial(p, N, alpha, mu)
-    if m_min is None:
-        return _green_sphere_sum(p, N, radial, -8)
-    q = 1.0 - 1.0 / p
-    acc = 0.0
-    for m, K in zip(range(N, min(m_min, N) - 1, -1), radial):
-        acc += q * float(p) ** m * K
-    return acc
+    return _green_sphere_sum(p, N, _green_radial(p, N, alpha, mu), -8)
 
 
 def green_kernel_gridfunction(model: BallModel, alpha: float, mu: float) -> GridFunction:

@@ -57,19 +57,17 @@ def spectral_gap(model, alpha: float) -> float:
     return float(model.p) ** (alpha * (1 - model.N)) - lam
 
 
-def pde_residual(u0: GridFunction, alpha: float, t: float,
-                 dt: float | None = None) -> float:
+def pde_residual(u0: GridFunction, alpha: float, t: float) -> float:
     """Sup-norm residual of the equation at time t.
 
-    du/dt is approximated by a centered difference with step ``dt``
-    (default 1e-5 scaled by the local time, clamped to keep t - dt
-    positive); the spatial term is applied exactly.  Small residual
-    certifies a classical solution of the flow at that instant.
+    du/dt is approximated by a centered difference with step
+    dt = 1e-5 * max(t, 1), clamped to t/2 to keep t - dt positive; the
+    spatial term is applied exactly.  Small residual certifies a
+    classical solution of the flow at that instant.
     """
     if not (math.isfinite(t) and t > 0):
         raise ValueError(f"t must be positive and finite, got {t}")
-    if dt is None:
-        dt = min(1e-5 * max(t, 1.0), t / 2)
+    dt = min(1e-5 * max(t, 1.0), t / 2)
     u_min = evolve(u0, alpha, t - dt)
     u_mid = evolve(u0, alpha, t)
     u_pls = evolve(u0, alpha, t + dt)

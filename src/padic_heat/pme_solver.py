@@ -17,9 +17,14 @@ state until the next step; it is keyed on the identity of that state's
 frozen values array, and any other input recomputes, so no result
 depends on it.  A step also returns its Phi(v), which
 ``pme_trajectory`` sums for its mass row.  Newton stops once
-the residual is below the tolerance or below its own rounding floor,
-the size of eps times the h*D(Phi(v)) term it cancels; a step that ends
-above both raises SolverError.  D is a radial multiplier, applied
+the residual is below the tolerance, or below its own rounding floor,
+the size of eps times the h*D(Phi(v)) term it cancels, once the last
+Newton correction is below the tolerance too: where h*e_0 is large the
+floor passes a fraction of |Phi(v)|, and a residual under it alone does
+not show that v solves the step.  The last correction is the last one
+taken, max|step*delta|, or, where no step size lowers the residual any
+more, the full correction max|delta| that Newton asked of v.  A step
+that ends otherwise raises SolverError.  D is a radial multiplier, applied
 through nested ball averages by ``fourier_ball.apply_radial`` from its
 ladder values, which a step reads once from ``vladimirov.operator_levels``.
 The same ladder writes D as a diagonal plus one rank-1 term per class
@@ -160,7 +165,6 @@ class Nonlinearity:
 class ImplicitStepConfig:
     newton_tol: float = 1e-12
     max_newton: int = 50
-    damping_factor: float = 0.5
     max_halvings: int = 30
 
     def __post_init__(self):
@@ -173,8 +177,6 @@ class ImplicitStepConfig:
             if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
                     or value < 0):
                 raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
-        if not 0 < self.damping_factor < 1:
-            raise ValueError("damping factor must lie in (0, 1)")
 
 
 DEFAULT_CONFIG = ImplicitStepConfig()
@@ -399,7 +401,8 @@ def _implicit_step_info(g: GridFunction, h: float, alpha: float,
     e = operator_levels(model, alpha)
     tol = config.newton_tol * (1.0 + _max_abs(gvals))
     # the residual's rounding floor, eps times the h*D(Phi(v)) term it
-    # cancels: Newton stops there even above tol
+    # cancels: Newton stops there even above tol, once its last correction
+    # is below tol
     floor_scale = 4.0 * np.finfo(np.float64).eps * h * float(e[0])
 
     def residual(v, d_phi):
@@ -413,6 +416,11 @@ def _implicit_step_info(g: GridFunction, h: float, alpha: float,
         # only read when the residual is not below tol
         return 0.0 if rnorm < tol else floor_scale * _max_abs(phi_v)
 
+    def converged():
+        # at the rounding floor the residual no longer shows how far v is
+        # from the solution, so the last correction must be small too
+        return rnorm < tol or (rnorm <= floor and moved <= tol)
+
     phi_v = d_phi = None
     if (_handover is not None and _handover[0] is gvals
             and _handover[1] == (model, alpha, phi)):
@@ -425,8 +433,11 @@ def _implicit_step_info(g: GridFunction, h: float, alpha: float,
     v = gvals
     r, rnorm = residual(v, d_phi)
     floor = floor_of(rnorm, phi_v)
+    # max|step*delta| of the last accepted correction, or max|delta| of
+    # one that no step size could take
+    moved = math.inf
     iters = 0
-    while rnorm >= max(tol, floor) and iters < config.max_newton:
+    while not converged() and iters < config.max_newton:
         # only the last iterate's Phi(v) and D(Phi(v)) are handed over;
         # this one's go now, so the iteration holds no more arrays than
         # it would without the hand-over
@@ -442,21 +453,27 @@ def _implicit_step_info(g: GridFunction, h: float, alpha: float,
             if rnorm_try < rnorm:
                 v, r, rnorm = v_try, r_try, rnorm_try
                 floor = floor_of(rnorm, phi_try)
+                # read only at the floor, so formed only there
+                moved = step * _max_abs(delta) if rnorm <= floor else math.inf
                 phi_v, d_phi = phi_try, d_try
                 improved = True
                 break
-            step *= config.damping_factor
+            step *= 0.5
         iters += 1
         if not improved:
+            # v stays, and the correction Newton asked of it measures how
+            # far it is from the solution
+            moved = _max_abs(delta)
             break
-    if rnorm < tol or rnorm <= floor:
+    if converged():
         out = GridFunction(model, v)
         if phi_v is not None:
             _handover = (out.values, (model, alpha, phi), phi_v, d_phi)
         return out, iters, rnorm, phi_v
     raise SolverError(
         f"Newton failed: residual {rnorm:.3e} after {iters} iterations "
-        f"(tolerance {tol:.3e}, rounding floor {floor:.3e})", residual=rnorm)
+        f"(tolerance {tol:.3e}, rounding floor {floor:.3e}, last correction "
+        f"{moved:.3e})", residual=rnorm)
 
 
 def implicit_step(g: GridFunction, h: float, alpha: float, phi: Nonlinearity,
@@ -548,16 +565,15 @@ class CLReport:
 
 
 def crandall_liggett(u0: GridFunction, t: float, alpha: float,
-                     phi: Nonlinearity, tol: float = 1e-8,
-                     k_start: int = 8, k_cap: int = 1 << 16,
+                     phi: Nonlinearity, tol: float = 1e-8, k_cap: int = 1 << 16,
                      config: ImplicitStepConfig = DEFAULT_CONFIG
                      ) -> tuple[GridFunction, CLReport]:
-    """Double the step count until the L1 increment falls below tol."""
+    """Double the step count from 8 until the L1 increment falls below tol."""
     # NaN passes "tol <= 0" and would double the step count up to k_cap
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     report = CLReport()
-    k = k_start
+    k = 8
     u_prev = evolve_pme(u0, t, k, alpha, phi, config)
     while True:
         k *= 2

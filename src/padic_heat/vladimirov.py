@@ -269,8 +269,9 @@ def matrix_row(model: BallModel, alpha: float) -> np.ndarray:
     return row
 
 
-def build_matrix(model: BallModel, alpha: float, cap: int = DEFAULT_MATRIX_CAP) -> np.ndarray:
-    """Dense symmetric matrix of the operator; refuses orders above ``cap``.
+def build_matrix(model: BallModel, alpha: float) -> np.ndarray:
+    """Dense symmetric matrix of the operator; refuses orders above
+    ``DEFAULT_MATRIX_CAP``.
 
     The matrix is circulant, A[i, j] = row[(j - i) mod S] for the
     ``matrix_row``, copied in one go from the windows of the row written
@@ -278,8 +279,9 @@ def build_matrix(model: BallModel, alpha: float, cap: int = DEFAULT_MATRIX_CAP) 
     a few eps*sum(w): the diagonal's subtraction and the row's sum both
     round at the scale of sum(w), which can pass lambda by far.
     """
-    if model.S > cap:
-        raise ValueError(f"group order {model.S} exceeds the dense-matrix cap {cap}")
+    if model.S > DEFAULT_MATRIX_CAP:
+        raise ValueError(f"group order {model.S} exceeds the dense-matrix cap "
+                         f"{DEFAULT_MATRIX_CAP}")
     row = matrix_row(model, alpha)
     S = model.S
     # window k of the doubled row starts at entry k; row i is window S - i
@@ -330,7 +332,7 @@ def domain_check(u, alpha: float, levels: int = 3,
 
     def sample(lev: int) -> GridFunction:
         if callable(u):
-            m = BallModel(start.p, start.N, start.M + lev, order_cap=start.order_cap)
+            m = BallModel(start.p, start.N, start.M + lev)
             return u(m)
         return u.refine(lev)
 

@@ -315,6 +315,18 @@ def test_verify_step_stopping_at_the_rounding_floor(tmp_path, capsys):
     assert "PASS  implicit-step mass identity" in out[-1]
 
 
+@pytest.mark.parametrize("initial", ["bump", "indicator"])
+def test_solve_pme_accepts_the_rounding_floor_only_after_a_small_correction(tmp_path,
+                                                                            initial):
+    # at alpha = 6 the floor 4*eps*h*e_0*max|Phi(v)| passes 0.2: the first
+    # Newton iterate sat below it, 0.225 off the mass identity, and was taken
+    rc = main(["solve-pme", "--p", "2", "--N", "0", "--M", "8", "--alpha", "6",
+               "--t", "1", "--steps", "1", "--initial", initial, "--out", str(tmp_path)])
+    assert rc == 0
+    report = json.loads((tmp_path / "pme_report.json").read_text())
+    assert abs(report["worst_mass_identity_residual"]) < 1e-12
+
+
 def test_verify_with_a_negative_N(tmp_path, capsys):
     # "ball kernel two formulas" takes the series route's extended branch
     # at t = 10 (lambda*t = 41); it used to fail there at 6.6e5

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from padic_heat import (
     random_function,
     resolvent_apply,
 )
+from padic_heat import function_space
 from padic_heat.ball_model import valuation_table
 from padic_heat.cli import main
 from padic_heat.function_space import circulant_apply
@@ -344,6 +346,42 @@ def test_csv_round_trip_complex(tmp_path):
     u.to_csv(path)
     back = GridFunction.from_csv(path, model)
     assert np.array_equal(back.values, u.values)
+
+
+def _per_row_csv(u, path):
+    # the per-row csv.writer that GridFunction.to_csv once was
+    vt = valuation_table(u.model)
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["index", "valuation", "value"])
+        for n in range(u.model.S):
+            x = u.values[n]
+            w.writerow([n, "inf" if n == 0 else str(int(vt[n])),
+                        repr(complex(x)) if np.iscomplexobj(x) else repr(float(x))])
+
+
+@pytest.mark.parametrize("p, N, M", [(2, 0, 6), (3, -1, 4), (5, -2, 4), (7, 1, 1),
+                                     (3, 0, 0), (2, -3, 3)])
+@pytest.mark.parametrize("complex_values", [False, True])
+@pytest.mark.parametrize("block", [5, None])
+def test_csv_bytes_equal_the_per_row_writer(tmp_path, monkeypatch, p, N, M,
+                                            complex_values, block):
+    # p = 7, N < 0 and S = 1, real and complex values with signed zeros,
+    # infinities and NaN; block 5 splits every model of S > 5 into blocks
+    if block is not None:
+        monkeypatch.setattr(function_space, "_CSV_BLOCK", block)
+    model = BallModel(p, N, M)
+    rng = np.random.default_rng(p * 100 + M)
+    special = [-0.0, math.inf, -math.inf, math.nan, 1e-310, -1.5e300, 2.0, 0.1]
+    vals = rng.standard_normal(model.S) * 10.0 ** rng.integers(-20, 20, model.S)
+    vals[:len(special)] = special[:model.S]
+    if complex_values:
+        vals = vals.astype(np.complex128)
+        vals.imag = np.roll(vals.real, 3)
+    u = GridFunction(model, vals)
+    u.to_csv(tmp_path / "block.csv")
+    _per_row_csv(u, tmp_path / "row.csv")
+    assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "row.csv").read_bytes()
 
 
 def test_csv_header_validation(tmp_path):

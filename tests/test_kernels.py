@@ -619,9 +619,9 @@ def test_green_center_requires_alpha_above_one():
 def test_green_ball_integral_vanishes():
     for alpha in (1.0, 1.5, 2.0):
         for p, N, mu in ((2, 0, 1.0), (3, 1, 0.5), (5, -1, 2.0)):
-            assert abs(green_ball_integral(p, N, alpha, mu, m_min=-40)) < 1e-10
-    # alpha < 1 decays too slowly for a fixed cutoff; adaptive descent
-    assert abs(green_ball_integral(2, 0, 0.5, 1.0, m_min=None)) < 1e-10
+            assert abs(green_ball_integral(p, N, alpha, mu)) < 1e-10
+    # alpha < 1 decays slowly; the adaptive descent runs past m = -40
+    assert abs(green_ball_integral(2, 0, 0.5, 1.0)) < 1e-10
 
 
 def _green_progression(p, N, alpha, mu, m):
@@ -658,9 +658,7 @@ def test_green_sweeps_equal_the_per_radius_sums(p):
             for mu in (0.1, 2.0):
                 for m in range(N, N - 30, -1):
                     assert green_kernel(p, N, alpha, mu, m) == _green_progression(p, N, alpha, mu, m)
-                assert green_ball_integral(p, N, alpha, mu, -40) == _sphere_sum(
-                    p, N, alpha, mu, N, lambda term, scale, m: m <= -40)
-                assert green_ball_integral(p, N, alpha, mu, None) == _sphere_sum(
+                assert green_ball_integral(p, N, alpha, mu) == _sphere_sum(
                     p, N, alpha, mu, N,
                     lambda term, scale, m: abs(term) < 1e-18 * max(scale, 1e-300) and m <= -8)
                 rows = green_estimates_report(p, N, alpha, mu, (-12, min(N, 0)))
@@ -819,7 +817,6 @@ def test_green_and_resolvent_refuse_non_finite_parameters(alpha, mu):
              lambda: green_kernel_series(2, 0, alpha, mu, None),
              lambda: green_kernel_series(2, 0, alpha, mu, -3),
              lambda: green_ball_integral(2, 0, alpha, mu),
-             lambda: green_ball_integral(2, 0, alpha, mu, m_min=None),
              lambda: green_kernel_gridfunction(model, alpha, mu),
              lambda: green_estimates_report(2, 0, alpha, mu)]
     for call in calls:

@@ -303,8 +303,6 @@ def test_step_validation():
         implicit_step(z, 1.0, 1.0, phi)
     with pytest.raises(ValueError):
         ImplicitStepConfig(newton_tol=0.0)
-    with pytest.raises(ValueError):
-        ImplicitStepConfig(damping_factor=1.5)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -389,6 +387,35 @@ def test_newton_stops_at_the_rounding_floor(monkeypatch):
     e0 = operator_levels(model, alpha)[0]
     floor = 4 * np.finfo(np.float64).eps * h * e0 * np.max(np.abs(phi_v))
     assert resid < max(ImplicitStepConfig().newton_tol * (1.0 + np.max(g.values)), floor)
+
+
+@pytest.mark.parametrize("p, N, M, alpha, h, phi, data", [
+    (2, 0, 6, 2.8, 100.0, Nonlinearity.power(2.0), "positive"),
+    (5, 0, 3, 6.0, 100.0, Nonlinearity.identity(), "signed"),
+    (2, -2, 5, 6.0, 1.0, Nonlinearity.identity(), "signed")])
+def test_newton_at_the_floor_reads_the_correction_of_the_last_iterate(p, N, M, alpha, h,
+                                                                     phi, data):
+    # below the floor no step size lowers the residual any more, while the
+    # last step taken moved v by more than tol: the full correction Newton
+    # asks of v is below tol, so v is taken, not refused
+    model = BallModel(p, N, M)
+    rng = np.random.default_rng(p * 10 + M)
+    positive = 1.0 + rng.random(model.S)
+    signed = rng.standard_normal(model.S)
+    g = GridFunction(model, positive if data == "positive" else signed)
+    cfg = ImplicitStepConfig()
+    v, _, resid, _ = _implicit_step_info(g, h, alpha, phi, cfg)
+    tol = cfg.newton_tol * (1.0 + np.max(np.abs(g.values)))
+    assert resid >= tol
+    lam = lambda_value(p, alpha, N)
+    phi_v = phi.value(v.values)
+    mass = v.integral() - g.integral() + h * lam * GridFunction(model, phi_v).integral()
+    assert abs(mass) < 1e-12 * max(1.0, abs(g.integral()))
+    # the dense oracle's residual stays at the rounding floor of the step
+    dense = v.values + h * build_matrix(model, alpha) @ phi_v - g.values
+    e0 = operator_levels(model, alpha)[0]
+    floor = 4 * np.finfo(np.float64).eps * h * e0 * np.max(np.abs(phi_v))
+    assert np.max(np.abs(dense)) <= 4 * floor
 
 
 # -- the hand-over between steps -----------------------------------------

@@ -172,8 +172,8 @@ def test_matrix_symmetry_and_row_sums(model_alpha):
 
 
 def test_matrix_cap():
-    with pytest.raises(ValueError):
-        build_matrix(BallModel(2, 0, 13), 1.0, cap=4096)
+    with pytest.raises(ValueError, match="dense-matrix cap 4096"):
+        build_matrix(BallModel(2, 0, 13), 1.0)
 
 
 def test_operator_commutes_with_refinement():
