@@ -129,9 +129,10 @@ def _write_table(cfg: dict, stem: str, header: list[str], rows) -> str:
 
 
 def _write_json(path: str, payload) -> None:
+    """``payload`` with sorted keys and an indent of 2, in one write: the
+    bytes of ``json.dump`` and a newline, which writes once per chunk."""
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 # -- options -------------------------------------------------------------
@@ -320,27 +321,35 @@ def _task_spectrum(cfg: dict) -> int:
     repr of a float holds no delimiter, quote or line break, so strings
     joined by "," and ended by "\\r\\n" are the bytes that ``_write_csv``
     (csv.writer over ``_fmt`` of every cell) writes.  ``--format json``
-    writes the cells one by one.
+    forms the same way one object body per valuation, its two floats
+    encoded by ``json.dumps`` of their ``_json_cell``, and writes row k as
+    that body and k: the bytes ``_write_table`` (``json.dumps`` with
+    ``sort_keys`` and ``indent=2`` of one object per row) writes.
     """
     model = _model_from(cfg)
     alpha = _require(cfg, "alpha")
     err = _multiset_deviation(model, alpha)
     row = matrix_row(model, alpha)
     dft_err = _row_dft_deviation(model, alpha, row)
-    header = ["k", "freq_abs", "eigenvalue"]
+    # frequency k = p**r has valuation r; k = 0 holds the sentinel L
+    first = [model.p ** r for r in range(model.N + model.M)] + [0]
+    freqs = freq_abs_table(model)[first]
+    levels = operator_levels(model, alpha)
     if cfg["format"] == "csv":
-        # frequency k = p**r has valuation r; k = 0 holds the sentinel L
-        first = [model.p ** r for r in range(model.N + model.M)] + [0]
-        tails = [f"{f},{e}\r\n" for f, e in zip(_reprs(freq_abs_table(model)[first]),
-                                               _reprs(operator_levels(model, alpha)))]
+        tails = [f"{f},{e}\r\n" for f, e in zip(_reprs(freqs), _reprs(levels))]
         with open(os.path.join(cfg["out"], "spectrum.csv"), "w", newline="") as fh:
-            fh.write(",".join(header) + "\r\n")
+            fh.write("k,freq_abs,eigenvalue\r\n")
             fh.write("".join([f"{k},{tails[v]}"
                               for k, v in enumerate(valuation_table(model).tolist())]))
     else:
-        _write_table(cfg, "spectrum", header,
-                     zip(range(model.S), freq_abs_table(model).tolist(),
-                         multiplier(model, alpha).eigenvalues.tolist()))
+        bodies = [f'    "eigenvalue": {json.dumps(_json_cell(e))},\n'
+                  f'    "freq_abs": {json.dumps(_json_cell(f))},\n    "k": '
+                  for f, e in zip(freqs.tolist(), levels.tolist())]
+        with open(os.path.join(cfg["out"], "spectrum.json"), "w") as fh:
+            fh.write("[\n  {\n")
+            fh.write("\n  },\n  {\n".join([f"{bodies[v]}{k}" for k, v in
+                                           enumerate(valuation_table(model).tolist())]))
+            fh.write("\n  }\n]\n")
     if cfg.get("dump_matrix"):
         if model.S > DEFAULT_MATRIX_CAP:
             raise ValidationFailure(f"group order {model.S} exceeds the "

@@ -26,15 +26,24 @@ of the series route read exp(lambda*t) and c(t) from it, and
 ``c_series`` rounds its c(t) to a double.  Every stored value in this
 package remains float64.  A sum whose terms times digits pass
 ``SERIES_WORK_BUDGET`` is refused with NonConvergenceError.
+
+The series route is the package's only use of mpmath, so mpmath is
+imported on its first extended-precision sum, not with this module, and
+those sums run on the package's own ``mpmath.MPContext`` (``_mp``), never
+on the global ``mpmath.mp``.  Its precision and the sums' caches are
+shared state, so ``heat_kernel_ball_series`` and ``c_series`` each hold
+``_SERIES_LOCK`` while they reach them: both are safe to call from
+several threads, and a thread's sum neither sets nor reads another's
+precision.  The float64 paths take no lock.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import threading
 from functools import lru_cache
 
-import mpmath as mp
 import numpy as np
 
 from .ball_model import BallModel, _check_alpha, lambda_value, valuation_table
@@ -51,6 +60,24 @@ SERIES_WORK_BUDGET = 3 * 10**7
 
 class NonConvergenceError(Exception):
     """An adaptive series failed to meet its stopping rule within the cap."""
+
+
+# held by the public entries of the series route around every use of the
+# context and of the sums' caches
+_SERIES_LOCK = threading.RLock()
+_context = None
+
+
+def _mp():
+    """The package's mpmath context, imported and formed on the first call.
+
+    Its caller holds ``_SERIES_LOCK``."""
+    global _context
+    if _context is None:
+        import mpmath
+
+        _context = mpmath.MPContext()
+    return _context
 
 
 def _exp_neg(t: float, p: int, exponent: float) -> float:
@@ -149,9 +176,10 @@ def global_kernel_ball_mass(p: int, N: int, alpha: float, t: float) -> float:
 def _check_series_work(terms: int) -> None:
     """Refuse a c(t) series of ``terms`` terms at the working precision
     once terms times digits pass ``SERIES_WORK_BUDGET``."""
-    if terms * mp.mp.dps > SERIES_WORK_BUDGET:
+    dps = _mp().dps
+    if terms * dps > SERIES_WORK_BUDGET:
         raise NonConvergenceError(
-            f"c(t) series: {terms} terms at {mp.mp.dps} digits pass the "
+            f"c(t) series: {terms} terms at {dps} digits pass the "
             f"work budget of {SERIES_WORK_BUDGET} digit-terms; use the "
             f"character-sum route instead")
 
@@ -163,24 +191,25 @@ def _c_total_mp(p: int, N: int, alpha: float, t: float,
     x = t*p**(-N*alpha); the n = 0 term carries 1/(1 - p**(-1))
     literally.  Stops once the increment drops below ``eps_increment``
     past the hump; a sum that needs more than ``term_cap`` terms raises
-    NonConvergenceError, and so does one whose ``term_cap`` terms at the
-    caller's working precision would pass ``SERIES_WORK_BUDGET``.
+    NonConvergenceError, and so does one whose ``term_cap`` terms at
+    ``_mp()``'s working precision would pass ``SERIES_WORK_BUDGET``.
 
     The terms are summed in fixed point: Python integers scaled by
-    2**B, B = mp.prec + 64 guard bits.  x and the ratio p**(-alpha) are
-    formed once in mpmath at the caller's precision, from one logarithm
-    of p, and rounded to integers X and R; each term then costs two
-    integer products and two integer divisions, each rounded to the
-    floor.  Term n is off by at most about n units of 2**-B and the
+    2**B, B = ``_mp().prec`` + 64 guard bits.  x and the ratio
+    p**(-alpha) are formed once in mpmath at the caller's precision, from
+    one logarithm of p, and rounded to integers X and R; each term then
+    costs two integer products and two integer divisions, each rounded to
+    the floor.  Term n is off by at most about n units of 2**-B and the
     total by about terms**2/2, below the rounding of an mpmath loop at
     the caller's precision for up to 2**32 terms.  The total is
     converted to mpmath once, at the end.
     """
+    mp = _mp()
     _check_series_work(term_cap)
-    p_alpha, p_hump = _p_powers_mp(p, N, alpha, mp.mp.prec)
+    p_alpha, p_hump = _p_powers_mp(p, N, alpha, mp.prec)
     x = t * p_hump
     hump = float(x)
-    B = mp.mp.prec + 64
+    B = mp.prec + 64
     one = 1 << B
     X = int(mp.nint(mp.ldexp(x, B)))
     R = int(mp.nint(mp.ldexp(1 / p_alpha, B)))
@@ -212,6 +241,7 @@ def _p_powers_mp(p: int, N: int, alpha: float, prec: int):
     share them.  p**(-N*alpha) is an integer power of p**alpha, never
     the power of -N*alpha rounded in float (3*2.8 = 8.399999999999999),
     which parted the series route's summands at the 17th digit."""
+    mp = _mp()
     with mp.workprec(prec):
         p_alpha = mp.exp(mp.mpf(alpha) * mp.log(p))
         return p_alpha, p_alpha ** (-N)
@@ -264,11 +294,12 @@ def _grow_and_c_mp(p: int, N: int, alpha: float, t: float, dps: int):
     one logarithm of p.
     """
     x = t * float(p) ** (-N * alpha)
+    mp = _mp()
     with mp.workdps(dps):
         _check_series_work(math.floor(x) + 3)
         cap = _series_term_cap(x, math.log(1e-16) - lambda_value(p, alpha, N) * t)
         _check_series_work(cap)
-        p_alpha, p_hump = _p_powers_mp(p, N, alpha, mp.mp.prec)
+        p_alpha, p_hump = _p_powers_mp(p, N, alpha, mp.prec)
         grow = mp.exp((p - 1) / (p * p_alpha - 1) * p_alpha * p_hump * t)
         total = _c_total_mp(p, N, alpha, t, mp.mpf(10) ** (-16) / grow, cap)
         c = mp.mpf(p) ** (-N) * (1 - (1 - mp.mpf(1) / p) * grow * total)
@@ -285,7 +316,8 @@ def c_series(p: int, N: int, alpha: float, t: float) -> float:
         raise ValueError(f"t must be finite and >= 0, got {t}")
     if t == 0.0:
         return 0.0
-    return float(_grow_and_c_mp(p, N, alpha, t, _series_dps(p, N, alpha, t))[1])
+    with _SERIES_LOCK:
+        return float(_grow_and_c_mp(p, N, alpha, t, _series_dps(p, N, alpha, t))[1])
 
 
 def heat_kernel_ball(p: int, N: int, alpha: float, t: float,
@@ -338,6 +370,7 @@ def _global_kernel_mp(p: int, N: int, alpha: float, t: float, m: int | None,
     exp(-t p**(alpha l)), or at l = -N if that lies below it (the
     spheres in between add less than 10**(-tail_digits - 10)).
     """
+    mp = _mp()
     P = mp.mpf(p)
     T = mp.mpf(t)
     if m is None:
@@ -373,6 +406,7 @@ def _sphere_sums_mp(p: int, N: int, alpha: float, t: float, tail_digits: int,
     sphere's term, at most p**l, is formed at tail_digits + 20 +
     l*log10(p) digits (at least 20).
     """
+    mp = _mp()
     P = mp.mpf(p)
     T = mp.mpf(t)
     log10_p = math.log10(p)
@@ -415,18 +449,21 @@ def heat_kernel_ball_series(p: int, N: int, alpha: float, t: float,
         raise ValueError(f"radius exponent m must be <= N = {N}, got {m}")
     lam_t = lambda_value(p, alpha, N) * t
     if lam_t <= 30.0:
-        grow, c = _grow_and_c_mp(p, N, alpha, t, _series_dps(p, N, alpha, t))
-        return float(grow) * heat_kernel_global(p, alpha, t, m) + float(c)
+        with _SERIES_LOCK:
+            grow, c = _grow_and_c_mp(p, N, alpha, t, _series_dps(p, N, alpha, t))
+            grow, c = float(grow), float(c)
+        return grow * heat_kernel_global(p, alpha, t, m) + c
     tail_digits = 15 + int(math.ceil(lam_t * math.log10(math.e)))
     if tail_digits > 20000:
         raise NonConvergenceError(
             f"series route needs ~{tail_digits} guard digits at lambda*t = "
             f"{lam_t:.3g}; use the character-sum route instead")
     dps = _series_dps(p, N, alpha, t) + tail_digits
-    grow, c = _grow_and_c_mp(p, N, alpha, t, dps)
-    with mp.workdps(dps):
-        Z = _global_kernel_mp(p, N, alpha, t, m, tail_digits, dps)
-        return float(grow * Z + c)
+    with _SERIES_LOCK:
+        grow, c = _grow_and_c_mp(p, N, alpha, t, dps)
+        with _mp().workdps(dps):
+            Z = _global_kernel_mp(p, N, alpha, t, m, tail_digits, dps)
+            return float(grow * Z + c)
 
 
 def ball_kernel_gridfunction(model: BallModel, alpha: float, t: float) -> GridFunction:

@@ -1,6 +1,8 @@
 import csv
 import filecmp
+import io
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -107,13 +109,17 @@ def test_spectrum_matrix_dump_forms_no_dense_matrix(tmp_path, monkeypatch):
 
 def _spectrum_files_per_cell(model, alpha, out):
     """spectrum.csv, spectrum.json and operator_matrix.csv written as the
-    spectrum task wrote them before its per-valuation CSV: ``_fmt`` on
-    every cell, the matrix from ``build_matrix`` row by row."""
+    spectrum task wrote them before its per-valuation files: ``_fmt`` on
+    every CSV cell, ``json.dump`` of one object per row, the matrix from
+    ``build_matrix`` row by row."""
     header = ["k", "freq_abs", "eigenvalue"]
     rows = list(zip(range(model.S), freq_abs_table(model).tolist(),
                     multiplier(model, alpha).eigenvalues.tolist()))
-    for fmt in ("csv", "json"):
-        cli._write_table({"out": str(out), "format": fmt}, "spectrum", header, rows)
+    cli._write_table({"out": str(out), "format": "csv"}, "spectrum", header, rows)
+    with open(out / "spectrum.json", "w") as fh:
+        json.dump([{h: cli._json_cell(v) for h, v in zip(header, row)} for row in rows],
+                  fh, sort_keys=True, indent=2)
+        fh.write("\n")
     with open(out / "operator_matrix.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         for row in build_matrix(model, alpha):
@@ -546,6 +552,79 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert (tmp_path / "spectrum.csv").exists()
+
+
+TASK_RUNS = [
+    ["spectrum", "--p", "3", "--N", "-1", "--M", "4", "--alpha", "1.3"],
+    ["heat-kernel", "--p", "2", "--N", "0", "--M", "3", "--alpha", "1.0", "--times", "0.5,50"],
+    ["green", "--p", "2", "--N", "0", "--M", "3", "--alpha", "2.0", "--mu", "0.5,2"],
+    ["solve-linear", "--p", "5", "--N", "0", "--M", "2", "--alpha", "0.7", "--dump-state"],
+    ["solve-pme", "--p", "2", "--N", "0", "--M", "3", "--alpha", "1.0", "--steps", "4",
+     "--cl-tol", "1e-2"],
+    ["verify", "--p", "3", "--N", "0", "--M", "2", "--alpha", "1.3"],
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_json_files_hold_the_bytes_of_json_dump(tmp_path, monkeypatch, fmt):
+    # ``_write_json`` writes once; every file it writes, the six reports
+    # and the JSON tables among them, holds what json.dump writes chunk
+    # by chunk
+    written = []
+    write_json = cli._write_json
+
+    def recording(path, payload):
+        write_json(path, payload)
+        written.append((path, payload))
+
+    monkeypatch.setattr(cli, "_write_json", recording)
+    for argv in TASK_RUNS:
+        assert main(argv + ["--format", fmt, "--out", str(tmp_path)]) == 0
+    names = {os.path.basename(path) for path, _ in written}
+    assert {"spectrum_report.json", "heat_kernel_report.json", "green_report.json",
+            "linear_report.json", "pme_report.json", "verify_report.json"} <= names
+    assert ("heat_kernel.json" in names) == (fmt == "json")
+    for path, payload in written:
+        want = io.StringIO()
+        json.dump(payload, want, sort_keys=True, indent=2)
+        want.write("\n")
+        with open(path, "rb") as fh:
+            assert fh.read() == want.getvalue().encode(), path
+
+
+_FRESH_RUNS = """
+import sys
+out, warm = sys.argv[1], sys.argv[2] == "warm"
+if warm:
+    import mpmath
+    mpmath.mp.dps = 50
+import padic_heat, padic_heat.cli
+from padic_heat.cli import main
+runs = {runs!r}
+for argv in runs[:-1]:
+    assert main(argv + ["--out", out]) == 0, argv
+assert ("mpmath" in sys.modules) == warm
+assert main(runs[-1] + ["--out", out]) == 0
+assert "mpmath" in sys.modules
+"""
+
+
+def test_only_the_series_route_loads_mpmath(tmp_path):
+    # a fresh interpreter runs the float64 tasks without importing mpmath;
+    # heat-kernel then loads it and writes the bytes it writes in a
+    # process that imported mpmath, and set its global precision, first
+    runs = [argv for argv in TASK_RUNS if argv[0] not in ("heat-kernel", "verify")]
+    heat_kernel = next(argv for argv in TASK_RUNS if argv[0] == "heat-kernel")
+    assert len(runs) == 4
+    script = _FRESH_RUNS.format(runs=runs + [heat_kernel])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    for name in ("cold", "warm"):
+        (tmp_path / name).mkdir()
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / name), name],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+    for stem in ("heat_kernel.csv", "heat_kernel_report.json"):
+        assert (tmp_path / "cold" / stem).read_bytes() == (tmp_path / "warm" / stem).read_bytes()
 
 
 MODEL_FLAGS = ["--p", "2", "--N", "0", "--M", "3", "--alpha", "1.0"]

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import mpmath as mp
 import numpy as np
@@ -249,7 +251,9 @@ def test_c_series_running_product_matches_power_per_term(p, N, alpha, t):
     x = t * float(p) ** (-N * alpha)
     assume(x < 500)
     cap = kernels._series_term_cap(x, math.log(1e-16) - lambda_value(p, alpha, N) * t)
-    with mp.workdps(kernels._series_dps(p, N, alpha, t)):
+    dps = kernels._series_dps(p, N, alpha, t)
+    # the evaluator sums at the precision of the package's own context
+    with mp.workdps(dps), kernels._mp().workdps(dps):
         P, A = mp.mpf(p), mp.mpf(alpha)
         grow = mp.e ** ((P - 1) / (P ** (A + 1) - 1) * P ** (A * (1 - N)) * t)
         eps = mp.mpf(10) ** (-16) / grow
@@ -327,6 +331,8 @@ def _per_radius_series(p, N, alpha, t, m):
     dps = kernels._series_dps(p, N, alpha, t) + tail_digits
     grow, c = kernels._grow_and_c_mp(p, N, alpha, t, dps)
     with mp.workdps(dps):
+        # from the package's context into this one, exactly at dps digits
+        grow, c = mp.mpf(grow), mp.mpf(c)
         P = mp.mpf(p)
         q = 1 - 1 / P
         T = mp.mpf(t)
@@ -394,7 +400,7 @@ def test_fixed_point_c_total_matches_an_mpmath_sum(dps, case):
     # few 2**-prec per term, relative to the sum of |increments|, bounds
     # the gap
     p, N, alpha, t = case
-    with mp.workdps(dps):
+    with mp.workdps(dps), kernels._mp().workdps(dps):
         eps = mp.mpf(10) ** (20 - dps)
         x = t * float(p) ** (-N * alpha)
         cap = kernels._series_term_cap(x, float(mp.log(eps)))
@@ -445,9 +451,63 @@ def test_series_work_budget_refuses_before_summing():
     with alarm(30):
         with pytest.raises(NonConvergenceError, match="work budget"):
             heat_kernel_ball_series(7, -2, 2.0, 10.0, -2)
-    with mp.workdps(80000):
+    with kernels._mp().workdps(80000):
         with pytest.raises(NonConvergenceError, match="work budget"):
             kernels._c_total_mp(2, 0, 1.0, 1.0, 1e-15, 500)
+
+
+def _series_bits(p, N, alpha, t, m):
+    """The series route and c(t) as hex strings, "refused" where the work
+    budget refuses."""
+    bits = []
+    for f, args in ((heat_kernel_ball_series, (p, N, alpha, t, m)), (c_series, (p, N, alpha, t))):
+        try:
+            bits.append(f(*args).hex())
+        except NonConvergenceError:
+            bits.append("refused")
+    return bits
+
+
+def _clear_series_caches():
+    for f in (kernels._p_powers_mp, kernels._grow_and_c_mp, kernels._sphere_sums_mp):
+        f.cache_clear()
+
+
+def test_series_on_threads_give_their_serial_bits():
+    # 4 threads sum distinct series at once, from cold caches, on both
+    # branches (lambda*t up to 1147) and at N < 0: on one precision shared
+    # by the threads a sum rounds at another's digits, and a sphere list
+    # shared by two sums mixes their spheres.  Afterwards the caches the
+    # threads filled must give the serial bits too
+    cases = [(p, N, alpha, t, m) for p in (2, 3, 5) for N in (-1, 0, 1)
+             for alpha in (0.7, 1.3, 2.4) for t in (0.1, 1.0, 10.0, 30.0)
+             for m in (N - 1, None)]
+    assert min(lambda_value(p, a, N) * t for p, N, a, t, _ in cases) <= 30.0 < \
+        max(lambda_value(p, a, N) * t for p, N, a, t, _ in cases)
+    _clear_series_caches()
+    want = [_series_bits(*case) for case in cases]
+    _clear_series_caches()
+    got, done = {}, []
+
+    def run(i):
+        for j in range(i, len(cases), 4):
+            got[j] = _series_bits(*cases[j])
+        done.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(done) == [0, 1, 2, 3]
+    assert [got[j] for j in range(len(cases))] == want
+    assert [_series_bits(*case) for case in cases] == want
 
 
 # -- ball heat kernel ---------------------------------------------------
