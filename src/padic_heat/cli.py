@@ -32,13 +32,13 @@ import numpy as np
 
 from .ball_model import BallModel, freq_abs_table, valuation_table
 from .fourier_ball import dft_direct, forward
-from .function_space import GridFunction, make_initial
+from .function_space import _CSV_BLOCK, GridFunction, make_initial
 from .kernels import (
     NonConvergenceError,
+    _ball_radial,
     ball_kernel_gridfunction,
     green_ball_integral,
     green_estimates_report,
-    heat_kernel_ball,
     heat_kernel_ball_series,
     resolvent_apply,
 )
@@ -324,7 +324,8 @@ def _task_spectrum(cfg: dict) -> int:
     forms the same way one object body per valuation, its two floats
     encoded by ``json.dumps`` of their ``_json_cell``, and writes row k as
     that body and k: the bytes ``_write_table`` (``json.dumps`` with
-    ``sort_keys`` and ``indent=2`` of one object per row) writes.
+    ``sort_keys`` and ``indent=2`` of one object per row) writes.  Both
+    formats are formed and written ``_CSV_BLOCK`` rows at a time.
     """
     model = _model_from(cfg)
     alpha = _require(cfg, "alpha")
@@ -335,20 +336,27 @@ def _task_spectrum(cfg: dict) -> int:
     first = [model.p ** r for r in range(model.N + model.M)] + [0]
     freqs = freq_abs_table(model)[first]
     levels = operator_levels(model, alpha)
+    vt = valuation_table(model)
+    blocks = ((start, vt[start:start + _CSV_BLOCK].tolist())
+              for start in range(0, model.S, _CSV_BLOCK))
     if cfg["format"] == "csv":
         tails = [f"{f},{e}\r\n" for f, e in zip(_reprs(freqs), _reprs(levels))]
         with open(os.path.join(cfg["out"], "spectrum.csv"), "w", newline="") as fh:
             fh.write("k,freq_abs,eigenvalue\r\n")
-            fh.write("".join([f"{k},{tails[v]}"
-                              for k, v in enumerate(valuation_table(model).tolist())]))
+            for start, vs in blocks:
+                fh.write("".join([f"{k},{tails[v]}" for k, v in enumerate(vs, start)]))
     else:
         bodies = [f'    "eigenvalue": {json.dumps(_json_cell(e))},\n'
                   f'    "freq_abs": {json.dumps(_json_cell(f))},\n    "k": '
                   for f, e in zip(freqs.tolist(), levels.tolist())]
+        # every row but row 0 opens with the separator, so blocks join with
+        # no bytes between them; row 0 alone has the sentinel valuation L
+        L = model.N + model.M
+        bodies = ["\n  },\n  {\n" + body for body in bodies[:L]] + bodies[L:]
         with open(os.path.join(cfg["out"], "spectrum.json"), "w") as fh:
             fh.write("[\n  {\n")
-            fh.write("\n  },\n  {\n".join([f"{bodies[v]}{k}" for k, v in
-                                           enumerate(valuation_table(model).tolist())]))
+            for start, vs in blocks:
+                fh.write("".join([f"{bodies[v]}{k}" for k, v in enumerate(vs, start)]))
             fh.write("\n  }\n]\n")
     if cfg.get("dump_matrix"):
         if model.S > DEFAULT_MATRIX_CAP:
@@ -384,8 +392,10 @@ def _kernel_rows(p: int, N: int, alpha: float, times, m_lo: int):
     rows = []
     worst = 0.0
     for t in times:
+        # one sweep per time; its last value holds past its end and at x = 0
+        sweep = [value for value, _ in _ball_radial(p, N, alpha, t)]
         for m in list(range(N, m_lo - 1, -1)) + [None]:
-            a = heat_kernel_ball(p, N, alpha, t, m)
+            a = sweep[-1 if m is None else min(N - m, len(sweep) - 1)]
             b = heat_kernel_ball_series(p, N, alpha, t, m)
             rel = abs(a - b) / max(abs(a), 1.0)
             worst = max(worst, rel)

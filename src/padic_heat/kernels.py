@@ -80,22 +80,6 @@ def _mp():
     return _context
 
 
-def _exp_neg(t: float, p: int, exponent: float) -> float:
-    """exp(-t * p**exponent) with overflow-proof underflow to 0.0."""
-    logarg = exponent * math.log(p) + math.log(t)
-    if logarg > 709.0:
-        return 0.0
-    return math.exp(-t * float(p) ** exponent)
-
-
-def _exp_shifted(t: float, lam: float, p: int, exponent: float) -> float:
-    """exp(t*(lam - p**exponent)), a pure decay whenever p**exponent > lam."""
-    if exponent * math.log(p) > 709.0:
-        return 0.0
-    arg = t * (lam - float(p) ** exponent)
-    return math.exp(arg) if arg > -745.0 else 0.0
-
-
 def _check_time(t: float) -> None:
     # NaN passes "t <= 0"
     if not (math.isfinite(t) and t > 0):
@@ -113,7 +97,8 @@ def heat_kernel_global(p: int, alpha: float, t: float, m: int | None = None,
 
     and for x = 0 the full two-sided sphere sum.  The downward tail is
     truncated once its geometric bound drops below ``eps_tail``.  Each
-    term is ``_exp_neg``'s expression, with log(p), log(t) and float(p)
+    exp(-t p**exponent) is 0.0 once exponent*log(p) + log(t) passes 709,
+    before p**exponent can overflow; log(p), log(t) and float(p) are
     formed once per call.
     """
     _check_time(t)
@@ -125,7 +110,8 @@ def heat_kernel_global(p: int, alpha: float, t: float, m: int | None = None,
         l = int(math.ceil(math.log(745.0 / t) / (alpha * log_p))) + 1
         acc = 0.0
     else:
-        e_bnd = _exp_neg(t, p, alpha * (1 - m))
+        b = alpha * (1 - m)
+        e_bnd = 0.0 if b * log_p + log_t > 709.0 else math.exp(-t * fp ** b)
         acc = -fp ** (-m) * e_bnd if e_bnd > 0.0 else 0.0
         l = -m
     while True:
@@ -137,40 +123,54 @@ def heat_kernel_global(p: int, alpha: float, t: float, m: int | None = None,
         l -= 1
 
 
+def _radial_integral(p: int, top: int, radial, m_floor: int) -> float:
+    """sum_{m <= top} (1-1/p) p**m K(p**m), the integral of a radial K over
+    the ball |x| <= p**top, K read off the sweep ``radial`` from radius
+    p**top down.
+
+    Every kernel here is bounded or, near x = 0, grows slower than
+    |x|**(-1), so past the largest term the terms shrink geometrically:
+    like p**m for a bounded K and like p**(m*min(alpha, 1)), log factor
+    aside, for the Green function.  The sum stops at the first term below
+    1e-18 times the largest one once m <= ``m_floor``.
+    """
+    q = 1.0 - 1.0 / p
+    acc = 0.0
+    scale = 0.0
+    for m, K in zip(itertools.count(top, -1), radial):
+        term = q * float(p) ** m * K
+        acc += term
+        scale = max(scale, abs(term))
+        if abs(term) < 1e-18 * max(scale, 1e-300) and m <= m_floor:
+            return acc
+
+
 def global_kernel_mass(p: int, alpha: float, t: float) -> float:
     """Sphere-sum of the global kernel over the whole field; should be 1.
 
     Upward spheres contribute ~ t*(1-p**(-alpha))*p**(-alpha*m), so the
-    upper cutoff scales with log(t/eps); below that the summand is
-    rounding noise of the sphere evaluator.
+    sum starts where that falls to 1e-16, a cutoff that scales with
+    log(t/eps); above it the summand is rounding noise of the sphere
+    evaluator.  ``_radial_integral`` descends from there past m = 0.
     """
     # the cutoff below turns a NaN or infinite t into an integer
     _check_time(t)
     _check_alpha(alpha)
-    q = 1.0 - 1.0 / p
-    m = int(math.ceil(math.log(max(t, 1.0) * float(p) ** alpha / 1e-16)
-                      / (alpha * math.log(p)))) + 2
-    acc = 0.0
-    while True:
-        # cut each sphere's own tail relative to its p**(-m) scale, since
-        # the weight p**m amplifies absolute truncation error
-        eps_m = DEFAULT_EPS_TAIL * min(1.0, float(p) ** (-m))
-        acc += q * float(p) ** m * heat_kernel_global(p, alpha, t, m, eps_m)
-        if float(p) ** m < DEFAULT_EPS_TAIL and m < 0:
-            return acc
-        m -= 1
+    top = int(math.ceil(math.log(max(t, 1.0) * float(p) ** alpha / 1e-16)
+                        / (alpha * math.log(p)))) + 2
+    # cut each sphere's own tail relative to its p**(-m) scale, since the
+    # weight p**m amplifies absolute truncation error; a p**m past float
+    # range raises OverflowError, where a cut of 0.0 would never be met
+    radial = (heat_kernel_global(p, alpha, t, m, DEFAULT_EPS_TAIL / float(p) ** max(m, 0))
+              for m in itertools.count(top, -1))
+    return _radial_integral(p, top, radial, 0)
 
 
 def global_kernel_ball_mass(p: int, N: int, alpha: float, t: float) -> float:
-    """Sphere-sum of the global kernel over the radius-p**N ball."""
-    q = 1.0 - 1.0 / p
-    acc = 0.0
-    m = N
-    while True:
-        acc += q * float(p) ** m * heat_kernel_global(p, alpha, t, m)
-        if float(p) ** m < DEFAULT_EPS_TAIL:
-            return acc
-        m -= 1
+    """Sphere-sum of the global kernel over the radius-p**N ball,
+    ``_radial_integral`` from the radius p**N down past m = min(N, 0)."""
+    radial = (heat_kernel_global(p, alpha, t, m) for m in itertools.count(N, -1))
+    return _radial_integral(p, N, radial, min(N, 0))
 
 
 def _check_series_work(terms: int) -> None:
@@ -320,6 +320,41 @@ def c_series(p: int, N: int, alpha: float, t: float) -> float:
         return float(_grow_and_c_mp(p, N, alpha, t, _series_dps(p, N, alpha, t))[1])
 
 
+def _ball_radial(p: int, N: int, alpha: float, t: float):
+    """Yield (Z_ball(t, |x| = p**m), its mean over |x| <= p**m) for
+    m = N, N-1, N-2, ...
+
+    Carries the character sum's prefix (1-1/p) * sum_{l=-N+1}^{-m} p**l
+    exp(t*(lambda - p**(alpha*l))) from one radius to the next, with
+    lambda computed once, so a sweep over R radii costs O(R).  Each radius
+    forms one exponential, exp(t*(lambda - p**(alpha*(1-m)))): the
+    boundary term of Z(m), then, once Z(m) is yielded, the prefix term of
+    Z(m-1).  It is 0.0 once alpha*(1-m)*log(p) passes 709, before
+    p**(alpha*(1-m)) can overflow, or once its argument falls to -745.
+    The mean over the ball is p**(-N) plus the prefix, the sum over the
+    frequencies |xi| <= p**(-m).  The sweep ends at the first radius
+    whose exponential is 0.0: there both values are the kernel's value at
+    x = 0, which it also takes on every smaller sphere.
+    """
+    q = 1.0 - 1.0 / p
+    fp, log_p = float(p), math.log(p)
+    lam = lambda_value(p, alpha, N)
+    base = fp ** (-N)
+    prefix = 0.0
+    m = N
+    while True:
+        b = alpha * (1 - m)
+        arg = -math.inf if b * log_p > 709.0 else t * (lam - fp ** b)
+        e = math.exp(arg) if arg > -745.0 else 0.0
+        mean = base + prefix
+        if e == 0.0:
+            yield mean, mean
+            return
+        yield base + (prefix - fp ** (-m) * e), mean
+        prefix += q * fp ** (1 - m) * e
+        m -= 1
+
+
 def heat_kernel_ball(p: int, N: int, alpha: float, t: float,
                      m: int | None = None) -> float:
     """Ball heat kernel at radius p**m (m=None for x = 0), by finite character sum.
@@ -331,31 +366,17 @@ def heat_kernel_ball(p: int, N: int, alpha: float, t: float,
     Every frequency in the sum has p**(alpha*l) > lambda, so the
     exp(lambda*t) prefactor folds into each term as a pure decay
     exp(t*(lambda - p**(alpha*l))); the evaluation is overflow-free for
-    arbitrarily large t.  For x = 0 the sphere sum runs upward until
-    those decays underflow.
+    arbitrarily large t.  The value is read off the radial sweep
+    ``_ball_radial`` at m, or at its end, where those decays underflow,
+    for x = 0 and for the spheres past it.
     """
     _check_time(t)
     if m is not None and m > N:
         raise ValueError(f"radius exponent m must be <= N = {N}, got {m}")
-    q = 1.0 - 1.0 / p
-    lam = lambda_value(p, alpha, N)
-    if m is None:
-        acc = 0.0
-        l = -N + 1
-        while True:
-            e = _exp_shifted(t, lam, p, alpha * l)
-            if e == 0.0:
-                break
-            acc += q * float(p) ** l * e
-            l += 1
-    else:
-        acc = 0.0
-        for l in range(-N + 1, -m + 1):
-            acc += q * float(p) ** l * _exp_shifted(t, lam, p, alpha * l)
-        e_bnd = _exp_shifted(t, lam, p, alpha * (1 - m))
-        if e_bnd > 0.0:
-            acc -= float(p) ** (-m) * e_bnd
-    return float(p) ** (-N) + acc
+    sweep = _ball_radial(p, N, alpha, t)
+    for value, _ in itertools.islice(sweep, None if m is None else N - m + 1):
+        pass
+    return value
 
 
 def _global_kernel_mp(p: int, N: int, alpha: float, t: float, m: int | None,
@@ -470,29 +491,23 @@ def ball_kernel_gridfunction(model: BallModel, alpha: float, t: float) -> GridFu
     """Ball heat kernel as a grid function, from its character sum.
 
     Fourier coefficients p**(-N) * exp(-t*(m[k] - lambda)), so convolving
-    with it realises exp(-t*(D - lambda*I)) on level-M data.  The L + 1
-    sphere values are ``heat_kernel_ball``'s character sum, its terms
-    (1-1/p) p**l exp(t*(lambda - p**(alpha*l))), l = 1-N, ..., M, read
-    off ``operator_levels`` and summed by one cumulative sum.  The sphere
-    of valuation v < L takes p**(-N) plus the first v terms minus the
-    boundary term p**(v-N) exp(t*(lambda - p**(alpha*(v+1-N)))); the
-    zero coset takes p**(-N) plus all L terms, the exact coset average.
-    Gathered through ``valuation_table``, the kernel is bit for bit
-    constant on every sphere, as ``GridFunction.convolve_radial``
-    requires.  It runs no ladder, so it stays a check of the spectral path.
+    with it realises exp(-t*(D - lambda*I)) on level-M data.  The sphere
+    of valuation v takes the value at radius p**(N - v) of the sweep
+    ``_ball_radial``, which ``heat_kernel_ball`` reads; the zero coset
+    takes the sweep's mean over the sub-ball |x| <= p**(-M), p**(-N) plus
+    its L terms, the exact coset average.  Past the sweep's end every
+    value is its last.  Gathered through ``valuation_table``, the kernel
+    is bit for bit constant on every sphere, as
+    ``GridFunction.convolve_radial`` requires.  It runs no ladder, so it
+    stays a check of the spectral path.
     """
     # NaN passes "t < 0" and makes every value NaN
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"t must be finite and >= 0, got {t}")
     p, N, L = model.p, model.N, model.N + model.M
-    e = operator_levels(model, float(alpha))
-    # frequency spheres l = 1-N, ..., M are the ladder levels r = L-1, ..., 0
-    decay = np.exp(t * (e[-1] - e[:L][::-1]))
-    q = 1.0 - 1.0 / p
-    terms = q * float(p) ** np.arange(1 - N, L - N + 1) * decay
-    partial = np.concatenate(([0.0], np.cumsum(terms)))
-    boundary = np.append(float(p) ** np.arange(-N, L - N) * decay, 0.0)
-    spheres = float(p) ** (-N) + (partial - boundary)
+    sweep = list(itertools.islice(_ball_radial(p, N, float(alpha), t), L + 1))
+    sweep += sweep[-1:] * (L + 1 - len(sweep))
+    spheres = np.array([value for value, _ in sweep[:L]] + [sweep[L][1]])
     return GridFunction(model, spheres[valuation_table(model)])
 
 
@@ -612,32 +627,13 @@ def green_kernel_series(p: int, N: int, alpha: float, mu: float,
     return acc
 
 
-def _green_sphere_sum(p: int, top: int, radial, m_floor: int) -> float:
-    """sum_{m <= top} (1-1/p) p**m K(p**m), K read off the sweep ``radial``
-    from radius p**top down.
-
-    The terms shrink geometrically like p**(m*min(alpha, 1)), log factor
-    aside, so the sum stops at the first term below 1e-18 times the
-    largest one once m <= ``m_floor``.
-    """
-    q = 1.0 - 1.0 / p
-    acc = 0.0
-    scale = 0.0
-    for m, K in zip(itertools.count(top, -1), radial):
-        term = q * float(p) ** m * K
-        acc += term
-        scale = max(scale, abs(term))
-        if abs(term) < 1e-18 * max(scale, 1e-300) and m <= m_floor:
-            return acc
-
-
 def green_ball_integral(p: int, N: int, alpha: float, mu: float) -> float:
     """Sphere-sum of the Green function over the ball; should vanish.
 
-    ``_green_sphere_sum`` from the radius p**N down: it descends past
+    ``_radial_integral`` from the radius p**N down: it descends past
     m = -8 until a term falls below 1e-18 times the largest.
     """
-    return _green_sphere_sum(p, N, _green_radial(p, N, alpha, mu), -8)
+    return _radial_integral(p, N, _green_radial(p, N, alpha, mu), -8)
 
 
 def green_kernel_gridfunction(model: BallModel, alpha: float, mu: float) -> GridFunction:
@@ -654,7 +650,7 @@ def green_kernel_gridfunction(model: BallModel, alpha: float, mu: float) -> Grid
     radial = np.array(list(itertools.islice(sweep, N + M)))
     vals[1:] = radial[vt[1:]]
     # zero coset: p**M * integral of K over the sub-ball of radius p**(-M)
-    vals[0] = float(p) ** M * _green_sphere_sum(p, -M, sweep, -M - 8)
+    vals[0] = float(p) ** M * _radial_integral(p, -M, sweep, -M - 8)
     return GridFunction(model, vals)
 
 

@@ -74,8 +74,9 @@ class Nonlinearity:
     """Strictly increasing Phi with Phi(0) = 0.
 
     kind "power" is the sign-preserving odd extension sign(u)|u|**m so
-    negative data stays admissible; "identity" short-circuits to the
-    linear problem; "table" interpolates a monotone piecewise-linear
+    negative data stays admissible; "identity" is Phi(u) = u, which
+    Newton solves like any other Phi (one iteration, the Jacobian being
+    exact); "table" interpolates a monotone piecewise-linear
     graph through (0,0) with end-slope extrapolation and one-sided
     (right) derivatives at the kinks.
     """

@@ -39,7 +39,7 @@ from padic_heat.vladimirov import (
     spectrum_multiset,
 )
 
-from tests.conftest import alarm, rel_linf
+from tests.conftest import alarm
 
 
 # -- whole-field heat kernel -------------------------------------------
@@ -86,6 +86,19 @@ def test_global_kernel_mass_is_one():
         for alpha in (0.5, 1.0, 2.0):
             for t in (0.1, 1.0, 10.0):
                 assert abs(global_kernel_mass(p, alpha, t) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("p, alpha, t", [(2, 0.5, 1e-3), (2, 0.35, 1e-2), (7, 0.35, 1e-4)])
+def test_global_masses_at_small_times(p, alpha, t):
+    # the kernel near x = 0 grows like t**(-1/alpha), so a sum cut at a
+    # fixed radius p**m < 1e-16 misses up to 7e-6 of the mass here; the
+    # sphere sum must stop relative to its largest term.  The ball's mass
+    # and the mass outside it, summed sphere by sphere, add to 1.
+    q = 1.0 - 1.0 / p
+    assert abs(global_kernel_mass(p, alpha, t) - 1.0) < 1e-12
+    outside = math.fsum(q * float(p) ** m * heat_kernel_global(p, alpha, t, m, 1e-16 * float(p) ** -m)
+                        for m in range(1, 120))
+    assert abs(global_kernel_ball_mass(p, 0, alpha, t) + outside - 1.0) < 1e-12
 
 
 def test_global_ball_mass_against_fft_oracle():
@@ -513,6 +526,61 @@ def test_series_on_threads_give_their_serial_bits():
 # -- ball heat kernel ---------------------------------------------------
 
 
+def _exp_shifted(t, lam, p, exponent):
+    """exp(t*(lam - p**exponent)), 0.0 past float range of p**exponent."""
+    if exponent * math.log(p) > 709.0:
+        return 0.0
+    arg = t * (lam - float(p) ** exponent)
+    return math.exp(arg) if arg > -745.0 else 0.0
+
+
+def _heat_kernel_ball_loops(p, N, alpha, t, m):
+    """heat_kernel_ball as it summed before the radial sweep: the
+    character sum from scratch at each radius, and at x = 0 upward until
+    the decays underflow."""
+    q = 1.0 - 1.0 / p
+    lam = lambda_value(p, alpha, N)
+    acc = 0.0
+    if m is None:
+        l = -N + 1
+        while True:
+            e = _exp_shifted(t, lam, p, alpha * l)
+            if e == 0.0:
+                break
+            acc += q * float(p) ** l * e
+            l += 1
+    else:
+        for l in range(-N + 1, -m + 1):
+            acc += q * float(p) ** l * _exp_shifted(t, lam, p, alpha * l)
+        e_bnd = _exp_shifted(t, lam, p, alpha * (1 - m))
+        if e_bnd > 0.0:
+            acc -= float(p) ** (-m) * e_bnd
+    return float(p) ** (-N) + acc
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_ball_kernel_sweep_bit_equals_the_per_radius_loops(p):
+    # the sweep carries one prefix across radii and ends where its decays
+    # underflow; every radius, x = 0, the grid function's spheres and its
+    # zero coset (p**(-N) plus the prefix of all L terms) keep their bits,
+    # at N < 0 and at S = 1 too
+    for N in range(-2, 3):
+        for alpha in (0.35, 0.7, 1.0, 1.3, 2.4, 2.8):
+            for t in (0.01, 0.1, 1.0, 10.0, 100.0):
+                for m in [None] + list(range(N, N - 8, -1)):
+                    got = heat_kernel_ball(p, N, alpha, t, m)
+                    assert got.hex() == _heat_kernel_ball_loops(p, N, alpha, t, m).hex()
+                for L in (0, 1, 3):
+                    model = BallModel(p, N, L - N)
+                    spheres = [_heat_kernel_ball_loops(p, N, alpha, t, N - v) for v in range(L)]
+                    q, lam = 1.0 - 1.0 / p, lambda_value(p, alpha, N)
+                    prefix = 0.0
+                    for l in range(1 - N, L - N + 1):
+                        prefix += q * float(p) ** l * _exp_shifted(t, lam, p, alpha * l)
+                    want = np.array(spheres + [float(p) ** (-N) + prefix])[valuation_table(model)]
+                    assert np.array_equal(ball_kernel_gridfunction(model, alpha, t).values, want)
+
+
 def test_ball_kernel_closed_form_pin():
     # p = 2, N = 0, alpha = 1, |x| = 1: Z(t) = 1 - exp(t*(2/3 - 2))
     for t in (0.25, 1.0, 4.0):
@@ -619,9 +687,8 @@ def test_grid_kernel_is_the_character_sum_on_every_sphere(case):
     # bit-radial: one value per sphere, read at n = p**v
     spheres = grid[np.append(p ** np.arange(L), 0)]
     assert np.array_equal(grid, spheres[valuation_table(model)])
-    if L:
-        want = [heat_kernel_ball(p, N, alpha, t, N - v) for v in range(L)]
-        assert rel_linf(want, spheres[:L], floor=1e-300) <= 1e-13
+    want = [heat_kernel_ball(p, N, alpha, t, N - v) for v in range(L)]
+    assert spheres[:L].tolist() == want
     # zero coset: p**M times the sphere sum below -M, the centre value
     # closing the tail
     q = 1.0 - 1.0 / p
