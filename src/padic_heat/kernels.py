@@ -20,21 +20,23 @@ The ball heat kernel has two independent evaluation routes:
 
 The alternating series cancels catastrophically once t is a few units
 (terms swell to about e^t before the signs bite), so one evaluator,
-``_grow_and_c_mp``, sums it in fixed-point integers at a precision
-scaled to the hump, stopping relative to exp(lambda*t).  Both branches
-of the series route read exp(lambda*t) and c(t) from it, and
-``c_series`` rounds its c(t) to a double.  Every stored value in this
-package remains float64.  A sum whose terms times digits pass
-``SERIES_WORK_BUDGET`` is refused with NonConvergenceError.
+``_grow_and_c``, sums it in fixed-point Python integers scaled by 2**B
+at a precision scaled to the hump, stopping relative to exp(lambda*t),
+which it forms in the same integers, as it does every logarithm and
+power of p.  Both branches of the series route read exp(lambda*t) and
+c(t) from it, and ``c_series`` rounds its c(t) to a double.  Every
+stored value in this package remains float64.  A sum whose terms times
+digits pass ``SERIES_WORK_BUDGET`` is refused with NonConvergenceError.
 
-The series route is the package's only use of mpmath, so mpmath is
-imported on its first extended-precision sum, not with this module, and
-those sums run on the package's own ``mpmath.MPContext`` (``_mp``), never
-on the global ``mpmath.mp``.  Its precision and the sums' caches are
-shared state, so ``heat_kernel_ball_series`` and ``c_series`` each hold
-``_SERIES_LOCK`` while they reach them: both are safe to call from
-several threads, and a thread's sum neither sets nor reads another's
-precision.  The float64 paths take no lock.
+The extended branch of the series route (lambda*t > 30) is the
+package's only use of mpmath, for its global-kernel sphere sums, so
+mpmath is imported on that branch's first call, not with this module,
+and those sums run on the package's own ``mpmath.MPContext`` (``_mp``),
+never on the global ``mpmath.mp``.  Its precision and the sphere sums'
+caches are shared state, so that branch holds ``_SERIES_LOCK`` while it
+reaches them: ``heat_kernel_ball_series`` is safe to call from several
+threads, and a thread's sum neither sets nor reads another's precision.
+The integer evaluator and the float64 paths take no lock.
 """
 
 from __future__ import annotations
@@ -62,9 +64,9 @@ class NonConvergenceError(Exception):
     """An adaptive series failed to meet its stopping rule within the cap."""
 
 
-# held by the public entries of the series route around every use of the
-# context and of the sums' caches
-_SERIES_LOCK = threading.RLock()
+# held by the series route's extended branch around every use of the
+# context and of the sphere sums' caches
+_SERIES_LOCK = threading.Lock()
 _context = None
 
 
@@ -99,10 +101,14 @@ def heat_kernel_global(p: int, alpha: float, t: float, m: int | None = None,
     truncated once its geometric bound drops below ``eps_tail``.  Each
     exp(-t p**exponent) is 0.0 once exponent*log(p) + log(t) passes 709,
     before p**exponent can overflow; log(p), log(t) and float(p) are
-    formed once per call.
+    formed once per call.  ``eps_tail`` must be positive and finite,
+    since p**l only falls to 0.0.
     """
     _check_time(t)
     _check_alpha(alpha)
+    # NaN passes "eps_tail <= 0"
+    if not (math.isfinite(eps_tail) and eps_tail > 0):
+        raise ValueError(f"eps_tail must be positive and finite, got {eps_tail}")
     q = 1.0 - 1.0 / p
     fp, log_p, log_t = float(p), math.log(p), math.log(t)
     if m is None:
@@ -173,10 +179,9 @@ def global_kernel_ball_mass(p: int, N: int, alpha: float, t: float) -> float:
     return _radial_integral(p, N, radial, min(N, 0))
 
 
-def _check_series_work(terms: int) -> None:
-    """Refuse a c(t) series of ``terms`` terms at the working precision
-    once terms times digits pass ``SERIES_WORK_BUDGET``."""
-    dps = _mp().dps
+def _check_series_work(terms: int, dps: int) -> None:
+    """Refuse a c(t) series of ``terms`` terms at ``dps`` digits once
+    terms times digits pass ``SERIES_WORK_BUDGET``."""
     if terms * dps > SERIES_WORK_BUDGET:
         raise NonConvergenceError(
             f"c(t) series: {terms} terms at {dps} digits pass the "
@@ -184,36 +189,109 @@ def _check_series_work(terms: int) -> None:
             f"character-sum route instead")
 
 
-def _c_total_mp(p: int, N: int, alpha: float, t: float,
-                eps_increment: float, term_cap: int):
+def _fixed_bits(dps: int) -> int:
+    """B, the scale 2**B of the series layer's fixed-point integers at
+    ``dps`` digits: the binary precision mpmath gives ``dps`` digits, plus
+    64 guard bits."""
+    return max(1, round((dps + 1) * 3.3219280948873626)) + 64
+
+
+def _atanh(a: int, b: int, B: int) -> int:
+    """atanh(a/b) * 2**B for 0 <= a/b <= 1/3, each term floored: the
+    series sum_k (a/b)**(2k+1)/(2k+1), off by at most one unit per term."""
+    power = (a << B) // b
+    a2, b2 = a * a, b * b
+    total = 0
+    k = 1
+    while power:
+        total += power // k
+        power = power * a2 // b2
+        k += 2
+    return total
+
+
+@lru_cache(maxsize=64)
+def _ln(p: int, B: int) -> int:
+    """ln p * 2**B: ln 2 = 18*atanh(1/26) - 2*atanh(1/4801) +
+    8*atanh(1/8749), a Machin-like formula whose series converge about
+    twice as fast as 2*atanh(1/3)'s, and otherwise k*ln 2 +
+    2*atanh((p - 2**k)/(p + 2**k)) at k = floor(log2 p), whose argument
+    is an exact rational of at most 1/3.  Each atanh is summed with 16
+    guard bits, so ln 2 is off by a unit or two and ln p by about k+2."""
+    W = B + 16
+    if p == 2:
+        return 18 * _atanh(1, 26, W) - 2 * _atanh(1, 4801, W) + 8 * _atanh(1, 8749, W) >> 16
+    k = p.bit_length() - 1
+    return k * _ln(2, B) + (2 * _atanh(p - (1 << k), p + (1 << k), W) >> 16)
+
+
+def _exp(y: int, B: int) -> int:
+    """exp(y / 2**B) * 2**B for an integer y.
+
+    y = k*ln 2 + r with 0 <= r < ln 2.  z = r/2**s is summed by its
+    Taylor series at B + s + 8 bits as j interleaved series in z**j
+    (Smith's concurrent series: one full product per j terms, the rest
+    divisions by small integers), then squared s times and shifted by k;
+    s and j grow like sqrt(B).  The result is off by about k units of
+    2**-B, relative, from ``_ln``'s rounding of ln 2, plus a few units."""
+    k, r = divmod(y, _ln(2, B))
+    s = math.isqrt(B) // 4 + 4
+    j = math.isqrt(B) // 16 + 2
+    g = s + 8
+    W = B + g
+    z = r << 8  # r / 2**s at W bits
+    powers = [1 << W]  # z**i, i < j
+    for _ in range(j):
+        powers.append(powers[-1] * z >> W)
+    z_j = powers.pop()
+    sums = [0] * j  # sums[i] = sum_m z**(j*m) / (j*m + i)!
+    term = 1 << W
+    n = 0
+    while term:
+        for i in range(j):
+            sums[i] += term
+            n += 1
+            term //= n
+        term = term * z_j >> W
+    total = sum(z_i * s_i for z_i, s_i in zip(powers, sums)) >> W
+    for _ in range(s):
+        total = total * total >> W
+    return total << (k - g) if k >= g else total >> (g - k)
+
+
+def _to_float(value: int, B: int) -> float:
+    """value / 2**B correctly rounded to a double, +-inf past float range."""
+    try:
+        return value / (1 << B)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _c_total(p: int, N: int, alpha: float, t: float, eps: int,
+             term_cap: int, dps: int) -> int:
     """Alternating series sum_{n>=0} (-x)**n/n! / (1 - p**(-alpha*n-1)).
 
     x = t*p**(-N*alpha); the n = 0 term carries 1/(1 - p**(-1))
-    literally.  Stops once the increment drops below ``eps_increment``
-    past the hump; a sum that needs more than ``term_cap`` terms raises
+    literally.  Stops once the increment drops below ``eps`` past the
+    hump; a sum that needs more than ``term_cap`` terms raises
     NonConvergenceError, and so does one whose ``term_cap`` terms at
-    ``_mp()``'s working precision would pass ``SERIES_WORK_BUDGET``.
+    ``dps`` digits would pass ``SERIES_WORK_BUDGET``.
 
-    The terms are summed in fixed point: Python integers scaled by
-    2**B, B = ``_mp().prec`` + 64 guard bits.  x and the ratio
-    p**(-alpha) are formed once in mpmath at the caller's precision, from
-    one logarithm of p, and rounded to integers X and R; each term then
-    costs two integer products and two integer divisions, each rounded to
-    the floor.  Term n is off by at most about n units of 2**-B and the
-    total by about terms**2/2, below the rounding of an mpmath loop at
-    the caller's precision for up to 2**32 terms.  The total is
-    converted to mpmath once, at the end.
+    The terms, ``eps`` and the total are Python integers scaled by 2**B,
+    B = ``_fixed_bits(dps)``.  x and the ratio p**(-alpha) come from
+    ``_p_powers``; each term then costs two integer products and two
+    integer divisions, each rounded to the floor.  Term n is off by at
+    most about n units of 2**-B and the total by about terms**2/2, below
+    the rounding of an mpmath loop at ``dps`` digits for up to 2**32
+    terms.
     """
-    mp = _mp()
-    _check_series_work(term_cap)
-    p_alpha, p_hump = _p_powers_mp(p, N, alpha, mp.prec)
-    x = t * p_hump
-    hump = float(x)
-    B = mp.prec + 64
+    _check_series_work(term_cap, dps)
+    B = _fixed_bits(dps)
+    R, H = _p_powers(p, N, alpha, B)
+    t_num, t_den = t.as_integer_ratio()
+    X = H * t_num // t_den
+    hump = _to_float(X, B)
     one = 1 << B
-    X = int(mp.nint(mp.ldexp(x, B)))
-    R = int(mp.nint(mp.ldexp(1 / p_alpha, B)))
-    eps = int(mp.ceil(mp.ldexp(mp.mpf(eps_increment), B)))
     term = one  # (-x)**n / n!
     power = one // p  # p**(-alpha*n - 1)
     total = 0
@@ -223,11 +301,11 @@ def _c_total_mp(p: int, N: int, alpha: float, t: float,
         inc = (term << B) // (one - power) if power else term
         total += inc
         if abs(inc) < eps and n > hump:
-            return mp.ldexp(total, -B)
+            return total
         n += 1
         if n > term_cap:
             raise NonConvergenceError(
-                f"c(t) series: increment {float(mp.ldexp(abs(inc), -B))!r} "
+                f"c(t) series: increment {_to_float(abs(inc), B)!r} "
                 f"after {term_cap} terms"
             )
         term = -((term * X) >> B) // n
@@ -235,20 +313,20 @@ def _c_total_mp(p: int, N: int, alpha: float, t: float,
 
 
 @lru_cache(maxsize=1)
-def _p_powers_mp(p: int, N: int, alpha: float, prec: int):
-    """p**alpha and p**(-N*alpha) at ``prec`` bits, both from one
-    logarithm of p; ``_grow_and_c_mp`` and the ``_c_total_mp`` it calls
-    share them.  p**(-N*alpha) is an integer power of p**alpha, never
-    the power of -N*alpha rounded in float (3*2.8 = 8.399999999999999),
-    which parted the series route's summands at the 17th digit."""
-    mp = _mp()
-    with mp.workprec(prec):
-        p_alpha = mp.exp(mp.mpf(alpha) * mp.log(p))
-        return p_alpha, p_alpha ** (-N)
+def _p_powers(p: int, N: int, alpha: float, B: int) -> tuple[int, int]:
+    """p**(-alpha) and p**(-N*alpha) scaled by 2**B, the exponentials of
+    -a and -N*a for a = alpha*ln p, formed exactly from ``_ln``'s one
+    logarithm of p; ``_grow_and_c`` and the ``_c_total`` it calls share
+    them.  -N*a is an integer multiple of a, never the power of -N*alpha
+    rounded in float (3*2.8 = 8.399999999999999), which parted the series
+    route's summands at the 17th digit."""
+    a_num, a_den = alpha.as_integer_ratio()
+    a = _ln(p, B) * a_num // a_den
+    return _exp(-a, B), _exp(-N * a, B)
 
 
 def _series_term_cap(x: float, log_eps: float) -> int:
-    """Terms ``_c_total_mp`` needs to stop below exp(log_eps) at hump x.
+    """Terms ``_c_total`` needs to stop below exp(log_eps) at hump x.
 
     Its increments are x**n/n! over denominators of at least 1/2, and
     past the hump x**n/n! falls monotonically, so the first n > x with
@@ -266,7 +344,7 @@ def _series_term_cap(x: float, log_eps: float) -> int:
 def _series_dps(p: int, N: int, alpha: float, t: float) -> int:
     """Digits the c(t) series needs: 25 beyond its largest term, e**x at
     the hump x, times exp(lambda*t), the factor its total is multiplied
-    by.  There is no cap: ``_grow_and_c_mp`` refuses a sum whose terms
+    by.  There is no cap: ``_grow_and_c`` refuses a sum whose terms
     times digits pass ``SERIES_WORK_BUDGET``, so a precision too large to
     afford raises NonConvergenceError instead of rounding the answer
     away."""
@@ -276,48 +354,52 @@ def _series_dps(p: int, N: int, alpha: float, t: float) -> int:
 
 
 @lru_cache(maxsize=64)
-def _grow_and_c_mp(p: int, N: int, alpha: float, t: float, dps: int):
+def _grow_and_c(p: int, N: int, alpha: float, t: float, dps: int) -> tuple[int, int]:
     """exp(lambda*t) and
 
         c(t) = p**(-N) * (1 - (1-1/p) * exp(lambda*t)
                * sum_{n>=0} (-x)**n / n! / (1 - p**(-alpha*n-1))),   x = t*p**(-N*alpha)
 
-    at ``dps`` digits, the one evaluation of c(t): ``c_series`` rounds
-    its c, and both branches of ``heat_kernel_ball_series`` use both.
-    Neither depends on the radius, so the series is summed once
-    per time.  Its total is multiplied by exp(lambda*t), so the sum
-    stops once an increment falls below 1e-16/exp(lambda*t), and its
-    term cap follows from that rule.  The work budget is checked before
-    any arithmetic at ``dps`` digits: first on floor(x) + 3 terms, the
-    least cap ``_series_term_cap`` returns, so a huge hump x never runs
-    its loop, then on the cap itself.  Every power of p is formed from
-    one logarithm of p.
+    as integers scaled by 2**B, B = ``_fixed_bits(dps)``: the one
+    evaluation of c(t).  ``c_series`` rounds its c, and both branches of
+    ``heat_kernel_ball_series`` use both.  Neither depends on the radius,
+    so the series is summed once per time.  lambda*t is
+    (p-1)*x/(p - p**(-alpha)), from ``_p_powers``, so every power of p
+    comes from one logarithm of p.  The total is multiplied by
+    exp(lambda*t), so the sum stops once an increment falls below
+    1e-16/exp(lambda*t), and its term cap follows from that rule.  The
+    work budget is checked before any arithmetic at ``dps`` digits: first
+    on floor(x) + 3 terms, the least cap ``_series_term_cap`` returns, so
+    a huge hump x never runs its loop, then on the cap itself.
     """
     x = t * float(p) ** (-N * alpha)
-    mp = _mp()
-    with mp.workdps(dps):
-        _check_series_work(math.floor(x) + 3)
-        cap = _series_term_cap(x, math.log(1e-16) - lambda_value(p, alpha, N) * t)
-        _check_series_work(cap)
-        p_alpha, p_hump = _p_powers_mp(p, N, alpha, mp.prec)
-        grow = mp.exp((p - 1) / (p * p_alpha - 1) * p_alpha * p_hump * t)
-        total = _c_total_mp(p, N, alpha, t, mp.mpf(10) ** (-16) / grow, cap)
-        c = mp.mpf(p) ** (-N) * (1 - (1 - mp.mpf(1) / p) * grow * total)
-    return grow, c
+    _check_series_work(math.floor(x) + 3, dps)
+    cap = _series_term_cap(x, math.log(1e-16) - lambda_value(p, alpha, N) * t)
+    _check_series_work(cap, dps)
+    B = _fixed_bits(dps)
+    one = 1 << B
+    R, H = _p_powers(p, N, alpha, B)
+    t_num, t_den = t.as_integer_ratio()
+    grow = _exp(((p - 1) * H * t_num << B) // (t_den * ((p << B) - R)), B)
+    # ceil(2**B * 1e-16 / exp(lambda*t))
+    eps = -(-(one << B) // (grow * 10 ** 16))
+    total = _c_total(p, N, alpha, t, eps, cap, dps)
+    c = one - (p - 1) * (grow * total >> B) // p
+    return grow, c * p ** -N if N <= 0 else c // p ** N
 
 
 def c_series(p: int, N: int, alpha: float, t: float) -> float:
     """Spatially constant correction c(t) relating global and ball kernels,
-    ``_grow_and_c_mp``'s c at the digits ``_series_dps`` sizes, rounded to
-    a double.  Raises NonConvergenceError where that sum passes
-    ``SERIES_WORK_BUDGET``.
+    ``_grow_and_c``'s c at the digits ``_series_dps`` sizes, rounded to a
+    double, or +-inf where it passes float range.  Raises
+    NonConvergenceError where that sum passes ``SERIES_WORK_BUDGET``.
     """
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"t must be finite and >= 0, got {t}")
     if t == 0.0:
         return 0.0
-    with _SERIES_LOCK:
-        return float(_grow_and_c_mp(p, N, alpha, t, _series_dps(p, N, alpha, t))[1])
+    dps = _series_dps(p, N, alpha, t)
+    return _to_float(_grow_and_c(p, N, alpha, t, dps)[1], _fixed_bits(dps))
 
 
 def _ball_radial(p: int, N: int, alpha: float, t: float):
@@ -455,36 +537,40 @@ def heat_kernel_ball_series(p: int, N: int, alpha: float, t: float,
 
     Independent route from ``heat_kernel_ball``; the two must agree to
     tight tolerance on every radius and time.  Both branches take
-    exp(lambda*t) and c(t) from ``_grow_and_c_mp``.  The two summands
+    exp(lambda*t) and c(t) from ``_grow_and_c``.  The two summands
     grow like exp(lambda*t) while their sum stays order p**(-N), so once
     lambda*t is large enough to cost double precision the whole
-    combination is evaluated in extended precision and rounded;
-    otherwise the global kernel is summed in double, its tail cut at
-    p**l < ``DEFAULT_EPS_TAIL``, and meets exp(lambda*t) and c(t) rounded
-    to doubles.  The extended branch raises NonConvergenceError
-    where exp(lambda*t) would need more than 20000 guard digits, and
-    either branch where c(t) needs more work than ``SERIES_WORK_BUDGET``.
+    combination is evaluated in extended precision and rounded, with
+    exp(lambda*t) and c(t) taken into mpmath exactly; otherwise the
+    global kernel is summed in double, its tail cut at p**l <
+    ``DEFAULT_EPS_TAIL``, and meets exp(lambda*t) and c(t) rounded to
+    doubles, and mpmath is not loaded.  The extended branch raises
+    NonConvergenceError where exp(lambda*t) would need more than 20000
+    guard digits, and either branch where c(t) needs more work than
+    ``SERIES_WORK_BUDGET``.
     """
     _check_time(t)
     if m is not None and m > N:
         raise ValueError(f"radius exponent m must be <= N = {N}, got {m}")
     lam_t = lambda_value(p, alpha, N) * t
     if lam_t <= 30.0:
-        with _SERIES_LOCK:
-            grow, c = _grow_and_c_mp(p, N, alpha, t, _series_dps(p, N, alpha, t))
-            grow, c = float(grow), float(c)
-        return grow * heat_kernel_global(p, alpha, t, m) + c
+        dps = _series_dps(p, N, alpha, t)
+        B = _fixed_bits(dps)
+        grow, c = _grow_and_c(p, N, alpha, t, dps)
+        return _to_float(grow, B) * heat_kernel_global(p, alpha, t, m) + _to_float(c, B)
     tail_digits = 15 + int(math.ceil(lam_t * math.log10(math.e)))
     if tail_digits > 20000:
         raise NonConvergenceError(
             f"series route needs ~{tail_digits} guard digits at lambda*t = "
             f"{lam_t:.3g}; use the character-sum route instead")
     dps = _series_dps(p, N, alpha, t) + tail_digits
+    B = _fixed_bits(dps)
+    grow, c = _grow_and_c(p, N, alpha, t, dps)
     with _SERIES_LOCK:
-        grow, c = _grow_and_c_mp(p, N, alpha, t, dps)
-        with _mp().workdps(dps):
+        mp = _mp()
+        with mp.workdps(dps):
             Z = _global_kernel_mp(p, N, alpha, t, m, tail_digits, dps)
-            return float(grow * Z + c)
+            return float(mp.ldexp(grow, -B) * Z + mp.ldexp(c, -B))
 
 
 def ball_kernel_gridfunction(model: BallModel, alpha: float, t: float) -> GridFunction:

@@ -641,7 +641,7 @@ def test_json_files_hold_the_bytes_of_json_dump(tmp_path, monkeypatch, fmt):
 
 
 _FRESH_RUNS = """
-import sys
+import os, sys
 out, warm = sys.argv[1], sys.argv[2] == "warm"
 if warm:
     import mpmath
@@ -649,30 +649,37 @@ if warm:
 import padic_heat, padic_heat.cli
 from padic_heat.cli import main
 runs = {runs!r}
-for argv in runs[:-1]:
-    assert main(argv + ["--out", out]) == 0, argv
-assert ("mpmath" in sys.modules) == warm
-assert main(runs[-1] + ["--out", out]) == 0
+for i, argv in enumerate(runs):
+    if i == len(runs) - 1:
+        assert ("mpmath" in sys.modules) == warm
+    assert main(argv + ["--out", os.path.join(out, str(i))]) == 0, argv
 assert "mpmath" in sys.modules
 """
 
 
 def test_only_the_series_route_loads_mpmath(tmp_path):
-    # a fresh interpreter runs the float64 tasks without importing mpmath;
-    # heat-kernel then loads it and writes the bytes it writes in a
-    # process that imported mpmath, and set its global precision, first
+    # a fresh interpreter runs the float64 tasks, and heat-kernel and
+    # verify on the series route's double branch (lambda*t <= 30), without
+    # importing mpmath; heat-kernel at t = 50 (lambda*t = 33.3) then loads
+    # it.  Every file is the one a process writes that imported mpmath,
+    # and set its global precision, first
     runs = [argv for argv in TASK_RUNS if argv[0] not in ("heat-kernel", "verify")]
     heat_kernel = next(argv for argv in TASK_RUNS if argv[0] == "heat-kernel")
+    verify = next(argv for argv in TASK_RUNS if argv[0] == "verify")
     assert len(runs) == 4
-    script = _FRESH_RUNS.format(runs=runs + [heat_kernel])
+    runs += [heat_kernel[:-1] + ["0.5"], verify, heat_kernel]
+    script = _FRESH_RUNS.format(runs=runs)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     for name in ("cold", "warm"):
         (tmp_path / name).mkdir()
         proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / name), name],
                               capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
-    for stem in ("heat_kernel.csv", "heat_kernel_report.json"):
-        assert (tmp_path / "cold" / stem).read_bytes() == (tmp_path / "warm" / stem).read_bytes()
+    files = sorted(path.relative_to(tmp_path / "cold")
+                   for path in (tmp_path / "cold").rglob("*") if path.is_file())
+    assert len({path.parts[0] for path in files}) == len(runs)
+    for path in files:
+        assert (tmp_path / "cold" / path).read_bytes() == (tmp_path / "warm" / path).read_bytes()
 
 
 MODEL_FLAGS = ["--p", "2", "--N", "0", "--M", "3", "--alpha", "1.0"]

@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 import threading
@@ -43,6 +44,16 @@ from tests.conftest import alarm
 
 
 # -- whole-field heat kernel -------------------------------------------
+
+
+@pytest.mark.parametrize("m", [0, None])
+@pytest.mark.parametrize("eps_tail", [0.0, -1e-16, math.nan, math.inf])
+def test_global_kernel_refuses_a_tail_cut_it_never_meets(eps_tail, m):
+    # p**l only falls to 0.0, so a cut of 0 or below, or NaN, was never
+    # met and the sphere loop ran forever
+    with alarm(5):
+        with pytest.raises(ValueError, match="eps_tail"):
+            heat_kernel_global(2, 1.0, 1.0, m, eps_tail)
 
 
 def test_global_kernel_value_pin():
@@ -231,8 +242,16 @@ def test_c_series_refuses_a_huge_hump_at_once(t):
             c_series(2, 0, 1.0, t)
 
 
+def _c_total_at(p, N, alpha, t, eps_increment, term_cap, dps):
+    """``kernels._c_total`` at ``dps`` digits with the stopping threshold
+    ``eps_increment``, its integers read as mpmath numbers, exactly."""
+    B = kernels._fixed_bits(dps)
+    eps = int(mp.ceil(mp.ldexp(eps_increment, B)))
+    return mp.ldexp(kernels._c_total(p, N, alpha, t, eps, term_cap, dps), -B)
+
+
 def _c_total_power_per_term(p, N, alpha, t, eps_increment, term_cap):
-    """``kernels._c_total_mp`` as it summed before the running product, one
+    """``kernels._c_total`` as it summed before the running product, one
     mpmath power per term; also returns the sum of |increments| and the
     index of the last term."""
     P = mp.mpf(p)
@@ -254,6 +273,81 @@ def _c_total_power_per_term(p, N, alpha, t, eps_increment, term_cap):
         term_base *= -x / n
 
 
+def _c_total_mp(p, alpha, x, ratio, eps_increment, term_cap):
+    """The fixed-point sum as the series layer ran it with mpmath around
+    it: x and ratio = p**(-alpha), mpmath numbers at the working
+    precision, rounded to integers scaled by 2**B, B = prec + 64, and the
+    total converted back."""
+    B = mp.mp.prec + 64
+    one = 1 << B
+    X = int(mp.nint(mp.ldexp(x, B)))
+    R = int(mp.nint(mp.ldexp(ratio, B)))
+    eps = int(mp.ceil(mp.ldexp(mp.mpf(eps_increment), B)))
+    hump = float(x)
+    term = one
+    power = one // p
+    total = 0
+    n = 0
+    while True:
+        inc = (term << B) // (one - power) if power else term
+        total += inc
+        if abs(inc) < eps and n > hump:
+            return mp.ldexp(total, -B)
+        n += 1
+        assert n <= term_cap
+        term = -((term * X) >> B) // n
+        power = (power * R) >> B
+
+
+def _grow_and_c_mp(p, N, alpha, t, dps):
+    """exp(lambda*t) and c(t) as mpmath numbers at ``dps`` digits, as the
+    series layer formed them before its integers: p**alpha from mpmath's
+    exp and log, exp(lambda*t) and c(t) from mpmath arithmetic around the
+    fixed-point sum, under the same work budget."""
+    x = t * float(p) ** (-N * alpha)
+    kernels._check_series_work(math.floor(x) + 3, dps)
+    cap = kernels._series_term_cap(x, math.log(1e-16) - lambda_value(p, alpha, N) * t)
+    kernels._check_series_work(cap, dps)
+    with mp.workdps(dps):
+        p_alpha = mp.exp(mp.mpf(alpha) * mp.log(p))
+        p_hump = p_alpha ** (-N)
+        grow = mp.exp((p - 1) / (p * p_alpha - 1) * p_alpha * p_hump * t)
+        total = _c_total_mp(p, alpha, t * p_hump, 1 / p_alpha, mp.mpf(10) ** (-16) / grow, cap)
+        return grow, mp.mpf(p) ** (-N) * (1 - (1 - mp.mpf(1) / p) * grow * total)
+
+
+def test_integer_series_rounds_as_the_mpmath_evaluator():
+    # exp(lambda*t) and c(t) in integers against the mpmath evaluator
+    # they replace, at c_series's digits: the same doubles, and the same
+    # 21 inputs refused.  c near 0 cancels to below the mpmath evaluator's
+    # own rounding, so there the two agree to 1e-25, not to the bit
+    refused = 0
+    for p, N, alpha, t in itertools.product([2, 3, 5, 7], range(-2, 3),
+                                            [0.35, 0.7, 1.0, 1.3, 2.4, 2.8],
+                                            [0.1, 1.0, 4.0, 10.0, 30.0]):
+        dps = kernels._series_dps(p, N, alpha, t)
+        try:
+            grow_want, c_want = _grow_and_c_mp(p, N, alpha, t, dps)
+        except NonConvergenceError:
+            refused += 1
+            with pytest.raises(NonConvergenceError, match="work budget"):
+                c_series(p, N, alpha, t)
+            continue
+        B = kernels._fixed_bits(dps)
+        grow, c = kernels._grow_and_c(p, N, alpha, t, dps)
+        assert kernels._to_float(grow, B) == float(grow_want)
+        if abs(c_want) < 1e-12:
+            with mp.workdps(dps):
+                assert abs(mp.ldexp(c, -B) - c_want) < 1e-25
+        else:
+            assert c_series(p, N, alpha, t) == float(c_want)
+    assert refused == 21
+    # c(t) is about -5.7e556 and -8.3e577 here: a plain integer division
+    # raises OverflowError, and the double is -inf, as mpmath rounds it
+    assert c_series(7, -2, 1.0, 30.0) == -math.inf
+    assert c_series(3, -2, 2.4, 10.0) == -math.inf
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.sampled_from([2, 3, 5, 7]), st.integers(-2, 1), st.floats(0.35, 2.4),
        st.floats(0.01, 30.0))
@@ -265,13 +359,12 @@ def test_c_series_running_product_matches_power_per_term(p, N, alpha, t):
     assume(x < 500)
     cap = kernels._series_term_cap(x, math.log(1e-16) - lambda_value(p, alpha, N) * t)
     dps = kernels._series_dps(p, N, alpha, t)
-    # the evaluator sums at the precision of the package's own context
-    with mp.workdps(dps), kernels._mp().workdps(dps):
+    with mp.workdps(dps):
         P, A = mp.mpf(p), mp.mpf(alpha)
         grow = mp.e ** ((P - 1) / (P ** (A + 1) - 1) * P ** (A * (1 - N)) * t)
         eps = mp.mpf(10) ** (-16) / grow
         want, size, last = _c_total_power_per_term(p, N, alpha, t, eps, cap)
-        got = kernels._c_total_mp(p, N, alpha, t, eps, cap)
+        got = _c_total_at(p, N, alpha, t, eps, cap, dps)
         # the running power carries last + 1 roundings where mpmath's power
         # carries one, and the partial sums round differently: a few
         # 2**-prec per term, relative to the sum of |increments|; about
@@ -285,13 +378,13 @@ def test_series_route_sums_c_once_per_time(monkeypatch):
     # c(t) does not depend on the radius, so the radii of one time share
     # one summation of its series
     calls = [0]
-    c_total = kernels._c_total_mp
+    c_total = kernels._c_total
 
     def counting(*args):
         calls[0] += 1
         return c_total(*args)
 
-    monkeypatch.setattr(kernels, "_c_total_mp", counting)
+    monkeypatch.setattr(kernels, "_c_total", counting)
     p, N, alpha = 3, 0, 0.43  # an alpha no other test sums the series for
     times = (0.1, 1.0, 10.0)
     assert lambda_value(p, alpha, N) * max(times) <= 30.0
@@ -307,13 +400,13 @@ def test_extended_series_route_sums_c_once_per_time(monkeypatch):
     # lambda*t > 30: the whole combination runs in extended precision,
     # and its c(t) series is still summed once per time, not per radius
     calls = [0]
-    c_total = kernels._c_total_mp
+    c_total = kernels._c_total
 
     def counting(*args):
         calls[0] += 1
         return c_total(*args)
 
-    monkeypatch.setattr(kernels, "_c_total_mp", counting)
+    monkeypatch.setattr(kernels, "_c_total", counting)
     p, N, alpha = 3, -1, 1.57  # an alpha no other test sums the series for
     times = (10.0, 20.0)
     assert lambda_value(p, alpha, N) * min(times) > 30.0
@@ -342,10 +435,11 @@ def _per_radius_series(p, N, alpha, t, m):
     lam = lambda_value(p, alpha, N)
     tail_digits = 15 + int(math.ceil(lam * t * math.log10(math.e)))
     dps = kernels._series_dps(p, N, alpha, t) + tail_digits
-    grow, c = kernels._grow_and_c_mp(p, N, alpha, t, dps)
+    B = kernels._fixed_bits(dps)
+    grow, c = kernels._grow_and_c(p, N, alpha, t, dps)
     with mp.workdps(dps):
-        # from the package's context into this one, exactly at dps digits
-        grow, c = mp.mpf(grow), mp.mpf(c)
+        # from the evaluator's integers into mpmath, exactly
+        grow, c = mp.ldexp(grow, -B), mp.ldexp(c, -B)
         P = mp.mpf(p)
         q = 1 - 1 / P
         T = mp.mpf(t)
@@ -413,12 +507,12 @@ def test_fixed_point_c_total_matches_an_mpmath_sum(dps, case):
     # few 2**-prec per term, relative to the sum of |increments|, bounds
     # the gap
     p, N, alpha, t = case
-    with mp.workdps(dps), kernels._mp().workdps(dps):
+    with mp.workdps(dps):
         eps = mp.mpf(10) ** (20 - dps)
         x = t * float(p) ** (-N * alpha)
         cap = kernels._series_term_cap(x, float(mp.log(eps)))
         want, size, last = _c_total_power_per_term(p, N, alpha, t, eps, cap)
-        got = kernels._c_total_mp(p, N, alpha, t, eps, cap)
+        got = _c_total_at(p, N, alpha, t, eps, cap, dps)
         assert last > x
         assert abs(got - want) <= 4 * (last + 2) * mp.eps * size
 
@@ -464,9 +558,8 @@ def test_series_work_budget_refuses_before_summing():
     with alarm(30):
         with pytest.raises(NonConvergenceError, match="work budget"):
             heat_kernel_ball_series(7, -2, 2.0, 10.0, -2)
-    with kernels._mp().workdps(80000):
-        with pytest.raises(NonConvergenceError, match="work budget"):
-            kernels._c_total_mp(2, 0, 1.0, 1.0, 1e-15, 500)
+    with pytest.raises(NonConvergenceError, match="work budget"):
+        kernels._c_total(2, 0, 1.0, 1.0, 1, 500, 80000)
 
 
 def _series_bits(p, N, alpha, t, m):
@@ -482,7 +575,7 @@ def _series_bits(p, N, alpha, t, m):
 
 
 def _clear_series_caches():
-    for f in (kernels._p_powers_mp, kernels._grow_and_c_mp, kernels._sphere_sums_mp):
+    for f in (kernels._ln, kernels._p_powers, kernels._grow_and_c, kernels._sphere_sums_mp):
         f.cache_clear()
 
 
