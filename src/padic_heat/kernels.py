@@ -24,26 +24,20 @@ The alternating series cancels catastrophically once t is a few units
 at a precision scaled to the hump, stopping relative to exp(lambda*t),
 which it forms in the same integers, as it does every logarithm and
 power of p.  Both branches of the series route read exp(lambda*t) and
-c(t) from it, and ``c_series`` rounds its c(t) to a double.  Every
-stored value in this package remains float64.  A sum whose terms times
-digits pass ``SERIES_WORK_BUDGET`` is refused with NonConvergenceError.
-
-The extended branch of the series route (lambda*t > 30) is the
-package's only use of mpmath, for its global-kernel sphere sums, so
-mpmath is imported on that branch's first call, not with this module,
-and those sums run on the package's own ``mpmath.MPContext`` (``_mp``),
-never on the global ``mpmath.mp``.  Its precision and the sphere sums'
-caches are shared state, so that branch holds ``_SERIES_LOCK`` while it
-reaches them: ``heat_kernel_ball_series`` is safe to call from several
-threads, and a thread's sum neither sets nor reads another's precision.
-The integer evaluator and the float64 paths take no lock.
+c(t) from it, and ``c_series`` rounds its c(t) to a double.  The
+extended branch (lambda*t > 30) sums the global kernel's spheres in the
+same integers too, so the series route runs one arithmetic and loads no
+package beyond numpy.  Every cache of that layer holds a value that
+depends only on its key and never changes once cached, so the route is
+safe to call from several threads without a lock.  Every stored value
+in this package remains float64.  A sum whose terms times digits pass
+``SERIES_WORK_BUDGET`` is refused with NonConvergenceError.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import threading
 from functools import lru_cache
 
 import numpy as np
@@ -62,24 +56,6 @@ SERIES_WORK_BUDGET = 3 * 10**7
 
 class NonConvergenceError(Exception):
     """An adaptive series failed to meet its stopping rule within the cap."""
-
-
-# held by the series route's extended branch around every use of the
-# context and of the sphere sums' caches
-_SERIES_LOCK = threading.Lock()
-_context = None
-
-
-def _mp():
-    """The package's mpmath context, imported and formed on the first call.
-
-    Its caller holds ``_SERIES_LOCK``."""
-    global _context
-    if _context is None:
-        import mpmath
-
-        _context = mpmath.MPContext()
-    return _context
 
 
 def _check_time(t: float) -> None:
@@ -210,8 +186,16 @@ def _atanh(a: int, b: int, B: int) -> int:
     return total
 
 
-@lru_cache(maxsize=64)
 def _ln(p: int, B: int) -> int:
+    """ln p * 2**B, ``_ln_at``'s value at B rounded up to a multiple of 128
+    bits, shifted down: every precision in a band of 128 bits shares one
+    cached logarithm, and the shift adds at most one unit."""
+    C = -(-B // 128) * 128
+    return _ln_at(p, C) >> (C - B)
+
+
+@lru_cache(maxsize=64)
+def _ln_at(p: int, B: int) -> int:
     """ln p * 2**B: ln 2 = 18*atanh(1/26) - 2*atanh(1/4801) +
     8*atanh(1/8749), a Machin-like formula whose series converge about
     twice as fast as 2*atanh(1/3)'s, and otherwise k*ln 2 +
@@ -222,7 +206,7 @@ def _ln(p: int, B: int) -> int:
     if p == 2:
         return 18 * _atanh(1, 26, W) - 2 * _atanh(1, 4801, W) + 8 * _atanh(1, 8749, W) >> 16
     k = p.bit_length() - 1
-    return k * _ln(2, B) + (2 * _atanh(p - (1 << k), p + (1 << k), W) >> 16)
+    return k * _ln_at(2, B) + (2 * _atanh(p - (1 << k), p + (1 << k), W) >> 16)
 
 
 def _exp(y: int, B: int) -> int:
@@ -231,11 +215,21 @@ def _exp(y: int, B: int) -> int:
     y = k*ln 2 + r with 0 <= r < ln 2.  z = r/2**s is summed by its
     Taylor series at B + s + 8 bits as j interleaved series in z**j
     (Smith's concurrent series: one full product per j terms, the rest
-    divisions by small integers), then squared s times and shifted by k;
-    s and j grow like sqrt(B).  The result is off by about k units of
-    2**-B, relative, from ``_ln``'s rounding of ln 2, plus a few units."""
-    k, r = divmod(y, _ln(2, B))
-    s = math.isqrt(B) // 4 + 4
+    divisions by small integers), then squared s times and shifted by k.
+    j grows like sqrt(B), and so does s, less one squaring per leading
+    zero bit of r, which is already that much smaller.  A small negative
+    y, -ln 2 < y < 0, is 2**(2B) // exp(-y): its r = ln 2 - |y| would
+    never be small.  A value below 2**(-B-1), which the sum would shift
+    to 0, is 0 without a sum.  The result
+    is off by about k units of 2**-B, relative, from ``_ln``'s rounding of
+    ln 2, plus a few units."""
+    ln2 = _ln(2, B)
+    if -ln2 < y < 0:
+        return (1 << 2 * B) // _exp(-y, B)
+    k, r = divmod(y, ln2)
+    if k < -B - 1:
+        return 0
+    s = max(math.isqrt(B) // 4 + 4 - (B - r.bit_length()), 0)
     j = math.isqrt(B) // 16 + 2
     g = s + 8
     W = B + g
@@ -461,74 +455,68 @@ def heat_kernel_ball(p: int, N: int, alpha: float, t: float,
     return value
 
 
-def _global_kernel_mp(p: int, N: int, alpha: float, t: float, m: int | None,
-                      tail_digits: int, dps: int):
-    """Global kernel sphere sum at the caller's precision of ``dps`` digits.
-
-    The downward tail is cut at p**l < 10**(-tail_digits); the caller
-    sizes that to survive multiplication by exp(lambda*t).  The spheres
-    l <= -m are read off ``_sphere_sums_mp``, whose sums are shared by
-    every radius m <= N, so only the boundary term is formed per call.
-    For x = 0 the sum starts at the superexponential cutoff of
-    exp(-t p**(alpha l)), or at l = -N if that lies below it (the
-    spheres in between add less than 10**(-tail_digits - 10)).
-    """
-    mp = _mp()
-    P = mp.mpf(p)
-    T = mp.mpf(t)
-    if m is None:
-        top = int(math.ceil(math.log((tail_digits + 10) * math.log(10) / t)
-                            / (alpha * math.log(p)))) + 1
-        top = max(top, -N)
-        acc = mp.mpf(0)
-    else:
-        top = -m
-        acc = -P ** (-m) * mp.exp(-T * P ** (alpha * (1 - m)))
-    sums = _sphere_sums_mp(p, N, alpha, t, tail_digits, dps)
-    # one sphere per radius not yet summed, as ``_green_radial`` carries
-    # its prefix
-    q = 1 - 1 / P
-    while len(sums) <= top + N:
-        l = len(sums) - N
-        sums.append(sums[-1] + q * P ** l * mp.exp(-T * P ** (mp.mpf(alpha) * l)))
-    return acc + sums[top + N]
+def _sphere(p: int, t: float, l: int, scale: int, tail_digits: int, B: int) -> int:
+    """p**(l-1) * exp(-t*p**(alpha*l)) scaled by 2**B, the global kernel's
+    sphere l over its weight p - 1, from ``scale`` = p**(alpha*l) scaled
+    by 2**B.  The spheres' sum is multiplied by exp(lambda*t), about
+    10**(tail_digits - 15), so the exponential, weighted by p**(l-1), is
+    formed at tail_digits + 20 + l*log10(p) digits (at least 20, at most
+    B bits) and shifted up to B."""
+    W = min(_fixed_bits(max(tail_digits + 20 + int(l * math.log10(p)), 20)), B)
+    t_num, t_den = t.as_integer_ratio()
+    decay = _exp(-(scale * t_num // t_den >> (B - W)), W) << (B - W)
+    return decay * p ** (l - 1) if l >= 1 else decay // p ** (1 - l)
 
 
 @lru_cache(maxsize=64)
-def _sphere_sums_mp(p: int, N: int, alpha: float, t: float, tail_digits: int,
-                    dps: int) -> list:
-    """Running sums of the global kernel's spheres, the shared part of every radius.
+def _spheres_below(p: int, N: int, alpha: float, t: float, tail_digits: int, B: int) -> int:
+    """The ``_sphere``s l <= -N summed, the part every radius m <= N
+    shares, the downward tail cut once p**l < 10**(-tail_digits).
+    p**(alpha*l) is the running product of ``_p_powers``' p**(-N*alpha)
+    by its p**(-alpha)."""
+    ratio, scale = _p_powers(p, N, alpha, B)
+    cutoff = 10 ** tail_digits
+    total = 0
+    l = -N
+    while True:
+        total += _sphere(p, t, l, scale, tail_digits, B)
+        if l < 0 and p ** -l > cutoff:
+            return total
+        l -= 1
+        scale = scale * ratio >> B
 
-    Entry k is sum_{l <= k - N} (1-1/p) p**l exp(-t p**(alpha*l)) at
-    ``dps`` digits, the downward tail cut at p**l < 10**(-tail_digits).
-    The list starts with the spheres l <= -N, summed once, and
-    ``_global_kernel_mp`` appends one sphere per radius it is first asked
-    for; entry k depends only on the key, so every caller shares the
-    cached list.  p**l and p**(alpha*l) are running products.  The sum is
-    multiplied by exp(lambda*t), about 10**(tail_digits - 15), so each
-    sphere's term, at most p**l, is formed at tail_digits + 20 +
-    l*log10(p) digits (at least 20).
+
+@lru_cache(maxsize=4096)
+def _sphere_above(p: int, alpha: float, t: float, l: int, tail_digits: int, B: int) -> int:
+    """The ``_sphere`` l > -N, above the ball's top, p**(alpha*l) the
+    exponential of l*alpha*ln p formed as ``_p_powers`` forms its powers:
+    one per key, which every radius it lies below adds."""
+    a_num, a_den = alpha.as_integer_ratio()
+    return _sphere(p, t, l, _exp(l * (_ln(p, B) * a_num // a_den), B), tail_digits, B)
+
+
+def _global_kernel_fixed(p: int, N: int, alpha: float, t: float, m: int | None,
+                         tail_digits: int, B: int) -> int:
+    """Global kernel at radius p**m (m=None for x = 0) scaled by 2**B,
+
+        (p-1) * sum_{l <= -m} _sphere(l) - _sphere(1 - m),
+
+    the spheres l <= -N from ``_spheres_below`` and the rest from
+    ``_sphere_above``, so a sweep over R radii forms O(R) exponentials.
+    The caller sizes ``tail_digits`` to survive multiplication by
+    exp(lambda*t).  For x = 0 there is no boundary term, and the sum ends
+    at the superexponential cutoff of exp(-t p**(alpha l)), or at l = -N
+    if that lies below it (the spheres in between add less than
+    10**(-tail_digits - 10)).
     """
-    mp = _mp()
-    P = mp.mpf(p)
-    T = mp.mpf(t)
-    log10_p = math.log10(p)
-    with mp.workdps(dps):
-        q = 1 - 1 / P
-        cutoff = mp.mpf(10) ** (-tail_digits)
-        ratio = P ** (-mp.mpf(alpha))
-        power = P ** (-N)  # p**l
-        scale = P ** (-N * mp.mpf(alpha))  # p**(alpha*l)
-        tail = mp.mpf(0)
-        l = -N
-        while True:
-            digits = max(tail_digits + 20 + int(l * log10_p), 20)
-            tail += mp.fmul(q * power, mp.exp(-T * scale, dps=digits), dps=digits)
-            if power < cutoff:
-                return [tail]
-            l -= 1
-            power /= P
-            scale *= ratio
+    if m is None:
+        top = int(math.ceil(math.log((tail_digits + 10) * math.log(10) / t)
+                            / (alpha * math.log(p)))) + 1
+        top, edge = max(top, -N), 0
+    else:
+        top, edge = -m, _sphere_above(p, alpha, t, 1 - m, tail_digits, B)
+    above = sum(_sphere_above(p, alpha, t, l, tail_digits, B) for l in range(1 - N, top + 1))
+    return (p - 1) * (_spheres_below(p, N, alpha, t, tail_digits, B) + above) - edge
 
 
 def heat_kernel_ball_series(p: int, N: int, alpha: float, t: float,
@@ -540,11 +528,11 @@ def heat_kernel_ball_series(p: int, N: int, alpha: float, t: float,
     exp(lambda*t) and c(t) from ``_grow_and_c``.  The two summands
     grow like exp(lambda*t) while their sum stays order p**(-N), so once
     lambda*t is large enough to cost double precision the whole
-    combination is evaluated in extended precision and rounded, with
-    exp(lambda*t) and c(t) taken into mpmath exactly; otherwise the
-    global kernel is summed in double, its tail cut at p**l <
+    combination is formed in the fixed-point integers, the global kernel
+    by ``_global_kernel_fixed``, and rounded once; otherwise the global
+    kernel is summed in double, its tail cut at p**l <
     ``DEFAULT_EPS_TAIL``, and meets exp(lambda*t) and c(t) rounded to
-    doubles, and mpmath is not loaded.  The extended branch raises
+    doubles.  The extended branch raises
     NonConvergenceError where exp(lambda*t) would need more than 20000
     guard digits, and either branch where c(t) needs more work than
     ``SERIES_WORK_BUDGET``.
@@ -566,11 +554,8 @@ def heat_kernel_ball_series(p: int, N: int, alpha: float, t: float,
     dps = _series_dps(p, N, alpha, t) + tail_digits
     B = _fixed_bits(dps)
     grow, c = _grow_and_c(p, N, alpha, t, dps)
-    with _SERIES_LOCK:
-        mp = _mp()
-        with mp.workdps(dps):
-            Z = _global_kernel_mp(p, N, alpha, t, m, tail_digits, dps)
-            return float(mp.ldexp(grow, -B) * Z + mp.ldexp(c, -B))
+    Z = _global_kernel_fixed(p, N, alpha, t, m, tail_digits, B)
+    return _to_float((grow * Z >> B) + c, B)
 
 
 def ball_kernel_gridfunction(model: BallModel, alpha: float, t: float) -> GridFunction:

@@ -418,6 +418,24 @@ def test_verify_runs_no_roll_loop(tmp_path, capsys, monkeypatch):
     assert "PASS  representation agreement" in capsys.readouterr().out
 
 
+def test_verify_fails_on_a_perturbed_matrix_row(tmp_path, capsys, monkeypatch):
+    # the symbol's eigenvalues and spectrum_multiset share one evaluation,
+    # so the "spectrum multiset" row must read the DFT of the row as well
+    def perturbed(model, alpha):
+        row = vladimirov.matrix_row(model, alpha)
+        row[0] += 1e-6
+        return row
+
+    monkeypatch.setattr(cli, "matrix_row", perturbed)
+    assert main(["verify", "--p", "2", "--N", "0", "--M", "5", "--alpha", "1.0",
+                 "--out", str(tmp_path)]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("FAIL  spectrum multiset: ")
+    assert all(line.startswith("PASS") for line in out[1:])
+    report = json.loads((tmp_path / "verify_report.json").read_text())
+    assert report["checks"][0]["error"] >= 1e-9 and report["passed"] is False
+
+
 CACHED_PARSER_RUNS = [
     ["spectrum", "--p", "2", "--N", "0", "--M", "3", "--alpha", "1.0",
      "--dump-matrix"],
@@ -650,19 +668,17 @@ import padic_heat, padic_heat.cli
 from padic_heat.cli import main
 runs = {runs!r}
 for i, argv in enumerate(runs):
-    if i == len(runs) - 1:
-        assert ("mpmath" in sys.modules) == warm
     assert main(argv + ["--out", os.path.join(out, str(i))]) == 0, argv
-assert "mpmath" in sys.modules
+assert ("mpmath" in sys.modules) == warm
 """
 
 
-def test_only_the_series_route_loads_mpmath(tmp_path):
-    # a fresh interpreter runs the float64 tasks, and heat-kernel and
-    # verify on the series route's double branch (lambda*t <= 30), without
-    # importing mpmath; heat-kernel at t = 50 (lambda*t = 33.3) then loads
-    # it.  Every file is the one a process writes that imported mpmath,
-    # and set its global precision, first
+def test_no_task_loads_mpmath(tmp_path):
+    # a fresh interpreter runs the float64 tasks, heat-kernel and verify
+    # on the series route's double branch (lambda*t <= 30), and last
+    # heat-kernel at t = 50 (lambda*t = 33.3), on its extended branch,
+    # without importing mpmath.  Every file is the one a process writes
+    # that imported mpmath, and set its global precision, first
     runs = [argv for argv in TASK_RUNS if argv[0] not in ("heat-kernel", "verify")]
     heat_kernel = next(argv for argv in TASK_RUNS if argv[0] == "heat-kernel")
     verify = next(argv for argv in TASK_RUNS if argv[0] == "verify")

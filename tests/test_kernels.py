@@ -479,6 +479,27 @@ def test_extended_series_shares_its_spheres_across_radii(case):
             _per_radius_series(p, N, alpha, t, m)
 
 
+@pytest.mark.parametrize("case, without_mpmath", [
+    ((2, -3, 1.0, 80.0), True),
+    ((5, -1, 2.2, 30.0), False),
+    ((7, -1, 2.0, 10.0), False),
+])
+def test_extended_series_in_integers_matches_the_mpmath_sum(case, without_mpmath,
+                                                            monkeypatch):
+    # the sphere sums in fixed-point integers against every sphere summed
+    # in mpmath, bit for bit, at lambda*t = 427, 833 and 421, past the
+    # draws above; one case runs from cold caches with mpmath unimportable
+    p, N, alpha, t = case
+    assert lambda_value(p, alpha, N) * t > 200.0
+    radii = list(range(N, N - 7, -1)) + [None]
+    want = [_per_radius_series(p, N, alpha, t, m) for m in radii]
+    if without_mpmath:
+        _clear_series_caches()
+        monkeypatch.setitem(sys.modules, "mpmath", None)
+    with alarm(30):
+        assert [heat_kernel_ball_series(p, N, alpha, t, m) for m in radii] == want
+
+
 @pytest.mark.parametrize("t", [1.0, 30.0])
 def test_series_route_refuses_radii_outside_the_ball(t):
     # the shared sphere sums start at the ball's top sphere l = -N
@@ -575,7 +596,8 @@ def _series_bits(p, N, alpha, t, m):
 
 
 def _clear_series_caches():
-    for f in (kernels._ln, kernels._p_powers, kernels._grow_and_c, kernels._sphere_sums_mp):
+    for f in (kernels._ln_at, kernels._p_powers, kernels._grow_and_c, kernels._spheres_below,
+              kernels._sphere_above):
         f.cache_clear()
 
 
