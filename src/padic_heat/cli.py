@@ -21,7 +21,6 @@ object on stderr with fields "error", "message", "exit_code".
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -92,11 +91,12 @@ def _reprs(values: np.ndarray) -> list[str]:
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
+    """Cells joined by "," and rows ended by "\\r\\n": the bytes csv.writer
+    writes, since no ``_fmt`` of a cell here holds a delimiter, quote or
+    line break."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
+        for row in [header, *rows]:
+            fh.write(",".join(_fmt(v) for v in row) + "\r\n")
 
 
 def _json_cell(v):
@@ -290,19 +290,18 @@ def _parse_initial(cfg: dict, model: BallModel) -> GridFunction:
 # -- tasks ---------------------------------------------------------------
 
 
-def _multiset_deviation(model: BallModel, alpha: float) -> float:
-    """Largest gap between the sorted eigenvalues and ``spectrum_multiset``."""
-    return float(np.max(np.abs(np.sort(multiplier(model, alpha).eigenvalues)
-                               - spectrum_multiset(model, alpha))))
+def _multiset_deviation(model: BallModel, alpha: float, want: np.ndarray) -> float:
+    """Largest gap between the sorted eigenvalues and ``want``, the
+    ``spectrum_multiset``."""
+    return float(np.max(np.abs(np.sort(multiplier(model, alpha).eigenvalues) - want)))
 
 
-def _row_dft_deviation(model: BallModel, alpha: float, row: np.ndarray) -> float:
+def _row_dft_deviation(row: np.ndarray, want: np.ndarray) -> float:
     """Largest gap between the sorted DFT of the operator's first row,
     whose circulant matrix has the DFT of its row as its eigenvalues, and
-    ``spectrum_multiset``, relative to max(|eigenvalue|, 1).  The row is
-    the difference-weight representation, so unlike ``multiplier`` it
-    shares no evaluation with the closed form."""
-    want = spectrum_multiset(model, alpha)
+    ``want``, the ``spectrum_multiset``, relative to max(|eigenvalue|, 1).
+    The row is the difference-weight representation, so unlike
+    ``multiplier`` it shares no evaluation with the closed form."""
     gap = float(np.max(np.abs(np.sort(np.fft.fft(row).real) - want)))
     return gap / max(float(np.max(np.abs(want))), 1.0)
 
@@ -320,18 +319,19 @@ def _task_spectrum(cfg: dict) -> int:
     formats row 0 (``matrix_row``) once and writes row i as its rotation by i.
     repr of a float holds no delimiter, quote or line break, so strings
     joined by "," and ended by "\\r\\n" are the bytes that ``_write_csv``
-    (csv.writer over ``_fmt`` of every cell) writes.  ``--format json``
-    forms the same way one object body per valuation, its two floats
-    encoded by ``json.dumps`` of their ``_json_cell``, and writes row k as
-    that body and k: the bytes ``_write_table`` (``json.dumps`` with
-    ``sort_keys`` and ``indent=2`` of one object per row) writes.  Both
-    formats are formed and written ``_CSV_BLOCK`` rows at a time.
+    writes.  ``--format json`` forms the same way one object body per
+    valuation, its two floats encoded by ``json.dumps`` of their
+    ``_json_cell``, and writes row k as that body and k: the bytes
+    ``_write_table`` (``json.dumps`` with ``sort_keys`` and ``indent=2``
+    of one object per row) writes.  Both formats are formed and written
+    ``_CSV_BLOCK`` rows at a time.
     """
     model = _model_from(cfg)
     alpha = _require(cfg, "alpha")
-    err = _multiset_deviation(model, alpha)
+    want = spectrum_multiset(model, alpha)
+    err = _multiset_deviation(model, alpha, want)
     row = matrix_row(model, alpha)
-    dft_err = _row_dft_deviation(model, alpha, row)
+    dft_err = _row_dft_deviation(row, want)
     # frequency k = p**r has valuation r; k = 0 holds the sentinel L
     first = [model.p ** r for r in range(model.N + model.M)] + [0]
     freqs = freq_abs_table(model)[first]
@@ -526,9 +526,10 @@ def _task_verify(cfg: dict) -> int:
 
     # the symbol's multiset and the DFT of the matrix row, on which the
     # spectrum task fails either way
+    want = spectrum_multiset(model, alpha)
     checks.append(("spectrum multiset",
-                   max(_multiset_deviation(model, alpha),
-                       _row_dft_deviation(model, alpha, matrix_row(model, alpha))), tol))
+                   max(_multiset_deviation(model, alpha, want),
+                       _row_dft_deviation(matrix_row(model, alpha), want)), tol))
 
     rng = np.random.default_rng(seed)
     u = GridFunction(model, rng.standard_normal(model.S))

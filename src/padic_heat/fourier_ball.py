@@ -36,10 +36,11 @@ finest block's column sums are then taken exactly and set to p**k times
 the coarser result (``_restore_class_sums``), so the product's rounding
 does not pile up in the class means and mean(D u) stays within the
 Fourier path's error.  A block whose product would pass 2**18
-multiply-adds (complex data counted twice) takes its levels one at a
-time, so every product stays below OpenBLAS's single-thread cutoff and
-runs on the calling thread.  The one-level steps reduce with bare
-``np.add.reduce`` and update their details in place.
+multiply-adds takes its levels one at a time, so every product stays
+below OpenBLAS's single-thread cutoff and runs on the calling thread.
+The one-level steps reduce with bare ``np.add.reduce`` and update their
+details in place.  The ladder is real: complex data goes through it
+twice, once for its real part and once for its imaginary part.
 """
 
 from __future__ import annotations
@@ -118,13 +119,12 @@ _DFT_MAX_ORDER = 46341
 
 
 @lru_cache(maxsize=None)
-def _ladder_widths(p: int, L: int, lanes: int = 1) -> tuple[int, ...]:
+def _ladder_widths(p: int, L: int) -> tuple[int, ...]:
     """Levels per step of the ladder, finest first.
 
     Blocks of k = floor(log_p 32) levels, the last one partial, except
-    that a block whose band product lanes * (p**k)**2 * S/p**(r+k) at
-    level r would exceed ``_SERIAL_PRODUCT`` becomes a one-level step.
-    ``lanes`` is 2 for complex data, whose real view doubles the columns.
+    that a block whose band product (p**k)**2 * S/p**(r+k) at level r
+    would exceed ``_SERIAL_PRODUCT`` becomes a one-level step.
     """
     k = 1
     while p ** (k + 1) <= _BLOCK_CLASSES:
@@ -132,7 +132,7 @@ def _ladder_widths(p: int, L: int, lanes: int = 1) -> tuple[int, ...]:
     widths, r = [], 0
     while r < L:
         w = min(k, L - r)
-        if lanes * p ** (L - r + w) > _SERIAL_PRODUCT:
+        if p ** (L - r + w) > _SERIAL_PRODUCT:
             w = 1
         widths.append(w)
         r += w
@@ -210,23 +210,30 @@ def apply_radial(model: BallModel, levels: np.ndarray, values: np.ndarray) -> np
     A_r - A_{r+1}, which carries exactly the frequencies of valuation r,
     is scaled by that level's value and the mean A_L by the k = 0 value.
     The result equals ``apply_multiplier`` with the full factor array,
-    and has the dtype of ``values`` (real in, real out).
+    and has the dtype of ``values`` (real in, real out).  Complex values
+    take the real ladder by parts, the real and the imaginary part each
+    written into one complex128 array, never summed as a + 1j*b, which
+    would turn an infinite imaginary part into a NaN real part.
 
     The levels are walked in the steps of ``_ladder_widths``.  A block of
     w levels from r subtracts the coarse average A_{r+w} from A_r viewed
     as (p**w, -1), multiplies once by the band matrix
     sum_j e_{r+j} (Q_j - Q_{j+1}) from ``_ladder_bands`` (cached on the
     level values), and adds the coarser result; the finest block then
-    has its column sums restored exactly by ``_restore_class_sums``.  A
-    complex array goes through the product as its real view, so the band
-    stays real.
+    has its column sums restored exactly by ``_restore_class_sums``.
     """
+    values = np.asarray(values)
+    if np.iscomplexobj(values):
+        out = np.empty(values.shape, dtype=np.complex128)
+        out.real = apply_radial(model, levels, values.real)
+        out.imag = apply_radial(model, levels, values.imag)
+        return out
     p, L = model.p, model.N + model.M
-    widths = _ladder_widths(p, L, 2 if np.iscomplexobj(values) else 1)
+    widths = _ladder_widths(p, L)
     bands = _ladder_bands(p, widths, np.asarray(levels, dtype=np.float64).tobytes())
     # np.add.reduce(x, axis=0) / q is the arithmetic of x.mean(axis=0)
     # without its Python wrapper, which dominates at small S
-    averages = [np.asarray(values)]
+    averages = [values]
     for w in widths:
         q = p ** w
         averages.append(np.add.reduce(averages[-1].reshape(q, -1), axis=0) / q)
@@ -247,15 +254,13 @@ def apply_radial(model: BallModel, levels: np.ndarray, values: np.ndarray) -> np
             # and the Fourier path both stay near 1e-10 on that data.
             detail -= np.add.reduce(detail, axis=0) / p
             detail *= levels[r]
-        elif detail.dtype.kind == "c":
-            detail = (bands[i] @ detail.view(np.float64)).view(detail.dtype)
         else:
             detail = bands[i] @ detail
         detail += out
         # the finest block: the last of the ladder or the first above
         # its one-level steps
         if w > 1 and (i == 0 or widths[i - 1] == 1):
-            _restore_class_sums(detail.view(np.float64), out.view(np.float64))
+            _restore_class_sums(detail, out)
         out = detail.reshape(-1)
     return out
 

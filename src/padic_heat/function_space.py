@@ -82,7 +82,8 @@ class GridFunction:
         """L^gamma norm for gamma in [1, inf]; gamma = math.inf gives the sup norm."""
         if gamma == math.inf:
             return float(np.abs(self.values).max())
-        if gamma < 1:
+        # NaN passes "gamma < 1"
+        if not gamma >= 1:
             raise ValueError(f"gamma must be >= 1 or inf, got {gamma}")
         meas = float(self.model.p) ** (-self.model.M)
         if gamma == 1:

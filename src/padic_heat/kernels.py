@@ -8,7 +8,10 @@ spectrally by (m[k] - lambda + mu).
 Radial evaluators work directly in the radius variable: an argument
 ``m`` denotes the sphere |x|_p = p**m, and ``m=None`` denotes the point
 x = 0 (where defined).  Grid-level kernels return GridFunctions whose
-coset values are the exact coset averages of the radial profiles.
+coset values are the exact coset averages of the radial profiles.  Each
+is read off its kernel's radial sweep, which yields the value on every
+sphere |x| = p**m and the mean over the ball |x| <= p**m: the zero
+coset takes the sweep's finite mean over the sub-ball |x| <= p**(-M).
 
 The ball heat kernel has two independent evaluation routes:
 
@@ -62,6 +65,12 @@ def _check_time(t: float) -> None:
     # NaN passes "t <= 0"
     if not (math.isfinite(t) and t > 0):
         raise ValueError(f"t must be positive and finite, got {t}")
+
+
+def _check_elapsed(t: float) -> None:
+    # NaN passes "t < 0", and t = inf meets inf*0 = NaN at the k = 0 level
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"t must be finite and >= 0, got {t}")
 
 
 def heat_kernel_global(p: int, alpha: float, t: float, m: int | None = None,
@@ -388,8 +397,7 @@ def c_series(p: int, N: int, alpha: float, t: float) -> float:
     double, or +-inf where it passes float range.  Raises
     NonConvergenceError where that sum passes ``SERIES_WORK_BUDGET``.
     """
-    if not (math.isfinite(t) and t >= 0):
-        raise ValueError(f"t must be finite and >= 0, got {t}")
+    _check_elapsed(t)
     if t == 0.0:
         return 0.0
     dps = _series_dps(p, N, alpha, t)
@@ -558,6 +566,22 @@ def heat_kernel_ball_series(p: int, N: int, alpha: float, t: float,
     return _to_float((grow * Z >> B) + c, B)
 
 
+def _radial_gridfunction(model: BallModel, sweep) -> GridFunction:
+    """The grid function of a radial sweep of (value on the sphere
+    |x| = p**m, mean over |x| <= p**m) pairs from m = N down.
+
+    The sphere of valuation v < L = N + M takes the value at radius
+    p**(N - v); the zero coset takes the mean over the sub-ball
+    |x| <= p**(-M), the exact coset average.  A sweep that ends early
+    holds its last pair on every smaller radius.
+    """
+    L = model.N + model.M
+    pairs = list(itertools.islice(sweep, L + 1))
+    pairs += pairs[-1:] * (L + 1 - len(pairs))
+    spheres = np.array([value for value, _ in pairs[:L]] + [pairs[L][1]])
+    return GridFunction(model, spheres[valuation_table(model)])
+
+
 def ball_kernel_gridfunction(model: BallModel, alpha: float, t: float) -> GridFunction:
     """Ball heat kernel as a grid function, from its character sum.
 
@@ -572,14 +596,8 @@ def ball_kernel_gridfunction(model: BallModel, alpha: float, t: float) -> GridFu
     ``GridFunction.convolve_radial`` requires.  It runs no ladder, so it
     stays a check of the spectral path.
     """
-    # NaN passes "t < 0" and makes every value NaN
-    if not (math.isfinite(t) and t >= 0):
-        raise ValueError(f"t must be finite and >= 0, got {t}")
-    p, N, L = model.p, model.N, model.N + model.M
-    sweep = list(itertools.islice(_ball_radial(p, N, float(alpha), t), L + 1))
-    sweep += sweep[-1:] * (L + 1 - len(sweep))
-    spheres = np.array([value for value, _ in sweep[:L]] + [sweep[L][1]])
-    return GridFunction(model, spheres[valuation_table(model)])
+    _check_elapsed(t)
+    return _radial_gridfunction(model, _ball_radial(model.p, model.N, float(alpha), t))
 
 
 # -- Green function and resolvent --------------------------------------
@@ -602,12 +620,15 @@ def _green_term(c: float, p: int, a: float, b: float, lam: float, mu: float) -> 
 
 
 def _green_radial(p: int, N: int, alpha: float, mu: float):
-    """Yield the Green function K(|x| = p**m) for m = N, N-1, N-2, ...
+    """Yield (K(|x| = p**m), the mean of K over |x| <= p**m) for
+    m = N, N-1, N-2, ...
 
     Carries the prefix sum (1-1/p) * sum_{l=-N+1}^{-m} p**l / d(l) from
     one radius to the next, with lambda computed once, so a sweep over
-    R radii costs O(R).  Both terms of a radius are ``_green_term``s:
-    p**(-m)/d(1-m) for K(m), then, once K(m) is yielded, the prefix term
+    R radii costs O(R).  The prefix is the sum over the frequencies
+    |xi| <= p**(-m), the mean over the ball; K(m) is the prefix less
+    p**(-m)/d(1-m).  Both terms of a radius are ``_green_term``s: the
+    boundary term of K(m), then, once K(m) is yielded, the prefix term
     of K(m-1), so a sweep raises OverflowError only when asked for a
     radius whose own value passes float range.
     """
@@ -618,7 +639,7 @@ def _green_radial(p: int, N: int, alpha: float, mu: float):
     m = N
     while True:
         b = alpha * (1 - m)
-        yield prefix - _green_term(1.0, p, -m, b, lam, mu)
+        yield prefix - _green_term(1.0, p, -m, b, lam, mu), prefix
         prefix += _green_term(q, p, 1 - m, b, lam, mu)
         m -= 1
 
@@ -645,7 +666,7 @@ def green_kernel(p: int, N: int, alpha: float, mu: float,
         return _green_at_zero(p, N, alpha, mu)
     if m > N:
         raise ValueError(f"radius exponent m must be <= N = {N}, got {m}")
-    return next(itertools.islice(_green_radial(p, N, alpha, mu), N - m, None))
+    return next(itertools.islice(_green_radial(p, N, alpha, mu), N - m, None))[0]
 
 
 def _green_at_zero(p: int, N: int, alpha: float, mu: float) -> float:
@@ -701,28 +722,23 @@ def green_kernel_series(p: int, N: int, alpha: float, mu: float,
 def green_ball_integral(p: int, N: int, alpha: float, mu: float) -> float:
     """Sphere-sum of the Green function over the ball; should vanish.
 
-    ``_radial_integral`` from the radius p**N down: it descends past
-    m = -8 until a term falls below 1e-18 times the largest.
+    ``_radial_integral`` of the sphere values from the radius p**N down:
+    it descends past m = -8 until a term falls below 1e-18 times the
+    largest.  It never reads the sweep's means, whose value over the
+    ball is 0 by construction.
     """
-    return _radial_integral(p, N, _green_radial(p, N, alpha, mu), -8)
+    return _radial_integral(p, N, (K for K, _ in _green_radial(p, N, alpha, mu)), -8)
 
 
 def green_kernel_gridfunction(model: BallModel, alpha: float, mu: float) -> GridFunction:
     """Green function as a grid function of exact coset averages.
 
-    Nonzero cosets take the radial value on their sphere; the zero
-    coset takes the average over the sub-ball, an adaptive sphere sum.
+    Nonzero cosets take the radial value on their sphere, read off the
+    sweep ``_green_radial`` as ``green_kernel`` reads it; the zero coset
+    takes the sweep's mean over the sub-ball |x| <= p**(-M), its finite
+    prefix of L = N + M terms.
     """
-    p, N, M = model.p, model.N, model.M
-    sweep = _green_radial(p, N, alpha, mu)
-    vt = valuation_table(model)
-    vals = np.empty(model.S, dtype=np.float64)
-    # radius p**(N - v) on the sphere of valuation v
-    radial = np.array(list(itertools.islice(sweep, N + M)))
-    vals[1:] = radial[vt[1:]]
-    # zero coset: p**M * integral of K over the sub-ball of radius p**(-M)
-    vals[0] = float(p) ** M * _radial_integral(p, -M, sweep, -M - 8)
-    return GridFunction(model, vals)
+    return _radial_gridfunction(model, _green_radial(model.p, model.N, alpha, mu))
 
 
 def resolvent_apply(u: GridFunction, alpha: float, mu: float,
@@ -767,7 +783,7 @@ def green_estimates_report(p: int, N: int, alpha: float, mu: float,
     rows = []
     prev_weighted = None
     sweep = itertools.islice(_green_radial(p, N, alpha, mu), N - hi, N - lo + 1)
-    for m, K in zip(range(hi, lo - 1, -1), sweep):
+    for m, (K, _) in zip(range(hi, lo - 1, -1), sweep):
         if alpha == 1.0:
             weight = max(1.0, abs(m) * math.log(p))
         elif alpha < 1.0:

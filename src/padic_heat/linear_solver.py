@@ -19,16 +19,14 @@ import numpy as np
 
 from .fourier_ball import apply_radial
 from .function_space import GridFunction
-from .kernels import ball_kernel_gridfunction
+from .kernels import _check_elapsed, _check_time, ball_kernel_gridfunction
 from .vladimirov import apply_spectral, operator_levels
 
 
 def evolve(u0: GridFunction, alpha: float, t: float,
            path: str = "spectral") -> GridFunction:
     """Propagate initial data by time t."""
-    # NaN passes "t < 0", and t = inf meets inf*0 = NaN at the k = 0 level
-    if not (math.isfinite(t) and t >= 0):
-        raise ValueError(f"t must be finite and >= 0, got {t}")
+    _check_elapsed(t)
     if t == 0.0:
         return GridFunction(u0.model, u0.values)
     if path == "spectral":
@@ -65,8 +63,7 @@ def pde_residual(u0: GridFunction, alpha: float, t: float) -> float:
     spatial term is applied exactly.  Small residual certifies a
     classical solution of the flow at that instant.
     """
-    if not (math.isfinite(t) and t > 0):
-        raise ValueError(f"t must be positive and finite, got {t}")
+    _check_time(t)
     dt = min(1e-5 * max(t, 1.0), t / 2)
     u_min = evolve(u0, alpha, t - dt)
     u_mid = evolve(u0, alpha, t)

@@ -46,7 +46,7 @@ successive solutions stop moving in L1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -55,6 +55,7 @@ import numpy as np
 from .ball_model import BallModel
 from .fourier_ball import apply_radial
 from .function_space import GridFunction
+from .kernels import _check_time
 from .vladimirov import operator_levels
 
 
@@ -181,10 +182,6 @@ class ImplicitStepConfig:
 
 
 DEFAULT_CONFIG = ImplicitStepConfig()
-
-
-def _apply_operator(model: BallModel, levels: np.ndarray, values: np.ndarray) -> np.ndarray:
-    return apply_radial(model, levels, values)
 
 
 @lru_cache(maxsize=1)
@@ -429,7 +426,7 @@ def _implicit_step_info(g: GridFunction, h: float, alpha: float,
     _handover = None
     if phi_v is None:
         phi_v = phi.value(gvals)
-        d_phi = _apply_operator(model, e, phi_v)
+        d_phi = apply_radial(model, e, phi_v)
     # v is never written in place, so it may start as g's frozen array
     v = gvals
     r, rnorm = residual(v, d_phi)
@@ -449,7 +446,7 @@ def _implicit_step_info(g: GridFunction, h: float, alpha: float,
         for _ in range(config.max_halvings + 1):
             v_try = v - delta if step == 1.0 else v - step * delta
             phi_try = phi.value(v_try)
-            d_try = _apply_operator(model, e, phi_try)
+            d_try = apply_radial(model, e, phi_try)
             r_try, rnorm_try = residual(v_try, d_try)
             if rnorm_try < rnorm:
                 v, r, rnorm = v_try, r_try, rnorm_try
@@ -494,8 +491,7 @@ def evolve_pme(u0: GridFunction, t: float, k: int, alpha: float,
     """k backward-Euler steps of size t/k."""
     if k < 1:
         raise ValueError(f"step count must be >= 1, got {k}")
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
+    _check_time(t)
     h = t / k
     u = u0
     for _ in range(k):
@@ -557,12 +553,7 @@ class CLReport:
     converged: bool = False
 
     def as_dict(self) -> dict:
-        return {
-            "step_counts": self.step_counts,
-            "l1_differences": self.l1_differences,
-            "ratios": self.ratios,
-            "converged": self.converged,
-        }
+        return asdict(self)
 
 
 def crandall_liggett(u0: GridFunction, t: float, alpha: float,

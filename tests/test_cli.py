@@ -17,7 +17,7 @@ from padic_heat import (
     evolve,
     positive_bump,
 )
-from padic_heat import cli, vladimirov
+from padic_heat import cli, kernels, pme_solver, vladimirov
 from padic_heat.ball_model import freq_abs_table
 from padic_heat.cli import main
 from padic_heat.vladimirov import multiplier
@@ -434,6 +434,65 @@ def test_verify_fails_on_a_perturbed_matrix_row(tmp_path, capsys, monkeypatch):
     assert all(line.startswith("PASS") for line in out[1:])
     report = json.loads((tmp_path / "verify_report.json").read_text())
     assert report["checks"][0]["error"] >= 1e-9 and report["passed"] is False
+
+
+def _shift_entry_0(module, name, shift):
+    """Patch module.name to add ``shift`` to entry 0 of its result, a
+    GridFunction or an array."""
+    original = getattr(module, name)
+
+    def perturbed(*args):
+        out = original(*args)
+        values = np.array(out.values if isinstance(out, GridFunction) else out)
+        values[0] += shift
+        return GridFunction(out.model, values) if isinstance(out, GridFunction) else values
+
+    return module, name, perturbed
+
+
+def _shift_green_sweep():
+    """Patch the Green sweep the mean-zero check reads (mu = 1; the
+    resolvent's kernel path reads mu = 0.9) to add 1e-6 to every K."""
+    original = kernels._green_radial
+
+    def perturbed(p, N, alpha, mu):
+        sweep = original(p, N, alpha, mu)
+        return ((K + 1e-6, mean) for K, mean in sweep) if mu == 1.0 else sweep
+
+    return kernels, "_green_radial", perturbed
+
+
+def _scale_series():
+    original = cli.heat_kernel_ball_series
+
+    def perturbed(*args):
+        return original(*args) * (1.0 + 1e-6)
+
+    return cli, "heat_kernel_ball_series", perturbed
+
+
+# each check and a perturbation of one of the representations it compares
+VERIFY_PERTURBATIONS = {
+    "representation agreement": lambda: _shift_entry_0(cli, "apply_hypersingular", 1e-6),
+    "ball kernel two formulas": _scale_series,
+    "Chapman-Kolmogorov": lambda: _shift_entry_0(cli, "ball_kernel_gridfunction", 1e-6),
+    "resolvent two paths": lambda: _shift_entry_0(kernels, "green_kernel_gridfunction", 1e-6),
+    "Green kernel mean zero": _shift_green_sweep,
+    "FFT vs direct DFT": lambda: _shift_entry_0(cli, "dft_direct", 1e-3),
+    "implicit-step mass identity": lambda: _shift_entry_0(pme_solver, "apply_radial", 1e-6),
+}
+
+
+@pytest.mark.parametrize("check", list(VERIFY_PERTURBATIONS))
+def test_verify_fails_on_a_perturbed_representation(tmp_path, capsys, monkeypatch, check):
+    monkeypatch.setattr(*VERIFY_PERTURBATIONS[check]())
+    assert main(["verify", "--p", "2", "--N", "0", "--M", "5", "--alpha", "1.0",
+                 "--out", str(tmp_path)]) == 2
+    out = capsys.readouterr().out
+    assert f"FAIL  {check}: " in out and out.count("FAIL") == 1
+    report = json.loads((tmp_path / "verify_report.json").read_text())
+    failed = [c["name"] for c in report["checks"] if not c["passed"]]
+    assert failed == [check] and report["passed"] is False
 
 
 CACHED_PARSER_RUNS = [

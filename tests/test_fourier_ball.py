@@ -299,29 +299,31 @@ def test_ladder_falls_back_to_one_level_steps_above_the_cutoff(p, N, M):
 
 
 def test_ladder_blocks_stay_single_threaded():
-    # every block product lanes*(p**w)**2 * S/p**(r+w) stays at or below
-    # 2**18 multiply-adds, and only one-level steps run above it; complex
-    # data (lanes = 2) goes through the product as its real view
+    # every block product (p**w)**2 * S/p**(r+w) stays at or below 2**18
+    # multiply-adds, and only one-level steps run above it
     for p in (2, 3, 5, 7):
         for L in range(0, int(math.log(2 ** 22, p)) + 1):
-            for lanes in (1, 2):
-                widths = fourier_ball._ladder_widths(p, L, lanes)
-                assert sum(widths) == L
-                r = 0
-                for w in widths:
-                    assert w == 1 or lanes * p ** (L - r + w) <= 2 ** 18
-                    assert p ** w <= 32
-                    r += w
-    # S = 8192 at p = 2: one block for real data, one-level steps first
-    # for complex data
-    assert fourier_ball._ladder_widths(2, 13, 1) == (5, 5, 3)
-    assert fourier_ball._ladder_widths(2, 13, 2) == (1, 5, 5, 2)
+            widths = fourier_ball._ladder_widths(p, L)
+            assert sum(widths) == L
+            r = 0
+            for w in widths:
+                assert w == 1 or p ** (L - r + w) <= 2 ** 18
+                assert p ** w <= 32
+                r += w
+    # S = 8192 at p = 2: blocks only
+    assert fourier_ball._ladder_widths(2, 13) == (5, 5, 3)
 
 
 def _ladder_with_bands_per_call(model, levels, values):
-    """apply_radial with every block's band formed inside the call."""
+    """apply_radial with every block's band formed inside the call;
+    complex values by their real and imaginary parts."""
+    if np.iscomplexobj(values):
+        out = np.empty(values.shape, dtype=np.complex128)
+        out.real = _ladder_with_bands_per_call(model, levels, values.real)
+        out.imag = _ladder_with_bands_per_call(model, levels, values.imag)
+        return out
     p, L = model.p, model.N + model.M
-    widths = fourier_ball._ladder_widths(p, L, 2 if np.iscomplexobj(values) else 1)
+    widths = fourier_ball._ladder_widths(p, L)
     averages = [np.asarray(values)]
     for w in widths:
         averages.append(np.add.reduce(averages[-1].reshape(p ** w, -1), axis=0) / p ** w)
@@ -337,13 +339,10 @@ def _ladder_with_bands_per_call(model, levels, values):
             detail *= levels[r]
         else:
             band = (levels[r:r + w] @ fourier_ball._band_basis(p, w)).reshape(q, q)
-            if detail.dtype.kind == "c":
-                detail = (band @ detail.view(np.float64)).view(detail.dtype)
-            else:
-                detail = band @ detail
+            detail = band @ detail
         detail += out
         if w > 1 and (i == 0 or widths[i - 1] == 1):
-            fourier_ball._restore_class_sums(detail.view(np.float64), out.view(np.float64))
+            fourier_ball._restore_class_sums(detail, out)
         out = detail.reshape(-1)
     return out
 
@@ -370,10 +369,42 @@ def test_held_bands_change_no_bit(p, N, M):
             got = apply_radial(model, levels, values)
             assert got.dtype == want.dtype
             assert np.array_equal(got.view(np.float64), want.view(np.float64))
-    # one entry per ladder: real and complex data may step differently
-    ladders = {fourier_ball._ladder_widths(p, N + M, lanes) for lanes in (1, 2)}
+    # one entry: the three real calls and the six calls on the parts of
+    # the complex data share one ladder
     info = fourier_ball._ladder_bands.cache_info()
-    assert (info.misses, info.hits) == (len(ladders), 6 - len(ladders))
+    assert (info.misses, info.hits) == (1, 8)
+
+
+# every p with its first block's product p**(L + k), k levels per block,
+# below 2**18 and above it, where the finest levels take one-level steps;
+# p = 7 takes one-level steps throughout
+_PARTS_MODELS = [(2, 0, 9, False), (2, 0, 15, True), (3, 0, 6, False), (3, -1, 10, True),
+                 (5, 0, 4, False), (5, 0, 7, True), (7, 0, 3, False), (7, -1, 7, True)]
+
+
+@pytest.mark.parametrize("p, N, M, above", _PARTS_MODELS,
+                         ids=[f"p{p}_N{N}_M{M}" for p, N, M, _ in _PARTS_MODELS])
+def test_complex_data_takes_the_real_ladder_by_parts(p, N, M, above):
+    model = BallModel(p, N, M)
+    k = {2: 5, 3: 3, 5: 2, 7: 1}[p]
+    assert (p ** (N + M + k) > fourier_ball._SERIAL_PRODUCT) == above
+    rng = np.random.default_rng(p * 100 + M)
+    a, b = rng.standard_normal(model.S), rng.standard_normal(model.S)
+    z = np.empty(model.S, dtype=np.complex128)
+    z.real, z.imag = a, b
+    for factors in _radial_factor_sets(model, 1.3, rng):
+        levels = radial_levels(model, factors)
+        got = apply_radial(model, levels, z)
+        assert got.dtype == np.complex128
+        assert np.array_equal(got.real, apply_radial(model, levels, a))
+        assert np.array_equal(got.imag, apply_radial(model, levels, b))
+    # an infinite imaginary part stays out of the real part; forming the
+    # result as a + 1j*b would turn that into NaN
+    z.imag[5] = np.inf
+    with np.errstate(invalid="ignore"):
+        got = apply_radial(model, levels, z)
+    assert np.array_equal(got.real, apply_radial(model, levels, a))
+    assert not np.isfinite(got.imag).all()
 
 
 def test_apply_radial_reads_a_writable_level_array_afresh():
@@ -409,8 +440,10 @@ def test_equal_level_values_share_the_cached_bands():
         for levels in (e.copy(), deeper):
             got = apply_radial(model, levels, values)
             assert np.array_equal(got.view(np.float64), want.view(np.float64))
+        # complex data takes the ladder once per part
+        calls = 3 * (2 if np.iscomplexobj(values) else 1)
         info = fourier_ball._ladder_bands.cache_info()
-        assert (info.misses, info.hits) == (1, 2)
+        assert (info.misses, info.hits) == (1, calls - 1)
 
 
 def test_apply_radial_keeps_the_mean_at_large_eigenvalues():

@@ -57,6 +57,13 @@ def test_lp_norms_direct():
         u.lp_norm(0.5)
 
 
+def test_lp_norm_refuses_a_nan_gamma():
+    # NaN passes "gamma < 1" and used to return a NaN norm
+    u = random_function(BallModel(2, 0, 4), 3)
+    with pytest.raises(ValueError, match="gamma must be >= 1 or inf"):
+        u.lp_norm(math.nan)
+
+
 def test_l1_norm_is_bit_identical_to_the_general_formula():
     # gamma = 1 skips both powers, which are the identity there: the same
     # bits on +-0.0, subnormals, negatives and NaN, real or complex

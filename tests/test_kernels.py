@@ -911,12 +911,40 @@ def test_green_sweeps_equal_the_per_radius_sums(p):
                     want = np.empty(model.S)
                     radial = [_green_progression(p, N, alpha, mu, N - v) for v in range(N + M)]
                     want[1:] = np.array(radial)[valuation_table(model)[1:]]
-                    want[0] = float(p) ** M * _sphere_sum(
-                        p, N, alpha, mu, -M,
-                        lambda term, scale, m: abs(term) < 1e-18 * max(scale, 1e-300)
-                        and m <= -M - 8)
+                    want[0] = _green_prefix(p, N, alpha, mu, -M)
                     got = green_kernel_gridfunction(model, alpha, mu).values
                     assert np.array_equal(got, want)
+
+
+def _green_prefix(p, N, alpha, mu, m):
+    # the mean of K over |x| <= p**m, (1-1/p) * sum_{l=-N+1}^{-m} p**l / d(l),
+    # summed from scratch in the sweep's order
+    q = 1.0 - 1.0 / p
+    lam = lambda_value(p, alpha, N)
+    acc = 0.0
+    for l in range(-N + 1, -m + 1):
+        acc += q * float(p) ** l / (float(p) ** (alpha * l) - lam + mu)
+    return acc
+
+
+def test_green_zero_coset_is_the_adaptive_sub_ball_mean():
+    # the finite prefix is the exact mean over the sub-ball |x| <= p**(-M),
+    # p**M times the integral of K there, summed sphere by sphere
+    for p in (2, 3, 5, 7):
+        for N in range(-2, 3):
+            for M in (0, 1, 3, 5):
+                if N + M < 0:
+                    continue
+                model = BallModel(p, N, M)
+                for alpha in (0.35, 0.7, 1.0, 1.4, 2.1, 2.8):
+                    for mu in (0.01, 1.0, 10.0):
+                        got = green_kernel_gridfunction(model, alpha, mu).values
+                        adaptive = float(p) ** M * _sphere_sum(
+                            p, N, alpha, mu, -M,
+                            lambda term, scale, m: abs(term) < 1e-18 * max(scale, 1e-300)
+                            and m <= -M - 8)
+                        scale = max(float(np.max(np.abs(got))), 1.0)
+                        assert abs(got[0] - adaptive) <= 1e-14 * scale
 
 
 def _green_mp(p, N, alpha, mu, m):

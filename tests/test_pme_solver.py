@@ -329,13 +329,13 @@ def test_newton_accepts_at_the_rounding_floor(monkeypatch):
     # the verify models at h = 0.5: for alpha >= 1.6 Newton can stop above
     # newton_tol, at the rounding floor of the residual
     calls = [0]
-    apply_operator = pme_solver._apply_operator
+    apply_operator = pme_solver.apply_radial
 
     def counting(*args):
         calls[0] += 1
         return apply_operator(*args)
 
-    monkeypatch.setattr(pme_solver, "_apply_operator", counting)
+    monkeypatch.setattr(pme_solver, "apply_radial", counting)
     cfg = ImplicitStepConfig()
     budget = 1 + cfg.max_newton * (cfg.max_halvings + 1)
     phi = Nonlinearity.power(2.0)
@@ -366,13 +366,13 @@ def test_newton_stops_at_the_rounding_floor(monkeypatch):
     # floor stopped the loop, each further iteration ended in a failed
     # line search, 44 operator applies in all
     calls = [0]
-    apply_operator = pme_solver._apply_operator
+    apply_operator = pme_solver.apply_radial
 
     def counting(*args):
         calls[0] += 1
         return apply_operator(*args)
 
-    monkeypatch.setattr(pme_solver, "_apply_operator", counting)
+    monkeypatch.setattr(pme_solver, "apply_radial", counting)
     model = BallModel(2, 0, 16)
     alpha, h = 1.3, 0.01
     phi = Nonlinearity.power(2.0)
@@ -437,13 +437,13 @@ def _without_handover(monkeypatch):
 
 def _count_applies(monkeypatch):
     calls = [0]
-    apply_operator = pme_solver._apply_operator
+    apply_operator = pme_solver.apply_radial
 
     def counting(*args):
         calls[0] += 1
         return apply_operator(*args)
 
-    monkeypatch.setattr(pme_solver, "_apply_operator", counting)
+    monkeypatch.setattr(pme_solver, "apply_radial", counting)
     return calls
 
 
@@ -1063,14 +1063,14 @@ def test_max_norm_keeps_a_nan():
 
 @pytest.mark.parametrize("where", [0, 17, 31])
 def test_nan_in_the_residual_ends_the_step_in_solver_error(monkeypatch, where):
-    apply_operator = pme_solver._apply_operator
+    apply_operator = pme_solver.apply_radial
 
     def poisoned(*args):
         out = apply_operator(*args)
         out[where] = np.nan
         return out
 
-    monkeypatch.setattr(pme_solver, "_apply_operator", poisoned)
+    monkeypatch.setattr(pme_solver, "apply_radial", poisoned)
     model = BallModel(2, 0, 5)
     with pytest.raises(SolverError) as info:
         implicit_step(positive_bump(model, 0, 0), 0.1, 1.0, Nonlinearity.power(2.0))
@@ -1186,7 +1186,7 @@ def test_crandall_liggett_rejects_a_nan_tol_before_any_step(monkeypatch):
     def refuse(*args):
         raise AssertionError("operator applied for a non-positive tol")
 
-    monkeypatch.setattr(pme_solver, "_apply_operator", refuse)
+    monkeypatch.setattr(pme_solver, "apply_radial", refuse)
     model = BallModel(2, 0, 4)
     u0 = positive_bump(model, 0, 0)
     for tol in (math.nan, -1.0, 0.0, -math.inf):
@@ -1212,7 +1212,7 @@ def test_non_finite_step_size_is_rejected_before_any_solve(monkeypatch):
     def refuse(*args):
         raise AssertionError("operator applied for a non-finite step size")
 
-    monkeypatch.setattr(pme_solver, "_apply_operator", refuse)
+    monkeypatch.setattr(pme_solver, "apply_radial", refuse)
     model = BallModel(2, 0, 3)
     u0 = positive_bump(model, 0, 0)
     phi = Nonlinearity.power(2.0)
@@ -1256,6 +1256,18 @@ def test_lgamma_decay_suite_rejects_bad_arguments_before_stepping(monkeypatch, s
     with pytest.raises(ValueError, match="steps_per_interval|slack"):
         lgamma_decay_suite(positive_bump(model, 0, 0), [0.1, 0.2], [1.0], 1.0,
                            Nonlinearity.power(2.0), steps_per_interval=steps, slack=slack)
+
+
+def test_lgamma_decay_suite_refuses_a_nan_gamma(monkeypatch):
+    # NaN norms compare False, so a NaN gamma used to report no violation
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a step was taken")
+
+    monkeypatch.setattr(pme_solver, "implicit_step", forbidden)
+    model = BallModel(2, 0, 4)
+    with pytest.raises(ValueError, match="gamma must be >= 1 or inf"):
+        lgamma_decay_suite(positive_bump(model, 0, 0), [0.1, 0.2], [math.nan], 1.0,
+                           Nonlinearity.power(2.0), steps_per_interval=4)
 
 
 def test_table_nonlinearity_drives_the_solver():
