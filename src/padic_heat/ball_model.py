@@ -184,6 +184,18 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
 
 
+def _check_time(t: float) -> None:
+    # NaN passes "t <= 0"
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError(f"t must be positive and finite, got {t}")
+
+
+def _check_elapsed(t: float) -> None:
+    # NaN passes "t < 0", and t = inf meets inf*0 = NaN at the k = 0 level
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"t must be finite and >= 0, got {t}")
+
+
 def lambda_value(p: int, alpha: float, N: int) -> float:
     """Smallest eigenvalue of the ball operator of order alpha.
 

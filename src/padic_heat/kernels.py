@@ -45,7 +45,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ball_model import BallModel, _check_alpha, lambda_value, valuation_table
+from .ball_model import (BallModel, _check_alpha, _check_elapsed, _check_time, lambda_value,
+                         valuation_table)
 from .fourier_ball import apply_radial
 from .function_space import GridFunction
 from .vladimirov import operator_levels
@@ -61,16 +62,11 @@ class NonConvergenceError(Exception):
     """An adaptive series failed to meet its stopping rule within the cap."""
 
 
-def _check_time(t: float) -> None:
-    # NaN passes "t <= 0"
-    if not (math.isfinite(t) and t > 0):
-        raise ValueError(f"t must be positive and finite, got {t}")
-
-
-def _check_elapsed(t: float) -> None:
-    # NaN passes "t < 0", and t = inf meets inf*0 = NaN at the k = 0 level
-    if not (math.isfinite(t) and t >= 0):
-        raise ValueError(f"t must be finite and >= 0, got {t}")
+def _check_radius(N: int, m: int | None) -> None:
+    """Refuse a sphere |x| = p**m outside the ball |x| <= p**N; m=None,
+    the point x = 0, lies in every ball."""
+    if m is not None and m > N:
+        raise ValueError(f"radius exponent m must be <= N = {N}, got {m}")
 
 
 def heat_kernel_global(p: int, alpha: float, t: float, m: int | None = None,
@@ -270,29 +266,21 @@ def _to_float(value: int, B: int) -> float:
         return math.inf if value > 0 else -math.inf
 
 
-def _c_total(p: int, N: int, alpha: float, t: float, eps: int,
-             term_cap: int, dps: int) -> int:
+def _c_total(p: int, X: int, R: int, B: int, eps: int, term_cap: int) -> int:
     """Alternating series sum_{n>=0} (-x)**n/n! / (1 - p**(-alpha*n-1)).
 
-    x = t*p**(-N*alpha); the n = 0 term carries 1/(1 - p**(-1))
-    literally.  Stops once the increment drops below ``eps`` past the
-    hump; a sum that needs more than ``term_cap`` terms raises
-    NonConvergenceError, and so does one whose ``term_cap`` terms at
-    ``dps`` digits would pass ``SERIES_WORK_BUDGET``.
+    The hump x = t*p**(-N*alpha) and the ratio R = p**(-alpha) come as
+    ``_grow_and_c`` forms them, integers X and R scaled by 2**B, as are
+    the terms, ``eps`` and the total; the n = 0 term carries
+    1/(1 - p**(-1)) literally.  Stops once the increment drops below
+    ``eps`` past the hump; a sum that needs more than ``term_cap`` terms
+    raises NonConvergenceError.
 
-    The terms, ``eps`` and the total are Python integers scaled by 2**B,
-    B = ``_fixed_bits(dps)``.  x and the ratio p**(-alpha) come from
-    ``_p_powers``; each term then costs two integer products and two
-    integer divisions, each rounded to the floor.  Term n is off by at
-    most about n units of 2**-B and the total by about terms**2/2, below
-    the rounding of an mpmath loop at ``dps`` digits for up to 2**32
-    terms.
+    Each term costs two integer products and two integer divisions, each
+    rounded to the floor.  Term n is off by at most about n units of
+    2**-B and the total by about terms**2/2, below the rounding of an
+    mpmath loop at the same precision for up to 2**32 terms.
     """
-    _check_series_work(term_cap, dps)
-    B = _fixed_bits(dps)
-    R, H = _p_powers(p, N, alpha, B)
-    t_num, t_den = t.as_integer_ratio()
-    X = H * t_num // t_den
     hump = _to_float(X, B)
     one = 1 << B
     term = one  # (-x)**n / n!
@@ -315,14 +303,12 @@ def _c_total(p: int, N: int, alpha: float, t: float, eps: int,
         power = (power * R) >> B
 
 
-@lru_cache(maxsize=1)
 def _p_powers(p: int, N: int, alpha: float, B: int) -> tuple[int, int]:
     """p**(-alpha) and p**(-N*alpha) scaled by 2**B, the exponentials of
     -a and -N*a for a = alpha*ln p, formed exactly from ``_ln``'s one
-    logarithm of p; ``_grow_and_c`` and the ``_c_total`` it calls share
-    them.  -N*a is an integer multiple of a, never the power of -N*alpha
-    rounded in float (3*2.8 = 8.399999999999999), which parted the series
-    route's summands at the 17th digit."""
+    logarithm of p.  -N*a is an integer multiple of a, never the power of
+    -N*alpha rounded in float (3*2.8 = 8.399999999999999), which parted
+    the series route's summands at the 17th digit."""
     a_num, a_den = alpha.as_integer_ratio()
     a = _ln(p, B) * a_num // a_den
     return _exp(-a, B), _exp(-N * a, B)
@@ -350,8 +336,11 @@ def _series_dps(p: int, N: int, alpha: float, t: float) -> int:
     by.  There is no cap: ``_grow_and_c`` refuses a sum whose terms
     times digits pass ``SERIES_WORK_BUDGET``, so a precision too large to
     afford raises NonConvergenceError instead of rounding the answer
-    away."""
+    away.  A hump past float range has no finite digit count, and its
+    terms pass the budget at any precision, so it is refused here."""
     hump = t * float(p) ** (-N * alpha)
+    if hump == math.inf:
+        _check_series_work(math.inf, math.inf)
     lam = lambda_value(p, alpha, N)
     return 25 + int(math.ceil((hump + lam * t) * math.log10(math.e)))
 
@@ -373,7 +362,8 @@ def _grow_and_c(p: int, N: int, alpha: float, t: float, dps: int) -> tuple[int, 
     1e-16/exp(lambda*t), and its term cap follows from that rule.  The
     work budget is checked before any arithmetic at ``dps`` digits: first
     on floor(x) + 3 terms, the least cap ``_series_term_cap`` returns, so
-    a huge hump x never runs its loop, then on the cap itself.
+    a huge hump x never runs its loop, then on the cap itself.  The hump
+    X, the ratio R and the scale B formed here are handed to ``_c_total``.
     """
     x = t * float(p) ** (-N * alpha)
     _check_series_work(math.floor(x) + 3, dps)
@@ -386,7 +376,7 @@ def _grow_and_c(p: int, N: int, alpha: float, t: float, dps: int) -> tuple[int, 
     grow = _exp(((p - 1) * H * t_num << B) // (t_den * ((p << B) - R)), B)
     # ceil(2**B * 1e-16 / exp(lambda*t))
     eps = -(-(one << B) // (grow * 10 ** 16))
-    total = _c_total(p, N, alpha, t, eps, cap, dps)
+    total = _c_total(p, H * t_num // t_den, R, B, eps, cap)
     c = one - (p - 1) * (grow * total >> B) // p
     return grow, c * p ** -N if N <= 0 else c // p ** N
 
@@ -455,8 +445,7 @@ def heat_kernel_ball(p: int, N: int, alpha: float, t: float,
     for x = 0 and for the spheres past it.
     """
     _check_time(t)
-    if m is not None and m > N:
-        raise ValueError(f"radius exponent m must be <= N = {N}, got {m}")
+    _check_radius(N, m)
     sweep = _ball_radial(p, N, alpha, t)
     for value, _ in itertools.islice(sweep, None if m is None else N - m + 1):
         pass
@@ -540,28 +529,24 @@ def heat_kernel_ball_series(p: int, N: int, alpha: float, t: float,
     by ``_global_kernel_fixed``, and rounded once; otherwise the global
     kernel is summed in double, its tail cut at p**l <
     ``DEFAULT_EPS_TAIL``, and meets exp(lambda*t) and c(t) rounded to
-    doubles.  The extended branch raises
-    NonConvergenceError where exp(lambda*t) would need more than 20000
-    guard digits, and either branch where c(t) needs more work than
-    ``SERIES_WORK_BUDGET``.
+    doubles.  Both branches share one setup: the extended branch works
+    ``tail_digits`` guard digits past c(t)'s, so the global kernel
+    survives multiplication by exp(lambda*t), and the double branch
+    none.  The route refuses by one rule, NonConvergenceError where c(t)
+    needs more work than ``SERIES_WORK_BUDGET``: lambda*t stays below
+    the series' hump x, so any lambda*t whose guard digits would cost
+    more than the budget comes with a c(t) series that passes it first.
     """
     _check_time(t)
-    if m is not None and m > N:
-        raise ValueError(f"radius exponent m must be <= N = {N}, got {m}")
+    _check_radius(N, m)
     lam_t = lambda_value(p, alpha, N) * t
-    if lam_t <= 30.0:
-        dps = _series_dps(p, N, alpha, t)
-        B = _fixed_bits(dps)
-        grow, c = _grow_and_c(p, N, alpha, t, dps)
-        return _to_float(grow, B) * heat_kernel_global(p, alpha, t, m) + _to_float(c, B)
-    tail_digits = 15 + int(math.ceil(lam_t * math.log10(math.e)))
-    if tail_digits > 20000:
-        raise NonConvergenceError(
-            f"series route needs ~{tail_digits} guard digits at lambda*t = "
-            f"{lam_t:.3g}; use the character-sum route instead")
+    tail_digits = 0 if lam_t <= 30.0 else 15 + int(math.ceil(lam_t * math.log10(math.e)))
     dps = _series_dps(p, N, alpha, t) + tail_digits
-    B = _fixed_bits(dps)
     grow, c = _grow_and_c(p, N, alpha, t, dps)
+    # only now: a dps the budget refuses can pass float range in _fixed_bits
+    B = _fixed_bits(dps)
+    if not tail_digits:
+        return _to_float(grow, B) * heat_kernel_global(p, alpha, t, m) + _to_float(c, B)
     Z = _global_kernel_fixed(p, N, alpha, t, m, tail_digits, B)
     return _to_float((grow * Z >> B) + c, B)
 
@@ -664,8 +649,7 @@ def green_kernel(p: int, N: int, alpha: float, mu: float,
         if alpha <= 1:
             raise ValueError("the Green function is unbounded at x = 0 for alpha <= 1")
         return _green_at_zero(p, N, alpha, mu)
-    if m > N:
-        raise ValueError(f"radius exponent m must be <= N = {N}, got {m}")
+    _check_radius(N, m)
     return next(itertools.islice(_green_radial(p, N, alpha, mu), N - m, None))[0]
 
 

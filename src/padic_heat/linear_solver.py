@@ -17,9 +17,10 @@ import math
 
 import numpy as np
 
+from .ball_model import _check_elapsed, _check_time
 from .fourier_ball import apply_radial
 from .function_space import GridFunction
-from .kernels import _check_elapsed, _check_time, ball_kernel_gridfunction
+from .kernels import ball_kernel_gridfunction
 from .vladimirov import apply_spectral, operator_levels
 
 

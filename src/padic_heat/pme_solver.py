@@ -52,10 +52,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ball_model import BallModel
+from .ball_model import BallModel, _check_time
 from .fourier_ball import apply_radial
 from .function_space import GridFunction
-from .kernels import _check_time
 from .vladimirov import operator_levels
 
 
@@ -163,6 +162,13 @@ class Nonlinearity:
 # -- implicit step ------------------------------------------------------
 
 
+def _check_count(name: str, value, least: int) -> None:
+    """Refuse a count that is a bool, not an integer, or below ``least``:
+    range() raises a bare TypeError on 2.0, and True counts as 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ImplicitStepConfig:
     newton_tol: float = 1e-12
@@ -174,11 +180,8 @@ class ImplicitStepConfig:
         # any g as its own solution, a NaN one fails every step
         if not (math.isfinite(self.newton_tol) and self.newton_tol > 0):
             raise ValueError(f"newton_tol must be positive and finite, got {self.newton_tol}")
-        for name in ("max_newton", "max_halvings"):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-                    or value < 0):
-                raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+        _check_count("max_newton", self.max_newton, 0)
+        _check_count("max_halvings", self.max_halvings, 0)
 
 
 DEFAULT_CONFIG = ImplicitStepConfig()
@@ -489,8 +492,7 @@ def evolve_pme(u0: GridFunction, t: float, k: int, alpha: float,
                phi: Nonlinearity,
                config: ImplicitStepConfig = DEFAULT_CONFIG) -> GridFunction:
     """k backward-Euler steps of size t/k."""
-    if k < 1:
-        raise ValueError(f"step count must be >= 1, got {k}")
+    _check_count("k", k, 1)
     _check_time(t)
     h = t / k
     u = u0
@@ -511,10 +513,8 @@ def pme_trajectory(u0: GridFunction, t: float, k: int, alpha: float,
     iterations, and the residual of the per-step mass identity
     mass_new - mass_old + h*lambda*integral(Phi(u_new)).
     """
-    if k < 1:
-        raise ValueError(f"step count must be >= 1, got {k}")
-    if record_every < 1:
-        raise ValueError(f"record_every must be >= 1, got {record_every}")
+    _check_count("k", k, 1)
+    _check_count("record_every", record_every, 1)
     h = t / k
     lam = float(operator_levels(u0.model, float(alpha))[-1])
     u = u0
@@ -610,11 +610,7 @@ def lgamma_decay_suite(u0: GridFunction, times, gammas, alpha: float,
     """
     # -3 would take no step and report constant norms, and 0 divides by
     # zero; a NaN slack would hide every violation
-    if (isinstance(steps_per_interval, bool)
-            or not isinstance(steps_per_interval, (int, np.integer))
-            or steps_per_interval < 1):
-        raise ValueError(
-            f"steps_per_interval must be an integer >= 1, got {steps_per_interval!r}")
+    _check_count("steps_per_interval", steps_per_interval, 1)
     if not (math.isfinite(slack) and slack >= 0):
         raise ValueError(f"slack must be finite and >= 0, got {slack}")
     if np.min(u0.values) <= 0:

@@ -244,10 +244,13 @@ def test_c_series_refuses_a_huge_hump_at_once(t):
 
 def _c_total_at(p, N, alpha, t, eps_increment, term_cap, dps):
     """``kernels._c_total`` at ``dps`` digits with the stopping threshold
-    ``eps_increment``, its integers read as mpmath numbers, exactly."""
+    ``eps_increment``, its hump and ratio formed as ``_grow_and_c`` forms
+    them, its integers read as mpmath numbers, exactly."""
     B = kernels._fixed_bits(dps)
     eps = int(mp.ceil(mp.ldexp(eps_increment, B)))
-    return mp.ldexp(kernels._c_total(p, N, alpha, t, eps, term_cap, dps), -B)
+    R, H = kernels._p_powers(p, N, alpha, B)
+    t_num, t_den = t.as_integer_ratio()
+    return mp.ldexp(kernels._c_total(p, H * t_num // t_den, R, B, eps, term_cap), -B)
 
 
 def _c_total_power_per_term(p, N, alpha, t, eps_increment, term_cap):
@@ -430,6 +433,11 @@ def test_series_route_at_negative_N(t):
         assert abs(a - b) < 1e-10 * max(abs(a), 1.0)
 
 
+# mpmath sphere terms of ``_per_radius_series`` by (p, alpha, t, dps, l):
+# the radii of one time add the same terms, each formed once
+_SPHERE_TERMS = {}
+
+
 def _per_radius_series(p, N, alpha, t, m):
     """The extended branch with every sphere summed again for this radius."""
     lam = lambda_value(p, alpha, N)
@@ -452,7 +460,10 @@ def _per_radius_series(p, N, alpha, t, m):
             l = -m
         cutoff = mp.mpf(10) ** (-tail_digits)
         while True:
-            acc += q * P ** l * mp.e ** (-T * P ** (mp.mpf(alpha) * l))
+            key = (p, alpha, t, dps, l)
+            if key not in _SPHERE_TERMS:
+                _SPHERE_TERMS[key] = q * P ** l * mp.e ** (-T * P ** (mp.mpf(alpha) * l))
+            acc += _SPHERE_TERMS[key]
             if P ** l < cutoff:
                 return float(grow * acc + c)
             l -= 1
@@ -575,12 +586,14 @@ def test_series_route_sums_the_largest_budgeted_case():
 
 
 def test_series_work_budget_refuses_before_summing():
-    # 83582 terms at 28396 digits: refused before exp(lambda*t) is formed
+    # 83582 terms at 28396 digits: refused before exp(lambda*t) is formed;
+    # and a term cap of about 20 terms at two million digits, refused on
+    # the cap before any arithmetic at that precision
     with alarm(30):
         with pytest.raises(NonConvergenceError, match="work budget"):
             heat_kernel_ball_series(7, -2, 2.0, 10.0, -2)
-    with pytest.raises(NonConvergenceError, match="work budget"):
-        kernels._c_total(2, 0, 1.0, 1.0, 1, 500, 80000)
+        with pytest.raises(NonConvergenceError, match="work budget"):
+            kernels._grow_and_c(2, 0, 1.0, 1.0, 2 * 10**6)
 
 
 def _series_bits(p, N, alpha, t, m):
@@ -596,8 +609,7 @@ def _series_bits(p, N, alpha, t, m):
 
 
 def _clear_series_caches():
-    for f in (kernels._ln_at, kernels._p_powers, kernels._grow_and_c, kernels._spheres_below,
-              kernels._sphere_above):
+    for f in (kernels._ln_at, kernels._grow_and_c, kernels._spheres_below, kernels._sphere_above):
         f.cache_clear()
 
 
@@ -747,10 +759,29 @@ def test_ball_kernel_long_time_flattens(model_alpha):
 
 def test_ball_kernel_series_guard_digit_refusal():
     # lambda*t so large that the compensated series would need an absurd
-    # working precision; the character-sum route stays available
-    with pytest.raises(NonConvergenceError):
-        heat_kernel_ball_series(2, -10, 1.0, 400.0)
+    # working precision (2.7e5, and 5.3e4 with some 23000 guard digits), a
+    # hump of 1e308, whose digits pass float range as bits, or a hump past
+    # float range at lambda*t = 1.3e308, where c(t) raised OverflowError:
+    # the work budget refuses each at once, before any arithmetic at that
+    # precision; the character-sum route stays available
+    with alarm(1):
+        for N, t in [(-10, 400.0), (-3, 1e4), (0, 1e308), (-1, 1e308)]:
+            with pytest.raises(NonConvergenceError, match="work budget"):
+                heat_kernel_ball_series(2, N, 1.0, t)
+        with pytest.raises(NonConvergenceError, match="work budget"):
+            c_series(2, -1, 1.0, 1e308)
     assert heat_kernel_ball(2, -10, 1.0, 400.0, -10) > 0.0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from([2, 3, 5, 7, 1009]), st.floats(0.01, 20.0), st.integers(-3, 3),
+       st.floats(1e-3, 1e3))
+def test_lambda_t_stays_below_the_series_hump(p, alpha, N, t):
+    # lambda*t / x = (p-1)/(p - p**(-alpha)) < 1 at the hump
+    # x = t*p**(-N*alpha): any lambda*t whose guard digits pass 20000 has
+    # a hump whose c(t) series passes the work budget first, so the
+    # budget is the series route's one refusal
+    assert lambda_value(p, alpha, N) * t < t * float(p) ** (-N * alpha)
 
 
 def test_grid_kernel_matches_radial_values(model_alpha):

@@ -1258,6 +1258,36 @@ def test_lgamma_decay_suite_rejects_bad_arguments_before_stepping(monkeypatch, s
                            Nonlinearity.power(2.0), steps_per_interval=steps, slack=slack)
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda u, phi: pme_trajectory(u, 0.1, 2.0, 1.0, phi), "k"),
+    (lambda u, phi: evolve_pme(u, 0.1, 2.5, 1.0, phi), "k"),
+    (lambda u, phi: pme_trajectory(u, 0.1, True, 1.0, phi), "k"),
+    (lambda u, phi: evolve_pme(u, 0.1, np.int64(0), 1.0, phi), "k"),
+    (lambda u, phi: pme_trajectory(u, 0.1, 4, 1.0, phi, record_every=1.5), "record_every"),
+    (lambda u, phi: pme_trajectory(u, 0.1, 4, 1.0, phi, record_every=True), "record_every"),
+], ids=["trajectory_k2.0", "evolve_k2.5", "trajectory_kTrue", "evolve_k_int64_0",
+        "record_every1.5", "record_everyTrue"])
+def test_step_counts_must_be_integers(monkeypatch, call, name):
+    # a float count raised a bare TypeError from range(), k=True ran one
+    # step, and record_every=1.5 recorded steps 3 and 4 of 4
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a step was taken")
+
+    monkeypatch.setattr(pme_solver, "implicit_step", forbidden)
+    monkeypatch.setattr(pme_solver, "_implicit_step_info", forbidden)
+    model = BallModel(2, 0, 4)
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1"):
+        call(positive_bump(model, 0, 0), Nonlinearity.power(2.0))
+
+
+def test_step_counts_accept_numpy_integers():
+    model = BallModel(2, 0, 3)
+    u0, phi = positive_bump(model, 0, 0), Nonlinearity.power(2.0)
+    states, rows = pme_trajectory(u0, 0.1, np.int64(4), 1.0, phi, record_every=np.int64(2))
+    assert [r["step"] for r in rows] == [1, 2, 3, 4] and len(states) == 2
+    assert np.array_equal(evolve_pme(u0, 0.1, np.int64(4), 1.0, phi).values, states[-1].values)
+
+
 def test_lgamma_decay_suite_refuses_a_nan_gamma(monkeypatch):
     # NaN norms compare False, so a NaN gamma used to report no violation
     def forbidden(*args, **kwargs):
