@@ -22,18 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ball_model import BallModel, valuation_table
+from .ball_model import BallModel, _readonly, valuation_table
 
 
 # Rows ``GridFunction.to_csv`` forms and writes at a time.  A block's
 # strings are well under 1 MB; blocks of 2**16 rows raised the peak RSS
 # of solve-linear --dump-state at S = 2**20 from 179 to 187 MB.
 _CSV_BLOCK = 1 << 12
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 def circulant_apply(w: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -69,7 +64,7 @@ class GridFunction:
         else:
             v = v.astype(np.float64)
         # astype returns a fresh array, so the caller's input is never shared
-        self.values = _freeze(v)
+        self.values = _readonly(v)
 
     # -- measure-aware reductions ------------------------------------
 

@@ -145,9 +145,16 @@ def global_kernel_mass(p: int, alpha: float, t: float) -> float:
     _check_alpha(alpha)
     top = int(math.ceil(math.log(max(t, 1.0) * float(p) ** alpha / 1e-16)
                         / (alpha * math.log(p)))) + 2
+    # the tail cut DEFAULT_EPS_TAIL/p**m below rounds to 0.0, which
+    # heat_kernel_global refuses, once p**m passes 2**1075 * 1e-16 (4e307),
+    # before the weight p**m itself leaves float range
+    if top * math.log(p) > math.log(DEFAULT_EPS_TAIL) + 1075 * math.log(2):
+        raise ValueError(
+            f"global kernel mass at alpha = {alpha}, t = {t} sums spheres up to "
+            f"{p}**{top}, past about 4e307, where the tail cut "
+            f"{DEFAULT_EPS_TAIL}/p**m rounds to 0.0 and p**m nears float range")
     # cut each sphere's own tail relative to its p**(-m) scale, since the
-    # weight p**m amplifies absolute truncation error; a p**m past float
-    # range raises OverflowError, where a cut of 0.0 would never be met
+    # weight p**m amplifies absolute truncation error
     radial = (heat_kernel_global(p, alpha, t, m, DEFAULT_EPS_TAIL / float(p) ** max(m, 0))
               for m in itertools.count(top, -1))
     return _radial_integral(p, top, radial, 0)
@@ -675,32 +682,12 @@ def _green_at_zero(p: int, N: int, alpha: float, mu: float) -> float:
 
 def green_kernel_series(p: int, N: int, alpha: float, mu: float,
                         m: int | None = None) -> float:
-    """Green function summed frequency-sphere by frequency-sphere.
-
-    Requires alpha > 1.  Each sphere |eta| = p**l contributes its exact
-    character integral over the sphere divided by d(l); spheres beyond
-    the critical one contribute zero, which this route evaluates
-    explicitly rather than by the closed cutoff.
-    """
+    """``green_kernel`` for alpha > 1: summed frequency sphere by frequency
+    sphere, the Green function adds the sweep's terms in the sweep's order."""
     _check_alpha(alpha)
     if alpha <= 1:
         raise ValueError("the sphere series requires alpha > 1")
-    _check_mu(mu)
-    if m is None:
-        return _green_at_zero(p, N, alpha, mu)
-    q = 1.0 - 1.0 / p
-    lam = lambda_value(p, alpha, N)
-    acc = 0.0
-    for l in range(-N + 1, -m + 3):
-        # the sphere's character integral is c * p**e
-        if l <= -m:
-            c, e = q, l
-        elif l == -m + 1:
-            c, e = -1.0, l - 1
-        else:
-            c, e = 0.0, l
-        acc += _green_term(c, p, e, alpha * l, lam, mu)
-    return acc
+    return green_kernel(p, N, alpha, mu, m)
 
 
 def green_ball_integral(p: int, N: int, alpha: float, mu: float) -> float:

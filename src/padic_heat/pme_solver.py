@@ -74,9 +74,9 @@ class Nonlinearity:
     """Strictly increasing Phi with Phi(0) = 0.
 
     kind "power" is the sign-preserving odd extension sign(u)|u|**m so
-    negative data stays admissible; "identity" is Phi(u) = u, which
-    Newton solves like any other Phi (one iteration, the Jacobian being
-    exact); "table" interpolates a monotone piecewise-linear
+    negative data stays admissible; "identity" is Phi(u) = u, the power
+    1, which Newton solves in one iteration, the Jacobian being exact;
+    "table" interpolates a monotone piecewise-linear
     graph through (0,0) with end-slope extrapolation and one-sided
     (right) derivatives at the kinks.
     """
@@ -119,9 +119,7 @@ class Nonlinearity:
 
     def value(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=np.float64)
-        if self.kind == "identity":
-            return u.copy()
-        if self.kind == "power":
+        if self.kind in ("power", "identity"):
             # copysign(|u|**m, u), the sign taken from u + 0.0 so that
             # u = -0.0 gives +0.0, as sign(u)*|u|**m does; at m = 2 the
             # product s*|s| has those bits, in one pass fewer
@@ -141,9 +139,7 @@ class Nonlinearity:
 
     def derivative(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=np.float64)
-        if self.kind == "identity":
-            return np.ones_like(u)
-        if self.kind == "power":
+        if self.kind in ("power", "identity"):
             m = self.exponent
             if m == 1.0:
                 return np.ones_like(u)
@@ -564,6 +560,9 @@ def crandall_liggett(u0: GridFunction, t: float, alpha: float,
     # NaN passes "tol <= 0" and would double the step count up to k_cap
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
+    # "k > k_cap" is False for a NaN or infinite cap, and the doubling would never stop
+    if not abs(k_cap) < math.inf:
+        raise ValueError(f"k_cap must be finite, got {k_cap}")
     report = CLReport()
     k = 8
     u_prev = evolve_pme(u0, t, k, alpha, phi, config)
@@ -624,10 +623,7 @@ def lgamma_decay_suite(u0: GridFunction, times, gammas, alpha: float,
     u = u0
     t_prev = 0.0
     for t_now in ts:
-        span = t_now - t_prev
-        h = span / steps_per_interval
-        for _ in range(steps_per_interval):
-            u = implicit_step(u, h, float(alpha), phi, config)
+        u = evolve_pme(u, t_now - t_prev, steps_per_interval, alpha, phi, config)
         for g in gs:
             val = u.lp_norm(g)
             if val > norms[g][-1] + slack:

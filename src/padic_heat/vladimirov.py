@@ -128,18 +128,6 @@ def apply_spectral(u: GridFunction, alpha: float) -> GridFunction:
     return GridFunction(u.model, apply_radial(u.model, levels, u.values))
 
 
-@lru_cache(maxsize=128)
-def _difference_weights(model: BallModel, alpha: float) -> np.ndarray:
-    """a_p * p**(-M) * |y_j|^(-alpha-1) for j != 0, with 0 at j = 0."""
-    a_p = coefficient_ap(model.p, alpha)
-    absy = point_abs_table(model)
-    w = np.zeros(model.S, dtype=np.float64)
-    if model.S > 1:
-        w[1:] = a_p * float(model.p) ** (-model.M) * absy[1:] ** (-alpha - 1.0)
-    w.setflags(write=False)
-    return w
-
-
 def apply_hypersingular(u: GridFunction, alpha: float) -> GridFunction:
     """Apply the operator as lambda*u plus the weighted difference sum.
 
@@ -147,16 +135,11 @@ def apply_hypersingular(u: GridFunction, alpha: float) -> GridFunction:
               + a_p * p**(-M) * sum_{j != 0} |y_j|^(-alpha-1) * (u[n-j] - u[n]).
 
     Exact on level-M functions: the inner coset drops out because the
-    difference vanishes there.  The translate sum is one O(S^2)
-    circulant matvec (``circulant_apply``), free of the transform and
+    difference vanishes there.  The sum is one O(S^2) circulant matvec
+    (``circulant_apply``) with ``matrix_row``, free of the transform and
     the ladder, so this stays an independent oracle.
     """
-    model = u.model
-    lam = lambda_value(model.p, alpha, model.N)
-    w = _difference_weights(model, float(alpha))
-    acc = circulant_apply(w, u.values)
-    sigma = float(w.sum())
-    return GridFunction(model, lam * u.values + acc - sigma * u.values)
+    return GridFunction(u.model, circulant_apply(matrix_row(u.model, alpha), u.values))
 
 
 def apply_global_restriction(u: GridFunction, alpha: float) -> GridFunction:
@@ -260,12 +243,19 @@ def convolve_riesz(u: GridFunction, alpha: float) -> GridFunction:
     return GridFunction(model, out)
 
 
+@lru_cache(maxsize=128)
 def matrix_row(model: BallModel, alpha: float) -> np.ndarray:
-    """Row 0 of ``build_matrix``, in O(S) at any order: the difference
-    weights w_j, even in j, with lambda - sum(w) at j = 0."""
-    w = _difference_weights(model, float(alpha))
-    row = np.array(w)
-    row[0] = lambda_value(model.p, alpha, model.N) - float(w.sum())
+    """Row 0 of ``build_matrix``, read-only, in O(S) at any order: the
+    difference weights w_j = a_p * p**(-M) * |y_j|^(-alpha-1), even in j,
+    with lambda - sum(w) at j = 0.  Cached, so ``build_matrix``,
+    ``apply_hypersingular``, ``spectrum`` and ``verify`` read one row."""
+    alpha = float(alpha)
+    row = np.zeros(model.S, dtype=np.float64)
+    if model.S > 1:
+        row[1:] = (coefficient_ap(model.p, alpha) * float(model.p) ** (-model.M)
+                   * point_abs_table(model)[1:] ** (-alpha - 1.0))
+    row[0] = lambda_value(model.p, alpha, model.N) - float(row.sum())
+    row.setflags(write=False)
     return row
 
 

@@ -57,7 +57,7 @@ def test_spectrum_checks_the_dft_of_the_matrix_row(tmp_path, p, N, M, alpha):
 def test_spectrum_fails_on_a_perturbed_matrix_row(tmp_path, capsys, monkeypatch):
     # the symbol's multiset cannot see the row; the DFT check must
     def perturbed(model, alpha):
-        row = vladimirov.matrix_row(model, alpha)
+        row = vladimirov.matrix_row(model, alpha).copy()
         row[0] += 1e-6
         return row
 
@@ -422,7 +422,7 @@ def test_verify_fails_on_a_perturbed_matrix_row(tmp_path, capsys, monkeypatch):
     # the symbol's eigenvalues and spectrum_multiset share one evaluation,
     # so the "spectrum multiset" row must read the DFT of the row as well
     def perturbed(model, alpha):
-        row = vladimirov.matrix_row(model, alpha)
+        row = vladimirov.matrix_row(model, alpha).copy()
         row[0] += 1e-6
         return row
 

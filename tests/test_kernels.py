@@ -99,6 +99,18 @@ def test_global_kernel_mass_is_one():
                 assert abs(global_kernel_mass(p, alpha, t) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("alpha, t, top", [(0.05, 1e10, 1731), (0.05, 1.0, 1067),
+                                           (0.0522, 1.0, 1022)])
+def test_global_kernel_mass_refuses_spheres_past_float_range(alpha, t, top):
+    # a bare OverflowError came from the weight 2**top past float range, and
+    # at top = 1022 the tail cut 1e-16/2**top rounded to 0.0, which
+    # heat_kernel_global refused as an eps_tail the caller never passed
+    with pytest.raises(ValueError, match=rf"up to 2\*\*{top}, past about 4e307"):
+        global_kernel_mass(2, alpha, t)
+    # top = 1020, just below the limit, still sums to 1
+    assert abs(global_kernel_mass(2, 0.0523, 1.0) - 1.0) < 1e-12
+
+
 @pytest.mark.parametrize("p, alpha, t", [(2, 0.5, 1e-3), (2, 0.35, 1e-2), (7, 0.35, 1e-4)])
 def test_global_masses_at_small_times(p, alpha, t):
     # the kernel near x = 0 grows like t**(-1/alpha), so a sum cut at a
@@ -874,6 +886,13 @@ def test_green_progression_matches_sphere_series():
                     a = green_kernel(p, N, alpha, mu, m)
                     b = green_kernel_series(p, N, alpha, mu, m)
                     assert abs(a - b) < 1e-12 * max(abs(a), 1e-9)
+
+
+@pytest.mark.parametrize("m", [1, 2, 5])
+def test_green_kernel_series_refuses_a_radius_outside_the_ball(m):
+    # its own sphere sum returned 0.0 for m > N, where green_kernel refuses
+    with pytest.raises(ValueError, match="radius exponent m must be <= N = 0"):
+        green_kernel_series(2, 0, 2.0, 1.0, m)
 
 
 def test_green_center_requires_alpha_above_one():

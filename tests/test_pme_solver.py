@@ -1194,6 +1194,26 @@ def test_crandall_liggett_rejects_a_nan_tol_before_any_step(monkeypatch):
             crandall_liggett(u0, 0.1, 1.0, Nonlinearity.power(2.0), tol=tol, k_cap=64)
 
 
+@pytest.mark.parametrize("k_cap", [math.nan, math.inf, -math.inf])
+def test_crandall_liggett_refuses_a_non_finite_cap_before_any_step(monkeypatch, k_cap):
+    # "k > k_cap" is False for a NaN or infinite cap, so the doubling never stopped
+    calls = []
+    monkeypatch.setattr(pme_solver, "evolve_pme", lambda *args: calls.append(args))
+    model = BallModel(2, 0, 4)
+    with pytest.raises(ValueError, match="k_cap must be finite"):
+        crandall_liggett(positive_bump(model, 0, 0), 0.1, 1.0, Nonlinearity.power(2.0),
+                         k_cap=k_cap)
+    assert calls == []
+
+
+def test_crandall_liggett_takes_a_finite_float_cap():
+    model = BallModel(2, 0, 4)
+    u0, phi = positive_bump(model, 0, 0), Nonlinearity.power(2.0)
+    u, report = crandall_liggett(u0, 1.0, 1.0, phi, tol=1e-3, k_cap=1e6)
+    want, _ = crandall_liggett(u0, 1.0, 1.0, phi, tol=1e-3)
+    assert report.converged and np.array_equal(u.values, want.values)
+
+
 def test_evolve_pme_validation():
     model = BallModel(2, 0, 4)
     u0 = positive_bump(model, 0, 0)

@@ -269,7 +269,10 @@ def test_matrix_row_sums_round_at_the_scale_of_the_weights():
     for (p, N, M), alpha in (((2, -1, 10), 2.4), ((5, 0, 4), 2.22),
                              ((3, -2, 7), 2.4), ((7, 1, 2), 1.0), ((2, 2, 8), 3.0)):
         model = BallModel(p, N, M)
-        w = vlad._difference_weights(model, alpha)
+        w = vlad.matrix_row(model, alpha)[1:]
+        # one cached row, shared by build_matrix and apply_hypersingular
+        assert vlad.matrix_row(model, alpha) is vlad.matrix_row(model, alpha)
+        assert not w.flags.writeable
         A = build_matrix(model, alpha)
         lam = lambda_value(p, alpha, N)
         assert np.max(np.abs(A.sum(axis=1) - lam)) <= 16 * eps * np.abs(w).sum()
