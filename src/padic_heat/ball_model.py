@@ -21,6 +21,12 @@ constants of the fractional operator of order alpha:
   constants, and
 * ``coefficient_ap(p, alpha)``, the negative normalisation of the
   hypersingular difference form.
+
+``radial_levels`` reads the L + 1 per-valuation values off an S-array
+that depends only on the valuation, the inverse gather of
+``valuation_table``.  The input refusals of the whole package live here
+too, one rule each: ``_check_positive``, ``_check_nonnegative``,
+``_check_count`` and ``_check_times``.
 """
 
 from __future__ import annotations
@@ -159,6 +165,19 @@ def valuation_table(model: BallModel) -> np.ndarray:
     return _readonly(val)
 
 
+def radial_levels(model: BallModel, factors: np.ndarray) -> np.ndarray:
+    """Per-valuation values of a radial array over the S indices, the
+    inverse gather of ``valuation_table``.
+
+    Entry r < L = N + M is the value at every index of valuation r, read
+    at p**r; entry L is the value at index 0.
+    """
+    L = model.N + model.M
+    k = model.p ** np.arange(L + 1)
+    k[L] = 0
+    return np.asarray(factors)[k]
+
+
 @lru_cache(maxsize=64)
 def point_abs_table(model: BallModel) -> np.ndarray:
     """|x|_p for every representative, with 0.0 at the zero coset."""
@@ -177,23 +196,35 @@ def freq_abs_table(model: BallModel) -> np.ndarray:
     return _readonly(t)
 
 
-def _check_alpha(alpha: float) -> None:
-    """Refuse an order alpha that is not finite and positive."""
-    # NaN passes "alpha <= 0", and alpha = inf makes lambda NaN
-    if not (math.isfinite(alpha) and alpha > 0):
-        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+def _check_positive(name: str, value: float) -> None:
+    """Refuse a ``value`` that is not finite and positive."""
+    # NaN passes "value <= 0", and alpha = inf makes lambda NaN
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
-def _check_time(t: float) -> None:
-    # NaN passes "t <= 0"
-    if not (math.isfinite(t) and t > 0):
-        raise ValueError(f"t must be positive and finite, got {t}")
+def _check_nonnegative(name: str, value: float) -> None:
+    """Refuse a ``value`` that is not finite and >= 0."""
+    # NaN passes "value < 0", and t = inf meets inf*0 = NaN at the k = 0 level
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
-def _check_elapsed(t: float) -> None:
-    # NaN passes "t < 0", and t = inf meets inf*0 = NaN at the k = 0 level
-    if not (math.isfinite(t) and t >= 0):
-        raise ValueError(f"t must be finite and >= 0, got {t}")
+def _check_count(name: str, value, least: int) -> None:
+    """Refuse a count that is a bool, not an integer, or below ``least``:
+    range() raises a bare TypeError on 2.0, and True counts as 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _check_times(times) -> list[float]:
+    """The time grid ``times`` as floats; refuses one that is not finite,
+    strictly increasing and positive."""
+    ts = [float(t) for t in times]
+    if (not all(math.isfinite(t) and t > 0 for t in ts)
+            or any(b <= a for a, b in zip(ts, ts[1:]))):
+        raise ValueError("times must be finite, strictly increasing and positive")
+    return ts
 
 
 def lambda_value(p: int, alpha: float, N: int) -> float:
@@ -203,13 +234,13 @@ def lambda_value(p: int, alpha: float, N: int) -> float:
     exactly on constant functions and is strictly below the smallest
     nonzero-frequency eigenvalue p**(alpha*(1-N)).
     """
-    _check_alpha(alpha)
+    _check_positive("alpha", alpha)
     return (p - 1) / (float(p) ** (alpha + 1) - 1.0) * float(p) ** (alpha * (1 - N))
 
 
 def coefficient_ap(p: int, alpha: float) -> float:
     """Normalisation (1 - p**alpha)/(1 - p**(-alpha-1)) of the difference form; negative."""
-    _check_alpha(alpha)
+    _check_positive("alpha", alpha)
     return (1.0 - float(p) ** alpha) / (1.0 - float(p) ** (-alpha - 1.0))
 
 
@@ -224,7 +255,7 @@ class Constants:
     def __post_init__(self) -> None:
         if not (isinstance(self.p, int) and _is_prime(self.p)):
             raise ValueError(f"p must be prime, got {self.p!r}")
-        _check_alpha(self.alpha)
+        _check_positive("alpha", self.alpha)
 
     @property
     def lam(self) -> float:

@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ball_model import BallModel, freq_abs_table, valuation_table
+from .ball_model import BallModel, freq_abs_table, radial_levels, valuation_table
 from .fourier_ball import dft_direct, forward
 from .function_space import _CSV_BLOCK, GridFunction, make_initial
 from .kernels import (
@@ -332,9 +332,7 @@ def _task_spectrum(cfg: dict) -> int:
     err = _multiset_deviation(model, alpha, want)
     row = matrix_row(model, alpha)
     dft_err = _row_dft_deviation(row, want)
-    # frequency k = p**r has valuation r; k = 0 holds the sentinel L
-    first = [model.p ** r for r in range(model.N + model.M)] + [0]
-    freqs = freq_abs_table(model)[first]
+    freqs = radial_levels(model, freq_abs_table(model))
     levels = operator_levels(model, alpha)
     vt = valuation_table(model)
     blocks = ((start, vt[start:start + _CSV_BLOCK].tolist())
@@ -661,7 +659,12 @@ def main(argv=None) -> int:
         cfg = _load_config(args.task, args)
         os.makedirs(cfg["out"], exist_ok=True)
         return TASKS[args.task](cfg)
-    except (ValidationFailure, ValueError, OverflowError, OSError) as exc:
+    except OverflowError as exc:
+        # the errno text alone names neither the task nor the cause; the
+        # readers of the flags catch their own, so args is bound here
+        return _emit_error("validation", f"{args.task}: a value passed float range: {exc}",
+                           EXIT_VALIDATION)
+    except (ValidationFailure, ValueError, OSError) as exc:
         return _emit_error("validation", str(exc), EXIT_VALIDATION)
     except ConsistencyError as exc:
         return _emit_error("consistency", str(exc), EXIT_CONSISTENCY)

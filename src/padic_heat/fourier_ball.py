@@ -51,7 +51,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ball_model import BallModel
+# radial_levels forms the level values apply_radial takes; it lives beside
+# valuation_table and is importable from here as well
+from .ball_model import BallModel, radial_levels
 from .function_space import GridFunction
 
 
@@ -93,18 +95,6 @@ def apply_multiplier(model: BallModel, factors: np.ndarray, values: np.ndarray) 
     if not np.iscomplexobj(values):
         return out.real
     return out
-
-
-def radial_levels(model: BallModel, factors: np.ndarray) -> np.ndarray:
-    """Per-valuation values of a radial factor array, for ``apply_radial``.
-
-    Entry r < L = N + M is the factor at every frequency of valuation r,
-    read at k = p**r; entry L is the factor at k = 0.
-    """
-    L = model.N + model.M
-    k = model.p ** np.arange(L + 1)
-    k[L] = 0
-    return np.asarray(factors)[k]
 
 
 # A block of the ladder spans at most this many classes per column

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ball_model import BallModel, _readonly, valuation_table
+from .ball_model import BallModel, _check_count, _readonly, radial_levels, valuation_table
 
 
 # Rows ``GridFunction.to_csv`` forms and writes at a time.  A block's
@@ -142,11 +142,8 @@ class GridFunction:
         """
         self._require_same_model(kernel)
         p, L = self.model.p, self.model.N + self.model.M
-        k = kernel.values
-        idx = p ** np.arange(L + 1)
-        idx[L] = 0
-        levels = k[idx]
-        if not np.array_equal(k[1:], levels[valuation_table(self.model)[1:]]):
+        levels = radial_levels(self.model, kernel.values)
+        if not np.array_equal(kernel.values[1:], levels[valuation_table(self.model)[1:]]):
             raise ValueError("kernel is not radial: its values vary on a sphere")
         sums = [self.values]  # sums[j] is B_{L-j}
         for _ in range(L):
@@ -160,15 +157,13 @@ class GridFunction:
 
     def refine(self, levels: int = 1) -> "GridFunction":
         """Re-express at resolution M + levels; fine index n maps to n mod S."""
-        if levels < 0:
-            raise ValueError("levels must be >= 0")
+        _check_count("levels", levels, 0)
         fine = BallModel(self.model.p, self.model.N, self.model.M + levels)
         return GridFunction(fine, np.tile(self.values, self.model.p ** levels))
 
     def coarsen(self, levels: int = 1) -> "GridFunction":
         """Average sub-cosets down to resolution M - levels; preserves the integral."""
-        if levels < 0:
-            raise ValueError("levels must be >= 0")
+        _check_count("levels", levels, 0)
         if self.model.N + self.model.M - levels < 0:
             raise ValueError("cannot coarsen below the one-coset model")
         coarse = BallModel(self.model.p, self.model.N, self.model.M - levels)

@@ -45,7 +45,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ball_model import (BallModel, _check_alpha, _check_elapsed, _check_time, lambda_value,
+from .ball_model import (BallModel, _check_nonnegative, _check_positive, lambda_value,
                          valuation_table)
 from .fourier_ball import apply_radial
 from .function_space import GridFunction
@@ -85,11 +85,9 @@ def heat_kernel_global(p: int, alpha: float, t: float, m: int | None = None,
     formed once per call.  ``eps_tail`` must be positive and finite,
     since p**l only falls to 0.0.
     """
-    _check_time(t)
-    _check_alpha(alpha)
-    # NaN passes "eps_tail <= 0"
-    if not (math.isfinite(eps_tail) and eps_tail > 0):
-        raise ValueError(f"eps_tail must be positive and finite, got {eps_tail}")
+    _check_positive("t", t)
+    _check_positive("alpha", alpha)
+    _check_positive("eps_tail", eps_tail)
     q = 1.0 - 1.0 / p
     fp, log_p, log_t = float(p), math.log(p), math.log(t)
     if m is None:
@@ -141,8 +139,8 @@ def global_kernel_mass(p: int, alpha: float, t: float) -> float:
     evaluator.  ``_radial_integral`` descends from there past m = 0.
     """
     # the cutoff below turns a NaN or infinite t into an integer
-    _check_time(t)
-    _check_alpha(alpha)
+    _check_positive("t", t)
+    _check_positive("alpha", alpha)
     top = int(math.ceil(math.log(max(t, 1.0) * float(p) ** alpha / 1e-16)
                         / (alpha * math.log(p)))) + 2
     # the tail cut DEFAULT_EPS_TAIL/p**m below rounds to 0.0, which
@@ -394,7 +392,7 @@ def c_series(p: int, N: int, alpha: float, t: float) -> float:
     double, or +-inf where it passes float range.  Raises
     NonConvergenceError where that sum passes ``SERIES_WORK_BUDGET``.
     """
-    _check_elapsed(t)
+    _check_nonnegative("t", t)
     if t == 0.0:
         return 0.0
     dps = _series_dps(p, N, alpha, t)
@@ -451,7 +449,7 @@ def heat_kernel_ball(p: int, N: int, alpha: float, t: float,
     ``_ball_radial`` at m, or at its end, where those decays underflow,
     for x = 0 and for the spheres past it.
     """
-    _check_time(t)
+    _check_positive("t", t)
     _check_radius(N, m)
     sweep = _ball_radial(p, N, alpha, t)
     for value, _ in itertools.islice(sweep, None if m is None else N - m + 1):
@@ -544,7 +542,7 @@ def heat_kernel_ball_series(p: int, N: int, alpha: float, t: float,
     the series' hump x, so any lambda*t whose guard digits would cost
     more than the budget comes with a c(t) series that passes it first.
     """
-    _check_time(t)
+    _check_positive("t", t)
     _check_radius(N, m)
     lam_t = lambda_value(p, alpha, N) * t
     tail_digits = 0 if lam_t <= 30.0 else 15 + int(math.ceil(lam_t * math.log10(math.e)))
@@ -588,17 +586,11 @@ def ball_kernel_gridfunction(model: BallModel, alpha: float, t: float) -> GridFu
     ``GridFunction.convolve_radial`` requires.  It runs no ladder, so it
     stays a check of the spectral path.
     """
-    _check_elapsed(t)
+    _check_nonnegative("t", t)
     return _radial_gridfunction(model, _ball_radial(model.p, model.N, float(alpha), t))
 
 
 # -- Green function and resolvent --------------------------------------
-
-
-def _check_mu(mu: float) -> None:
-    # NaN passes "mu <= 0"; alpha is refused by lambda_value
-    if not (math.isfinite(mu) and mu > 0):
-        raise ValueError(f"mu must be positive and finite, got {mu}")
 
 
 def _green_term(c: float, p: int, a: float, b: float, lam: float, mu: float) -> float:
@@ -624,7 +616,7 @@ def _green_radial(p: int, N: int, alpha: float, mu: float):
     of K(m-1), so a sweep raises OverflowError only when asked for a
     radius whose own value passes float range.
     """
-    _check_mu(mu)
+    _check_positive("mu", mu)
     q = 1.0 - 1.0 / p
     lam = lambda_value(p, alpha, N)
     prefix = 0.0
@@ -647,44 +639,35 @@ def green_kernel(p: int, N: int, alpha: float, mu: float,
         d(l) = p**(alpha*l) - lambda + mu,
 
     read off the radial sweep ``_green_radial`` at m.  ``m=None``
-    evaluates at x = 0, defined only for alpha > 1, where the upward
-    sphere series converges geometrically.
+    evaluates at x = 0, defined only for alpha > 1, as the whole upward
+    sum (1-1/p) * sum_{l > -N} p**l / d(l).  Past l1, the least l > -N
+    with |mu - lambda| <= 2**-60 * p**(alpha*l), every term is
+    p**(l*(1-alpha)) to within 2**-60, so the sum is the sweep's mean
+    over |x| <= p**(1-l1), the terms below l1, plus the geometric tail
+    (1-1/p) * p**(l1*(1-alpha)) / (1 - p**(1-alpha)): a bounded number
+    of radii however close alpha is to 1.
     """
-    _check_mu(mu)
-    _check_alpha(alpha)
+    _check_positive("mu", mu)
+    _check_positive("alpha", alpha)
     if m is None:
         if alpha <= 1:
             raise ValueError("the Green function is unbounded at x = 0 for alpha <= 1")
-        return _green_at_zero(p, N, alpha, mu)
+        gap = abs(mu - lambda_value(p, alpha, N))
+        l1 = 1 - N
+        if gap > 0:
+            l1 = max(l1, math.ceil((math.log(gap) + 60 * math.log(2)) / (alpha * math.log(p))))
+        mean = next(itertools.islice(_green_radial(p, N, alpha, mu), N - 1 + l1, None))[1]
+        return mean + ((1.0 - 1.0 / p) * float(p) ** (l1 * (1 - alpha))
+                       / -math.expm1((1 - alpha) * math.log(p)))
     _check_radius(N, m)
     return next(itertools.islice(_green_radial(p, N, alpha, mu), N - m, None))[0]
-
-
-def _green_at_zero(p: int, N: int, alpha: float, mu: float) -> float:
-    """K(0) = (1-1/p) * sum_{l > -N} p**l / d(l), for alpha > 1.
-
-    The terms fall like p**(l*(1-alpha)), so the sum stops once the
-    geometric bound on the rest, term/(1 - p**(1-alpha)), drops below
-    1e-17 relative to the total.
-    """
-    q = 1.0 - 1.0 / p
-    lam = lambda_value(p, alpha, N)
-    acc = 0.0
-    l = -N + 1
-    ratio = float(p) ** (1.0 - alpha)
-    while True:
-        term = _green_term(q, p, l, alpha * l, lam, mu)
-        acc += term
-        if term / (1.0 - ratio) < 1e-17 * max(abs(acc), 1e-300):
-            return acc
-        l += 1
 
 
 def green_kernel_series(p: int, N: int, alpha: float, mu: float,
                         m: int | None = None) -> float:
     """``green_kernel`` for alpha > 1: summed frequency sphere by frequency
     sphere, the Green function adds the sweep's terms in the sweep's order."""
-    _check_alpha(alpha)
+    _check_positive("alpha", alpha)
     if alpha <= 1:
         raise ValueError("the sphere series requires alpha > 1")
     return green_kernel(p, N, alpha, mu, m)
@@ -721,7 +704,7 @@ def resolvent_apply(u: GridFunction, alpha: float, mu: float,
     grid function and adds the rank-one piece p**(-N)/mu * integral(u)
     that the kernel (mean-zero by construction) cannot carry.
     """
-    _check_mu(mu)
+    _check_positive("mu", mu)
     model = u.model
     if path == "spectral":
         e = operator_levels(model, float(alpha))

@@ -13,11 +13,9 @@ solutions relax to the mean at rate p**(alpha*(1-N)) - lambda.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .ball_model import _check_elapsed, _check_time
+from .ball_model import _check_nonnegative, _check_positive, _check_times
 from .fourier_ball import apply_radial
 from .function_space import GridFunction
 from .kernels import ball_kernel_gridfunction
@@ -27,7 +25,7 @@ from .vladimirov import apply_spectral, operator_levels
 def evolve(u0: GridFunction, alpha: float, t: float,
            path: str = "spectral") -> GridFunction:
     """Propagate initial data by time t."""
-    _check_elapsed(t)
+    _check_nonnegative("t", t)
     if t == 0.0:
         return GridFunction(u0.model, u0.values)
     if path == "spectral":
@@ -43,11 +41,7 @@ def evolve(u0: GridFunction, alpha: float, t: float,
 def evolve_series(u0: GridFunction, alpha: float, times,
                   path: str = "spectral") -> list[GridFunction]:
     """Solution snapshots at an increasing grid of positive times."""
-    ts = [float(t) for t in times]
-    if (not all(math.isfinite(t) and t > 0 for t in ts)
-            or any(b <= a for a, b in zip(ts, ts[1:]))):
-        raise ValueError("times must be finite, strictly increasing and positive")
-    return [evolve(u0, alpha, t, path) for t in ts]
+    return [evolve(u0, alpha, t, path) for t in _check_times(times)]
 
 
 def spectral_gap(model, alpha: float) -> float:
@@ -64,7 +58,7 @@ def pde_residual(u0: GridFunction, alpha: float, t: float) -> float:
     spatial term is applied exactly.  Small residual certifies a
     classical solution of the flow at that instant.
     """
-    _check_time(t)
+    _check_positive("t", t)
     dt = min(1e-5 * max(t, 1.0), t / 2)
     u_min = evolve(u0, alpha, t - dt)
     u_mid = evolve(u0, alpha, t)

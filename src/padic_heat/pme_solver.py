@@ -52,7 +52,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ball_model import BallModel, _check_time
+from .ball_model import (BallModel, _check_count, _check_nonnegative, _check_positive,
+                         _check_times)
 from .fourier_ball import apply_radial
 from .function_space import GridFunction
 from .vladimirov import operator_levels
@@ -158,13 +159,6 @@ class Nonlinearity:
 # -- implicit step ------------------------------------------------------
 
 
-def _check_count(name: str, value, least: int) -> None:
-    """Refuse a count that is a bool, not an integer, or below ``least``:
-    range() raises a bare TypeError on 2.0, and True counts as 1."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class ImplicitStepConfig:
     newton_tol: float = 1e-12
@@ -172,10 +166,9 @@ class ImplicitStepConfig:
     max_halvings: int = 30
 
     def __post_init__(self):
-        # NaN and inf pass "newton_tol <= 0": an infinite tolerance accepts
-        # any g as its own solution, a NaN one fails every step
-        if not (math.isfinite(self.newton_tol) and self.newton_tol > 0):
-            raise ValueError(f"newton_tol must be positive and finite, got {self.newton_tol}")
+        # an infinite tolerance accepts any g as its own solution, a NaN one
+        # fails every step
+        _check_positive("newton_tol", self.newton_tol)
         _check_count("max_newton", self.max_newton, 0)
         _check_count("max_halvings", self.max_halvings, 0)
 
@@ -384,13 +377,12 @@ _handover: tuple | None = None
 def _implicit_step_info(g: GridFunction, h: float, alpha: float,
                         phi: Nonlinearity,
                         config: ImplicitStepConfig
-                        ) -> tuple[GridFunction, int, float, np.ndarray | None]:
+                        ) -> tuple[GridFunction, int, float, np.ndarray]:
     """Solve v + h*D(Phi(v)) = g; returns (v, newton_iterations, residual,
-    Phi(v)), Phi(v) None when the last line search found no better v."""
+    Phi(v))."""
     global _handover
-    # NaN passes "h <= 0" and would run Newton on a NaN residual
-    if not (math.isfinite(h) and h > 0):
-        raise ValueError(f"step size must be positive and finite, got {h}")
+    # a NaN h would run Newton on a NaN residual
+    _check_positive("step size", h)
     if np.iscomplexobj(g.values):
         raise ValueError("implicit stepping is defined for real data")
     model = g.model
@@ -464,7 +456,11 @@ def _implicit_step_info(g: GridFunction, h: float, alpha: float,
             break
     if converged():
         out = GridFunction(model, v)
-        if phi_v is not None:
+        if phi_v is None:
+            # the last line search found no better v, and v's Phi(v) went
+            # as that iteration began; no D(Phi(v)) is formed to hand over
+            phi_v = phi.value(v)
+        else:
             _handover = (out.values, (model, alpha, phi), phi_v, d_phi)
         return out, iters, rnorm, phi_v
     raise SolverError(
@@ -489,7 +485,7 @@ def evolve_pme(u0: GridFunction, t: float, k: int, alpha: float,
                config: ImplicitStepConfig = DEFAULT_CONFIG) -> GridFunction:
     """k backward-Euler steps of size t/k."""
     _check_count("k", k, 1)
-    _check_time(t)
+    _check_positive("t", t)
     h = t / k
     u = u0
     for _ in range(k):
@@ -519,8 +515,6 @@ def pme_trajectory(u0: GridFunction, t: float, k: int, alpha: float,
         mass_old = u.integral()
         u, iters, resid, phi_u = _implicit_step_info(u, h, float(alpha), phi, config)
         mass_new = u.integral()
-        if phi_u is None:
-            phi_u = phi.value(u.values)
         # the integral of Phi(u), summed in place as GridFunction.integral does
         phi_mass = float(phi_u.sum() * float(u.model.p) ** (-u.model.M))
         # not held through the next step, which drops it after its first residual
@@ -557,9 +551,9 @@ def crandall_liggett(u0: GridFunction, t: float, alpha: float,
                      config: ImplicitStepConfig = DEFAULT_CONFIG
                      ) -> tuple[GridFunction, CLReport]:
     """Double the step count from 8 until the L1 increment falls below tol."""
-    # NaN passes "tol <= 0" and would double the step count up to k_cap
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    # a NaN tol would double the step count up to k_cap, an infinite one
+    # accept the first doubling unchecked
+    _check_positive("tol", tol)
     # "k > k_cap" is False for a NaN or infinite cap, and the doubling would never stop
     if not abs(k_cap) < math.inf:
         raise ValueError(f"k_cap must be finite, got {k_cap}")
@@ -610,13 +604,10 @@ def lgamma_decay_suite(u0: GridFunction, times, gammas, alpha: float,
     # -3 would take no step and report constant norms, and 0 divides by
     # zero; a NaN slack would hide every violation
     _check_count("steps_per_interval", steps_per_interval, 1)
-    if not (math.isfinite(slack) and slack >= 0):
-        raise ValueError(f"slack must be finite and >= 0, got {slack}")
+    _check_nonnegative("slack", slack)
     if np.min(u0.values) <= 0:
         raise ValueError("decay suite requires strictly positive data")
-    ts = [float(t) for t in times]
-    if any(t <= 0 for t in ts) or any(b <= a for a, b in zip(ts, ts[1:])):
-        raise ValueError("times must be strictly increasing and positive")
+    ts = _check_times(times)
     gs = [float(g) for g in gammas]
     norms = {g: [u0.lp_norm(g)] for g in gs}
     violations = []

@@ -36,7 +36,8 @@ import numpy as np
 
 from .ball_model import (
     BallModel,
-    _check_alpha,
+    _check_count,
+    _check_positive,
     coefficient_ap,
     lambda_value,
     point_abs_table,
@@ -188,7 +189,7 @@ class RieszDistribution:
     sign: int
 
     def __post_init__(self) -> None:
-        _check_alpha(self.alpha)
+        _check_positive("alpha", self.alpha)
         if self.sign not in (-1, 1):
             raise ValueError("sign must be -1 or +1")
         if self.sign == 1 and self.alpha == 1.0:
@@ -311,8 +312,9 @@ def domain_check(u, alpha: float, levels: int = 3,
     resamples a profile at each finer resolution, in which case
     ``base_model`` fixes the starting resolution.  Diagnostic only; the
     ``bounded`` flag records whether no step grew by more than a
-    rounding margin.
+    rounding margin, so at least one refinement ``levels`` is required.
     """
+    _check_count("levels", levels, 1)
     if callable(u):
         if base_model is None:
             raise ValueError("base_model is required when passing a profile callable")

@@ -244,6 +244,22 @@ def test_green_past_float_range_of_its_denominators(tmp_path, capsys):
     assert len(err) == 1 and json.loads(err[0])["error"] == "validation"
 
 
+@pytest.mark.parametrize("argv", [
+    ["green", "--p", "2", "--N", "0", "--M", "3", "--alpha", "0.01"],
+    ["heat-kernel", "--p", "2", "--N", "0", "--M", "3", "--alpha", "0.001", "--times", "1"]])
+def test_an_overflow_names_its_task(tmp_path, capsys, argv):
+    # at small alpha a sphere weight passes float range; the message was
+    # the errno text alone
+    with alarm(60):
+        assert main(argv + ["--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0]) == {
+        "error": "validation", "exit_code": 1,
+        "message": f"{argv[0]}: a value passed float range: "
+                   "(34, 'Numerical result out of range')"}
+
+
 def test_green_sweep_answers_up_to_the_radius_that_overflows(tmp_path):
     # K(-157) = 3.2e306; only the next radius's prefix term passes float
     # range, which the sweep formed before yielding K(-157) and exited 1

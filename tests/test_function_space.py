@@ -256,6 +256,16 @@ def test_coarsen_preserves_integral():
         u.refine(-1)
 
 
+@pytest.mark.parametrize("change, levels", [("refine", True), ("refine", 1.5),
+                                            ("coarsen", 1.5), ("coarsen", True),
+                                            ("refine", -1), ("coarsen", -1)])
+def test_resolution_changes_take_integer_levels(change, levels):
+    # refine(True) ran as refine(1), and 1.5 ended in a bare TypeError
+    u = random_function(BallModel(2, 0, 4), 3)
+    with pytest.raises(ValueError, match="^levels must be an integer >= 0"):
+        getattr(u, change)(levels)
+
+
 def test_ball_indicator_measure_pin():
     model = BallModel(2, 1, 4)
     # indicator of a radius p**r sub-ball integrates to p**r

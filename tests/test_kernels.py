@@ -879,13 +879,17 @@ def test_green_kernel_unit_sphere_pin():
 
 
 def test_green_progression_matches_sphere_series():
+    # both names against the 30-digit sums of _green_mp; green_kernel_series
+    # is green_kernel with its alpha > 1 refusal, so it returns the same bits
     for alpha in (1.5, 2.0, 3.0):
         for p, N in ((2, 0), (3, 1)):
             for mu in (0.5, 1.0):
                 for m in [None] + list(range(N, N - 11, -1)):
+                    want = float(_green_mp(p, N, alpha, mu, m))
                     a = green_kernel(p, N, alpha, mu, m)
                     b = green_kernel_series(p, N, alpha, mu, m)
-                    assert abs(a - b) < 1e-12 * max(abs(a), 1e-9)
+                    assert abs(a - want) < 1e-13 * max(abs(want), 1e-9)
+                    assert b == a
 
 
 @pytest.mark.parametrize("m", [1, 2, 5])
@@ -1008,7 +1012,18 @@ def _green_mp(p, N, alpha, mu, m):
             return c * P ** a / (P ** (alpha * l) - lam + mu)
 
         if m is None:
-            return q * mp.nsum(lambda l: over_d(1, l, l), [-N + 1, mp.inf])
+            # the terms up to |mu - lambda| < 1e-45 * p**(alpha*top), then
+            # the rest, sum_{l >= top} p**(l*(1-alpha)) / (1 + c*p**(-alpha*l))
+            # with c = mu - lambda, expanded in powers of -c: each power's
+            # sum over l is geometric, and the third adds below 1e-90
+            c = mu - lam
+            top = -N + 1
+            while abs(c) >= mp.mpf(10) ** -45 * P ** (alpha * top):
+                top += 1
+            head = mp.fsum(over_d(1, l, l) for l in range(-N + 1, top))
+            tail = mp.fsum((-c) ** k * P ** (top * (1 - alpha * (k + 1)))
+                           / -mp.expm1((1 - alpha * (k + 1)) * mp.log(P)) for k in range(3))
+            return q * (head + tail)
         return (mp.fsum(over_d(q, l, l) for l in range(-N + 1, -m + 1))
                 - over_d(1, -m, 1 - m))
 
@@ -1023,13 +1038,23 @@ def test_green_past_float_range_of_its_denominators():
     for p, N, alpha, mu, m in cases:
         want = float(_green_mp(p, N, alpha, mu, m))
         assert abs(green_kernel(p, N, alpha, mu, m) - want) < 1e-13 * abs(want)
-        if alpha > 1:
-            got = green_kernel_series(p, N, alpha, mu, m)
-            assert abs(got - want) < 1e-13 * abs(want)
     assert abs(green_ball_integral(1009, 0, 2.8, 1.0)) < 1e-10
     # at alpha < 1 the Green function itself passes float range
     with pytest.raises(OverflowError):
         green_kernel(2 ** 61 - 1, 0, 0.3, 1.0, -25)
+
+
+@pytest.mark.parametrize("alpha", [1 + 1e-10, 1 + 1e-6, 1.00001])
+def test_green_center_near_alpha_one_ends_in_bounded_time(alpha):
+    # the center sum ran term by term until the geometric bound on the
+    # rest fell below 1e-17: 1.2 s at alpha = 1.0001, past 10 s at
+    # 1.00001; the sweep's prefix plus the closed-form tail reads a
+    # bounded number of radii
+    with alarm(5):
+        for p, N, mu in ((2, 0, 1.0), (3, -1, 1e6), (7, 2, 1e-3), (1009, 1, 10.0)):
+            want = _green_mp(p, N, alpha, mu, None)
+            got = green_kernel(p, N, alpha, mu)
+            assert abs(got - want) < 1e-13 * abs(want)
 
 
 def test_green_sweep_yields_a_radius_before_its_next_prefix_term():

@@ -25,6 +25,7 @@ from padic_heat import (
     crandall_liggett,
     evolve,
     evolve_pme,
+    evolve_series,
     implicit_step,
     lambda_value,
     lgamma_decay_suite,
@@ -37,6 +38,7 @@ from padic_heat import fourier_ball, pme_solver, vladimirov
 from padic_heat.fourier_ball import apply_radial, radial_levels
 from padic_heat.pme_solver import _implicit_step_info, _tree_jacobian_solve
 from padic_heat.vladimirov import build_matrix, multiplier, operator_levels
+from tests.conftest import alarm
 
 
 # -- nonlinearity -------------------------------------------------------
@@ -416,6 +418,27 @@ def test_newton_at_the_floor_reads_the_correction_of_the_last_iterate(p, N, M, a
     e0 = operator_levels(model, alpha)[0]
     floor = 4 * np.finfo(np.float64).eps * h * e0 * np.max(np.abs(phi_v))
     assert np.max(np.abs(dense)) <= 4 * floor
+
+
+def test_trajectory_reads_the_phi_of_a_step_whose_last_line_search_failed():
+    # the first floor case above: its last line search lowers the residual
+    # at no step size, so the step forms Phi(v) as it returns, for the
+    # mass row, and hands nothing over, since no D(Phi(v)) was formed
+    model = BallModel(2, 0, 6)
+    rng = np.random.default_rng(26)
+    g = GridFunction(model, 1.0 + rng.random(model.S))
+    alpha, h, phi = 2.8, 100.0, Nonlinearity.power(2.0)
+    v, _, _, phi_v = _implicit_step_info(g, h, alpha, phi, ImplicitStepConfig())
+    assert pme_solver._handover is None
+    assert np.array_equal(phi_v, phi.value(v.values))
+    states, rows = pme_trajectory(g, h, 1, alpha, phi)
+    assert pme_solver._handover is None
+    assert np.array_equal(states[-1].values, v.values)
+    lam = lambda_value(2, alpha, 0)
+    phi_mass = float(phi_v.sum() * 2.0 ** -6)
+    want = v.integral() - g.integral() + h * lam * phi_mass
+    assert rows[0]["mass_identity_residual"] == want
+    assert abs(want) < 1e-12 * g.integral()
 
 
 # -- the hand-over between steps -----------------------------------------
@@ -1194,6 +1217,19 @@ def test_crandall_liggett_rejects_a_nan_tol_before_any_step(monkeypatch):
             crandall_liggett(u0, 0.1, 1.0, Nonlinearity.power(2.0), tol=tol, k_cap=64)
 
 
+def test_crandall_liggett_refuses_an_infinite_tol_before_any_step(monkeypatch):
+    # every L1 increment is below inf: it reported converged=True after
+    # k = 16 with nothing checked
+    calls = []
+    monkeypatch.setattr(pme_solver, "evolve_pme", lambda *args: calls.append(args))
+    model = BallModel(2, 0, 4)
+    with alarm(5):
+        with pytest.raises(ValueError, match="^tol must be positive and finite, got inf$"):
+            crandall_liggett(positive_bump(model, 0, 0), 0.1, 1.0, Nonlinearity.power(2.0),
+                             tol=math.inf)
+    assert calls == []
+
+
 @pytest.mark.parametrize("k_cap", [math.nan, math.inf, -math.inf])
 def test_crandall_liggett_refuses_a_non_finite_cap_before_any_step(monkeypatch, k_cap):
     # "k > k_cap" is False for a NaN or infinite cap, so the doubling never stopped
@@ -1306,6 +1342,24 @@ def test_step_counts_accept_numpy_integers():
     states, rows = pme_trajectory(u0, 0.1, np.int64(4), 1.0, phi, record_every=np.int64(2))
     assert [r["step"] for r in rows] == [1, 2, 3, 4] and len(states) == 2
     assert np.array_equal(evolve_pme(u0, 0.1, np.int64(4), 1.0, phi).values, states[-1].values)
+
+
+@pytest.mark.parametrize("times", [[0.5, 0.25], [0.1, math.nan], [math.inf], [0.0, 0.1],
+                                   [0.1, 0.1]])
+def test_lgamma_decay_suite_reads_the_time_grid_rule_of_evolve_series(monkeypatch, times):
+    # a NaN or infinite time passed its own check and failed inside the
+    # first step past it, with the step's message
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a step was taken")
+
+    monkeypatch.setattr(pme_solver, "implicit_step", forbidden)
+    model = BallModel(2, 0, 4)
+    u0 = positive_bump(model, 0, 0)
+    message = "^times must be finite, strictly increasing and positive$"
+    with pytest.raises(ValueError, match=message):
+        lgamma_decay_suite(u0, times, [1.0], 1.0, Nonlinearity.power(2.0))
+    with pytest.raises(ValueError, match=message):
+        evolve_series(u0, 1.0, times)
 
 
 def test_lgamma_decay_suite_refuses_a_nan_gamma(monkeypatch):

@@ -31,7 +31,7 @@ from padic_heat import (
 )
 from padic_heat.ball_model import coefficient_ap, point_abs_table, valuation_table
 from padic_heat.fourier_ball import radial_levels
-from tests.conftest import STANDARD_MODELS, rel_linf
+from tests.conftest import STANDARD_MODELS, alarm, rel_linf
 
 
 def test_symbol_quadrature_pins():
@@ -209,6 +209,16 @@ def test_domain_check_callable_profile():
     assert report.bounded
     with pytest.raises(ValueError):
         domain_check(profile, 1.5)
+
+
+@pytest.mark.parametrize("levels", [-1, 0, 1.5, True])
+def test_domain_check_refuses_a_report_without_a_refinement(levels):
+    # levels = -1 returned DomainReport([], [], [], bounded=True), a
+    # "bounded" verdict on no data, and 1.5 a bare TypeError
+    u = random_function(BallModel(2, 0, 4), 5)
+    with alarm(5):
+        with pytest.raises(ValueError, match="^levels must be an integer >= 1"):
+            domain_check(u, 1.0, levels=levels)
 
 
 def test_domain_check_flags_rough_profile():
