@@ -26,15 +26,16 @@ The alternating series cancels catastrophically once t is a few units
 ``_grow_and_c``, sums it in fixed-point Python integers scaled by 2**B
 at a precision scaled to the hump, stopping relative to exp(lambda*t),
 which it forms in the same integers, as it does every logarithm and
-power of p.  Both branches of the series route read exp(lambda*t) and
-c(t) from it, and ``c_series`` rounds its c(t) to a double.  The
-extended branch (lambda*t > 30) sums the global kernel's spheres in the
-same integers too, so the series route runs one arithmetic and loads no
-package beyond numpy.  Every cache of that layer holds a value that
-depends only on its key and never changes once cached, so the route is
-safe to call from several threads without a lock.  Every stored value
-in this package remains float64.  A sum whose terms times digits pass
-``SERIES_WORK_BUDGET`` is refused with NonConvergenceError.
+power of p.  The series route reads exp(lambda*t) and c(t) from it, and
+``c_series`` rounds its c(t) to a double.  At every time the series
+route sums the global kernel's spheres in the same integers too and
+rounds once, so it runs one arithmetic and loads no package beyond
+numpy.  Every cache of that layer holds a value that depends only on
+its key and never changes once cached, so the route is safe to call
+from several threads without a lock.  Every stored value in this
+package remains float64.  A sum whose terms times digits pass
+``SERIES_WORK_BUDGET``, the c(t) series or the global kernel's sphere
+sum at x = 0, is refused with NonConvergenceError.
 """
 
 from __future__ import annotations
@@ -53,8 +54,8 @@ from .vladimirov import operator_levels
 
 DEFAULT_EPS_TAIL = 1e-16
 
-# Work the c(t) series may take, terms times working digits: a few
-# seconds of fixed-point sums
+# Work a series sum may take, terms times working digits: a few seconds
+# of fixed-point sums
 SERIES_WORK_BUDGET = 3 * 10**7
 
 
@@ -165,12 +166,13 @@ def global_kernel_ball_mass(p: int, N: int, alpha: float, t: float) -> float:
     return _radial_integral(p, N, radial, min(N, 0))
 
 
-def _check_series_work(terms: int, dps: int) -> None:
-    """Refuse a c(t) series of ``terms`` terms at ``dps`` digits once
-    terms times digits pass ``SERIES_WORK_BUDGET``."""
+def _check_series_work(terms: int, dps: int, what: str = "c(t) series") -> None:
+    """Refuse a sum of ``terms`` terms at ``dps`` digits once terms times
+    digits pass ``SERIES_WORK_BUDGET``; ``what`` names the sum, the c(t)
+    series or the x = 0 sphere sum."""
     if terms * dps > SERIES_WORK_BUDGET:
         raise NonConvergenceError(
-            f"c(t) series: {terms} terms at {dps} digits pass the "
+            f"{what}: {terms} terms at {dps} digits pass the "
             f"work budget of {SERIES_WORK_BUDGET} digit-terms; use the "
             f"character-sum route instead")
 
@@ -358,8 +360,8 @@ def _grow_and_c(p: int, N: int, alpha: float, t: float, dps: int) -> tuple[int, 
                * sum_{n>=0} (-x)**n / n! / (1 - p**(-alpha*n-1))),   x = t*p**(-N*alpha)
 
     as integers scaled by 2**B, B = ``_fixed_bits(dps)``: the one
-    evaluation of c(t).  ``c_series`` rounds its c, and both branches of
-    ``heat_kernel_ball_series`` use both.  Neither depends on the radius,
+    evaluation of c(t).  ``c_series`` rounds its c, and
+    ``heat_kernel_ball_series`` uses both.  Neither depends on the radius,
     so the series is summed once per time.  lambda*t is
     (p-1)*x/(p - p**(-alpha)), from ``_p_powers``, so every power of p
     comes from one logarithm of p.  The total is multiplied by
@@ -462,11 +464,17 @@ def _sphere(p: int, t: float, l: int, scale: int, tail_digits: int, B: int) -> i
     sphere l over its weight p - 1, from ``scale`` = p**(alpha*l) scaled
     by 2**B.  The spheres' sum is multiplied by exp(lambda*t), about
     10**(tail_digits - 15), so the exponential, weighted by p**(l-1), is
-    formed at tail_digits + 20 + l*log10(p) digits (at least 20, at most
-    B bits) and shifted up to B."""
-    W = min(_fixed_bits(max(tail_digits + 20 + int(l * math.log10(p)), 20)), B)
+    formed at W bits, tail_digits + 20 + l*log10(p) digits (at least 20).
+    Below B it is shifted up to B and then weighted; a sphere l <= 0
+    divides by p**(1-l).  A heavy sphere, whose W passes B, multiplies
+    its exponential by the weight at W bits and shifts down by W - B, so
+    a decay below 2**-B keeps the digits its weight lifts above it."""
+    W = _fixed_bits(max(tail_digits + 20 + int(l * math.log10(p)), 20))
     t_num, t_den = t.as_integer_ratio()
-    decay = _exp(-(scale * t_num // t_den >> (B - W)), W) << (B - W)
+    y = scale * t_num // t_den
+    if W > B:
+        return _exp(-(y << (W - B)), W) * p ** (l - 1) >> (W - B)
+    decay = _exp(-(y >> (B - W)), W) << (B - W)
     return decay * p ** (l - 1) if l >= 1 else decay // p ** (1 - l)
 
 
@@ -497,6 +505,32 @@ def _sphere_above(p: int, alpha: float, t: float, l: int, tail_digits: int, B: i
     return _sphere(p, t, l, _exp(l * (_ln(p, B) * a_num // a_den), B), tail_digits, B)
 
 
+def _top_sphere(p: int, N: int, alpha: float, t: float, digits: int) -> int:
+    """The sphere where the x = 0 sum of ``_global_kernel_fixed`` stops:
+    the least l >= -N past the peak of l*ln p - t*p**(alpha*l), the log
+    of sphere l's weight times its decay, where that falls below
+    -digits*ln 10.  Past the peak it falls monotonically and ever
+    faster, so the least such l is found by doubling and bisection,
+    O(log) evaluations at any alpha."""
+    log_p, log_t = math.log(p), math.log(t)
+    cut = -digits * math.log(10)
+
+    def above(l: int) -> bool:
+        g = alpha * l * log_p + log_t
+        return g <= 709.0 and l * log_p - math.exp(g) >= cut
+
+    # one below the start: -N, or the peak, where t*alpha*p**(alpha*l) = 1
+    lo = max(-N, math.ceil(-(log_t + math.log(alpha)) / (alpha * log_p))) - 1
+    step = 1
+    while above(lo + step):
+        lo, step = lo + step, 2 * step
+    hi = lo + step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if above(mid) else (lo, mid)
+    return hi
+
+
 def _global_kernel_fixed(p: int, N: int, alpha: float, t: float, m: int | None,
                          tail_digits: int, B: int) -> int:
     """Global kernel at radius p**m (m=None for x = 0) scaled by 2**B,
@@ -507,14 +541,15 @@ def _global_kernel_fixed(p: int, N: int, alpha: float, t: float, m: int | None,
     ``_sphere_above``, so a sweep over R radii forms O(R) exponentials.
     The caller sizes ``tail_digits`` to survive multiplication by
     exp(lambda*t).  For x = 0 there is no boundary term, and the sum ends
-    at the superexponential cutoff of exp(-t p**(alpha l)), or at l = -N
-    if that lies below it (the spheres in between add less than
-    10**(-tail_digits - 10)).
+    at ``_top_sphere``, where a sphere's weight times its decay falls
+    below 10**(-tail_digits - 10).  That sum is refused by
+    ``_check_series_work``, its spheres times the digits of its heaviest,
+    before any is formed.
     """
     if m is None:
-        top = int(math.ceil(math.log((tail_digits + 10) * math.log(10) / t)
-                            / (alpha * math.log(p)))) + 1
-        top, edge = max(top, -N), 0
+        top, edge = _top_sphere(p, N, alpha, t, tail_digits + 10), 0
+        _check_series_work(top + N, tail_digits + 20 + int(top * math.log10(p)),
+                           "x = 0 sphere sum")
     else:
         top, edge = -m, _sphere_above(p, alpha, t, 1 - m, tail_digits, B)
     above = sum(_sphere_above(p, alpha, t, l, tail_digits, B) for l in range(1 - N, top + 1))
@@ -526,32 +561,28 @@ def heat_kernel_ball_series(p: int, N: int, alpha: float, t: float,
     """Ball heat kernel via exp(lambda*t) * global kernel + c(t).
 
     Independent route from ``heat_kernel_ball``; the two must agree to
-    tight tolerance on every radius and time.  Both branches take
-    exp(lambda*t) and c(t) from ``_grow_and_c``.  The two summands
-    grow like exp(lambda*t) while their sum stays order p**(-N), so once
-    lambda*t is large enough to cost double precision the whole
-    combination is formed in the fixed-point integers, the global kernel
-    by ``_global_kernel_fixed``, and rounded once; otherwise the global
-    kernel is summed in double, its tail cut at p**l <
-    ``DEFAULT_EPS_TAIL``, and meets exp(lambda*t) and c(t) rounded to
-    doubles.  Both branches share one setup: the extended branch works
-    ``tail_digits`` guard digits past c(t)'s, so the global kernel
-    survives multiplication by exp(lambda*t), and the double branch
-    none.  The route refuses by one rule, NonConvergenceError where c(t)
-    needs more work than ``SERIES_WORK_BUDGET``: lambda*t stays below
-    the series' hump x, so any lambda*t whose guard digits would cost
-    more than the budget comes with a c(t) series that passes it first.
+    tight tolerance on every radius and time.  It takes exp(lambda*t)
+    and c(t) from ``_grow_and_c``.  The two summands grow like
+    exp(lambda*t) while their sum stays order p**(-N), and c(t) reaches
+    about 1e10 at N < 0 however small lambda*t is, so at every time the
+    whole combination is formed in the fixed-point integers, the global
+    kernel by ``_global_kernel_fixed``, and rounded once.  It works
+    ``tail_digits`` = 15 + lambda*t*log10(e) guard digits past c(t)'s,
+    so the global kernel survives multiplication by exp(lambda*t).  The
+    route refuses by one rule, NonConvergenceError where c(t) or the
+    x = 0 sphere sum needs more work than ``SERIES_WORK_BUDGET``:
+    lambda*t stays below the series' hump x, so any lambda*t whose guard
+    digits would cost more than the budget comes with a c(t) series that
+    passes it first.
     """
     _check_positive("t", t)
     _check_radius(N, m)
     lam_t = lambda_value(p, alpha, N) * t
-    tail_digits = 0 if lam_t <= 30.0 else 15 + int(math.ceil(lam_t * math.log10(math.e)))
+    tail_digits = 15 + int(math.ceil(lam_t * math.log10(math.e)))
     dps = _series_dps(p, N, alpha, t) + tail_digits
     grow, c = _grow_and_c(p, N, alpha, t, dps)
     # only now: a dps the budget refuses can pass float range in _fixed_bits
     B = _fixed_bits(dps)
-    if not tail_digits:
-        return _to_float(grow, B) * heat_kernel_global(p, alpha, t, m) + _to_float(c, B)
     Z = _global_kernel_fixed(p, N, alpha, t, m, tail_digits, B)
     return _to_float((grow * Z >> B) + c, B)
 

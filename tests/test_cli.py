@@ -398,13 +398,27 @@ def test_solve_pme_accepts_the_rounding_floor_only_after_a_small_correction(tmp_
 
 
 def test_verify_with_a_negative_N(tmp_path, capsys):
-    # "ball kernel two formulas" takes the series route's extended branch
-    # at t = 10 (lambda*t = 41); it used to fail there at 6.6e5
+    # "ball kernel two formulas" runs the series route at t = 10
+    # (lambda*t = 41); it used to fail there at 6.6e5
     rc = main(["verify", "--p", "3", "--N", "-1", "--M", "5",
                "--alpha", "1.6", "--out", str(tmp_path)])
     assert rc == 0
     out = capsys.readouterr().out
     assert "PASS  ball kernel two formulas" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--p", "2", "--N", "-2", "--M", "8", "--alpha", "1.0"],
+    ["heat-kernel", "--p", "3", "--N", "-2", "--M", "4", "--alpha", "0.35",
+     "--times", "0.1,1,10,20"],
+    ["heat-kernel", "--p", "2", "--N", "0", "--M", "3", "--alpha", "0.35", "--times", "20"],
+    ["heat-kernel", "--p", "2", "--N", "-2", "--M", "8", "--alpha", "1.0"],
+])
+def test_series_route_agrees_at_lambda_t_below_30(tmp_path, argv):
+    # the series route once summed these in double and exited 2: 1.9e-6
+    # off at N = -2, alpha = 1, where c(t) reaches 1e10, and 3.9e-10 at
+    # N = 0, t = 20, from the global kernel's tail cut times exp(lambda*t)
+    assert main(argv + ["--out", str(tmp_path)]) == 0
 
 
 def test_verify_refuses_models_above_the_matrix_cap(tmp_path, capsys, monkeypatch):
@@ -750,10 +764,10 @@ assert ("mpmath" in sys.modules) == warm
 
 def test_no_task_loads_mpmath(tmp_path):
     # a fresh interpreter runs the float64 tasks, heat-kernel and verify
-    # on the series route's double branch (lambda*t <= 30), and last
-    # heat-kernel at t = 50 (lambda*t = 33.3), on its extended branch,
-    # without importing mpmath.  Every file is the one a process writes
-    # that imported mpmath, and set its global precision, first
+    # on the series route's fixed-point integers at lambda*t <= 30, and
+    # last heat-kernel at t = 50 (lambda*t = 33.3), without importing
+    # mpmath.  Every file is the one a process writes that imported
+    # mpmath, and set its global precision, first
     runs = [argv for argv in TASK_RUNS if argv[0] not in ("heat-kernel", "verify")]
     heat_kernel = next(argv for argv in TASK_RUNS if argv[0] == "heat-kernel")
     verify = next(argv for argv in TASK_RUNS if argv[0] == "verify")

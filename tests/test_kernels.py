@@ -226,8 +226,8 @@ def test_c_series_at_a_hump_that_underflows():
 
 
 def test_c_series_term_cap():
-    # the cap follows the stopping rule, as on the series route's extended
-    # branch: lambda*t = 427 and hump x = 640 need about 2150 terms, past
+    # the cap follows the stopping rule, as on the series route:
+    # lambda*t = 427 and hump x = 640 need about 2150 terms, past
     # the fixed 500 that once refused this case.  The reference is the
     # term-by-term mpmath sum, 30 digits past the evaluator's, stopped 30
     # digits further down
@@ -389,9 +389,13 @@ def test_c_series_running_product_matches_power_per_term(p, N, alpha, t):
     assert c_series(p, N, alpha, t) == c_want
 
 
-def test_series_route_sums_c_once_per_time(monkeypatch):
+@pytest.mark.parametrize("p, N, alpha, times", [
+    pytest.param(3, 0, 0.43, (0.1, 1.0, 10.0), id="p3_N0_a0.43"),
+    pytest.param(3, -1, 1.57, (10.0, 20.0), id="p3_N-1_a1.57"),
+])  # alphas no other test sums the series for
+def test_series_route_sums_c_once_per_time(monkeypatch, p, N, alpha, times):
     # c(t) does not depend on the radius, so the radii of one time share
-    # one summation of its series
+    # one summation of its series, at lambda*t from 0.08 to 80
     calls = [0]
     c_total = kernels._c_total
 
@@ -400,9 +404,6 @@ def test_series_route_sums_c_once_per_time(monkeypatch):
         return c_total(*args)
 
     monkeypatch.setattr(kernels, "_c_total", counting)
-    p, N, alpha = 3, 0, 0.43  # an alpha no other test sums the series for
-    times = (0.1, 1.0, 10.0)
-    assert lambda_value(p, alpha, N) * max(times) <= 30.0
     for t in times:
         for m in list(range(N, N - 7, -1)) + [None]:
             a = heat_kernel_ball(p, N, alpha, t, m)
@@ -411,26 +412,49 @@ def test_series_route_sums_c_once_per_time(monkeypatch):
     assert calls[0] == len(times)
 
 
-def test_extended_series_route_sums_c_once_per_time(monkeypatch):
-    # lambda*t > 30: the whole combination runs in extended precision,
-    # and its c(t) series is still summed once per time, not per radius
-    calls = [0]
-    c_total = kernels._c_total
+@st.composite
+def _series_route_cases(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    N = draw(st.integers(-3, 2))
+    alpha = draw(st.floats(0.03, 2.8))
+    t = draw(st.floats(0.1, 20.0))
+    return p, N, alpha, t
 
-    def counting(*args):
-        calls[0] += 1
-        return c_total(*args)
 
-    monkeypatch.setattr(kernels, "_c_total", counting)
-    p, N, alpha = 3, -1, 1.57  # an alpha no other test sums the series for
-    times = (10.0, 20.0)
-    assert lambda_value(p, alpha, N) * min(times) > 30.0
-    for t in times:
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_series_route_cases())
+def test_series_route_matches_the_character_sum(case):
+    # at lambda*t <= 30 the route once summed in double: it lost eps*|c|
+    # at N < 0, where |c| reaches 1e10, and at N >= 0 multiplied the
+    # global kernel's 1e-16 tail cut by exp(lambda*t), 3.3e-4 off at worst
+    p, N, alpha, t = case
+    assume(lambda_value(p, alpha, N) * t <= 30.0)
+    with alarm(30):
         for m in list(range(N, N - 7, -1)) + [None]:
             a = heat_kernel_ball(p, N, alpha, t, m)
             b = heat_kernel_ball_series(p, N, alpha, t, m)
             assert abs(a - b) < 1e-10 * max(abs(a), 1.0)
-    assert calls[0] == len(times)
+
+
+@pytest.mark.parametrize("alpha, t", [(0.03, 0.1), (0.03, 1.0), (0.01, 1.0)])
+def test_series_route_at_x0_counts_each_sphere_weight(alpha, t):
+    # at small alpha the x = 0 sum peaks far above the ball's top, its
+    # weights p**l past 1e100: a cut on the decay alone missed by 2.5e-5
+    # at alpha = 0.03 and by almost the whole value at 0.01, and decays
+    # below 2**-B rounded to 0 missed by 6.5e-5 at 0.01
+    with alarm(30):
+        a = heat_kernel_ball(2, 0, alpha, t, None)
+        b = heat_kernel_ball_series(2, 0, alpha, t, None)
+    assert abs(a - b) < 1e-10 * max(abs(a), 1.0)
+
+
+def test_series_route_refuses_an_x0_sum_past_the_work_budget():
+    # alpha = 0.001: the x = 0 sum runs to sphere 13166 at about 4000
+    # digits; refused before any sphere is formed, naming that sum
+    with alarm(5):
+        with pytest.raises(NonConvergenceError, match="x = 0 sphere sum.*work budget"):
+            heat_kernel_ball_series(2, 0, 0.001, 1.0, None)
+    assert heat_kernel_ball_series(2, 0, 0.001, 1.0, -5) > 0.0
 
 
 @pytest.mark.parametrize("t", [10.0, 30.0])
@@ -451,7 +475,7 @@ _SPHERE_TERMS = {}
 
 
 def _per_radius_series(p, N, alpha, t, m):
-    """The extended branch with every sphere summed again for this radius."""
+    """The series route with every sphere summed again for this radius."""
     lam = lambda_value(p, alpha, N)
     tail_digits = 15 + int(math.ceil(lam * t * math.log10(math.e)))
     dps = kernels._series_dps(p, N, alpha, t) + tail_digits
@@ -464,8 +488,12 @@ def _per_radius_series(p, N, alpha, t, m):
         q = 1 - 1 / P
         T = mp.mpf(t)
         if m is None:
-            l = int(math.ceil(math.log((tail_digits + 10) * math.log(10) / t)
-                              / (alpha * math.log(p)))) + 1
+            # up from the ball's top sphere until a sphere's weight times
+            # its decay, past their peak, falls below 10**(-tail_digits-10)
+            l = -N
+            while (t * alpha * p ** (alpha * l) < 1.0 or l * math.log(p)
+                   - t * p ** (alpha * l) >= -(tail_digits + 10) * math.log(10)):
+                l += 1
             acc = mp.mpf(0)
         else:
             acc = -P ** (-m) * mp.e ** (-T * P ** (alpha * (1 - m)))
@@ -481,6 +509,10 @@ def _per_radius_series(p, N, alpha, t, m):
             l -= 1
 
 
+# drawn past lambda*t = 30 only: below it the mirror's spheres, rounded
+# at dps digits, can land one ulp from the route's integers, as at
+# (2, 0, 0.3, 1.1877476036437644), radii -2 and -5, where the route's
+# 1.3430775119503886 is a 60-digit character sum's
 @st.composite
 def _extended_series_cases(draw):
     p = draw(st.sampled_from([2, 3, 5, 7]))
@@ -626,8 +658,8 @@ def _clear_series_caches():
 
 
 def test_series_on_threads_give_their_serial_bits():
-    # 4 threads sum distinct series at once, from cold caches, on both
-    # branches (lambda*t up to 1147) and at N < 0: on one precision shared
+    # 4 threads sum distinct series at once, from cold caches, at
+    # lambda*t from 0.002 to 1147 and at N < 0: on one precision shared
     # by the threads a sum rounds at another's digits, and a sphere list
     # shared by two sums mixes their spheres.  Afterwards the caches the
     # threads filled must give the serial bits too
