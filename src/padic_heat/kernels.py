@@ -7,11 +7,23 @@ spectrally by (m[k] - lambda + mu).
 
 Radial evaluators work directly in the radius variable: an argument
 ``m`` denotes the sphere |x|_p = p**m, and ``m=None`` denotes the point
-x = 0 (where defined).  Grid-level kernels return GridFunctions whose
-coset values are the exact coset averages of the radial profiles.  Each
-is read off its kernel's radial sweep, which yields the value on every
-sphere |x| = p**m and the mean over the ball |x| <= p**m: the zero
-coset takes the sweep's finite mean over the sub-ball |x| <= p**(-M).
+x = 0 (where defined).  The ball heat kernel and the Green function are
+the kernels of radial symbols phi of the ball's frequencies, so each is
+one finite progression on the sphere |x| = p**m,
+
+    p**(-N)*phi(0) + (1-1/p) * sum_{l=1-N}^{-m} p**l * phi(p**l)
+    - p**(-m) * phi(p**(1-m)),
+
+and one generator, ``_radial_sweep``, yields it with the mean over the
+ball |x| <= p**m for m = N, N-1, ...  Each kernel gives only its zero
+frequency's share and its frequency-sphere term; the heat term ends the
+sweep where its decay underflows, and the Green term never does.  A
+term whose weight p**a passes float range while the term itself does
+not is formed in one power, so ``heat_kernel_ball`` answers at alpha
+down to 0.01.  Grid-level kernels return GridFunctions whose coset
+values are the exact coset averages of the radial profiles, read off
+the sweep: the zero coset takes its finite mean over the sub-ball
+|x| <= p**(-M).
 
 The ball heat kernel has two independent evaluation routes:
 
@@ -224,24 +236,23 @@ def _ln_at(p: int, B: int) -> int:
 def _exp(y: int, B: int) -> int:
     """exp(y / 2**B) * 2**B for an integer y.
 
-    y = k*ln 2 + r with 0 <= r < ln 2.  z = r/2**s is summed by its
-    Taylor series at B + s + 8 bits as j interleaved series in z**j
+    y = k*ln 2 + r with -ln 2/2 <= r < ln 2/2.  z = r/2**s is summed by
+    its Taylor series at B + s + 8 bits as j interleaved series in z**j
     (Smith's concurrent series: one full product per j terms, the rest
     divisions by small integers), then squared s times and shifted by k.
     j grows like sqrt(B), and so does s, less one squaring per leading
-    zero bit of r, which is already that much smaller.  A small negative
-    y, -ln 2 < y < 0, is 2**(2B) // exp(-y): its r = ln 2 - |y| would
-    never be small.  A value below 2**(-B-1), which the sum would shift
-    to 0, is 0 without a sum.  The result
-    is off by about k units of 2**-B, relative, from ``_ln``'s rounding of
-    ln 2, plus a few units."""
+    zero bit of |r|, which is already that much smaller.  A negative r
+    is summed as it is: its terms change sign only where z**j < 0, so a
+    floored term stuck at -1 floors to 0 at the next product.  A value
+    below 2**(-B-1), which the sum would shift to 0, is 0 without a sum.
+    The result is off by about |k| units of 2**-B, relative, from
+    ``_ln``'s rounding of ln 2, plus a few units."""
     ln2 = _ln(2, B)
-    if -ln2 < y < 0:
-        return (1 << 2 * B) // _exp(-y, B)
-    k, r = divmod(y, ln2)
+    k, r = divmod(y + (ln2 >> 1), ln2)
+    r -= ln2 >> 1
     if k < -B - 1:
         return 0
-    s = max(math.isqrt(B) // 4 + 4 - (B - r.bit_length()), 0)
+    s = max(math.isqrt(B) // 4 + 4 - (B - abs(r).bit_length()), 0)
     j = math.isqrt(B) // 16 + 2
     g = s + 8
     W = B + g
@@ -401,39 +412,71 @@ def c_series(p: int, N: int, alpha: float, t: float) -> float:
     return _to_float(_grow_and_c(p, N, alpha, t, dps)[1], _fixed_bits(dps))
 
 
-def _ball_radial(p: int, N: int, alpha: float, t: float):
-    """Yield (Z_ball(t, |x| = p**m), its mean over |x| <= p**m) for
-    m = N, N-1, N-2, ...
+def _radial_sweep(p: int, N: int, base: float, term):
+    """Yield (K(|x| = p**m), the mean of K over |x| <= p**m) for
+    m = N, N-1, N-2, ..., for the radial kernel K of a radial symbol phi:
 
-    Carries the character sum's prefix (1-1/p) * sum_{l=-N+1}^{-m} p**l
-    exp(t*(lambda - p**(alpha*l))) from one radius to the next, with
-    lambda computed once, so a sweep over R radii costs O(R).  Each radius
-    forms one exponential, exp(t*(lambda - p**(alpha*(1-m)))): the
-    boundary term of Z(m), then, once Z(m) is yielded, the prefix term of
-    Z(m-1).  It is 0.0 once alpha*(1-m)*log(p) passes 709, before
-    p**(alpha*(1-m)) can overflow, or once its argument falls to -745.
-    The mean over the ball is p**(-N) plus the prefix, the sum over the
-    frequencies |xi| <= p**(-m).  The sweep ends at the first radius
-    whose exponential is 0.0: there both values are the kernel's value at
-    x = 0, which it also takes on every smaller sphere.
+        K(|x| = p**m) = base + (1-1/p) * sum_{l=1-N}^{-m} p**l * phi(p**l)
+                        - p**(-m) * phi(p**(1-m)),
+
+    ``base`` the zero frequency's share p**(-N) * phi(0) and
+    ``term(c, a, l)`` = c * p**a * phi(p**l), a frequency sphere's term.
+    The prefix, the sum over the frequencies |xi| <= p**(-m), is carried
+    from one radius to the next, so a sweep over R radii costs O(R); base
+    plus the prefix is the mean over the ball.  Each radius forms its
+    boundary term p**(-m) * phi(p**(1-m)) before its pair is yielded and
+    the prefix term of radius m-1 after, so a sweep raises only when
+    asked for a radius whose own value passes float range.  A term of
+    None ends the sweep: phi vanishes to double precision from that
+    sphere on, so the last pair holds base plus the prefix twice, the
+    value at x = 0, which the kernel also takes on every smaller sphere.
     """
     q = 1.0 - 1.0 / p
+    prefix = 0.0
+    for m in itertools.count(N, -1):
+        edge = term(1.0, -m, 1 - m)
+        if edge is None:
+            yield base + prefix, base + prefix
+            return
+        yield base + (prefix - edge), base + prefix
+        prefix += term(q, 1 - m, 1 - m)
+
+
+def _sweep_pairs(sweep, count: int | None) -> list:
+    """The first ``count`` pairs of a ``_radial_sweep``, all of them at
+    None.  A sweep that ends early holds its last pair, the value at
+    x = 0, on every smaller radius."""
+    pairs = list(itertools.islice(sweep, count))
+    return pairs + pairs[-1:] * (0 if count is None else count - len(pairs))
+
+
+def _ball_radial(p: int, N: int, alpha: float, t: float):
+    """``_radial_sweep`` of the ball heat kernel, phi(xi) =
+    exp(-t*(|xi|**alpha - lambda)) on the ball's frequencies: base p**(-N)
+    and the term c * p**a * exp(t*(lambda - p**(alpha*l))), lambda
+    computed once.
+
+    Every frequency has p**(alpha*l) > lambda, so each decay is at most
+    1, and the sweep is overflow-free for arbitrarily large t.  The
+    decay is 0.0 once alpha*l*log(p) passes 709, before p**(alpha*l) can
+    overflow, or once its argument falls to -745, and the sweep ends
+    there.  Where p**a passes float range and the decay does not vanish,
+    the term is c * p**(a + arg/log(p)), arg the decay's argument; a
+    term past float range itself raises OverflowError.
+    """
     fp, log_p = float(p), math.log(p)
     lam = lambda_value(p, alpha, N)
-    base = fp ** (-N)
-    prefix = 0.0
-    m = N
-    while True:
-        b = alpha * (1 - m)
-        arg = -math.inf if b * log_p > 709.0 else t * (lam - fp ** b)
-        e = math.exp(arg) if arg > -745.0 else 0.0
-        mean = base + prefix
-        if e == 0.0:
-            yield mean, mean
-            return
-        yield base + (prefix - fp ** (-m) * e), mean
-        prefix += q * fp ** (1 - m) * e
-        m -= 1
+
+    def term(c: float, a: int, l: int) -> float | None:
+        arg = -math.inf if alpha * l * log_p > 709.0 else t * (lam - fp ** (alpha * l))
+        if arg <= -745.0:
+            return None
+        try:
+            return c * fp ** a * math.exp(arg)
+        except OverflowError:
+            return c * fp ** (a + arg / log_p)
+
+    return _radial_sweep(p, N, fp ** (-N), term)
 
 
 def heat_kernel_ball(p: int, N: int, alpha: float, t: float,
@@ -446,17 +489,13 @@ def heat_kernel_ball(p: int, N: int, alpha: float, t: float,
 
     Every frequency in the sum has p**(alpha*l) > lambda, so the
     exp(lambda*t) prefactor folds into each term as a pure decay
-    exp(t*(lambda - p**(alpha*l))); the evaluation is overflow-free for
-    arbitrarily large t.  The value is read off the radial sweep
-    ``_ball_radial`` at m, or at its end, where those decays underflow,
-    for x = 0 and for the spheres past it.
+    exp(t*(lambda - p**(alpha*l))).  The value is read off the radial
+    sweep ``_ball_radial`` at m, or at its end, where those decays
+    underflow, for x = 0 and for the spheres past it.
     """
     _check_positive("t", t)
     _check_radius(N, m)
-    sweep = _ball_radial(p, N, alpha, t)
-    for value, _ in itertools.islice(sweep, None if m is None else N - m + 1):
-        pass
-    return value
+    return _sweep_pairs(_ball_radial(p, N, alpha, t), None if m is None else N - m + 1)[-1][0]
 
 
 def _sphere(p: int, t: float, l: int, scale: int, tail_digits: int, B: int) -> int:
@@ -593,12 +632,10 @@ def _radial_gridfunction(model: BallModel, sweep) -> GridFunction:
 
     The sphere of valuation v < L = N + M takes the value at radius
     p**(N - v); the zero coset takes the mean over the sub-ball
-    |x| <= p**(-M), the exact coset average.  A sweep that ends early
-    holds its last pair on every smaller radius.
+    |x| <= p**(-M), the exact coset average.
     """
     L = model.N + model.M
-    pairs = list(itertools.islice(sweep, L + 1))
-    pairs += pairs[-1:] * (L + 1 - len(pairs))
+    pairs = _sweep_pairs(sweep, L + 1)
     spheres = np.array([value for value, _ in pairs[:L]] + [pairs[L][1]])
     return GridFunction(model, spheres[valuation_table(model)])
 
@@ -624,39 +661,27 @@ def ball_kernel_gridfunction(model: BallModel, alpha: float, t: float) -> GridFu
 # -- Green function and resolvent --------------------------------------
 
 
-def _green_term(c: float, p: int, a: float, b: float, lam: float, mu: float) -> float:
-    """c * p**a / (p**b - lam + mu), a term of every Green sum; past float
-    range of p**a or p**b, as c * p**(a - b) / (1 + (mu - lam) * p**(-b)).
-    Only a quotient itself past float range raises OverflowError."""
-    try:
-        return c * float(p) ** a / (float(p) ** b - lam + mu)
-    except OverflowError:
-        return c * float(p) ** (a - b) / (1.0 + (mu - lam) * float(p) ** (-b))
-
-
 def _green_radial(p: int, N: int, alpha: float, mu: float):
-    """Yield (K(|x| = p**m), the mean of K over |x| <= p**m) for
-    m = N, N-1, N-2, ...
-
-    Carries the prefix sum (1-1/p) * sum_{l=-N+1}^{-m} p**l / d(l) from
-    one radius to the next, with lambda computed once, so a sweep over
-    R radii costs O(R).  The prefix is the sum over the frequencies
-    |xi| <= p**(-m), the mean over the ball; K(m) is the prefix less
-    p**(-m)/d(1-m).  Both terms of a radius are ``_green_term``s: the
-    boundary term of K(m), then, once K(m) is yielded, the prefix term
-    of K(m-1), so a sweep raises OverflowError only when asked for a
-    radius whose own value passes float range.
+    """``_radial_sweep`` of the Green function, phi(xi) =
+    1/(|xi|**alpha - lambda + mu) with the zero mode dropped: base 0.0
+    and the term c * p**a / d(l), d(l) = p**(alpha*l) - lambda + mu,
+    lambda computed once.  Past float range of p**a or p**(alpha*l) the
+    term is c * p**(a - alpha*l) / (1 + (mu - lambda) * p**(-alpha*l)); a
+    term past float range itself raises OverflowError.  Every term is a
+    number, however far it underflows, so the sweep never ends.
     """
     _check_positive("mu", mu)
-    q = 1.0 - 1.0 / p
+    fp = float(p)
     lam = lambda_value(p, alpha, N)
-    prefix = 0.0
-    m = N
-    while True:
-        b = alpha * (1 - m)
-        yield prefix - _green_term(1.0, p, -m, b, lam, mu), prefix
-        prefix += _green_term(q, p, 1 - m, b, lam, mu)
-        m -= 1
+
+    def term(c: float, a: int, l: int) -> float:
+        b = alpha * l
+        try:
+            return c * fp ** a / (fp ** b - lam + mu)
+        except OverflowError:
+            return c * fp ** (a - b) / (1.0 + (mu - lam) * fp ** (-b))
+
+    return _radial_sweep(p, N, 0.0, term)
 
 
 def green_kernel(p: int, N: int, alpha: float, mu: float,
@@ -687,11 +712,11 @@ def green_kernel(p: int, N: int, alpha: float, mu: float,
         l1 = 1 - N
         if gap > 0:
             l1 = max(l1, math.ceil((math.log(gap) + 60 * math.log(2)) / (alpha * math.log(p))))
-        mean = next(itertools.islice(_green_radial(p, N, alpha, mu), N - 1 + l1, None))[1]
+        mean = _sweep_pairs(_green_radial(p, N, alpha, mu), N + l1)[-1][1]
         return mean + ((1.0 - 1.0 / p) * float(p) ** (l1 * (1 - alpha))
                        / -math.expm1((1 - alpha) * math.log(p)))
     _check_radius(N, m)
-    return next(itertools.islice(_green_radial(p, N, alpha, mu), N - m, None))[0]
+    return _sweep_pairs(_green_radial(p, N, alpha, mu), N - m + 1)[-1][0]
 
 
 def green_kernel_series(p: int, N: int, alpha: float, mu: float,
@@ -767,7 +792,7 @@ def green_estimates_report(p: int, N: int, alpha: float, mu: float,
         raise ValueError(f"bad m_range {m_range}")
     rows = []
     prev_weighted = None
-    sweep = itertools.islice(_green_radial(p, N, alpha, mu), N - hi, N - lo + 1)
+    sweep = _sweep_pairs(_green_radial(p, N, alpha, mu), N - lo + 1)[N - hi:]
     for m, (K, _) in zip(range(hi, lo - 1, -1), sweep):
         if alpha == 1.0:
             weight = max(1.0, abs(m) * math.log(p))

@@ -260,6 +260,17 @@ def test_an_overflow_names_its_task(tmp_path, capsys, argv):
                    "(34, 'Numerical result out of range')"}
 
 
+def test_heat_kernel_answers_past_float_range_of_a_sphere_weight(tmp_path):
+    # at alpha = 0.01 and t = 0.1 the character sum runs past the sphere
+    # weight 2**1024, whose decay does not vanish there; the sweep formed
+    # that weight alone and exited 1
+    argv = ["heat-kernel", "--p", "2", "--N", "0", "--M", "3", "--alpha", "0.01"]
+    with alarm(60):
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "heat_kernel_report.json").read_text())
+    assert report["worst_rel_diff"] < report["tolerance"]
+
+
 def test_green_sweep_answers_up_to_the_radius_that_overflows(tmp_path):
     # K(-157) = 3.2e306; only the next radius's prefix term passes float
     # range, which the sweep formed before yielding K(-157) and exited 1

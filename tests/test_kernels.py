@@ -640,6 +640,25 @@ def test_series_work_budget_refuses_before_summing():
             kernels._grow_and_c(2, 0, 1.0, 1.0, 2 * 10**6)
 
 
+@pytest.mark.parametrize("B", [140, 233, 1396])
+def test_fixed_point_exp_matches_mpmath(B):
+    # exp(y/2**B)*2**B against mpmath at B + 64 bits, within the
+    # docstring's bound: |k| units of 2**-B, relative, k = round(y/ln 2),
+    # plus a few units.  The arguments: the least negative y, one inside
+    # (-ln 2, 0), a moderate and a large negative one, where the value
+    # falls below 2**(-B-1) and shifts to 0, and two positive ones
+    ys = [-1] + [n * 2 ** B // d for n, d in
+                 (x.as_integer_ratio() for x in (-0.4, -20.7, 5.3, 37.9))]
+    ys.append(-((B + 3) * kernels._ln(2, B)))
+    with alarm(5), mp.workprec(B + 64):
+        for y in ys:
+            got = kernels._exp(y, B)
+            want = mp.exp(mp.mpf(y) / 2 ** B) * 2 ** B
+            k = abs(round(y / 2 ** B / math.log(2)))
+            assert abs(got - want) <= (k + 4) * max(want / 2 ** B, 1)
+    assert got == 0
+
+
 def _series_bits(p, N, alpha, t, m):
     """The series route and c(t) as hex strings, "refused" where the work
     budget refuses."""
@@ -817,6 +836,44 @@ def test_ball_kernel_series_guard_digit_refusal():
     assert heat_kernel_ball(2, -10, 1.0, 400.0, -10) > 0.0
 
 
+def _ball_mp(p, N, alpha, t, radii):
+    # the character sum at 30 digits on each radius of ``radii`` (None for
+    # x = 0), summed upward past the lowest radius and the peak of
+    # p**l * exp(-t*p**(alpha*l)) until a term falls below 1e-40 of the sum
+    with mp.workdps(30):
+        P, q, a = mp.mpf(p), 1 - 1 / mp.mpf(p), mp.mpf(alpha)
+        lam = mp.mpf(lambda_value(p, alpha, N))
+
+        def term(c, e, l):
+            return c * P ** e * mp.exp(t * (lam - P ** (a * l)))
+
+        bottom = -min(m for m in radii if m is not None)
+        prefix, acc, l = {}, mp.mpf(0), 1 - N
+        while True:
+            inc = term(q, l, l)
+            acc += inc
+            prefix[l] = acc
+            if l > bottom and inc < mp.mpf(10) ** -40 * acc and inc < term(q, l - 1, l - 1):
+                break
+            l += 1
+        return [P ** -N + (acc if m is None else prefix[-m] - term(1, -m, 1 - m))
+                for m in radii]
+
+
+@pytest.mark.parametrize("t", [0.1, 1.0])
+def test_ball_kernel_at_small_alpha_past_float_range_of_a_sphere_weight(t):
+    # at alpha = 0.01 the weight p**l of a sphere below m = -1023 passes
+    # float range while its decay does not vanish (t = 0.1 sums up to
+    # l = 1287); formed as one power, the term stays a double.  At t = 1
+    # the decays underflow near l = 955, so these radii take the value at
+    # x = 0.  The sweep raised OverflowError at p**1024
+    radii = [-1023, -1024, -1050, -1100, -1300, None]
+    with alarm(10):
+        want = _ball_mp(2, 0, 0.01, t, radii)
+        for m, w in zip(radii, want):
+            assert abs(heat_kernel_ball(2, 0, 0.01, t, m) - w) < 1e-12 * w
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.sampled_from([2, 3, 5, 7, 1009]), st.floats(0.01, 20.0), st.integers(-3, 3),
        st.floats(1e-3, 1e3))
@@ -952,14 +1009,23 @@ def test_green_ball_integral_vanishes():
     assert abs(green_ball_integral(2, 0, 0.5, 1.0)) < 1e-10
 
 
+def _over_d(c, p, a, b, lam, mu):
+    # c * p**a / (p**b - lam + mu); past float range of p**a or p**b, as
+    # c * p**(a - b) / (1 + (mu - lam) * p**(-b))
+    try:
+        return c * float(p) ** a / (float(p) ** b - lam + mu)
+    except OverflowError:
+        return c * float(p) ** (a - b) / (1.0 + (mu - lam) * float(p) ** (-b))
+
+
 def _green_progression(p, N, alpha, mu, m):
     # the finite progression at one radius, summed from scratch
     q = 1.0 - 1.0 / p
     lam = lambda_value(p, alpha, N)
     acc = 0.0
     for l in range(-N + 1, -m + 1):
-        acc += q * float(p) ** l / (float(p) ** (alpha * l) - lam + mu)
-    acc -= float(p) ** (-m) / (float(p) ** (alpha * (1 - m)) - lam + mu)
+        acc += _over_d(q, p, l, alpha * l, lam, mu)
+    acc -= _over_d(1.0, p, -m, alpha * (1 - m), lam, mu)
     return acc
 
 
@@ -1099,6 +1165,26 @@ def test_green_sweep_yields_a_radius_before_its_next_prefix_term():
     assert abs(green_kernel(p, N, alpha, mu, m) - want) < 1e-13 * want
     rows = green_estimates_report(p, N, alpha, mu, (m, m))
     assert [r["K"] for r in rows] == [green_kernel(p, N, alpha, mu, m)]
+
+
+def test_green_sweep_runs_on_past_a_term_that_underflows():
+    # at p = 1009, alpha = 2.8 the terms fall like 1009**(-1.8*l) and
+    # round to 0.0 from the radius m = -59 on; the Green sweep has no
+    # end, so a sweep that stopped on a term of 0.0 left K(-100) and
+    # every radius below it unanswered
+    p, N, alpha, mu = 1009, 0, 2.8, 1.0
+    assert _green_progression(p, N, alpha, mu, -70) == _green_progression(p, N, alpha, mu, -69)
+    with alarm(10):
+        assert len(list(itertools.islice(kernels._green_radial(p, N, alpha, mu), 121))) == 121
+        for m in range(N, -121, -1):
+            assert green_kernel(p, N, alpha, mu, m) == _green_progression(p, N, alpha, mu, m)
+        rows = green_estimates_report(p, N, alpha, mu, (-120, 0))
+        assert [r["K"] for r in rows] == [_green_progression(p, N, alpha, mu, m)
+                                          for m in range(0, -121, -1)]
+        assert green_ball_integral(p, N, alpha, mu) == _sphere_sum(
+            p, N, alpha, mu, N,
+            lambda term, scale, m: abs(term) < 1e-18 * max(scale, 1e-300) and m <= -8)
+    assert green_kernel(p, N, alpha, mu, -100) == 3.913514686329951e-06
 
 
 def test_green_continuity_at_center():
