@@ -35,10 +35,10 @@ from .function_space import _CSV_BLOCK, GridFunction, make_initial
 from .kernels import (
     NonConvergenceError,
     _ball_radial,
+    _series_radii,
     ball_kernel_gridfunction,
     green_ball_integral,
     green_estimates_report,
-    heat_kernel_ball_series,
     resolvent_apply,
 )
 from .linear_solver import evolve_series
@@ -389,12 +389,13 @@ def _kernel_rows(p: int, N: int, alpha: float, times, m_lo: int):
     ball-kernel routes at radii p**N .. p**m_lo and x = 0, and the worst gap."""
     rows = []
     worst = 0.0
+    radii = list(range(N, m_lo - 1, -1)) + [None]
     for t in times:
-        # one sweep per time; its last value holds past its end and at x = 0
+        # one sweep and one sphere list per time; the sweep's last value
+        # holds past its end and at x = 0
         sweep = [value for value, _ in _ball_radial(p, N, alpha, t)]
-        for m in list(range(N, m_lo - 1, -1)) + [None]:
+        for m, b in zip(radii, _series_radii(p, N, alpha, t, radii)):
             a = sweep[-1 if m is None else min(N - m, len(sweep) - 1)]
-            b = heat_kernel_ball_series(p, N, alpha, t, m)
             rel = abs(a - b) / max(abs(a), 1.0)
             worst = max(worst, rel)
             rows.append(("zero" if m is None else m,

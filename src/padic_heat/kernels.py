@@ -42,12 +42,16 @@ power of p.  The series route reads exp(lambda*t) and c(t) from it, and
 ``c_series`` rounds its c(t) to a double.  At every time the series
 route sums the global kernel's spheres in the same integers too and
 rounds once, so it runs one arithmetic and loads no package beyond
-numpy.  Every cache of that layer holds a value that depends only on
-its key and never changes once cached, so the route is safe to call
-from several threads without a lock.  Every stored value in this
-package remains float64.  A sum whose terms times digits pass
-``SERIES_WORK_BUDGET``, the c(t) series or the global kernel's sphere
-sum at x = 0, is refused with NonConvergenceError.
+numpy.  One call, ``_series_radii``, forms each sphere once for a whole
+list of radii and reads every radius off their prefix sums.  The
+integer layer keeps two caches, ``_ln_at`` and ``_grow_and_c``; each
+holds a value that depends only on its key and never changes once
+cached, and the spheres live only in their call, so the route is safe
+to call from several threads without a lock.  Every stored value in
+this package remains float64.  A sum whose terms times digits pass
+``SERIES_WORK_BUDGET``, the c(t) series, the global kernel's sphere sum
+at x = 0 or its sphere sum down to the deepest radius, is refused with
+NonConvergenceError.
 """
 
 from __future__ import annotations
@@ -181,7 +185,7 @@ def global_kernel_ball_mass(p: int, N: int, alpha: float, t: float) -> float:
 def _check_series_work(terms: int, dps: int, what: str = "c(t) series") -> None:
     """Refuse a sum of ``terms`` terms at ``dps`` digits once terms times
     digits pass ``SERIES_WORK_BUDGET``; ``what`` names the sum, the c(t)
-    series or the x = 0 sphere sum."""
+    series, the x = 0 sphere sum or the radius sphere sum."""
     if terms * dps > SERIES_WORK_BUDGET:
         raise NonConvergenceError(
             f"{what}: {terms} terms at {dps} digits pass the "
@@ -372,7 +376,7 @@ def _grow_and_c(p: int, N: int, alpha: float, t: float, dps: int) -> tuple[int, 
 
     as integers scaled by 2**B, B = ``_fixed_bits(dps)``: the one
     evaluation of c(t).  ``c_series`` rounds its c, and
-    ``heat_kernel_ball_series`` uses both.  Neither depends on the radius,
+    ``_series_radii`` uses both.  Neither depends on the radius,
     so the series is summed once per time.  lambda*t is
     (p-1)*x/(p - p**(-alpha)), from ``_p_powers``, so every power of p
     comes from one logarithm of p.  The total is multiplied by
@@ -517,35 +521,8 @@ def _sphere(p: int, t: float, l: int, scale: int, tail_digits: int, B: int) -> i
     return decay * p ** (l - 1) if l >= 1 else decay // p ** (1 - l)
 
 
-@lru_cache(maxsize=64)
-def _spheres_below(p: int, N: int, alpha: float, t: float, tail_digits: int, B: int) -> int:
-    """The ``_sphere``s l <= -N summed, the part every radius m <= N
-    shares, the downward tail cut once p**l < 10**(-tail_digits).
-    p**(alpha*l) is the running product of ``_p_powers``' p**(-N*alpha)
-    by its p**(-alpha)."""
-    ratio, scale = _p_powers(p, N, alpha, B)
-    cutoff = 10 ** tail_digits
-    total = 0
-    l = -N
-    while True:
-        total += _sphere(p, t, l, scale, tail_digits, B)
-        if l < 0 and p ** -l > cutoff:
-            return total
-        l -= 1
-        scale = scale * ratio >> B
-
-
-@lru_cache(maxsize=4096)
-def _sphere_above(p: int, alpha: float, t: float, l: int, tail_digits: int, B: int) -> int:
-    """The ``_sphere`` l > -N, above the ball's top, p**(alpha*l) the
-    exponential of l*alpha*ln p formed as ``_p_powers`` forms its powers:
-    one per key, which every radius it lies below adds."""
-    a_num, a_den = alpha.as_integer_ratio()
-    return _sphere(p, t, l, _exp(l * (_ln(p, B) * a_num // a_den), B), tail_digits, B)
-
-
 def _top_sphere(p: int, N: int, alpha: float, t: float, digits: int) -> int:
-    """The sphere where the x = 0 sum of ``_global_kernel_fixed`` stops:
+    """The sphere where the x = 0 sum of ``_series_radii`` stops:
     the least l >= -N past the peak of l*ln p - t*p**(alpha*l), the log
     of sphere l's weight times its decay, where that falls below
     -digits*ln 10.  Past the peak it falls monotonically and ever
@@ -570,29 +547,62 @@ def _top_sphere(p: int, N: int, alpha: float, t: float, digits: int) -> int:
     return hi
 
 
-def _global_kernel_fixed(p: int, N: int, alpha: float, t: float, m: int | None,
-                         tail_digits: int, B: int) -> int:
-    """Global kernel at radius p**m (m=None for x = 0) scaled by 2**B,
+def _series_radii(p: int, N: int, alpha: float, t: float, radii) -> list[float]:
+    """``heat_kernel_ball_series`` at each radius p**m of ``radii`` (None
+    for x = 0), every radius read off one list of spheres.
+
+    The global kernel scaled by 2**B is
 
         (p-1) * sum_{l <= -m} _sphere(l) - _sphere(1 - m),
 
-    the spheres l <= -N from ``_spheres_below`` and the rest from
-    ``_sphere_above``, so a sweep over R radii forms O(R) exponentials.
-    The caller sizes ``tail_digits`` to survive multiplication by
-    exp(lambda*t).  For x = 0 there is no boundary term, and the sum ends
-    at ``_top_sphere``, where a sphere's weight times its decay falls
-    below 10**(-tail_digits - 10).  That sum is refused by
-    ``_check_series_work``, its spheres times the digits of its heaviest,
-    before any is formed.
+    so with prefix(l) the ``_sphere``s up to l summed, the spheres
+    l <= -N once, as every radius shares them, and each sphere from 1-N
+    to the top once, a radius takes (p-1)*prefix(-m) minus its edge
+    sphere prefix(1-m) - prefix(-m).  Integer sums are exact in any
+    grouping, so each value has the bits of a sum of its own spheres.
+    x = 0 has no edge sphere, and its sum ends at ``_top_sphere``, where
+    a sphere's weight times its decay falls below 10**(-tail_digits-10).
+    t, every radius, exp(lambda*t) and c(t) come first; then the x = 0
+    sum and the radii's sum, up to sphere 1 - min(m), are each refused by
+    ``_check_series_work``, their spheres times the digits of their
+    heaviest, before any sphere is formed.
     """
-    if m is None:
-        top, edge = _top_sphere(p, N, alpha, t, tail_digits + 10), 0
-        _check_series_work(top + N, tail_digits + 20 + int(top * math.log10(p)),
-                           "x = 0 sphere sum")
-    else:
-        top, edge = -m, _sphere_above(p, alpha, t, 1 - m, tail_digits, B)
-    above = sum(_sphere_above(p, alpha, t, l, tail_digits, B) for l in range(1 - N, top + 1))
-    return (p - 1) * (_spheres_below(p, N, alpha, t, tail_digits, B) + above) - edge
+    _check_positive("t", t)
+    for m in radii:
+        _check_radius(N, m)
+    lam_t = lambda_value(p, alpha, N) * t
+    tail_digits = 15 + int(math.ceil(lam_t * math.log10(math.e)))
+    dps = _series_dps(p, N, alpha, t) + tail_digits
+    grow, c = _grow_and_c(p, N, alpha, t, dps)
+    # only now: a dps the budget refuses can pass float range in _fixed_bits
+    B = _fixed_bits(dps)
+    # the last sphere of each sum; -N, no sphere above the ball, where
+    # radii holds no x = 0 or no radius
+    top0 = _top_sphere(p, N, alpha, t, tail_digits + 10) if None in radii else -N
+    top = max([1 - m for m in radii if m is not None], default=-N)
+    for last, what in ((top0, "x = 0 sphere sum"), (top, "radius sphere sum")):
+        _check_series_work(last + N, tail_digits + 20 + int(last * math.log10(p)), what)
+    # the spheres l <= -N, cut once p**l < 10**(-tail_digits);
+    # p**(alpha*l) the running product of p**(-N*alpha) by p**(-alpha)
+    ratio, scale = _p_powers(p, N, alpha, B)
+    cutoff = 10 ** tail_digits
+    below = 0
+    for l in itertools.count(-N, -1):
+        below += _sphere(p, t, l, scale, tail_digits, B)
+        if l < 0 and p ** -l > cutoff:
+            break
+        scale = scale * ratio >> B
+    # prefix[l + N] sums the spheres up to l; above the ball's top each
+    # p**(alpha*l) is the exponential of l*alpha*ln p
+    a_num, a_den = alpha.as_integer_ratio()
+    a = _ln(p, B) * a_num // a_den
+    spheres = (_sphere(p, t, l, _exp(l * a, B), tail_digits, B)
+               for l in range(1 - N, max(top0, top) + 1))
+    prefix = list(itertools.accumulate(spheres, initial=below))
+    # (p-1)*prefix(-m) less the edge sphere prefix(1-m) - prefix(-m)
+    Z = [(p - 1) * prefix[top0 + N] if m is None
+         else p * prefix[N - m] - prefix[N - m + 1] for m in radii]
+    return [_to_float((grow * z >> B) + c, B) for z in Z]
 
 
 def heat_kernel_ball_series(p: int, N: int, alpha: float, t: float,
@@ -605,25 +615,16 @@ def heat_kernel_ball_series(p: int, N: int, alpha: float, t: float,
     exp(lambda*t) while their sum stays order p**(-N), and c(t) reaches
     about 1e10 at N < 0 however small lambda*t is, so at every time the
     whole combination is formed in the fixed-point integers, the global
-    kernel by ``_global_kernel_fixed``, and rounded once.  It works
+    kernel by ``_series_radii``, and rounded once.  It works
     ``tail_digits`` = 15 + lambda*t*log10(e) guard digits past c(t)'s,
     so the global kernel survives multiplication by exp(lambda*t).  The
-    route refuses by one rule, NonConvergenceError where c(t) or the
-    x = 0 sphere sum needs more work than ``SERIES_WORK_BUDGET``:
-    lambda*t stays below the series' hump x, so any lambda*t whose guard
-    digits would cost more than the budget comes with a c(t) series that
-    passes it first.
+    route refuses by one rule, NonConvergenceError where c(t), the x = 0
+    sphere sum or the sphere sum down to a deep radius needs more work
+    than ``SERIES_WORK_BUDGET``: lambda*t stays below the series' hump x,
+    so any lambda*t whose guard digits would cost more than the budget
+    comes with a c(t) series that passes it first.
     """
-    _check_positive("t", t)
-    _check_radius(N, m)
-    lam_t = lambda_value(p, alpha, N) * t
-    tail_digits = 15 + int(math.ceil(lam_t * math.log10(math.e)))
-    dps = _series_dps(p, N, alpha, t) + tail_digits
-    grow, c = _grow_and_c(p, N, alpha, t, dps)
-    # only now: a dps the budget refuses can pass float range in _fixed_bits
-    B = _fixed_bits(dps)
-    Z = _global_kernel_fixed(p, N, alpha, t, m, tail_digits, B)
-    return _to_float((grow * Z >> B) + c, B)
+    return _series_radii(p, N, alpha, t, [m])[0]
 
 
 def _radial_gridfunction(model: BallModel, sweep) -> GridFunction:

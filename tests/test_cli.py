@@ -271,6 +271,28 @@ def test_heat_kernel_answers_past_float_range_of_a_sphere_weight(tmp_path):
     assert report["worst_rel_diff"] < report["tolerance"]
 
 
+def test_heat_kernel_over_6001_radii_answers_in_seconds(tmp_path):
+    # the series route summed the global kernel one radius per call, each
+    # re-adding every sphere above the ball from a cache of 4096: past
+    # 900 s here; one sphere list per time answers in seconds
+    argv = ["heat-kernel", "--p", "3", "--N", "1", "--M", "2", "--alpha", "0.7",
+            "--times", "0.1,1,10", "--m-lo", "-6000", "--out", str(tmp_path)]
+    with alarm(30):
+        assert main(argv) == 0
+    report = json.loads((tmp_path / "heat_kernel_report.json").read_text())
+    assert report["worst_rel_diff"] < report["tolerance"]
+
+
+def test_heat_kernel_refuses_a_radius_sphere_sum_past_the_work_budget(tmp_path, capsys):
+    # 20002 spheres, the deepest at 9578 digits: refused before any is formed
+    argv = ["heat-kernel", "--p", "3", "--N", "1", "--M", "2", "--alpha", "0.7",
+            "--times", "0.1,1,10", "--m-lo", "-20000", "--out", str(tmp_path)]
+    with alarm(5):
+        assert main(argv) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "work budget" in json.loads(err[0])["message"]
+
+
 def test_green_sweep_answers_up_to_the_radius_that_overflows(tmp_path):
     # K(-157) = 3.2e306; only the next radius's prefix term passes float
     # range, which the sweep formed before yielding K(-157) and exited 1
@@ -504,12 +526,12 @@ def _shift_green_sweep():
 
 
 def _scale_series():
-    original = cli.heat_kernel_ball_series
+    original = cli._series_radii
 
     def perturbed(*args):
-        return original(*args) * (1.0 + 1e-6)
+        return [b * (1.0 + 1e-6) for b in original(*args)]
 
-    return cli, "heat_kernel_ball_series", perturbed
+    return cli, "_series_radii", perturbed
 
 
 # each check and a perturbation of one of the representations it compares

@@ -6,7 +6,7 @@ import threading
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from padic_heat import (
@@ -525,13 +525,52 @@ def _extended_series_cases(draw):
 @settings(max_examples=24, deadline=None, derandomize=True)
 @given(_extended_series_cases())
 def test_extended_series_shares_its_spheres_across_radii(case):
-    # the spheres below the ball's top are summed once per time and one
-    # sphere is added per radius; every radius keeps its float
+    # one call sums the spheres below the ball's top once and each sphere
+    # above it once, and reads every radius off their prefix sums; each
+    # radius, alone or in that call, keeps the float of its own spheres
     p, N, alpha, t = case
     assume(30.0 < lambda_value(p, alpha, N) * t <= 200.0)
-    for m in list(range(N, N - 6, -1)) + [None]:
-        assert heat_kernel_ball_series(p, N, alpha, t, m) == \
-            _per_radius_series(p, N, alpha, t, m)
+    radii = list(range(N, N - 6, -1)) + [None]
+    want = [_per_radius_series(p, N, alpha, t, m) for m in radii]
+    assert [heat_kernel_ball_series(p, N, alpha, t, m) for m in radii] == want
+    assert kernels._series_radii(p, N, alpha, t, radii) == want
+
+
+def _series_outcome(f, *args):
+    """f(*args), its floats as hex strings, or the message of its refusal."""
+    try:
+        out = f(*args)
+    except NonConvergenceError as e:
+        return str(e)
+    return [b.hex() for b in out] if isinstance(out, list) else out.hex()
+
+
+@st.composite
+def _series_radii_cases(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    N = draw(st.integers(-3, 2))
+    alpha = draw(st.floats(0.03, 2.8))
+    lam_t = draw(st.floats(0.01, 120.0))
+    radii = draw(st.permutations(list(range(N, N - 7, -1)) + [None]))
+    return p, N, alpha, lam_t / lambda_value(p, alpha, N), radii
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_series_radii_cases())
+@example((2, 0, 0.001, 1.0, [0, None, -5]))  # x = 0 past the work budget
+def test_one_series_call_over_many_radii_gives_each_radius_its_bits(case):
+    # one call reads every radius, in any order, off one list of prefix
+    # sums: radius m takes prefix -m less its edge sphere, x = 0 the
+    # prefix at its own top, above or below the deepest radius's edge
+    # sphere.  A refused call gives the refusal of one radius alone
+    p, N, alpha, t, radii = case
+    with alarm(60):
+        one = _series_outcome(kernels._series_radii, p, N, alpha, t, radii)
+        each = [_series_outcome(heat_kernel_ball_series, p, N, alpha, t, m) for m in radii]
+    if isinstance(one, str):
+        assert one in each
+    else:
+        assert one == each
 
 
 @pytest.mark.parametrize("case, without_mpmath", [
@@ -672,7 +711,7 @@ def _series_bits(p, N, alpha, t, m):
 
 
 def _clear_series_caches():
-    for f in (kernels._ln_at, kernels._grow_and_c, kernels._spheres_below, kernels._sphere_above):
+    for f in (kernels._ln_at, kernels._grow_and_c):
         f.cache_clear()
 
 
