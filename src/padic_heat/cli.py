@@ -431,8 +431,8 @@ def _task_green(cfg: dict) -> int:
     alpha = _require(cfg, "alpha")
     p, N = model.p, model.N
     mus = cfg.get("mu", [1.0])
-    m_lo = cfg.get("m_lo", -25)
     m_hi = cfg.get("m_hi", min(N, 0))
+    m_lo = cfg.get("m_lo", min(-25, m_hi))
     summary = {"p": p, "N": N, "alpha": alpha, "tables": []}
     for mu in mus:
         rows = [(r["m"], r["abs_x"], r["K"], r["weight"], r["weighted"], r["ratio"])
@@ -510,8 +510,7 @@ def _task_solve_pme(cfg: dict) -> int:
 
 
 def _task_verify(cfg: dict) -> int:
-    model = _model_from(cfg) if all(
-        k in cfg for k in ("p", "N", "M")) else BallModel(2, 0, 6)
+    model = BallModel(cfg.get("p", 2), cfg.get("N", 0), cfg.get("M", 6))
     alpha = cfg.get("alpha", 1.0)
     # the oracles below are O(S**2) in time and the direct DFT in memory
     if model.S > DEFAULT_MATRIX_CAP:

@@ -17,13 +17,16 @@ one finite progression on the sphere |x| = p**m,
 and one generator, ``_radial_sweep``, yields it with the mean over the
 ball |x| <= p**m for m = N, N-1, ...  Each kernel gives only its zero
 frequency's share and its frequency-sphere term; the heat term ends the
-sweep where its decay underflows, and the Green term never does.  A
-term whose weight p**a passes float range while the term itself does
-not is formed in one power, so ``heat_kernel_ball`` answers at alpha
-down to 0.01.  Grid-level kernels return GridFunctions whose coset
-values are the exact coset averages of the radial profiles, read off
-the sweep: the zero coset takes its finite mean over the sub-ball
-|x| <= p**(-M).
+sweep where its decay underflows, and the Green term never does.  One
+factory, ``_heat_term``, forms the heat term for the ball's sweep and,
+at lambda = 0, every sphere of the whole-field kernel
+``heat_kernel_global``.  A term whose weight p**a passes float range
+while the term itself does not is formed in one power, so
+``heat_kernel_ball`` answers at alpha down to 0.01, and the whole-field
+kernel at x = 0 wherever its value fits in a double.  Grid-level
+kernels return GridFunctions whose coset values are the exact coset
+averages of the radial profiles, read off the sweep: the zero coset
+takes its finite mean over the sub-ball |x| <= p**(-M).
 
 The ball heat kernel has two independent evaluation routes:
 
@@ -43,7 +46,9 @@ power of p.  The series route reads exp(lambda*t) and c(t) from it, and
 route sums the global kernel's spheres in the same integers too and
 rounds once, so it runs one arithmetic and loads no package beyond
 numpy.  One call, ``_series_radii``, forms each sphere once for a whole
-list of radii and reads every radius off their prefix sums.  The
+list of radii and reads every radius off their prefix sums; each
+sphere's decay argument t*p**(alpha*l) is one running product from the
+ball's top, so a sphere costs one exponential, its decay.  The
 integer layer keeps two caches, ``_ln_at`` and ``_grow_and_c``; each
 holds a value that depends only on its key and never changes once
 cached, and the spheres live only in their call, so the route is safe
@@ -95,32 +100,31 @@ def heat_kernel_global(p: int, alpha: float, t: float, m: int | None = None,
         Z(t, |x| = p**m) = sum_{l <= -m} (1-1/p) p**l exp(-t p**(alpha*l))
                            - p**(-m) exp(-t p**(alpha*(1-m)))
 
-    and for x = 0 the full two-sided sphere sum.  The downward tail is
-    truncated once its geometric bound drops below ``eps_tail``.  Each
-    exp(-t p**exponent) is 0.0 once exponent*log(p) + log(t) passes 709,
-    before p**exponent can overflow; log(p), log(t) and float(p) are
-    formed once per call.  ``eps_tail`` must be positive and finite,
-    since p**l only falls to 0.0.
+    and for x = 0 the full two-sided sphere sum, started above the
+    superexponential cutoff of exp(-t p**(alpha*l)).  Each sphere is the
+    heat term of ``_heat_term`` at lambda = 0, the one the ball kernel's
+    sweep forms, and a term of None, a decay that underflows, adds 0.0;
+    so a start sphere whose weight p**l passes float range forms no
+    p**l, and the x = 0 sum answers wherever its terms fit in a double.
+    The downward tail is truncated once its geometric bound p**l drops
+    below ``eps_tail``, a bound compared only once p**l is below e**709.
+    ``eps_tail`` must be positive and finite, since p**l only falls to
+    0.0.
     """
     _check_positive("t", t)
     _check_positive("alpha", alpha)
     _check_positive("eps_tail", eps_tail)
-    q = 1.0 - 1.0 / p
-    fp, log_p, log_t = float(p), math.log(p), math.log(t)
+    q, log_p = 1.0 - 1.0 / p, math.log(p)
+    term = _heat_term(p, alpha, t, 0.0)
     if m is None:
-        # start above the superexponential cutoff of exp(-t p**(alpha l))
         l = int(math.ceil(math.log(745.0 / t) / (alpha * log_p))) + 1
         acc = 0.0
     else:
-        b = alpha * (1 - m)
-        e_bnd = 0.0 if b * log_p + log_t > 709.0 else math.exp(-t * fp ** b)
-        acc = -fp ** (-m) * e_bnd if e_bnd > 0.0 else 0.0
+        acc = -(term(1.0, -m, 1 - m) or 0.0)
         l = -m
     while True:
-        exponent = alpha * l
-        decay = 0.0 if exponent * log_p + log_t > 709.0 else math.exp(-t * fp ** exponent)
-        acc += q * fp ** l * decay
-        if fp ** l < eps_tail:
+        acc += term(q, l, l) or 0.0
+        if l * log_p < 709.0 and float(p) ** l < eps_tail:
             return acc
         l -= 1
 
@@ -454,22 +458,19 @@ def _sweep_pairs(sweep, count: int | None) -> list:
     return pairs + pairs[-1:] * (0 if count is None else count - len(pairs))
 
 
-def _ball_radial(p: int, N: int, alpha: float, t: float):
-    """``_radial_sweep`` of the ball heat kernel, phi(xi) =
-    exp(-t*(|xi|**alpha - lambda)) on the ball's frequencies: base p**(-N)
-    and the term c * p**a * exp(t*(lambda - p**(alpha*l))), lambda
-    computed once.
+def _heat_term(p: int, alpha: float, t: float, lam: float):
+    """The heat term of a frequency sphere, term(c, a, l) =
+    c * p**a * exp(t*(lam - p**(alpha*l))), or None where the decay
+    underflows: the one rule of the ball kernel's sweep (lam = lambda)
+    and of the whole-field kernel's spheres (lam = 0).
 
-    Every frequency has p**(alpha*l) > lambda, so each decay is at most
-    1, and the sweep is overflow-free for arbitrarily large t.  The
-    decay is 0.0 once alpha*l*log(p) passes 709, before p**(alpha*l) can
-    overflow, or once its argument falls to -745, and the sweep ends
-    there.  Where p**a passes float range and the decay does not vanish,
-    the term is c * p**(a + arg/log(p)), arg the decay's argument; a
-    term past float range itself raises OverflowError.
+    The decay is None once alpha*l*log(p) passes 709, before
+    p**(alpha*l) can overflow, or once its argument falls to -745.
+    Where p**a passes float range and the decay does not vanish, the
+    term is c * p**(a + arg/log(p)), arg the decay's argument; a term
+    past float range itself raises OverflowError.
     """
     fp, log_p = float(p), math.log(p)
-    lam = lambda_value(p, alpha, N)
 
     def term(c: float, a: int, l: int) -> float | None:
         arg = -math.inf if alpha * l * log_p > 709.0 else t * (lam - fp ** (alpha * l))
@@ -480,7 +481,20 @@ def _ball_radial(p: int, N: int, alpha: float, t: float):
         except OverflowError:
             return c * fp ** (a + arg / log_p)
 
-    return _radial_sweep(p, N, fp ** (-N), term)
+    return term
+
+
+def _ball_radial(p: int, N: int, alpha: float, t: float):
+    """``_radial_sweep`` of the ball heat kernel, phi(xi) =
+    exp(-t*(|xi|**alpha - lambda)) on the ball's frequencies: base p**(-N)
+    and the ``_heat_term`` at lambda, computed once.
+
+    Every frequency has p**(alpha*l) > lambda, so each decay is at most
+    1, and the sweep is overflow-free for arbitrarily large t.  It ends
+    where the term's decay underflows.
+    """
+    term = _heat_term(p, alpha, t, lambda_value(p, alpha, N))
+    return _radial_sweep(p, N, float(p) ** (-N), term)
 
 
 def heat_kernel_ball(p: int, N: int, alpha: float, t: float,
@@ -502,9 +516,9 @@ def heat_kernel_ball(p: int, N: int, alpha: float, t: float,
     return _sweep_pairs(_ball_radial(p, N, alpha, t), None if m is None else N - m + 1)[-1][0]
 
 
-def _sphere(p: int, t: float, l: int, scale: int, tail_digits: int, B: int) -> int:
-    """p**(l-1) * exp(-t*p**(alpha*l)) scaled by 2**B, the global kernel's
-    sphere l over its weight p - 1, from ``scale`` = p**(alpha*l) scaled
+def _sphere(p: int, l: int, y: int, tail_digits: int, B: int) -> int:
+    """p**(l-1) * exp(-y) scaled by 2**B, the global kernel's sphere l over
+    its weight p - 1, from its decay argument y = t*p**(alpha*l) scaled
     by 2**B.  The spheres' sum is multiplied by exp(lambda*t), about
     10**(tail_digits - 15), so the exponential, weighted by p**(l-1), is
     formed at W bits, tail_digits + 20 + l*log10(p) digits (at least 20).
@@ -513,8 +527,6 @@ def _sphere(p: int, t: float, l: int, scale: int, tail_digits: int, B: int) -> i
     its exponential by the weight at W bits and shifts down by W - B, so
     a decay below 2**-B keeps the digits its weight lifts above it."""
     W = _fixed_bits(max(tail_digits + 20 + int(l * math.log10(p)), 20))
-    t_num, t_den = t.as_integer_ratio()
-    y = scale * t_num // t_den
     if W > B:
         return _exp(-(y << (W - B)), W) * p ** (l - 1) >> (W - B)
     decay = _exp(-(y >> (B - W)), W) << (B - W)
@@ -562,6 +574,10 @@ def _series_radii(p: int, N: int, alpha: float, t: float, radii) -> list[float]:
     grouping, so each value has the bits of a sum of its own spheres.
     x = 0 has no edge sphere, and its sum ends at ``_top_sphere``, where
     a sphere's weight times its decay falls below 10**(-tail_digits-10).
+    Each sphere's decay argument t*p**(alpha*l) is one running product
+    from t*p**(-N*alpha): down by p**(-alpha) below the ball's top and up
+    by its fixed-point reciprocal above it, so every sphere costs one
+    ``_exp``, its decay.
     t, every radius, exp(lambda*t) and c(t) come first; then the x = 0
     sum and the radii's sum, up to sphere 1 - min(m), are each refused by
     ``_check_series_work``, their spheres times the digits of their
@@ -582,22 +598,26 @@ def _series_radii(p: int, N: int, alpha: float, t: float, radii) -> list[float]:
     top = max([1 - m for m in radii if m is not None], default=-N)
     for last, what in ((top0, "x = 0 sphere sum"), (top, "radius sphere sum")):
         _check_series_work(last + N, tail_digits + 20 + int(last * math.log10(p)), what)
-    # the spheres l <= -N, cut once p**l < 10**(-tail_digits);
-    # p**(alpha*l) the running product of p**(-N*alpha) by p**(-alpha)
-    ratio, scale = _p_powers(p, N, alpha, B)
+    # each sphere's decay argument y = t*p**(alpha*l) is one running
+    # product from t*p**(-N*alpha): down by p**(-alpha), up by its
+    # reciprocal
+    ratio, H = _p_powers(p, N, alpha, B)
+    t_num, t_den = t.as_integer_ratio()
+    y_top = y = H * t_num // t_den
+    # the spheres l <= -N, cut once p**l < 10**(-tail_digits)
     cutoff = 10 ** tail_digits
     below = 0
     for l in itertools.count(-N, -1):
-        below += _sphere(p, t, l, scale, tail_digits, B)
+        below += _sphere(p, l, y, tail_digits, B)
         if l < 0 and p ** -l > cutoff:
             break
-        scale = scale * ratio >> B
-    # prefix[l + N] sums the spheres up to l; above the ball's top each
-    # p**(alpha*l) is the exponential of l*alpha*ln p
-    a_num, a_den = alpha.as_integer_ratio()
-    a = _ln(p, B) * a_num // a_den
-    spheres = (_sphere(p, t, l, _exp(l * a, B), tail_digits, B)
-               for l in range(1 - N, max(top0, top) + 1))
+        y = y * ratio >> B
+    rise = (1 << 2 * B) // ratio
+    spheres = []
+    for l in range(1 - N, max(top0, top) + 1):
+        y_top = y_top * rise >> B
+        spheres.append(_sphere(p, l, y_top, tail_digits, B))
+    # prefix[l + N] sums the spheres up to l
     prefix = list(itertools.accumulate(spheres, initial=below))
     # (p-1)*prefix(-m) less the edge sphere prefix(1-m) - prefix(-m)
     Z = [(p - 1) * prefix[top0 + N] if m is None

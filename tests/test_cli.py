@@ -304,6 +304,16 @@ def test_green_sweep_answers_up_to_the_radius_that_overflows(tmp_path):
         "-157", repr(1009.0 ** -157), repr(3.247559159232082e+306)]
 
 
+def test_green_default_lowest_radius_lies_at_or_below_the_highest(tmp_path):
+    # m_hi defaults to min(N, 0) = -26, and an m_lo of -25 above it exited
+    # 1 with "bad m_range (-25, -26)" on a valid model
+    argv = ["green", "--p", "2", "--N", "-26", "--M", "26", "--alpha", "1.5",
+            "--out", str(tmp_path)]
+    assert main(argv) == 0
+    lines = read_csv_lines(tmp_path / "green_mu_1.csv")
+    assert [line.split(",")[0] for line in lines[1:]] == ["-26"]
+
+
 def test_heat_kernel_task(tmp_path):
     rc = main(["heat-kernel", "--p", "2", "--N", "0", "--M", "4",
                "--alpha", "1.0", "--times", "0.5,2.0", "--m-lo", "-3",
@@ -467,6 +477,18 @@ def test_verify_refuses_models_above_the_matrix_cap(tmp_path, capsys, monkeypatc
     assert len(err) == 1
     payload = json.loads(err[0])
     assert payload["exit_code"] == 1 and "4096" in payload["message"]
+
+
+def test_verify_takes_each_model_flag_it_is_given(tmp_path, capsys):
+    # p alone ran the default model (2, 0, 6); each of p, N and M has its
+    # own default, so --p 7 builds (7, 0, 6), S = 117649, past the cap
+    rc = main(["verify", "--p", "7", "--alpha", "1.0", "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "group order 117649" in json.loads(err[0])["message"]
+    assert main(["verify", "--M", "4", "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "verify_report.json").read_text())
+    assert (report["p"], report["N"], report["M"], report["passed"]) == (2, 0, 4, True)
 
 
 def test_verify_runs_no_roll_loop(tmp_path, capsys, monkeypatch):

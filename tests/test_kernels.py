@@ -182,6 +182,47 @@ def test_global_kernel_bit_equals_the_per_term_loop(p, alpha, log_t, m):
     assert got.hex() == _heat_kernel_global_per_term(p, alpha, t, m).hex()
 
 
+def _global_kernel_at_zero_mp(p, alpha, t):
+    """The x = 0 sphere sum of the whole-field kernel at 30 digits, from
+    its peak sphere, where t*alpha*p**(alpha*l) = 1, up until a term falls
+    below 1e-35 of the peak's and down until the weight p**l does."""
+    with mp.workdps(30):
+        P, A, T = mp.mpf(p), mp.mpf(alpha), mp.mpf(t)
+        q = 1 - 1 / P
+        top = math.floor(-math.log(t * alpha) / (alpha * math.log(p)))
+        peak = q * P ** top * mp.exp(-T * P ** (A * top))
+        acc = mp.mpf(0)
+        for step in (1, -1):
+            l = top if step == 1 else top - 1
+            while True:
+                term = q * P ** l * mp.exp(-T * P ** (A * l))
+                acc += term
+                if (term if step == 1 else P ** l) < peak * mp.mpf(10) ** -35:
+                    break
+                l += step
+        return acc
+
+
+@pytest.mark.parametrize("p, alpha, t", [(2, 0.006, 1.0), (2, 0.006, 10.0), (2, 0.009, 0.1),
+                                         (2, 0.009, 1.0), (3, 0.009, 1.0), (7, 0.009, 1.0)])
+def test_global_kernel_at_zero_answers_where_its_start_weight_overflows(p, alpha, t):
+    # the x = 0 sum starts where the decay underflows, at 2**1062 for
+    # (2, 0.009, 1): forming that weight raised OverflowError, though the
+    # value, 2.1e180 there, fits in a double
+    with alarm(10):
+        got = heat_kernel_global(p, alpha, t, None)
+    want = _global_kernel_at_zero_mp(p, alpha, t)
+    assert abs(got - want) < 1e-13 * want
+
+
+@pytest.mark.parametrize("p, alpha, t", [(2, 0.001, 1.0), (2, 0.006, 0.1)])
+def test_global_kernel_at_zero_raises_past_float_range(p, alpha, t):
+    # these sums pass float range themselves: a term past it raises
+    with alarm(10):
+        with pytest.raises(OverflowError):
+            heat_kernel_global(p, alpha, t, None)
+
+
 # -- additive constant of the ball kernel ------------------------------
 
 
@@ -571,6 +612,31 @@ def test_one_series_call_over_many_radii_gives_each_radius_its_bits(case):
         assert one in each
     else:
         assert one == each
+
+
+def test_series_call_forms_one_exp_per_sphere(monkeypatch):
+    # the decay argument t*p**(alpha*l) is one running product, so each
+    # sphere costs its own exp alone; a second exp per sphere above the
+    # ball formed p**(alpha*l), 75 calls for 64 spheres here
+    args = (2, 0, 0.7, 1.0, [0, -3, None])
+    kernels._series_radii(*args)  # warms _grow_and_c
+    calls = {"_exp": 0, "_sphere": 0}
+
+    def counted(name):
+        original = getattr(kernels, name)
+
+        def wrapper(*a):
+            calls[name] += 1
+            return original(*a)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(kernels, name, counted(name))
+    with alarm(30):
+        kernels._series_radii(*args)
+    assert calls["_sphere"] > 0
+    # the two of _p_powers besides
+    assert calls["_exp"] == calls["_sphere"] + 2
 
 
 @pytest.mark.parametrize("case, without_mpmath", [
