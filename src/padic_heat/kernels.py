@@ -47,8 +47,9 @@ route sums the global kernel's spheres in the same integers too and
 rounds once, so it runs one arithmetic and loads no package beyond
 numpy.  One call, ``_series_radii``, forms each sphere once for a whole
 list of radii and reads every radius off their prefix sums; each
-sphere's decay argument t*p**(alpha*l) is one running product from the
-ball's top, so a sphere costs one exponential, its decay.  The
+sphere's p**(alpha*l) is one running product from p**0 = 1, down by
+p**(-alpha) and up by p**alpha, so a sphere costs one exponential, its
+decay.  The
 integer layer keeps two caches, ``_ln_at`` and ``_grow_and_c``; each
 holds a value that depends only on its key and never changes once
 cached, and the spheres live only in their call, so the route is safe
@@ -91,6 +92,14 @@ def _check_radius(N: int, m: int | None) -> None:
         raise ValueError(f"radius exponent m must be <= N = {N}, got {m}")
 
 
+def _finite(total: float) -> float:
+    """A sum of finite terms, or the OverflowError a term past float range
+    raises where the sum itself passes it."""
+    if math.isinf(total):
+        raise OverflowError(34, "Numerical result out of range")
+    return total
+
+
 def heat_kernel_global(p: int, alpha: float, t: float, m: int | None = None,
                        eps_tail: float = DEFAULT_EPS_TAIL) -> float:
     """Heat kernel on the whole field at radius p**m (m=None for x = 0).
@@ -125,7 +134,7 @@ def heat_kernel_global(p: int, alpha: float, t: float, m: int | None = None,
     while True:
         acc += term(q, l, l) or 0.0
         if l * log_p < 709.0 and float(p) ** l < eps_tail:
-            return acc
+            return _finite(acc)
         l -= 1
 
 
@@ -334,7 +343,9 @@ def _p_powers(p: int, N: int, alpha: float, B: int) -> tuple[int, int]:
     -a and -N*a for a = alpha*ln p, formed exactly from ``_ln``'s one
     logarithm of p.  -N*a is an integer multiple of a, never the power of
     -N*alpha rounded in float (3*2.8 = 8.399999999999999), which parted
-    the series route's summands at the 17th digit."""
+    the series route's summands at the 17th digit.  At N = -1 they are
+    the steps p**(-alpha) and p**alpha of the series route's running
+    product."""
     a_num, a_den = alpha.as_integer_ratio()
     a = _ln(p, B) * a_num // a_den
     return _exp(-a, B), _exp(-N * a, B)
@@ -447,7 +458,7 @@ def _radial_sweep(p: int, N: int, base: float, term):
             yield base + prefix, base + prefix
             return
         yield base + (prefix - edge), base + prefix
-        prefix += term(q, 1 - m, 1 - m)
+        prefix = _finite(prefix + term(q, 1 - m, 1 - m))
 
 
 def _sweep_pairs(sweep, count: int | None) -> list:
@@ -574,10 +585,13 @@ def _series_radii(p: int, N: int, alpha: float, t: float, radii) -> list[float]:
     grouping, so each value has the bits of a sum of its own spheres.
     x = 0 has no edge sphere, and its sum ends at ``_top_sphere``, where
     a sphere's weight times its decay falls below 10**(-tail_digits-10).
-    Each sphere's decay argument t*p**(alpha*l) is one running product
-    from t*p**(-N*alpha): down by p**(-alpha) below the ball's top and up
-    by its fixed-point reciprocal above it, so every sphere costs one
-    ``_exp``, its decay.
+    Each sphere's p**(alpha*l) is one running product from p**0 = 1:
+    down by p**(-alpha) and up by p**alpha, both formed at full relative
+    precision from one a = alpha*ln p by ``_p_powers``, so every sphere
+    costs one ``_exp``, its decay of t*p**(alpha*l).  Started at 1, the
+    product is off by a few units of 2**-B per step, absolute below 1
+    and relative above it, also where p**(-alpha) or p**(-N*alpha) falls below 2**-B
+    and keeps none of the bits a product up from it would need.
     t, every radius, exp(lambda*t) and c(t) come first; then the x = 0
     sum and the radii's sum, up to sphere 1 - min(m), are each refused by
     ``_check_series_work``, their spheres times the digits of their
@@ -598,30 +612,27 @@ def _series_radii(p: int, N: int, alpha: float, t: float, radii) -> list[float]:
     top = max([1 - m for m in radii if m is not None], default=-N)
     for last, what in ((top0, "x = 0 sphere sum"), (top, "radius sphere sum")):
         _check_series_work(last + N, tail_digits + 20 + int(last * math.log10(p)), what)
-    # each sphere's decay argument y = t*p**(alpha*l) is one running
-    # product from t*p**(-N*alpha): down by p**(-alpha), up by its
-    # reciprocal
-    ratio, H = _p_powers(p, N, alpha, B)
-    t_num, t_den = t.as_integer_ratio()
-    y_top = y = H * t_num // t_den
-    # the spheres l <= -N, cut once p**l < 10**(-tail_digits)
+    # the spheres lo..hi: down to the first l < 0 with p**l < 10**(-tail_digits)
+    # and up to the last sphere of either sum
     cutoff = 10 ** tail_digits
-    below = 0
-    for l in itertools.count(-N, -1):
-        below += _sphere(p, l, y, tail_digits, B)
-        if l < 0 and p ** -l > cutoff:
-            break
-        y = y * ratio >> B
-    rise = (1 << 2 * B) // ratio
-    spheres = []
-    for l in range(1 - N, max(top0, top) + 1):
-        y_top = y_top * rise >> B
-        spheres.append(_sphere(p, l, y_top, tail_digits, B))
-    # prefix[l + N] sums the spheres up to l
-    prefix = list(itertools.accumulate(spheres, initial=below))
+    lo = min(-N, -next(k for k in itertools.count(1) if p ** k > cutoff))
+    hi = max(top0, top)
+    # p**(alpha*l) scaled by 2**B is one running product from p**0 = 1:
+    # down by p**(-alpha) and up by p**alpha, the exponentials of -a and a;
+    # scales[l - lo] is p**(alpha*l)
+    ratio, rise = _p_powers(p, -1, alpha, B)
+    down, up = (list(itertools.accumulate(itertools.repeat(r, n), lambda s, f: s * f >> B,
+                                          initial=1 << B))
+                for r, n in ((ratio, -lo), (rise, max(hi, 0))))
+    scales = down[:0:-1] + up
+    t_num, t_den = t.as_integer_ratio()
+    spheres = [_sphere(p, l, scales[l - lo] * t_num // t_den, tail_digits, B)
+               for l in range(lo, hi + 1)]
+    # prefix[l - lo] sums the spheres up to l
+    prefix = list(itertools.accumulate(spheres))
     # (p-1)*prefix(-m) less the edge sphere prefix(1-m) - prefix(-m)
-    Z = [(p - 1) * prefix[top0 + N] if m is None
-         else p * prefix[N - m] - prefix[N - m + 1] for m in radii]
+    Z = [(p - 1) * prefix[top0 - lo] if m is None
+         else p * prefix[-m - lo] - prefix[1 - m - lo] for m in radii]
     return [_to_float((grow * z >> B) + c, B) for z in Z]
 
 

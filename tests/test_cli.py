@@ -260,6 +260,18 @@ def test_an_overflow_names_its_task(tmp_path, capsys, argv):
                    "(34, 'Numerical result out of range')"}
 
 
+def test_heat_kernel_refuses_a_kernel_sum_past_float_range(tmp_path, capsys):
+    # every term of the sweep's prefix fits in a double but their sum does
+    # not; it read inf at x = 0, and the task exited 0
+    argv = ["heat-kernel", "--p", "2", "--N", "0", "--M", "3", "--alpha", "0.00585",
+            "--times", "1", "--out", str(tmp_path)]
+    with alarm(60):
+        assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and json.loads(err[0])["message"] == (
+        "heat-kernel: a value passed float range: (34, 'Numerical result out of range')")
+
+
 def test_heat_kernel_answers_past_float_range_of_a_sphere_weight(tmp_path):
     # at alpha = 0.01 and t = 0.1 the character sum runs past the sphere
     # weight 2**1024, whose decay does not vanish there; the sweep formed

@@ -215,9 +215,10 @@ def test_global_kernel_at_zero_answers_where_its_start_weight_overflows(p, alpha
     assert abs(got - want) < 1e-13 * want
 
 
-@pytest.mark.parametrize("p, alpha, t", [(2, 0.001, 1.0), (2, 0.006, 0.1)])
+@pytest.mark.parametrize("p, alpha, t", [(2, 0.001, 1.0), (2, 0.006, 0.1), (2, 0.00585, 1.0)])
 def test_global_kernel_at_zero_raises_past_float_range(p, alpha, t):
-    # these sums pass float range themselves: a term past it raises
+    # these sums pass float range themselves: a term past it raises, and
+    # at (2, 0.00585, 1) every term fits but their sum, which read inf
     with alarm(10):
         with pytest.raises(OverflowError):
             heat_kernel_global(p, alpha, t, None)
@@ -615,9 +616,9 @@ def test_one_series_call_over_many_radii_gives_each_radius_its_bits(case):
 
 
 def test_series_call_forms_one_exp_per_sphere(monkeypatch):
-    # the decay argument t*p**(alpha*l) is one running product, so each
-    # sphere costs its own exp alone; a second exp per sphere above the
-    # ball formed p**(alpha*l), 75 calls for 64 spheres here
+    # p**(alpha*l) is one running product, so each sphere costs its own
+    # exp alone; a second exp per sphere above the ball formed
+    # p**(alpha*l), 75 calls for 64 spheres here
     args = (2, 0, 0.7, 1.0, [0, -3, None])
     kernels._series_radii(*args)  # warms _grow_and_c
     calls = {"_exp": 0, "_sphere": 0}
@@ -637,6 +638,21 @@ def test_series_call_forms_one_exp_per_sphere(monkeypatch):
     assert calls["_sphere"] > 0
     # the two of _p_powers besides
     assert calls["_exp"] == calls["_sphere"] + 2
+
+
+@pytest.mark.parametrize("p, N, alpha, t", [(1009, 0, 40.0, 1.0), (7, 0, 80.0, 1.0),
+                                            (1009, 1, 40.0, 1.0), (1009, 2, 20.0, 1.0),
+                                            (7, 3, 30.0, 0.5)])
+def test_series_running_product_holds_where_p_to_the_alpha_passes_its_bits(p, N, alpha, t):
+    # p**(-alpha) rounds to 0 at (1009, 0, 40), and its reciprocal divided
+    # by zero; p**(-N*alpha) keeps too few bits at (1009, 2, 20) for a
+    # product up from it to reach the spheres above the ball
+    radii = [N, N - 1, N - 3, None]
+    with alarm(30):
+        got = kernels._series_radii(p, N, alpha, t, radii)
+    want = [heat_kernel_ball(p, N, alpha, t, m) for m in radii]
+    for g, w in zip(got, want):
+        assert abs(g - w) < 1e-12 * max(abs(w), float(p) ** -N)
 
 
 @pytest.mark.parametrize("case, without_mpmath", [
@@ -977,6 +993,16 @@ def test_ball_kernel_at_small_alpha_past_float_range_of_a_sphere_weight(t):
         want = _ball_mp(2, 0, 0.01, t, radii)
         for m, w in zip(radii, want):
             assert abs(heat_kernel_ball(2, 0, 0.01, t, m) - w) < 1e-12 * w
+
+
+def test_ball_kernel_raises_where_its_sweep_prefix_passes_float_range():
+    # at alpha = 0.00585 every term of the prefix fits in a double but
+    # their sum does not; the kernel read inf at x = 0.  The sphere m = 0
+    # forms no prefix and still answers
+    with alarm(10):
+        assert math.isfinite(heat_kernel_ball(2, 0, 0.00585, 1.0, 0))
+        with pytest.raises(OverflowError):
+            heat_kernel_ball(2, 0, 0.00585, 1.0, None)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
