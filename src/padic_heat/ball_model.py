@@ -79,7 +79,7 @@ class BallModel:
     Group orders p**(N+M) above ``DEFAULT_ORDER_CAP`` are refused.
 
     Instances are immutable and hashable.  Derived lookup tables
-    (valuations, absolute values) are cached per model and shared
+    (valuations, point absolute values) are cached per model and shared
     read-only, so models are safe to use concurrently.
     """
 
@@ -187,9 +187,9 @@ def point_abs_table(model: BallModel) -> np.ndarray:
     return _readonly(t)
 
 
-@lru_cache(maxsize=64)
 def freq_abs_table(model: BallModel) -> np.ndarray:
-    """|xi|_p for every frequency index, with 0.0 at k = 0."""
+    """|xi|_p for every frequency index, with 0.0 at k = 0; formed per
+    call, read-only."""
     v = valuation_table(model)
     t = np.power(float(model.p), model.M - v.astype(np.float64))
     t[0] = 0.0

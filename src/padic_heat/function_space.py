@@ -265,12 +265,13 @@ def ball_indicator(model: BallModel, center: int = 0,
 
     radius_exp must lie in [-M, N]; the sub-ball then consists of the
     p**(M + radius_exp) cosets whose representatives are congruent to
-    ``center`` modulo p**(N - radius_exp).  It defaults to min(0, N):
-    the unit ball, or the whole ball where that is smaller.  A center or
-    radius_exp that is not an integer is refused.
+    ``center`` modulo p**(N - radius_exp).  It defaults to
+    max(-M, min(0, N)): the unit ball, or the whole ball where that is
+    smaller, or one coset where the unit ball lies below the resolution
+    (M < 0).  A center or radius_exp that is not an integer is refused.
     """
     if radius_exp is None:
-        radius_exp = min(0, model.N)
+        radius_exp = max(-model.M, min(0, model.N))
     center, radius_exp = _integer("center", center), _integer("radius_exp", radius_exp)
     if not (-model.M <= radius_exp <= model.N):
         raise ValueError(
@@ -290,8 +291,9 @@ def random_function(model: BallModel, seed: int) -> GridFunction:
 
 def positive_bump(model: BallModel, center: int = 0,
                   radius_exp: int | None = None) -> GridFunction:
-    """1 plus a sub-ball indicator (``ball_indicator``'s default radius):
-    strictly positive data with a localized excess."""
+    """1 plus a sub-ball indicator, by default of ``ball_indicator``'s
+    default radius max(-M, min(0, N)): strictly positive data with a
+    localized excess."""
     return constant(model, 1.0) + ball_indicator(model, center, radius_exp)
 
 

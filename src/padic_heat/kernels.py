@@ -110,7 +110,9 @@ def heat_kernel_global(p: int, alpha: float, t: float, m: int | None = None,
                            - p**(-m) exp(-t p**(alpha*(1-m)))
 
     and for x = 0 the full two-sided sphere sum, started above the
-    superexponential cutoff of exp(-t p**(alpha*l)).  Each sphere is the
+    superexponential cutoff of exp(-t p**(alpha*l)): the same sum at the
+    radius m just below that start sphere, whose edge term -p**(-m)
+    exp(-t p**(alpha*(1-m))) underflows.  Each sphere is the
     heat term of ``_heat_term`` at lambda = 0, the one the ball kernel's
     sweep forms, and a term of None, a decay that underflows, adds 0.0;
     so a start sphere whose weight p**l passes float range forms no
@@ -126,11 +128,11 @@ def heat_kernel_global(p: int, alpha: float, t: float, m: int | None = None,
     q, log_p = 1.0 - 1.0 / p, math.log(p)
     term = _heat_term(p, alpha, t, 0.0)
     if m is None:
-        l = int(math.ceil(math.log(745.0 / t) / (alpha * log_p))) + 1
-        acc = 0.0
-    else:
-        acc = -(term(1.0, -m, 1 - m) or 0.0)
-        l = -m
+        # the radius below the start sphere: its edge term has
+        # t*p**(alpha*(1-m)) > 745, so it is None and adds -0.0
+        m = -(int(math.ceil(math.log(745.0 / t) / (alpha * log_p))) + 1)
+    acc = -(term(1.0, -m, 1 - m) or 0.0)
+    l = -m
     while True:
         acc += term(q, l, l) or 0.0
         if l * log_p < 709.0 and float(p) ** l < eps_tail:

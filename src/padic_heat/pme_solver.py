@@ -72,14 +72,17 @@ class SolverError(Exception):
 
 @dataclass(frozen=True)
 class Nonlinearity:
-    """Strictly increasing Phi with Phi(0) = 0.
+    """Strictly increasing Phi with Phi(0) = 0, of two kinds.
 
-    kind "power" is the sign-preserving odd extension sign(u)|u|**m so
-    negative data stays admissible; "identity" is Phi(u) = u, the power
-    1, which Newton solves in one iteration, the Jacobian being exact;
-    "table" interpolates a monotone piecewise-linear
-    graph through (0,0) with end-slope extrapolation and one-sided
-    (right) derivatives at the kinks.
+    kind "table" is a monotone piecewise-linear graph through (0,0).
+    Value and slope read one segment index per u: the last knot at or
+    left of u, the first knot below the table.  Each knot carries its
+    right slope and the last knot the last segment's, so the end
+    segments extend past the table and the slope at a kink is the
+    right one.  Every other kind is the power at ``exponent``: the
+    sign-preserving odd extension sign(u)|u|**m, so negative data stays
+    admissible.  ``identity()`` is the power 1, Phi(u) = u, which Newton
+    solves in one iteration, the Jacobian being exact.
     """
 
     kind: str
@@ -96,7 +99,7 @@ class Nonlinearity:
 
     @staticmethod
     def identity() -> "Nonlinearity":
-        return Nonlinearity("identity")
+        return Nonlinearity.power(1.0)
 
     @staticmethod
     def table(knots) -> "Nonlinearity":
@@ -118,42 +121,42 @@ class Nonlinearity:
             raise ValueError("table must pass through (0, 0)")
         return Nonlinearity("table", knots_x=xs, knots_y=ys)
 
+    def _segments(self, u: np.ndarray) -> tuple:
+        """The table's knots, each knot's right slope (the last knot's is
+        the last segment's) and, per u, the index of its segment."""
+        xs, ys = np.asarray(self.knots_x), np.asarray(self.knots_y)
+        slopes = np.diff(ys) / np.diff(xs)
+        slopes = np.append(slopes, slopes[-1])
+        i = np.clip(np.searchsorted(xs, u, side="right") - 1, 0, xs.size - 1)
+        return xs, ys, slopes, i
+
     def value(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=np.float64)
-        if self.kind in ("power", "identity"):
-            # copysign(|u|**m, u), the sign taken from u + 0.0 so that
-            # u = -0.0 gives +0.0, as sign(u)*|u|**m does; at m = 2 the
-            # product s*|s| has those bits, in one pass fewer
-            s = u + 0.0
-            out = np.abs(s)
-            if self.exponent == 2.0:
-                return np.multiply(s, out, out=out)
-            out **= self.exponent
-            return np.copysign(out, s, out=out)
-        xs, ys = np.asarray(self.knots_x), np.asarray(self.knots_y)
-        out = np.interp(u, xs, ys)
-        s_lo = (ys[1] - ys[0]) / (xs[1] - xs[0])
-        s_hi = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
-        out = np.where(u < xs[0], ys[0] + s_lo * (u - xs[0]), out)
-        out = np.where(u > xs[-1], ys[-1] + s_hi * (u - xs[-1]), out)
-        return out
+        if self.kind == "table":
+            xs, ys, slopes, i = self._segments(u)
+            return ys[i] + slopes[i] * (u - xs[i])
+        # copysign(|u|**m, u), the sign taken from u + 0.0 so that
+        # u = -0.0 gives +0.0, as sign(u)*|u|**m does; at m = 2 the
+        # product s*|s| has those bits, in one pass fewer
+        s = u + 0.0
+        out = np.abs(s)
+        if self.exponent == 2.0:
+            return np.multiply(s, out, out=out)
+        out **= self.exponent
+        return np.copysign(out, s, out=out)
 
     def derivative(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=np.float64)
-        if self.kind in ("power", "identity"):
-            m = self.exponent
-            if m == 1.0:
-                return np.ones_like(u)
-            out = np.abs(u)
-            if m != 2.0:
-                out **= m - 1.0
-            out *= m
-            return out
-        xs = np.asarray(self.knots_x)
-        ys = np.asarray(self.knots_y)
-        slopes = np.diff(ys) / np.diff(xs)
-        idx = np.clip(np.searchsorted(xs, u, side="right") - 1, 0, len(slopes) - 1)
-        return slopes[idx]
+        if self.kind == "table":
+            _, _, slopes, i = self._segments(u)
+            return slopes[i]
+        # m*|u|**(m-1), which is 1.0 at m = 1 for every u, NaN and inf too
+        m = self.exponent
+        out = np.abs(u)
+        if m != 2.0:
+            out **= m - 1.0
+        out *= m
+        return out
 
 
 # -- implicit step ------------------------------------------------------

@@ -406,6 +406,16 @@ def test_default_initial_data_at_negative_N(tmp_path, task):
     assert rc == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve-linear", "--p", "5", "--N", "2", "--M", "-1", "--alpha", "1.0"],
+    ["solve-pme", "--p", "7", "--N", "1", "--M", "-1", "--alpha", "1.0", "--steps", "2"],
+])
+def test_default_initial_data_at_negative_M(tmp_path, argv):
+    # at M < 0 the default bump's sub-ball is one coset; a radius of p**0
+    # there lay below the resolution and exited 1
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+
+
 def test_solve_pme_with_doubling_report(tmp_path):
     rc = main(["solve-pme", "--p", "2", "--N", "0", "--M", "3",
                "--alpha", "1.0", "--t", "0.5", "--steps", "8",

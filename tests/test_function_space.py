@@ -301,6 +301,20 @@ def test_default_radius_is_the_unit_ball_or_the_whole_ball():
                               positive_bump(model, 0, r).values)
 
 
+def test_default_radius_at_negative_M_is_one_coset():
+    # at M < 0 the unit ball lies below the resolution: the default radius
+    # is -M, one coset, where a default of min(0, N) = 0 was refused
+    for model in (BallModel(5, 2, -1), BallModel(7, 1, -1), BallModel(2, 3, -2)):
+        one = np.zeros(model.S)
+        one[0] = 1.0
+        assert np.array_equal(ball_indicator(model).values, one)
+        assert np.array_equal(ball_indicator(model).values,
+                              ball_indicator(model, 0, -model.M).values)
+        assert np.array_equal(positive_bump(model).values, 1.0 + one)
+        assert np.array_equal(make_initial(model, {"kind": "bump"}).values, 1.0 + one)
+        assert np.array_equal(make_initial(model, {"kind": "indicator"}).values, one)
+
+
 def test_make_initial_kinds():
     model = BallModel(2, 0, 4)
     c = make_initial(model, {"kind": "constant", "value": 2.5})

@@ -85,6 +85,15 @@ def test_identity_nonlinearity():
     assert np.all(phi.derivative(u) == 1.0)
 
 
+def test_identity_is_the_power_1():
+    u = np.array([0.0, -0.0, 1e-310, -2.5, 1e300, np.inf, -np.inf, np.nan])
+    power = Nonlinearity.power(1.0)
+    assert Nonlinearity.identity() == power
+    for phi in (Nonlinearity.identity(), Nonlinearity("identity")):
+        assert np.array_equal(phi.value(u).view(np.int64), power.value(u).view(np.int64))
+        assert np.array_equal(phi.derivative(u).view(np.int64), np.ones_like(u).view(np.int64))
+
+
 def test_table_nonlinearity():
     phi = Nonlinearity.table([(-1.0, -2.0), (0.0, 0.0), (1.0, 0.5), (2.0, 3.0)])
     # exact at the knots
@@ -97,6 +106,36 @@ def test_table_nonlinearity():
     u = np.array([-1.7, -0.3, 0.4, 1.2, 2.9])
     # right-sided derivative at a kink
     assert abs(phi.derivative(np.array([1.0]))[0] - 2.5) < 1e-15
+    assert np.array_equal(phi.derivative(u), [2.0, 2.0, 0.5, 2.5, 2.5])
+    # value and slope read one segment index; every bit, NaN and the sign
+    # of zero included, equals np.interp with end-slope extrapolation and
+    # the slope of the segment searchsorted finds, clipped to the table
+    tables = [
+        [(-1.0, -2.0), (0.0, 0.0), (1.0, 0.5), (2.0, 3.0)],
+        [(-2.0, -3.0), (-1.0, -1.0), (0.0, 0.0), (0.5, 0.2), (1.0, 2.0), (3.0, 4.0)],
+        [(x, x * x) for x in (0.0, 0.25, 0.5, 1.0, 1.5, 2.0)] + [(-1.0, -1.0)],
+        [(0.0, 0.0), (1e-3, 7.0)],
+    ]
+    rng = np.random.default_rng(35)
+    for knots in tables:
+        phi = Nonlinearity.table(knots)
+        xs, ys = np.array(phi.knots_x), np.array(phi.knots_y)
+        u = np.concatenate([
+            [0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300],
+            xs, np.nextafter(xs, np.inf), np.nextafter(xs, -np.inf),
+            rng.uniform(xs[0] - 2.0, xs[-1] + 2.0, 4000),
+            10.0 * rng.standard_normal(1000),
+        ])
+        slopes = np.diff(ys) / np.diff(xs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want_value = np.interp(u, xs, ys)
+            want_value = np.where(u < xs[0], ys[0] + slopes[0] * (u - xs[0]), want_value)
+            want_value = np.where(u > xs[-1], ys[-1] + slopes[-1] * (u - xs[-1]), want_value)
+            value = phi.value(u)
+        want_slope = slopes[np.clip(np.searchsorted(xs, u, side="right") - 1,
+                                    0, len(xs) - 2)]
+        assert np.array_equal(value.view(np.int64), want_value.view(np.int64))
+        assert np.array_equal(phi.derivative(u).view(np.int64), want_slope.view(np.int64))
 
 
 def test_table_validation():
