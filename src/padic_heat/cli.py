@@ -637,7 +637,7 @@ class _Parser(argparse.ArgumentParser):
 @lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
     """Every flag is a plain string, read later by its option's reader,
-    or a switch."""
+    or a switch.  ``_task_parsers`` maps each task to its subparser."""
     parser = _Parser(prog="padic-heat", description=__doc__)
     sub = parser.add_subparsers(dest="task", required=True)
     for task in TASKS:
@@ -650,19 +650,33 @@ def _build_parser() -> _Parser:
                     sp.add_argument(flag, action="store_const", const=True)
                 else:
                     sp.add_argument(flag)
+    parser._task_parsers = sub.choices
     return parser
 
 
+def _parse(argv: list[str]) -> tuple[str, argparse.Namespace]:
+    """The task and its flags.  An ``argv`` that starts with a task name
+    goes straight to that task's subparser, which is what the top-level
+    parser would hand it, so its flags are classified once; any other
+    (no task, an unknown one, a top-level flag) takes the full parse."""
+    parser = _build_parser()
+    if argv and argv[0] in TASKS:
+        return argv[0], parser._task_parsers[argv[0]].parse_args(argv[1:])
+    args = parser.parse_args(argv)
+    return args.task, args
+
+
 def main(argv=None) -> int:
+    task = None
     try:
-        args = _build_parser().parse_args(argv)
-        cfg = _load_config(args.task, args)
+        task, args = _parse(sys.argv[1:] if argv is None else list(argv))
+        cfg = _load_config(task, args)
         os.makedirs(cfg["out"], exist_ok=True)
-        return TASKS[args.task](cfg)
+        return TASKS[task](cfg)
     except OverflowError as exc:
         # the errno text alone names neither the task nor the cause; the
-        # readers of the flags catch their own, so args is bound here
-        return _emit_error("validation", f"{args.task}: a value passed float range: {exc}",
+        # readers of the flags catch their own, so the task is known here
+        return _emit_error("validation", f"{task}: a value passed float range: {exc}",
                            EXIT_VALIDATION)
     except (ValidationFailure, ValueError, OSError) as exc:
         return _emit_error("validation", str(exc), EXIT_VALIDATION)

@@ -191,42 +191,50 @@ def _ladder_bands(p: int, widths: tuple[int, ...], levels: bytes) -> tuple:
     return tuple(bands)
 
 
-def apply_radial(model: BallModel, levels: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Apply a radial multiplier through nested ball averages, in O(S).
+def _ladder_averages(model: BallModel, values: np.ndarray) -> list[list[np.ndarray]]:
+    """The up-pass of ``apply_radial``: the ladder averages of ``values``.
 
-    ``levels`` holds the L + 1 real per-valuation values (see
-    ``radial_levels``).  The averages A_r over the classes n mod p**(L-r)
-    are built coarse-to-fine; coming back fine, each level's detail
-    A_r - A_{r+1}, which carries exactly the frequencies of valuation r,
-    is scaled by that level's value and the mean A_L by the k = 0 value.
-    The result equals ``apply_multiplier`` with the full factor array,
-    and has the dtype of ``values`` (real in, real out).  Complex values
-    take the real ladder by parts, the real and the imaginary part each
-    written into one complex128 array, never summed as a + 1j*b, which
-    would turn an infinite imaginary part into a NaN real part.
-
-    The levels are walked in the steps of ``_ladder_widths``.  A block of
-    w levels from r subtracts the coarse average A_{r+w} from A_r viewed
-    as (p**w, -1), multiplies once by the band matrix
-    sum_j e_{r+j} (Q_j - Q_{j+1}) from ``_ladder_bands`` (cached on the
-    level values), and adds the coarser result; the finest block then
-    has its column sums restored exactly by ``_restore_class_sums``.
+    One list per real part (one for real values, the real and the
+    imaginary part for complex ones), each the averages A_0 = values,
+    A_{r+w}, ... taken in the steps of ``_ladder_widths``.  They depend
+    only on ``values``, so one up-pass serves any number of level sets.
     """
     values = np.asarray(values)
-    if np.iscomplexobj(values):
-        out = np.empty(values.shape, dtype=np.complex128)
-        out.real = apply_radial(model, levels, values.real)
-        out.imag = apply_radial(model, levels, values.imag)
-        return out
+    parts = (values.real, values.imag) if np.iscomplexobj(values) else (values,)
+    p = model.p
+    ladders = []
+    for part in parts:
+        # np.add.reduce(x, axis=0) / q is the arithmetic of x.mean(axis=0)
+        # without its Python wrapper, which dominates at small S
+        averages = [part]
+        for w in _ladder_widths(p, model.N + model.M):
+            q = p ** w
+            averages.append(np.add.reduce(averages[-1].reshape(q, -1), axis=0) / q)
+        ladders.append(averages)
+    return ladders
+
+
+def _ladder_apply(model: BallModel, levels: np.ndarray,
+                  ladders: list[list[np.ndarray]]) -> np.ndarray:
+    """The down-pass of ``apply_radial``: the radial multiplier of level
+    values ``levels`` applied to the ladder averages of
+    ``_ladder_averages``, which it leaves unchanged.  One ladder gives a
+    real result; two give the real and the imaginary part of a complex
+    one, each written into one complex128 array."""
+    if len(ladders) == 1:
+        return _ladder_down(model, levels, ladders[0])
+    out = np.empty(ladders[0][0].shape, dtype=np.complex128)
+    out.real = _ladder_down(model, levels, ladders[0])
+    out.imag = _ladder_down(model, levels, ladders[1])
+    return out
+
+
+def _ladder_down(model: BallModel, levels: np.ndarray,
+                 averages: list[np.ndarray]) -> np.ndarray:
+    """One real part's down-pass, coarse to fine (see ``apply_radial``)."""
     p, L = model.p, model.N + model.M
     widths = _ladder_widths(p, L)
     bands = _ladder_bands(p, widths, np.asarray(levels, dtype=np.float64).tobytes())
-    # np.add.reduce(x, axis=0) / q is the arithmetic of x.mean(axis=0)
-    # without its Python wrapper, which dominates at small S
-    averages = [values]
-    for w in widths:
-        q = p ** w
-        averages.append(np.add.reduce(averages[-1].reshape(q, -1), axis=0) / q)
     out = levels[L] * averages[-1]
     r = L
     for i in range(len(widths) - 1, -1, -1):
@@ -253,6 +261,34 @@ def apply_radial(model: BallModel, levels: np.ndarray, values: np.ndarray) -> np
             _restore_class_sums(detail, out)
         out = detail.reshape(-1)
     return out
+
+
+def apply_radial(model: BallModel, levels: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Apply a radial multiplier through nested ball averages, in O(S).
+
+    ``levels`` holds the L + 1 real per-valuation values (see
+    ``radial_levels``).  The up-pass (``_ladder_averages``) builds the
+    averages A_r over the classes n mod p**(L-r) coarse-to-fine; the
+    down-pass (``_ladder_apply``) comes back fine, scaling each level's
+    detail A_r - A_{r+1}, which carries exactly the frequencies of
+    valuation r, by that level's value and the mean A_L by the k = 0
+    value.  The up-pass depends only on ``values``, so a caller with
+    several sets of level values (``linear_solver.evolve_series``) runs
+    it once and the down-pass once per set.  The result equals
+    ``apply_multiplier`` with the full factor array, and has the dtype
+    of ``values`` (real in, real out).  Complex values take the real
+    ladder by parts, the real and the imaginary part each written into
+    one complex128 array, never summed as a + 1j*b, which would turn an
+    infinite imaginary part into a NaN real part.
+
+    The levels are walked in the steps of ``_ladder_widths``.  A block of
+    w levels from r subtracts the coarse average A_{r+w} from A_r viewed
+    as (p**w, -1), multiplies once by the band matrix
+    sum_j e_{r+j} (Q_j - Q_{j+1}) from ``_ladder_bands`` (cached on the
+    level values), and adds the coarser result; the finest block then
+    has its column sums restored exactly by ``_restore_class_sums``.
+    """
+    return _ladder_apply(model, levels, _ladder_averages(model, values))
 
 
 def dft_direct(values: np.ndarray, sign: int) -> np.ndarray:

@@ -135,23 +135,20 @@ class GridFunction:
             u * K = p**(-M) * (K_L*u + sum_v K_v*(B_v - B_{v+1}))
                   = p**(-M) * sum_v (K_v - K_{v-1})*B_v,   K_{-1} = 0,
 
-        evaluated coarse-to-fine in Horner form.  Raises ValueError
-        unless the kernel is exactly (bit for bit) constant on every
-        sphere.  Uses no transform, so it stays an independent check of
-        the spectral path.
+        evaluated coarse-to-fine in Horner form.  The class sums
+        (``_class_sums``) depend only on u and the Horner pass
+        (``_radial_convolution``) only on the kernel's L + 1 levels, so a
+        caller with several kernels (``linear_solver.evolve_series``)
+        takes the sums once and the pass once per kernel.  Raises
+        ValueError unless the kernel is exactly (bit for bit) constant on
+        every sphere.  Uses no transform, so it stays an independent
+        check of the spectral path.
         """
         self._require_same_model(kernel)
-        p, L = self.model.p, self.model.N + self.model.M
         levels = radial_levels(self.model, kernel.values)
         if not np.array_equal(kernel.values[1:], levels[valuation_table(self.model)[1:]]):
             raise ValueError("kernel is not radial: its values vary on a sphere")
-        sums = [self.values]  # sums[j] is B_{L-j}
-        for _ in range(L):
-            sums.append(np.add.reduce(sums[-1].reshape(p, -1), axis=0))
-        acc = levels[0] * sums[L]
-        for v in range(1, L + 1):
-            acc = (acc + (levels[v] - levels[v - 1]) * sums[L - v].reshape(p, -1)).reshape(-1)
-        return GridFunction(self.model, acc * float(p) ** (-self.model.M))
+        return _radial_convolution(self.model, levels, _class_sums(self.model, self.values))
 
     # -- resolution changes -------------------------------------------
 
@@ -232,6 +229,31 @@ class GridFunction:
                 payload["values_im"], dtype=np.float64)
             return cls(model, vals)
         return cls(model, np.array(payload["values"], dtype=np.float64))
+
+
+def _class_sums(model: BallModel, values: np.ndarray) -> list[np.ndarray]:
+    """The class sums of ``convolve_radial``: entry j is B_{L-j}, the sums
+    of ``values`` over n mod p**(L-j), from B_L = values down to B_0."""
+    sums = [values]
+    for _ in range(model.N + model.M):
+        sums.append(np.add.reduce(sums[-1].reshape(model.p, -1), axis=0))
+    return sums
+
+
+def _radial_convolution(model: BallModel, levels: np.ndarray,
+                        sums: list[np.ndarray]) -> GridFunction:
+    """The Horner pass of ``convolve_radial``: the convolution with the
+    radial kernel of L + 1 level values ``levels`` (see ``radial_levels``)
+    from the ``_class_sums`` of the data, which it leaves unchanged."""
+    p, L = model.p, model.N + model.M
+    acc = levels[0] * sums[L]
+    for v in range(1, L + 1):
+        # (K_v - K_{v-1})*B_v + acc, formed in the product's own array
+        term = (levels[v] - levels[v - 1]) * sums[L - v].reshape(p, -1)
+        term += acc
+        acc = term.reshape(-1)
+    acc *= float(p) ** (-model.M)
+    return GridFunction(model, acc)
 
 
 def _parse_value(s: str):

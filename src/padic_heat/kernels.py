@@ -660,9 +660,10 @@ def heat_kernel_ball_series(p: int, N: int, alpha: float, t: float,
     return _series_radii(p, N, alpha, t, [m])[0]
 
 
-def _radial_gridfunction(model: BallModel, sweep) -> GridFunction:
-    """The grid function of a radial sweep of (value on the sphere
-    |x| = p**m, mean over |x| <= p**m) pairs from m = N down.
+def _sweep_levels(model: BallModel, sweep) -> np.ndarray:
+    """The L + 1 level values (see ``radial_levels``) of a radial sweep of
+    (value on the sphere |x| = p**m, mean over |x| <= p**m) pairs from
+    m = N down.
 
     The sphere of valuation v < L = N + M takes the value at radius
     p**(N - v); the zero coset takes the mean over the sub-ball
@@ -670,8 +671,13 @@ def _radial_gridfunction(model: BallModel, sweep) -> GridFunction:
     """
     L = model.N + model.M
     pairs = _sweep_pairs(sweep, L + 1)
-    spheres = np.array([value for value, _ in pairs[:L]] + [pairs[L][1]])
-    return GridFunction(model, spheres[valuation_table(model)])
+    return np.array([value for value, _ in pairs[:L]] + [pairs[L][1]])
+
+
+def _radial_gridfunction(model: BallModel, sweep) -> GridFunction:
+    """The grid function of a radial sweep: its ``_sweep_levels``
+    gathered through ``valuation_table``."""
+    return GridFunction(model, _sweep_levels(model, sweep)[valuation_table(model)])
 
 
 def ball_kernel_gridfunction(model: BallModel, alpha: float, t: float) -> GridFunction:
@@ -683,10 +689,12 @@ def ball_kernel_gridfunction(model: BallModel, alpha: float, t: float) -> GridFu
     ``_ball_radial``, which ``heat_kernel_ball`` reads; the zero coset
     takes the sweep's mean over the sub-ball |x| <= p**(-M), p**(-N) plus
     its L terms, the exact coset average.  Past the sweep's end every
-    value is its last.  Gathered through ``valuation_table``, the kernel
-    is bit for bit constant on every sphere, as
-    ``GridFunction.convolve_radial`` requires.  It runs no ladder, so it
-    stays a check of the spectral path.
+    value is its last.  Those L + 1 levels (``_sweep_levels``), gathered
+    through ``valuation_table``, make the kernel bit for bit constant on
+    every sphere, as ``GridFunction.convolve_radial`` requires; the
+    kernel path of ``linear_solver.evolve_series`` convolves the levels
+    themselves.  It runs no ladder, so it stays a check of the spectral
+    path.
     """
     _check_nonnegative("t", t)
     return _radial_gridfunction(model, _ball_radial(model.p, model.N, float(alpha), t))

@@ -3,12 +3,16 @@
 Two interchangeable propagation paths: the spectral path applies the
 radial multiplier exp(-t*(m[k] - lambda)) through nested ball averages
 (``fourier_ball.apply_radial``) and is the default; the kernel path
-convolves with the ball heat kernel grid function, built from the
-character sum of ``kernels.heat_kernel_ball``, by sphere sums
+convolves with the ball heat kernel, whose L + 1 sphere values are read
+off the radial sweep of ``kernels.heat_kernel_ball``, by sphere sums
 (``GridFunction.convolve_radial``) and is kept as an independent
-check; both cost O(S).  Constants are fixed points, mass is conserved
-(the k = 0 mode is untouched), and every nonzero mode decays, so
-solutions relax to the mean at rate p**(alpha*(1-N)) - lambda.
+check; both cost O(S).  Only the level values depend on t, so
+``evolve_series`` runs the chosen path's t-free half once per call (the
+ladder's up-pass, or the class sums) and then one down-pass or Horner
+pass per time; the two paths share no arithmetic.  Constants are fixed
+points, mass is conserved (the k = 0 mode is untouched), and every
+nonzero mode decays, so solutions relax to the mean at rate
+p**(alpha*(1-N)) - lambda.
 """
 
 from __future__ import annotations
@@ -16,32 +20,44 @@ from __future__ import annotations
 import numpy as np
 
 from .ball_model import _check_nonnegative, _check_positive, _check_times
-from .fourier_ball import apply_radial
-from .function_space import GridFunction
-from .kernels import ball_kernel_gridfunction
+from .fourier_ball import _ladder_apply, _ladder_averages
+from .function_space import GridFunction, _class_sums, _radial_convolution
+from .kernels import _ball_radial, _sweep_levels
 from .vladimirov import apply_spectral, operator_levels
 
 
 def evolve(u0: GridFunction, alpha: float, t: float,
            path: str = "spectral") -> GridFunction:
-    """Propagate initial data by time t."""
+    """Propagate initial data by time t: the one-time ``evolve_series``,
+    or a copy of ``u0`` at t = 0."""
     _check_nonnegative("t", t)
     if t == 0.0:
         return GridFunction(u0.model, u0.values)
-    if path == "spectral":
-        e = operator_levels(u0.model, float(alpha))
-        levels = np.exp(-t * (e - e[-1]))
-        return GridFunction(u0.model, apply_radial(u0.model, levels, u0.values))
-    if path == "kernel":
-        return u0.convolve_radial(
-            ball_kernel_gridfunction(u0.model, float(alpha), t))
-    raise ValueError(f"unknown path {path!r}")
+    return evolve_series(u0, alpha, [t], path)[0]
 
 
 def evolve_series(u0: GridFunction, alpha: float, times,
                   path: str = "spectral") -> list[GridFunction]:
-    """Solution snapshots at an increasing grid of positive times."""
-    return [evolve(u0, alpha, t, path) for t in _check_times(times)]
+    """Solution snapshots at an increasing grid of positive times.
+
+    The spectral path takes the ladder averages of ``u0`` once and applies
+    exp(-t*(e - lambda)) to them per time; the kernel path takes the
+    class sums of ``u0`` once and convolves them per time with the sweep's
+    levels of the ball heat kernel at t.  Each snapshot has the bits of
+    its time's own ``apply_radial`` or ``convolve_radial``.
+    """
+    ts = _check_times(times)
+    model, alpha = u0.model, float(alpha)
+    if path == "spectral":
+        e = operator_levels(model, alpha)
+        ladders = _ladder_averages(model, u0.values)
+        return [GridFunction(model, _ladder_apply(model, np.exp(-t * (e - e[-1])), ladders))
+                for t in ts]
+    if path == "kernel":
+        sums = _class_sums(model, u0.values)
+        sweeps = (_ball_radial(model.p, model.N, alpha, t) for t in ts)
+        return [_radial_convolution(model, _sweep_levels(model, s), sums) for s in sweeps]
+    raise ValueError(f"unknown path {path!r}")
 
 
 def spectral_gap(model, alpha: float) -> float:
@@ -55,14 +71,16 @@ def pde_residual(u0: GridFunction, alpha: float, t: float) -> float:
 
     du/dt is approximated by a centered difference with step
     dt = 1e-5 * max(t, 1), clamped to t/2 to keep t - dt positive; the
-    spatial term is applied exactly.  Small residual certifies a
-    classical solution of the flow at that instant.
+    three evolutions are one ``evolve_series`` call, and the spatial term
+    is applied exactly.  A t whose dt rounds to 0 (the least subnormal)
+    is refused.  Small residual certifies a classical solution of the
+    flow at that instant.
     """
     _check_positive("t", t)
     dt = min(1e-5 * max(t, 1.0), t / 2)
-    u_min = evolve(u0, alpha, t - dt)
-    u_mid = evolve(u0, alpha, t)
-    u_pls = evolve(u0, alpha, t + dt)
+    if dt == 0.0:
+        raise ValueError(f"t is too small for a centred difference, got {t}")
+    u_min, u_mid, u_pls = evolve_series(u0, alpha, [t - dt, t, t + dt])
     du_dt = (u_pls.values - u_min.values) / (2 * dt)
     lam = operator_levels(u0.model, float(alpha))[-1]
     spatial = apply_spectral(u_mid, float(alpha)).values - lam * u_mid.values

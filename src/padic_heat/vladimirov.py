@@ -244,12 +244,15 @@ def convolve_riesz(u: GridFunction, alpha: float) -> GridFunction:
     return GridFunction(model, out)
 
 
-@lru_cache(maxsize=128)
+# one entry: every hit is a second read of the same row within one call
+# (``verify``), and a row is 8 MB at S = 2**20
+@lru_cache(maxsize=1)
 def matrix_row(model: BallModel, alpha: float) -> np.ndarray:
     """Row 0 of ``build_matrix``, read-only, in O(S) at any order: the
     difference weights w_j = a_p * p**(-M) * |y_j|^(-alpha-1), even in j,
-    with lambda - sum(w) at j = 0.  Cached, so ``build_matrix``,
-    ``apply_hypersingular``, ``spectrum`` and ``verify`` read one row."""
+    with lambda - sum(w) at j = 0.  The last row is cached, so
+    ``build_matrix``, ``apply_hypersingular``, ``spectrum`` and ``verify``
+    read one row."""
     alpha = float(alpha)
     row = np.zeros(model.S, dtype=np.float64)
     if model.S > 1:

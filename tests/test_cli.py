@@ -1,5 +1,6 @@
 import csv
 import filecmp
+import importlib.util
 import io
 import json
 import os
@@ -978,3 +979,52 @@ def test_flag_and_config_value_give_the_same_files(tmp_path, key):
     assert names == sorted(f.name for f in by_config.iterdir())
     for name in names:
         assert (by_flag / name).read_bytes() == (by_config / name).read_bytes(), name
+
+
+def _cli_mix_argv(seed):
+    # the benchmark's in-process CLI calls, from perfbench/workloads.py
+    path = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.cli_invocations(seed, 100)
+
+
+def test_a_task_parser_reads_what_the_full_parse_reads():
+    # main hands argv[1:] of a task straight to that task's subparser;
+    # it must read every flag as the top-level parse would
+    parser = cli._build_parser()
+    for argv in CACHED_PARSER_RUNS + _cli_mix_argv(1):
+        full = vars(parser.parse_args(argv))
+        task = vars(parser._task_parsers[argv[0]].parse_args(argv[1:]))
+        assert dict(task, task=argv[0]) == full
+
+
+@pytest.mark.parametrize("argv", [["solve-pme", "--steps"], ["solve-linear", "--bogus", "1"],
+                                  ["no-such-task"], ["--alpha", "1", "spectrum"]])
+def test_usage_errors_keep_the_full_parse_message(argv, capsys):
+    with pytest.raises(cli.ValidationFailure) as exc:
+        cli._build_parser().parse_args(argv)
+    assert main(argv) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "validation", "message": str(exc.value), "exit_code": 1}
+
+
+@pytest.mark.parametrize("argv, usage", [(["--help"], "usage: padic-heat "),
+                                         (["solve-linear", "--help"],
+                                          "usage: padic-heat solve-linear ")])
+def test_help_prints_usage_and_exits_0(argv, usage, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(usage)
+
+
+def test_matrix_row_keeps_one_row(tmp_path):
+    # the row cache holds the last row alone: 8 MB at S = 2**20, where
+    # 128 rows were 1 GiB
+    for alpha in ("0.5", "1.0", "1.7"):
+        assert main(["spectrum", "--p", "2", "--N", "0", "--M", "6", "--alpha", alpha,
+                     "--out", str(tmp_path)]) == 0
+    info = vladimirov.matrix_row.cache_info()
+    assert info.maxsize == 1 and info.currsize == 1

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +18,10 @@ from padic_heat import (
     random_function,
     spectral_gap,
 )
+from padic_heat import linear_solver
+from padic_heat.fourier_ball import apply_radial
 from padic_heat.kernels import ball_kernel_gridfunction
+from padic_heat.vladimirov import apply_spectral, operator_levels
 
 
 def test_constants_are_fixed_points(model_alpha):
@@ -169,3 +174,101 @@ def test_non_finite_times_are_refused(t):
     for call in calls:
         with pytest.raises(ValueError, match="finite"):
             call()
+
+
+# -- one pass per call: evolve_series against the per-time formulas ----
+
+
+def _spectral_at(u, alpha, t):
+    # the spectral path's own formula at one time
+    e = operator_levels(u.model, float(alpha))
+    return apply_radial(u.model, np.exp(-t * (e - e[-1])), u.values)
+
+
+def _kernel_at(u, alpha, t):
+    # the kernel path's own formula at one time
+    return u.convolve_radial(ball_kernel_gridfunction(u.model, float(alpha), t)).values
+
+
+def _digest(arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+SERIES_TIMES = [1e-300, 1e-12, 0.1, 1.0, 7.5, 1e3]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_evolve_series_has_the_bits_of_the_per_time_formulas(p):
+    # the up-pass and the class sums are shared across the times, and
+    # each time's own pass is the one-time formula's: every snapshot
+    # keeps its bits, at S = 1 too
+    # S = 1, and a ladder of more than one block
+    L = {2: 8, 3: 6, 5: 3, 7: 3}[p]
+    for N in range(-2, 2):
+        for M in (-N, L - N):
+            model = BallModel(p, N, M)
+            real = random_function(model, 17 + N)
+            imag = random_function(model, 29 + N)
+            data = [real, GridFunction(model, real.values + 1j * imag.values)]
+            for alpha in (0.35, 1.0, 2.4):
+                for u in data:
+                    for path, formula in (("spectral", _spectral_at), ("kernel", _kernel_at)):
+                        got = [s.values for s in evolve_series(u, alpha, SERIES_TIMES, path)]
+                        want = [formula(u, alpha, t) for t in SERIES_TIMES]
+                        assert [a.dtype for a in got] == [a.dtype for a in want]
+                        assert _digest(got) == _digest(want), (model, alpha, path)
+
+
+def test_evolve_series_runs_each_t_free_pass_once(monkeypatch):
+    # the ladder's up-pass and the class sums depend on u0 alone, so a
+    # call runs its path's once however many times it is asked for
+    calls = {"up": 0, "sums": 0, "down": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(linear_solver, "_ladder_averages",
+                        counted("up", linear_solver._ladder_averages))
+    monkeypatch.setattr(linear_solver, "_ladder_apply",
+                        counted("down", linear_solver._ladder_apply))
+    monkeypatch.setattr(linear_solver, "_class_sums",
+                        counted("sums", linear_solver._class_sums))
+    model = BallModel(3, 0, 4)
+    for u in (random_function(model, 3),
+              GridFunction(model, random_function(model, 4).values * (1 + 2j))):
+        for n in (1, 3, 7):
+            times = [0.25 * (k + 1) for k in range(n)]
+            for path, want in (("spectral", {"up": 1, "sums": 0, "down": n}),
+                               ("kernel", {"up": 0, "sums": 1, "down": 0})):
+                calls.update(up=0, sums=0, down=0)
+                evolve_series(u, 1.3, times, path)
+                assert calls == want, (path, n)
+
+
+def _per_time_pde_residual(u, alpha, t):
+    # the residual's formula with one evolution per time
+    dt = min(1e-5 * max(t, 1.0), t / 2)
+    u_min, u_mid, u_pls = (_spectral_at(u, alpha, s) for s in (t - dt, t, t + dt))
+    lam = operator_levels(u.model, float(alpha))[-1]
+    spatial = apply_spectral(GridFunction(u.model, u_mid), float(alpha)).values - lam * u_mid
+    return float(np.max(np.abs((u_pls - u_min) / (2 * dt) + spatial)))
+
+
+def test_pde_residual_refuses_a_time_whose_step_rounds_to_zero():
+    # at the least subnormal t, dt = min(1e-5, t/2) rounds to 0.0, and the
+    # centred difference was 0/0: NaN and a RuntimeWarning
+    model = BallModel(2, 0, 4)
+    u = random_function(model, 6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="too small"):
+            pde_residual(u, 1.0, 5e-324)
+        for t in (1e-320, 1e-300, 0.5, 2.0):
+            got = pde_residual(u, 1.0, t)
+            assert got == _per_time_pde_residual(u, 1.0, t) and math.isfinite(got)
