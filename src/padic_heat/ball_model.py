@@ -22,11 +22,16 @@ constants of the fractional operator of order alpha:
 * ``coefficient_ap(p, alpha)``, the negative normalisation of the
   hypersingular difference form.
 
-``radial_levels`` reads the L + 1 per-valuation values off an S-array
-that depends only on the valuation, the inverse gather of
-``valuation_table``.  The input refusals of the whole package live here
-too, one rule each: ``_check_positive``, ``_check_nonnegative``,
-``_check_count`` and ``_check_times``.
+Every S-array the package forms from a radial function, a function of
+|x|_p or |xi|_p alone, is fixed by its L + 1 per-valuation values.
+``_radial_array`` gathers those values through ``valuation_table`` into
+a read-only S-array, and ``radial_levels`` reads them back off one.
+The point and frequency tables are such gathers of ``_abs_levels``.
+Only the last model's valuation table is cached: it is 8 MB at S =
+2**20, and a process that visits several models holds one.  The input
+refusals of the whole package live here too, one rule each:
+``_check_positive``, ``_check_nonnegative``, ``_check_count`` and
+``_check_times``.
 """
 
 from __future__ import annotations
@@ -79,8 +84,9 @@ class BallModel:
     Group orders p**(N+M) above ``DEFAULT_ORDER_CAP`` are refused.
 
     Instances are immutable and hashable.  Derived lookup tables
-    (valuations, point absolute values) are cached per model and shared
-    read-only, so models are safe to use concurrently.
+    (valuations, point and frequency absolute values) are read-only, and
+    the last model's valuation table is cached and shared, so models are
+    safe to use concurrently.
     """
 
     p: int
@@ -152,7 +158,9 @@ class BallModel:
         return cmath.exp(2j * math.pi * (r / self.S))
 
 
-@lru_cache(maxsize=64)
+# one entry: a unit of work reads one model's table many times in a
+# row, and the table is 8 MB at S = 2**20
+@lru_cache(maxsize=1)
 def valuation_table(model: BallModel) -> np.ndarray:
     """Valuations of all S representatives; entry 0 holds the sentinel N + M."""
     S = model.S
@@ -167,7 +175,7 @@ def valuation_table(model: BallModel) -> np.ndarray:
 
 def radial_levels(model: BallModel, factors: np.ndarray) -> np.ndarray:
     """Per-valuation values of a radial array over the S indices, the
-    inverse gather of ``valuation_table``.
+    inverse of ``_radial_array``.
 
     Entry r < L = N + M is the value at every index of valuation r, read
     at p**r; entry L is the value at index 0.
@@ -178,22 +186,32 @@ def radial_levels(model: BallModel, factors: np.ndarray) -> np.ndarray:
     return np.asarray(factors)[k]
 
 
-@lru_cache(maxsize=64)
+def _radial_array(model: BallModel, levels: np.ndarray) -> np.ndarray:
+    """The read-only S-array whose index n holds ``levels[v]``, v the
+    valuation of n: one gather through ``valuation_table``, whose
+    sentinel L puts entry L at index 0.  The inverse of ``radial_levels``."""
+    return _readonly(levels[valuation_table(model)])
+
+
+def _abs_levels(model: BallModel, top: int) -> np.ndarray:
+    """p**(top - r) for each valuation r < L = N + M, and 0.0 at r = L:
+    the levels of |x|_p at top = N and of |xi|_p at top = M."""
+    L = model.N + model.M
+    levels = np.power(float(model.p), top - np.arange(L + 1, dtype=np.float64))
+    levels[L] = 0.0
+    return levels
+
+
 def point_abs_table(model: BallModel) -> np.ndarray:
-    """|x|_p for every representative, with 0.0 at the zero coset."""
-    v = valuation_table(model)
-    t = np.power(float(model.p), model.N - v.astype(np.float64))
-    t[0] = 0.0
-    return _readonly(t)
+    """|x|_p for every representative, with 0.0 at the zero coset; formed
+    per call, read-only."""
+    return _radial_array(model, _abs_levels(model, model.N))
 
 
 def freq_abs_table(model: BallModel) -> np.ndarray:
     """|xi|_p for every frequency index, with 0.0 at k = 0; formed per
     call, read-only."""
-    v = valuation_table(model)
-    t = np.power(float(model.p), model.M - v.astype(np.float64))
-    t[0] = 0.0
-    return _readonly(t)
+    return _radial_array(model, _abs_levels(model, model.M))
 
 
 def _check_positive(name: str, value: float) -> None:

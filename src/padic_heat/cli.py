@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ball_model import BallModel, freq_abs_table, radial_levels, valuation_table
+from .ball_model import BallModel, _abs_levels, valuation_table
 from .fourier_ball import dft_direct, forward
 from .function_space import _CSV_BLOCK, GridFunction, make_initial
 from .kernels import (
@@ -312,7 +312,8 @@ def _task_spectrum(cfg: dict) -> int:
 
     Both columns of ``spectrum.csv`` take one value per valuation: the
     eigenvalue is ``operator_levels`` gathered through
-    ``valuation_table``, and freq_abs is p**(M - v), 0.0 at k = 0.  So
+    ``valuation_table``, and freq_abs is p**(M - v), 0.0 at k = 0, the
+    ``_abs_levels`` that ``freq_abs_table`` gathers.  So
     the CSV formats one "freq_abs,eigenvalue" tail per valuation, L + 1
     of them, and writes row k as k and the tail of its valuation.  The
     matrix is circulant, A[i, j] = A[0, (j - i) mod S], so its dump
@@ -324,15 +325,19 @@ def _task_spectrum(cfg: dict) -> int:
     ``_json_cell``, and writes row k as that body and k: the bytes
     ``_write_table`` (``json.dumps`` with ``sort_keys`` and ``indent=2``
     of one object per row) writes.  Both formats are formed and written
-    ``_CSV_BLOCK`` rows at a time.
+    ``_CSV_BLOCK`` rows at a time.  A matrix dump past
+    ``DEFAULT_MATRIX_CAP`` is refused before any of this.
     """
     model = _model_from(cfg)
     alpha = _require(cfg, "alpha")
+    if cfg.get("dump_matrix") and model.S > DEFAULT_MATRIX_CAP:
+        raise ValidationFailure(f"group order {model.S} exceeds the "
+                                f"dense-matrix cap {DEFAULT_MATRIX_CAP}")
     want = spectrum_multiset(model, alpha)
     err = _multiset_deviation(model, alpha, want)
     row = matrix_row(model, alpha)
     dft_err = _row_dft_deviation(row, want)
-    freqs = radial_levels(model, freq_abs_table(model))
+    freqs = _abs_levels(model, model.M)
     levels = operator_levels(model, alpha)
     vt = valuation_table(model)
     blocks = ((start, vt[start:start + _CSV_BLOCK].tolist())
@@ -357,9 +362,6 @@ def _task_spectrum(cfg: dict) -> int:
                 fh.write("".join([f"{bodies[v]}{k}" for k, v in enumerate(vs, start)]))
             fh.write("\n  }\n]\n")
     if cfg.get("dump_matrix"):
-        if model.S > DEFAULT_MATRIX_CAP:
-            raise ValidationFailure(f"group order {model.S} exceeds the "
-                                    f"dense-matrix cap {DEFAULT_MATRIX_CAP}")
         row0 = _reprs(row)
         S = model.S
         with open(os.path.join(cfg["out"], "operator_matrix.csv"),
@@ -431,14 +433,18 @@ def _task_green(cfg: dict) -> int:
     alpha = _require(cfg, "alpha")
     p, N = model.p, model.N
     mus = cfg.get("mu", [1.0])
+    # each mu's table is named by its "g" format, so two values with one
+    # name would write one file twice
+    names = [f"green_mu_{mu:g}" for mu in mus]
+    if len(set(names)) < len(names):
+        raise ValidationFailure(f"mu values {mus} give one table name twice: {names}")
     m_hi = cfg.get("m_hi", min(N, 0))
     m_lo = cfg.get("m_lo", min(-25, m_hi))
     summary = {"p": p, "N": N, "alpha": alpha, "tables": []}
-    for mu in mus:
+    for mu, stem in zip(mus, names):
         rows = [(r["m"], r["abs_x"], r["K"], r["weight"], r["weighted"], r["ratio"])
                 for r in green_estimates_report(p, N, alpha, mu, (m_lo, m_hi))]
-        name = _write_table(cfg, f"green_mu_{mu:g}",
-                            ["m", "abs_x", "K", "weight", "weighted", "ratio"],
+        name = _write_table(cfg, stem, ["m", "abs_x", "K", "weight", "weighted", "ratio"],
                             rows)
         summary["tables"].append({
             "mu": mu, "file": name, "ball_integral": green_ball_integral(p, N, alpha, mu)})

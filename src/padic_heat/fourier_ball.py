@@ -53,7 +53,7 @@ import numpy as np
 
 # radial_levels forms the level values apply_radial takes; it lives beside
 # valuation_table and is importable from here as well
-from .ball_model import BallModel, radial_levels
+from .ball_model import BallModel, _readonly, radial_levels
 from .function_space import GridFunction
 
 
@@ -65,14 +65,13 @@ class SpectralFunction:
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        c = np.asarray(self.coeffs, dtype=np.complex128)
+        # np.array copies, so the caller's input is never shared
+        c = np.array(self.coeffs, dtype=np.complex128)
         if c.shape != (self.model.S,):
             raise ValueError(
                 f"coeffs must have shape ({self.model.S},), got {c.shape}"
             )
-        c = c.copy()
-        c.setflags(write=False)
-        self.coeffs = c
+        self.coeffs = _readonly(c)
 
 
 def forward(u: GridFunction) -> SpectralFunction:

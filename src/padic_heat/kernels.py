@@ -68,8 +68,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ball_model import (BallModel, _check_nonnegative, _check_positive, lambda_value,
-                         valuation_table)
+from .ball_model import (BallModel, _check_nonnegative, _check_positive, _radial_array,
+                         lambda_value)
 from .fourier_ball import apply_radial
 from .function_space import GridFunction
 from .vladimirov import operator_levels
@@ -675,9 +675,9 @@ def _sweep_levels(model: BallModel, sweep) -> np.ndarray:
 
 
 def _radial_gridfunction(model: BallModel, sweep) -> GridFunction:
-    """The grid function of a radial sweep: its ``_sweep_levels``
-    gathered through ``valuation_table``."""
-    return GridFunction(model, _sweep_levels(model, sweep)[valuation_table(model)])
+    """The grid function of a radial sweep: the ``_radial_array`` of its
+    ``_sweep_levels``."""
+    return GridFunction(model, _radial_array(model, _sweep_levels(model, sweep)))
 
 
 def ball_kernel_gridfunction(model: BallModel, alpha: float, t: float) -> GridFunction:
@@ -689,8 +689,8 @@ def ball_kernel_gridfunction(model: BallModel, alpha: float, t: float) -> GridFu
     ``_ball_radial``, which ``heat_kernel_ball`` reads; the zero coset
     takes the sweep's mean over the sub-ball |x| <= p**(-M), p**(-N) plus
     its L terms, the exact coset average.  Past the sweep's end every
-    value is its last.  Those L + 1 levels (``_sweep_levels``), gathered
-    through ``valuation_table``, make the kernel bit for bit constant on
+    value is its last.  The ``_radial_array`` of those L + 1 levels
+    (``_sweep_levels``) makes the kernel bit for bit constant on
     every sphere, as ``GridFunction.convolve_radial`` requires; the
     kernel path of ``linear_solver.evolve_series`` convolves the levels
     themselves.  It runs no ladder, so it stays a check of the spectral

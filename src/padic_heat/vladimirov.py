@@ -36,12 +36,13 @@ import numpy as np
 
 from .ball_model import (
     BallModel,
+    _abs_levels,
     _check_count,
     _check_positive,
+    _radial_array,
     coefficient_ap,
     lambda_value,
     point_abs_table,
-    valuation_table,
 )
 from .fourier_ball import apply_radial
 from .function_space import GridFunction, circulant_apply
@@ -113,14 +114,12 @@ def operator_levels(model: BallModel, alpha: float) -> np.ndarray:
 def multiplier(model: BallModel, alpha: float) -> SpectralMultiplier:
     """Spectral multiplier: m[0] = lambda and m[k] = |xi_k|**alpha otherwise.
 
-    One gather of ``operator_levels`` through the valuation table, whose
-    sentinel L at k = 0 picks lambda; the levels carry the quadrature
-    cross-check.  Only ``spectrum``, ``verify`` and the oracles read
-    the full S-array; the solvers read the levels.
+    The ``_radial_array`` of ``operator_levels``, whose entry L at k = 0
+    is lambda; the levels carry the quadrature cross-check.  Only
+    ``spectrum``, ``verify`` and the oracles read the full S-array; the
+    solvers read the levels.
     """
-    eig = operator_levels(model, alpha)[valuation_table(model)]
-    eig.setflags(write=False)
-    return SpectralMultiplier(model, alpha, eig)
+    return SpectralMultiplier(model, alpha, _radial_array(model, operator_levels(model, alpha)))
 
 
 def apply_spectral(u: GridFunction, alpha: float) -> GridFunction:
@@ -159,7 +158,6 @@ def apply_global_restriction(u: GridFunction, alpha: float) -> GridFunction:
     model = u.model
     p, L = model.p, model.N + model.M
     a_p = coefficient_ap(p, alpha)
-    vt = valuation_table(model)
     # sphere weights by valuation v = N - l; the zero coset (v = L) gets 0
     sphere_weight = np.zeros(L + 1)
     weight_total = 0.0
@@ -167,7 +165,7 @@ def apply_global_restriction(u: GridFunction, alpha: float) -> GridFunction:
         v = model.N - l
         sphere_weight[v] = a_p * float(p) ** (-model.M) * float(p) ** (-l * (alpha + 1.0))
         weight_total += sphere_weight[v] * (p - 1) * p ** (L - v - 1)
-    acc = circulant_apply(sphere_weight[vt], u.values)
+    acc = circulant_apply(_radial_array(model, sphere_weight), u.values)
     # far field: a_p * integral_{|y| > p**N} |y|^(-alpha-1) dy, summed exactly
     tail = -a_p * (1.0 - 1.0 / p) * float(p) ** (-alpha * (model.N + 1)) / (
         1.0 - float(p) ** (-alpha))
@@ -250,17 +248,23 @@ def convolve_riesz(u: GridFunction, alpha: float) -> GridFunction:
 def matrix_row(model: BallModel, alpha: float) -> np.ndarray:
     """Row 0 of ``build_matrix``, read-only, in O(S) at any order: the
     difference weights w_j = a_p * p**(-M) * |y_j|^(-alpha-1), even in j,
-    with lambda - sum(w) at j = 0.  The last row is cached, so
+    with lambda - sum(w) at j = 0.
+
+    The weights depend only on the valuation of j, so the row is the
+    ``_radial_array`` of L + 1 weights, one per sphere.  It is gathered
+    twice: once with 0 at j = 0, to take the sum of the S weights, and
+    once with lambda minus that sum.  The last row is cached, so
     ``build_matrix``, ``apply_hypersingular``, ``spectrum`` and ``verify``
     read one row."""
     alpha = float(alpha)
-    row = np.zeros(model.S, dtype=np.float64)
-    if model.S > 1:
-        row[1:] = (coefficient_ap(model.p, alpha) * float(model.p) ** (-model.M)
-                   * point_abs_table(model)[1:] ** (-alpha - 1.0))
-    row[0] = lambda_value(model.p, alpha, model.N) - float(row.sum())
-    row.setflags(write=False)
-    return row
+    L = model.N + model.M
+    w = np.zeros(L + 1)
+    # no weights at S = 1, where p**(-M) may pass float range
+    if L:
+        w[:L] = (coefficient_ap(model.p, alpha) * float(model.p) ** (-model.M)
+                 * _abs_levels(model, model.N)[:L] ** (-alpha - 1.0))
+    w[L] = lambda_value(model.p, alpha, model.N) - float(_radial_array(model, w).sum())
+    return _radial_array(model, w)
 
 
 def build_matrix(model: BallModel, alpha: float) -> np.ndarray:

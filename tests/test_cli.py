@@ -82,6 +82,22 @@ def test_spectrum_matrix_dump(tmp_path):
     assert np.max(np.abs(got - want)) == 0.0
 
 
+def test_spectrum_matrix_dump_past_the_cap_is_refused_before_any_work(tmp_path, capsys,
+                                                                       monkeypatch):
+    # S = 8192 passes DEFAULT_MATRIX_CAP: exit 1 with nothing written, and
+    # neither the eigenvalue table nor the checks begin
+    def forbidden(*args, **kwargs):
+        raise AssertionError("spectrum began its work before the refusal")
+
+    monkeypatch.setattr(cli, "spectrum_multiset", forbidden)
+    monkeypatch.setattr(cli, "matrix_row", forbidden)
+    assert main(["spectrum", "--p", "2", "--N", "0", "--M", "13", "--alpha", "1.0",
+                 "--dump-matrix", "--out", str(tmp_path)]) == 1
+    assert list(tmp_path.iterdir()) == []
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "validation" and "dense-matrix cap 4096" in err["message"]
+
+
 def test_spectrum_matrix_dump_forms_no_dense_matrix(tmp_path, monkeypatch):
     # the dump formats one row of the circulant matrix, so its memory is
     # O(S); the dense matrix alone holds 729**2 * 8 bytes, 4.2 MB
@@ -353,6 +369,22 @@ def test_green_task_multiple_mu(tmp_path):
     assert len(report["tables"]) == 2
     for entry in report["tables"]:
         assert abs(entry["ball_integral"]) < 1e-10
+
+
+@pytest.mark.parametrize("mus", ["1,1", "1.0000001,1.0000002", "0.5,2,0.5"])
+def test_green_refuses_two_mu_of_one_table_name(tmp_path, capsys, monkeypatch, mus):
+    # each mu's table is green_mu_{mu:g}: two values of one name would
+    # write one file twice, so the call exits 1 before any computation
+    def forbidden(*args, **kwargs):
+        raise AssertionError("green computed before the refusal")
+
+    monkeypatch.setattr(cli, "green_estimates_report", forbidden)
+    monkeypatch.setattr(cli, "green_ball_integral", forbidden)
+    assert main(["green", "--p", "2", "--N", "0", "--M", "3", "--alpha", "2.0",
+                 "--mu", mus, "--out", str(tmp_path)]) == 1
+    assert list(tmp_path.iterdir()) == []
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "validation" and "table name" in err["message"]
 
 
 def test_solve_linear_task(tmp_path):
