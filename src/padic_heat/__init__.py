@@ -19,9 +19,7 @@ from .function_space import (
     random_function,
 )
 from .kernels import (
-    NonConvergenceError,
     ball_kernel_gridfunction,
-    c_series,
     global_kernel_ball_mass,
     global_kernel_mass,
     green_ball_integral,
@@ -30,7 +28,6 @@ from .kernels import (
     green_kernel_gridfunction,
     green_kernel_series,
     heat_kernel_ball,
-    heat_kernel_ball_series,
     heat_kernel_global,
     resolvent_apply,
 )
@@ -47,6 +44,7 @@ from .pme_solver import (
     lgamma_decay_suite,
     pme_trajectory,
 )
+from .series import NonConvergenceError, c_series, heat_kernel_ball_series
 from .vladimirov import (
     ConsistencyError,
     RieszDistribution,

@@ -30,8 +30,8 @@ The point and frequency tables are such gathers of ``_abs_levels``.
 Only the last model's valuation table is cached: it is 8 MB at S =
 2**20, and a process that visits several models holds one.  The input
 refusals of the whole package live here too, one rule each:
-``_check_positive``, ``_check_nonnegative``, ``_check_count`` and
-``_check_times``.
+``_check_positive``, ``_check_nonnegative``, ``_check_radius``,
+``_check_count`` and ``_check_times``.
 """
 
 from __future__ import annotations
@@ -226,6 +226,13 @@ def _check_nonnegative(name: str, value: float) -> None:
     # NaN passes "value < 0", and t = inf meets inf*0 = NaN at the k = 0 level
     if not (math.isfinite(value) and value >= 0):
         raise ValueError(f"{name} must be finite and >= 0, got {value}")
+
+
+def _check_radius(N: int, m: int | None) -> None:
+    """Refuse a sphere |x| = p**m outside the ball |x| <= p**N; m=None,
+    the point x = 0, lies in every ball."""
+    if m is not None and m > N:
+        raise ValueError(f"radius exponent m must be <= N = {N}, got {m}")
 
 
 def _check_count(name: str, value, least: int) -> None:

@@ -21,6 +21,7 @@ object on stderr with fields "error", "message", "exit_code".
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -33,9 +34,7 @@ from .ball_model import BallModel, _abs_levels, valuation_table
 from .fourier_ball import dft_direct, forward
 from .function_space import _CSV_BLOCK, GridFunction, make_initial
 from .kernels import (
-    NonConvergenceError,
     _ball_radial,
-    _series_radii,
     ball_kernel_gridfunction,
     green_ball_integral,
     green_estimates_report,
@@ -48,6 +47,7 @@ from .pme_solver import (
     crandall_liggett,
     pme_trajectory,
 )
+from .series import NonConvergenceError, _series_reader
 from .vladimirov import (
     DEFAULT_MATRIX_CAP,
     ConsistencyError,
@@ -388,16 +388,19 @@ def _task_spectrum(cfg: dict) -> int:
 
 def _kernel_rows(p: int, N: int, alpha: float, times, m_lo: int):
     """Rows (m, |x|, t, character sum, series, relative gap) of the two
-    ball-kernel routes at radii p**N .. p**m_lo and x = 0, and the worst gap."""
+    ball-kernel routes at radii p**N .. p**m_lo and x = 0, and the worst gap.
+    The series route is refused on its work budget before any radius is
+    read, so a deep m_lo costs no memory per radius."""
     rows = []
     worst = 0.0
-    radii = list(range(N, m_lo - 1, -1)) + [None]
     for t in times:
         # one sweep and one sphere list per time; the sweep's last value
         # holds past its end and at x = 0
         sweep = [value for value, _ in _ball_radial(p, N, alpha, t)]
-        for m, b in zip(radii, _series_radii(p, N, alpha, t, radii)):
+        series = _series_reader(p, N, alpha, t, m_lo, True)
+        for m in itertools.chain(range(N, m_lo - 1, -1), [None]):
             a = sweep[-1 if m is None else min(N - m, len(sweep) - 1)]
+            b = series(m)
             rel = abs(a - b) / max(abs(a), 1.0)
             worst = max(worst, rel)
             rows.append(("zero" if m is None else m,

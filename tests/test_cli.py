@@ -322,6 +322,65 @@ def test_heat_kernel_refuses_a_radius_sphere_sum_past_the_work_budget(tmp_path, 
     assert len(err) == 1 and "work budget" in json.loads(err[0])["message"]
 
 
+def test_heat_kernel_refuses_a_deep_m_lo_before_any_per_radius_work(tmp_path, capsys):
+    # the radius list and three passes over it came before the refusal:
+    # 795 MB and 2.1 s at --m-lo -10**7, and growing linearly
+    argv = ["heat-kernel", "--p", "3", "--N", "1", "--M", "2", "--alpha", "0.7",
+            "--times", "0.1", "--m-lo", str(-10**8), "--out", str(tmp_path)]
+    tracemalloc.start()
+    try:
+        with alarm(5):
+            assert main(argv) == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
+    err = json.loads(capsys.readouterr().err)
+    assert err["message"] == ("radius sphere sum: 100000002 terms at 47712161 digits pass "
+                              "the work budget of 30000000 digit-terms; use the "
+                              "character-sum route instead")
+
+
+class _SweepStarted(Exception):
+    pass
+
+
+def _record_green_sweeps(monkeypatch):
+    """Patch the Green sweep to record its arguments and raise
+    ``_SweepStarted`` at its first step, before any radius is formed."""
+    calls = []
+
+    def recorder(*args):
+        calls.append(args)
+        raise _SweepStarted
+        yield
+
+    monkeypatch.setattr(kernels, "_green_radial", recorder)
+    return calls
+
+
+@pytest.mark.parametrize("N", [0, -3, 2])
+def test_green_refuses_a_sweep_past_the_row_cap(tmp_path, capsys, monkeypatch, N):
+    # N - m_lo + 1 radii, unbounded before: --m-lo -10**6 ran 9.2 s and
+    # wrote a 59 MB table; past 2**20 radii the call exits 1 before any sweep
+    calls = _record_green_sweeps(monkeypatch)
+    m_lo = N - 2**20
+    with pytest.raises(ValueError, match="1048577 radii"):
+        kernels.green_estimates_report(2, N, 1.5, 1.0, (m_lo, N))
+    assert main(["green", "--p", "2", "--N", str(N), "--M", "3", "--alpha", "1.5",
+                 "--m-lo", str(m_lo), "--out", str(tmp_path)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "validation" and "past the cap 1048576" in err["message"]
+    assert calls == [] and list(tmp_path.iterdir()) == []
+    # one radius fewer: the sweep starts
+    with pytest.raises(_SweepStarted):
+        kernels.green_estimates_report(2, N, 1.5, 1.0, (m_lo + 1, N))
+    with pytest.raises(_SweepStarted):
+        main(["green", "--p", "2", "--N", str(N), "--M", "3", "--alpha", "1.5",
+              "--m-lo", str(m_lo + 1), "--out", str(tmp_path)])
+    assert len(calls) == 2
+
+
 def test_green_sweep_answers_up_to_the_radius_that_overflows(tmp_path):
     # K(-157) = 3.2e306; only the next radius's prefix term passes float
     # range, which the sweep formed before yielding K(-157) and exited 1
@@ -590,25 +649,26 @@ def _shift_entry_0(module, name, shift):
     return module, name, perturbed
 
 
-def _shift_green_sweep():
-    """Patch the Green sweep the mean-zero check reads (mu = 1; the
-    resolvent's kernel path reads mu = 0.9) to add 1e-6 to every K."""
+def _shift_green_sweep(at_mu):
+    """Patch the Green sweep at ``at_mu`` to add 1e-6 to every K: the
+    mean-zero check reads mu = 1, the resolvent's kernel path mu = 0.9."""
     original = kernels._green_radial
 
     def perturbed(p, N, alpha, mu):
         sweep = original(p, N, alpha, mu)
-        return ((K + 1e-6, mean) for K, mean in sweep) if mu == 1.0 else sweep
+        return ((K + 1e-6, mean) for K, mean in sweep) if mu == at_mu else sweep
 
     return kernels, "_green_radial", perturbed
 
 
 def _scale_series():
-    original = cli._series_radii
+    original = cli._series_reader
 
     def perturbed(*args):
-        return [b * (1.0 + 1e-6) for b in original(*args)]
+        read = original(*args)
+        return lambda m: read(m) * (1.0 + 1e-6)
 
-    return cli, "_series_radii", perturbed
+    return cli, "_series_reader", perturbed
 
 
 # each check and a perturbation of one of the representations it compares
@@ -616,8 +676,8 @@ VERIFY_PERTURBATIONS = {
     "representation agreement": lambda: _shift_entry_0(cli, "apply_hypersingular", 1e-6),
     "ball kernel two formulas": _scale_series,
     "Chapman-Kolmogorov": lambda: _shift_entry_0(cli, "ball_kernel_gridfunction", 1e-6),
-    "resolvent two paths": lambda: _shift_entry_0(kernels, "green_kernel_gridfunction", 1e-6),
-    "Green kernel mean zero": _shift_green_sweep,
+    "resolvent two paths": lambda: _shift_green_sweep(0.9),
+    "Green kernel mean zero": lambda: _shift_green_sweep(1.0),
     "FFT vs direct DFT": lambda: _shift_entry_0(cli, "dft_direct", 1e-3),
     "implicit-step mass identity": lambda: _shift_entry_0(pme_solver, "apply_radial", 1e-6),
 }

@@ -30,7 +30,7 @@ from padic_heat import (
     random_function,
     resolvent_apply,
 )
-from padic_heat import fourier_ball, kernels
+from padic_heat import fourier_ball, kernels, series
 from padic_heat.ball_model import Constants, coefficient_ap, freq_abs_table, valuation_table
 from padic_heat.vladimirov import (
     RieszDistribution,
@@ -276,7 +276,7 @@ def test_c_series_term_cap():
     p, N, alpha, t = 2, -3, 1.0, 80.0
     with alarm(30):
         got = c_series(p, N, alpha, t)
-    with mp.workdps(kernels._series_dps(p, N, alpha, t) + 30):
+    with mp.workdps(series._series_dps(p, N, alpha, t) + 30):
         P, A = mp.mpf(p), mp.mpf(alpha)
         grow = mp.e ** ((P - 1) / (P ** (A + 1) - 1) * P ** (A * (1 - N)) * t)
         total, _, last = _c_total_power_per_term(p, N, alpha, t,
@@ -297,18 +297,18 @@ def test_c_series_refuses_a_huge_hump_at_once(t):
 
 
 def _c_total_at(p, N, alpha, t, eps_increment, term_cap, dps):
-    """``kernels._c_total`` at ``dps`` digits with the stopping threshold
+    """``series._c_total`` at ``dps`` digits with the stopping threshold
     ``eps_increment``, its hump and ratio formed as ``_grow_and_c`` forms
     them, its integers read as mpmath numbers, exactly."""
-    B = kernels._fixed_bits(dps)
+    B = series._fixed_bits(dps)
     eps = int(mp.ceil(mp.ldexp(eps_increment, B)))
-    R, H = kernels._p_powers(p, N, alpha, B)
+    R, H = series._p_powers(p, N, alpha, B)
     t_num, t_den = t.as_integer_ratio()
-    return mp.ldexp(kernels._c_total(p, H * t_num // t_den, R, B, eps, term_cap), -B)
+    return mp.ldexp(series._c_total(p, H * t_num // t_den, R, B, eps, term_cap), -B)
 
 
 def _c_total_power_per_term(p, N, alpha, t, eps_increment, term_cap):
-    """``kernels._c_total`` as it summed before the running product, one
+    """``series._c_total`` as it summed before the running product, one
     mpmath power per term; also returns the sum of |increments| and the
     index of the last term."""
     P = mp.mpf(p)
@@ -362,9 +362,9 @@ def _grow_and_c_mp(p, N, alpha, t, dps):
     exp and log, exp(lambda*t) and c(t) from mpmath arithmetic around the
     fixed-point sum, under the same work budget."""
     x = t * float(p) ** (-N * alpha)
-    kernels._check_series_work(math.floor(x) + 3, dps)
-    cap = kernels._series_term_cap(x, math.log(1e-16) - lambda_value(p, alpha, N) * t)
-    kernels._check_series_work(cap, dps)
+    series._check_series_work(math.floor(x) + 3, dps)
+    cap = series._series_term_cap(x, math.log(1e-16) - lambda_value(p, alpha, N) * t)
+    series._check_series_work(cap, dps)
     with mp.workdps(dps):
         p_alpha = mp.exp(mp.mpf(alpha) * mp.log(p))
         p_hump = p_alpha ** (-N)
@@ -382,7 +382,7 @@ def test_integer_series_rounds_as_the_mpmath_evaluator():
     for p, N, alpha, t in itertools.product([2, 3, 5, 7], range(-2, 3),
                                             [0.35, 0.7, 1.0, 1.3, 2.4, 2.8],
                                             [0.1, 1.0, 4.0, 10.0, 30.0]):
-        dps = kernels._series_dps(p, N, alpha, t)
+        dps = series._series_dps(p, N, alpha, t)
         try:
             grow_want, c_want = _grow_and_c_mp(p, N, alpha, t, dps)
         except NonConvergenceError:
@@ -390,9 +390,9 @@ def test_integer_series_rounds_as_the_mpmath_evaluator():
             with pytest.raises(NonConvergenceError, match="work budget"):
                 c_series(p, N, alpha, t)
             continue
-        B = kernels._fixed_bits(dps)
-        grow, c = kernels._grow_and_c(p, N, alpha, t, dps)
-        assert kernels._to_float(grow, B) == float(grow_want)
+        B = series._fixed_bits(dps)
+        grow, c = series._grow_and_c(p, N, alpha, t, dps)
+        assert series._to_float(grow, B) == float(grow_want)
         if abs(c_want) < 1e-12:
             with mp.workdps(dps):
                 assert abs(mp.ldexp(c, -B) - c_want) < 1e-25
@@ -414,8 +414,8 @@ def test_c_series_running_product_matches_power_per_term(p, N, alpha, t):
     # the per-term mpmath reference quick
     x = t * float(p) ** (-N * alpha)
     assume(x < 500)
-    cap = kernels._series_term_cap(x, math.log(1e-16) - lambda_value(p, alpha, N) * t)
-    dps = kernels._series_dps(p, N, alpha, t)
+    cap = series._series_term_cap(x, math.log(1e-16) - lambda_value(p, alpha, N) * t)
+    dps = series._series_dps(p, N, alpha, t)
     with mp.workdps(dps):
         P, A = mp.mpf(p), mp.mpf(alpha)
         grow = mp.e ** ((P - 1) / (P ** (A + 1) - 1) * P ** (A * (1 - N)) * t)
@@ -439,13 +439,13 @@ def test_series_route_sums_c_once_per_time(monkeypatch, p, N, alpha, times):
     # c(t) does not depend on the radius, so the radii of one time share
     # one summation of its series, at lambda*t from 0.08 to 80
     calls = [0]
-    c_total = kernels._c_total
+    c_total = series._c_total
 
     def counting(*args):
         calls[0] += 1
         return c_total(*args)
 
-    monkeypatch.setattr(kernels, "_c_total", counting)
+    monkeypatch.setattr(series, "_c_total", counting)
     for t in times:
         for m in list(range(N, N - 7, -1)) + [None]:
             a = heat_kernel_ball(p, N, alpha, t, m)
@@ -520,9 +520,9 @@ def _per_radius_series(p, N, alpha, t, m):
     """The series route with every sphere summed again for this radius."""
     lam = lambda_value(p, alpha, N)
     tail_digits = 15 + int(math.ceil(lam * t * math.log10(math.e)))
-    dps = kernels._series_dps(p, N, alpha, t) + tail_digits
-    B = kernels._fixed_bits(dps)
-    grow, c = kernels._grow_and_c(p, N, alpha, t, dps)
+    dps = series._series_dps(p, N, alpha, t) + tail_digits
+    B = series._fixed_bits(dps)
+    grow, c = series._grow_and_c(p, N, alpha, t, dps)
     with mp.workdps(dps):
         # from the evaluator's integers into mpmath, exactly
         grow, c = mp.ldexp(grow, -B), mp.ldexp(c, -B)
@@ -575,7 +575,7 @@ def test_extended_series_shares_its_spheres_across_radii(case):
     radii = list(range(N, N - 6, -1)) + [None]
     want = [_per_radius_series(p, N, alpha, t, m) for m in radii]
     assert [heat_kernel_ball_series(p, N, alpha, t, m) for m in radii] == want
-    assert kernels._series_radii(p, N, alpha, t, radii) == want
+    assert series._series_radii(p, N, alpha, t, radii) == want
 
 
 def _series_outcome(f, *args):
@@ -607,7 +607,7 @@ def test_one_series_call_over_many_radii_gives_each_radius_its_bits(case):
     # sphere.  A refused call gives the refusal of one radius alone
     p, N, alpha, t, radii = case
     with alarm(60):
-        one = _series_outcome(kernels._series_radii, p, N, alpha, t, radii)
+        one = _series_outcome(series._series_radii, p, N, alpha, t, radii)
         each = [_series_outcome(heat_kernel_ball_series, p, N, alpha, t, m) for m in radii]
     if isinstance(one, str):
         assert one in each
@@ -620,11 +620,11 @@ def test_series_call_forms_one_exp_per_sphere(monkeypatch):
     # exp alone; a second exp per sphere above the ball formed
     # p**(alpha*l), 75 calls for 64 spheres here
     args = (2, 0, 0.7, 1.0, [0, -3, None])
-    kernels._series_radii(*args)  # warms _grow_and_c
+    series._series_radii(*args)  # warms _grow_and_c
     calls = {"_exp": 0, "_sphere": 0}
 
     def counted(name):
-        original = getattr(kernels, name)
+        original = getattr(series, name)
 
         def wrapper(*a):
             calls[name] += 1
@@ -632,9 +632,9 @@ def test_series_call_forms_one_exp_per_sphere(monkeypatch):
         return wrapper
 
     for name in calls:
-        monkeypatch.setattr(kernels, name, counted(name))
+        monkeypatch.setattr(series, name, counted(name))
     with alarm(30):
-        kernels._series_radii(*args)
+        series._series_radii(*args)
     assert calls["_sphere"] > 0
     # the two of _p_powers besides
     assert calls["_exp"] == calls["_sphere"] + 2
@@ -649,7 +649,7 @@ def test_series_running_product_holds_where_p_to_the_alpha_passes_its_bits(p, N,
     # product up from it to reach the spheres above the ball
     radii = [N, N - 1, N - 3, None]
     with alarm(30):
-        got = kernels._series_radii(p, N, alpha, t, radii)
+        got = series._series_radii(p, N, alpha, t, radii)
     want = [heat_kernel_ball(p, N, alpha, t, m) for m in radii]
     for g, w in zip(got, want):
         assert abs(g - w) < 1e-12 * max(abs(w), float(p) ** -N)
@@ -707,7 +707,7 @@ def test_fixed_point_c_total_matches_an_mpmath_sum(dps, case):
     with mp.workdps(dps):
         eps = mp.mpf(10) ** (20 - dps)
         x = t * float(p) ** (-N * alpha)
-        cap = kernels._series_term_cap(x, float(mp.log(eps)))
+        cap = series._series_term_cap(x, float(mp.log(eps)))
         want, size, last = _c_total_power_per_term(p, N, alpha, t, eps, cap)
         got = _c_total_at(p, N, alpha, t, eps, cap, dps)
         assert last > x
@@ -731,7 +731,7 @@ def test_series_route_sizes_its_precision_with_no_cap():
     # against the character sum's 9.0.  The sum must now agree, or refuse
     # within the work budget, never run for minutes.
     p, N, alpha, t = 3, -2, 2.8, 10.0
-    assert kernels._series_dps(p, N, alpha, t) >= 3447
+    assert series._series_dps(p, N, alpha, t) >= 3447
     a = heat_kernel_ball(p, N, alpha, t, N)
     with alarm(30):
         try:
@@ -758,7 +758,7 @@ def test_series_work_budget_refuses_before_summing():
         with pytest.raises(NonConvergenceError, match="work budget"):
             heat_kernel_ball_series(7, -2, 2.0, 10.0, -2)
         with pytest.raises(NonConvergenceError, match="work budget"):
-            kernels._grow_and_c(2, 0, 1.0, 1.0, 2 * 10**6)
+            series._grow_and_c(2, 0, 1.0, 1.0, 2 * 10**6)
 
 
 @pytest.mark.parametrize("B", [140, 233, 1396])
@@ -770,10 +770,10 @@ def test_fixed_point_exp_matches_mpmath(B):
     # falls below 2**(-B-1) and shifts to 0, and two positive ones
     ys = [-1] + [n * 2 ** B // d for n, d in
                  (x.as_integer_ratio() for x in (-0.4, -20.7, 5.3, 37.9))]
-    ys.append(-((B + 3) * kernels._ln(2, B)))
+    ys.append(-((B + 3) * series._ln(2, B)))
     with alarm(5), mp.workprec(B + 64):
         for y in ys:
-            got = kernels._exp(y, B)
+            got = series._exp(y, B)
             want = mp.exp(mp.mpf(y) / 2 ** B) * 2 ** B
             k = abs(round(y / 2 ** B / math.log(2)))
             assert abs(got - want) <= (k + 4) * max(want / 2 ** B, 1)
@@ -793,7 +793,7 @@ def _series_bits(p, N, alpha, t, m):
 
 
 def _clear_series_caches():
-    for f in (kernels._ln_at, kernels._grow_and_c):
+    for f in (series._ln_at, series._grow_and_c):
         f.cache_clear()
 
 

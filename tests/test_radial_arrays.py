@@ -3,6 +3,8 @@
 Every table below is pinned bit for bit to the S-entry formula it was
 formed by before it became a gather of per-valuation values, and the
 valuation table they gather through is held for one model at a time.
+The resolvent's kernel path, which convolves the Green sweep's levels
+without forming an S-array kernel, is pinned to the S-array route.
 """
 
 import numpy as np
@@ -10,9 +12,11 @@ import pytest
 
 from padic_heat import (
     BallModel,
+    GridFunction,
     ball_kernel_gridfunction,
     green_kernel_gridfunction,
     multiplier,
+    resolvent_apply,
 )
 from padic_heat.ball_model import (
     coefficient_ap,
@@ -85,3 +89,24 @@ def test_one_valuation_table_is_held_and_every_table_is_read_only():
         for table in tables:
             assert table.shape == (model.S,)
             assert not table.flags.writeable
+
+
+def _resolvent_kernel_formula(u, alpha, mu):
+    # the kernel path through the S-array Green kernel, read back by
+    # convolve_radial, plus the mean part
+    model = u.model
+    kernel = green_kernel_gridfunction(model, alpha, mu)
+    mean_part = float(model.p) ** (-model.N) / mu * u.integral()
+    return u.convolve_radial(kernel).values + mean_part
+
+
+@pytest.mark.parametrize("model", MODELS, ids=lambda m: f"p{m.p}_N{m.N}_M{m.M}")
+def test_resolvent_kernel_path_keeps_the_bits_of_the_s_array_kernel(model):
+    rng = np.random.default_rng([model.p, model.N + 2, model.M + 2])
+    real = rng.standard_normal(model.S)
+    for values in (real, real + 1j * rng.standard_normal(model.S)):
+        u = GridFunction(model, values)
+        for alpha in ALPHAS[:3]:
+            for mu in (1e-3, 0.9, 50.0):
+                got = resolvent_apply(u, alpha, mu, path="kernel").values
+                assert _same_bits(got, _resolvent_kernel_formula(u, alpha, mu))

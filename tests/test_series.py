@@ -1,0 +1,54 @@
+"""The series route of the ball heat kernel stays apart from the float
+sweeps it is compared with.
+
+``heat-kernel`` and ``verify`` compare the character sum of
+``kernels.heat_kernel_ball`` with the fixed-point series of
+``series.heat_kernel_ball_series``; the comparison means something only
+while the two routes share no arithmetic.
+"""
+
+import ast
+import pathlib
+
+import padic_heat
+from padic_heat import kernels, series
+
+PACKAGE = pathlib.Path(padic_heat.__file__).parent
+
+
+def _package_imports(path):
+    """The package modules a source file imports."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1 and node.module:
+                found.add(node.module.split(".")[0])
+            elif node.level == 1:
+                found.update(alias.name for alias in node.names)
+            elif node.module and node.module.startswith("padic_heat."):
+                found.add(node.module.split(".")[1])
+            elif node.module == "padic_heat":
+                found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("padic_heat."))
+    return found
+
+
+def test_series_and_kernels_share_no_code():
+    imports = {path.stem: _package_imports(path) for path in PACKAGE.glob("*.py")}
+    assert imports["series"] <= {"ball_model"}
+    assert "series" not in imports["kernels"]
+    assert {name for name, found in imports.items() if "series" in found} == {"cli", "__init__"}
+
+
+def test_series_names_have_one_home():
+    # the public names are the series module's own objects, and kernels
+    # keeps no alias of anything the series module defines
+    own = {name for name, value in vars(series).items()
+           if getattr(value, "__module__", None) == series.__name__}
+    own.add("SERIES_WORK_BUDGET")
+    assert {"c_series", "heat_kernel_ball_series", "NonConvergenceError"} <= own
+    for name in ("c_series", "heat_kernel_ball_series", "NonConvergenceError"):
+        assert getattr(padic_heat, name) is getattr(series, name)
+    assert own.isdisjoint(vars(kernels))
