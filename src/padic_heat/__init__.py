@@ -29,9 +29,8 @@ from .kernels import (
     green_kernel_series,
     heat_kernel_ball,
     heat_kernel_global,
-    resolvent_apply,
 )
-from .linear_solver import evolve, evolve_series, pde_residual, spectral_gap
+from .linear_solver import evolve, evolve_series, pde_residual, resolvent_apply, spectral_gap
 from .pme_solver import (
     CLReport,
     DecayReport,

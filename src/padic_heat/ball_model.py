@@ -30,6 +30,7 @@ The point and frequency tables are such gathers of ``_abs_levels``.
 Only the last model's valuation table is cached: it is 8 MB at S =
 2**20, and a process that visits several models holds one.  The input
 refusals of the whole package live here too, one rule each:
+``_is_integer`` (which ``BallModel`` applies to N and M),
 ``_check_positive``, ``_check_nonnegative``, ``_check_radius``,
 ``_check_count`` and ``_check_times``.
 """
@@ -78,8 +79,9 @@ class BallModel:
     Parameters
     ----------
     p : prime.
-    N : ball radius exponent (may be negative).
-    M : resolution exponent (may be negative); N + M >= 0 is required.
+    N : ball radius exponent, an integer (may be negative).
+    M : resolution exponent, an integer (may be negative); N + M >= 0 is
+        required.
 
     Group orders p**(N+M) above ``DEFAULT_ORDER_CAP`` are refused.
 
@@ -96,7 +98,10 @@ class BallModel:
     def __post_init__(self) -> None:
         if not isinstance(self.p, int):
             raise ValueError(f"p must be a prime integer, got {self.p!r}")
-        L = self.N + self.M
+        if not (_is_integer(self.N) and _is_integer(self.M)):
+            raise ValueError(f"N and M must be integers, got N={self.N!r}, M={self.M!r}")
+        # as Python ints: p**L of NumPy integers wraps past 2**63
+        L = int(self.N) + int(self.M)
         if L < 0:
             raise ValueError(f"need N + M >= 0, got N={self.N}, M={self.M}")
         # The order is refused before p is tested, and one past 4096 bits
@@ -228,17 +233,26 @@ def _check_nonnegative(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
-def _check_radius(N: int, m: int | None) -> None:
-    """Refuse a sphere |x| = p**m outside the ball |x| <= p**N; m=None,
-    the point x = 0, lies in every ball."""
-    if m is not None and m > N:
+def _is_integer(value) -> bool:
+    """The package's one integer rule: an int or a NumPy integer, never a
+    bool, since range() raises a bare TypeError on 2.0 and True counts as 1."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_radius(N: int | None, m: int | None) -> None:
+    """Refuse a radius exponent m that is not an integer (``_is_integer``),
+    or a sphere |x| = p**m outside the ball |x| <= p**N; N=None, the whole
+    field, and m=None, the point x = 0, bound nothing."""
+    if m is not None and not _is_integer(m):
+        raise ValueError(f"radius exponent m must be an integer, got {m!r}")
+    if m is not None and N is not None and m > N:
         raise ValueError(f"radius exponent m must be <= N = {N}, got {m}")
 
 
 def _check_count(name: str, value, least: int) -> None:
-    """Refuse a count that is a bool, not an integer, or below ``least``:
-    range() raises a bare TypeError on 2.0, and True counts as 1."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+    """Refuse a count that is not an integer (``_is_integer``) or is
+    below ``least``."""
+    if not _is_integer(value) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 

@@ -38,9 +38,8 @@ from .kernels import (
     ball_kernel_gridfunction,
     green_ball_integral,
     green_estimates_report,
-    resolvent_apply,
 )
-from .linear_solver import evolve_series
+from .linear_solver import evolve_series, resolvent_apply
 from .pme_solver import (
     Nonlinearity,
     SolverError,

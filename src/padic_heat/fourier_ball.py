@@ -51,9 +51,7 @@ from functools import lru_cache
 
 import numpy as np
 
-# radial_levels forms the level values apply_radial takes; it lives beside
-# valuation_table and is importable from here as well
-from .ball_model import BallModel, _readonly, radial_levels
+from .ball_model import BallModel, _readonly
 from .function_space import GridFunction
 
 

@@ -148,7 +148,8 @@ class GridFunction:
         levels = radial_levels(self.model, kernel.values)
         if not np.array_equal(kernel.values[1:], levels[valuation_table(self.model)[1:]]):
             raise ValueError("kernel is not radial: its values vary on a sphere")
-        return _radial_convolution(self.model, levels, _class_sums(self.model, self.values))
+        sums = _class_sums(self.model, self.values)
+        return GridFunction(self.model, _radial_convolution(self.model, levels, sums))
 
     # -- resolution changes -------------------------------------------
 
@@ -241,10 +242,12 @@ def _class_sums(model: BallModel, values: np.ndarray) -> list[np.ndarray]:
 
 
 def _radial_convolution(model: BallModel, levels: np.ndarray,
-                        sums: list[np.ndarray]) -> GridFunction:
-    """The Horner pass of ``convolve_radial``: the convolution with the
-    radial kernel of L + 1 level values ``levels`` (see ``radial_levels``)
-    from the ``_class_sums`` of the data, which it leaves unchanged."""
+                        sums: list[np.ndarray]) -> np.ndarray:
+    """The Horner pass of ``convolve_radial``: the values of the
+    convolution with the radial kernel of L + 1 level values ``levels``
+    (see ``radial_levels``) from the ``_class_sums`` of the data, which it
+    leaves unchanged.  The S-array is the caller's own, so a caller wraps
+    it in one GridFunction, or adds to it in place first."""
     p, L = model.p, model.N + model.M
     acc = levels[0] * sums[L]
     for v in range(1, L + 1):
@@ -253,7 +256,7 @@ def _radial_convolution(model: BallModel, levels: np.ndarray,
         term += acc
         acc = term.reshape(-1)
     acc *= float(p) ** (-model.M)
-    return GridFunction(model, acc)
+    return acc
 
 
 def _parse_value(s: str):

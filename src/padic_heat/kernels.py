@@ -1,4 +1,4 @@
-"""Heat kernels, the Green function, and the resolvent on the ball.
+"""Heat kernels and the Green function on the ball.
 
 Sign convention, fixed across the package: the operator D of order
 alpha is positive; A = D - lambda*I kills constants; the semigroup is
@@ -34,7 +34,13 @@ kernel plus the correction c(t) in fixed-point integers, is the
 ``series`` module, which this module does not import, so the two
 routes share no arithmetic.  Everything here runs in doubles: the
 ball and whole-field heat kernels, their mass sums, the Green function
-and the resolvent.
+and the grid kernels.
+
+This module holds the kernel values alone and imports only
+``ball_model`` and ``function_space``: it runs no ball-average ladder
+and no convolution.  ``linear_solver`` convolves the sweeps' levels by
+class sums, the kernel path of the semigroup and of the resolvent, and
+sets them against the ladder path there.
 """
 
 from __future__ import annotations
@@ -45,10 +51,8 @@ import math
 import numpy as np
 
 from .ball_model import (DEFAULT_ORDER_CAP, BallModel, _check_nonnegative, _check_positive,
-                         _check_radius, _radial_array, lambda_value)
-from .fourier_ball import apply_radial
-from .function_space import GridFunction, _class_sums, _radial_convolution
-from .vladimirov import operator_levels
+                         _check_radius, _is_integer, _radial_array, lambda_value)
+from .function_space import GridFunction
 
 DEFAULT_EPS_TAIL = 1e-16
 
@@ -81,11 +85,12 @@ def heat_kernel_global(p: int, alpha: float, t: float, m: int | None = None,
     The downward tail is truncated once its geometric bound p**l drops
     below ``eps_tail``, a bound compared only once p**l is below e**709.
     ``eps_tail`` must be positive and finite, since p**l only falls to
-    0.0.
+    0.0, and m an integer: no point lies at a radius p**(-1.5).
     """
     _check_positive("t", t)
     _check_positive("alpha", alpha)
     _check_positive("eps_tail", eps_tail)
+    _check_radius(None, m)
     q, log_p = 1.0 - 1.0 / p, math.log(p)
     term = _heat_term(p, alpha, t, 0.0)
     if m is None:
@@ -286,15 +291,14 @@ def ball_kernel_gridfunction(model: BallModel, alpha: float, t: float) -> GridFu
     value is its last.  The ``_radial_array`` of those L + 1 levels
     (``_sweep_levels``) makes the kernel bit for bit constant on
     every sphere, as ``GridFunction.convolve_radial`` requires; the
-    kernel path of ``linear_solver.evolve_series`` convolves the levels
-    themselves.  It runs no ladder, so it stays a check of the spectral
-    path.
+    kernel paths of ``linear_solver`` convolve the levels themselves.
+    It runs no ladder, so it stays a check of the spectral path.
     """
     _check_nonnegative("t", t)
     return _radial_gridfunction(model, _ball_radial(model.p, model.N, float(alpha), t))
 
 
-# -- Green function and resolvent --------------------------------------
+# -- Green function -----------------------------------------------------
 
 
 def _green_radial(p: int, N: int, alpha: float, mu: float):
@@ -387,32 +391,6 @@ def green_kernel_gridfunction(model: BallModel, alpha: float, mu: float) -> Grid
     return _radial_gridfunction(model, _green_radial(model.p, model.N, alpha, mu))
 
 
-def resolvent_apply(u: GridFunction, alpha: float, mu: float,
-                    path: str = "spectral") -> GridFunction:
-    """Apply (D - lambda + mu)^(-1) to a grid function.
-
-    path="spectral" applies the radial multiplier 1/(m[k] - lambda + mu)
-    through nested ball averages; path="kernel" convolves the class sums
-    of u with the L + 1 levels of the Green sweep ``_green_radial``, as
-    the kernel path of ``linear_solver.evolve_series`` does with the heat
-    kernel's, and adds the rank-one piece p**(-N)/mu * integral(u) that
-    the kernel (mean-zero by construction) cannot carry.  Neither path
-    forms an S-array kernel.
-    """
-    _check_positive("mu", mu)
-    model = u.model
-    if path == "spectral":
-        e = operator_levels(model, float(alpha))
-        levels = 1.0 / (e - e[-1] + mu)
-        return GridFunction(model, apply_radial(model, levels, u.values))
-    if path == "kernel":
-        levels = _sweep_levels(model, _green_radial(model.p, model.N, float(alpha), float(mu)))
-        mean_part = float(model.p) ** (-model.N) / mu * u.integral()
-        conv = _radial_convolution(model, levels, _class_sums(model, u.values))
-        return GridFunction(model, conv.values + mean_part)
-    raise ValueError(f"unknown path {path!r}")
-
-
 # -- regime tables ------------------------------------------------------
 
 
@@ -424,11 +402,12 @@ def green_estimates_report(p: int, N: int, alpha: float, mu: float,
     p**(m*(alpha-1)) for alpha < 1 (power growth), 1 for alpha > 1
     (bounded, continuous at 0).  Rows carry the weighted value and the
     ratio of consecutive weighted values, which should settle near 1 as
-    m decreases.  A sweep of more than ``DEFAULT_ORDER_CAP`` radii, from
-    p**N down to p**lo, is refused with ValueError before it starts.
+    m decreases.  Both ends must be integers (``_is_integer``).  A sweep
+    of more than ``DEFAULT_ORDER_CAP`` radii, from p**N down to p**lo, is
+    refused with ValueError before it starts.
     """
     lo, hi = m_range
-    if lo > hi or hi > N:
+    if not (_is_integer(lo) and _is_integer(hi)) or lo > hi or hi > N:
         raise ValueError(f"bad m_range {m_range}")
     if N - lo + 1 > DEFAULT_ORDER_CAP:
         raise ValueError(f"m_range {m_range} sweeps {N - lo + 1} radii from p**{N}, "

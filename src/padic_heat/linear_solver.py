@@ -1,17 +1,21 @@
-"""Linear heat flow on the ball: du/dt + (D - lambda)u = 0.
+"""Linear heat flow on the ball, du/dt + (D - lambda)u = 0, and its
+resolvent (D - lambda + mu)^(-1), the Laplace transform of the semigroup.
 
-Two interchangeable propagation paths: the spectral path applies the
-radial multiplier exp(-t*(m[k] - lambda)) through nested ball averages
+Both apply one radial family by two interchangeable paths: the spectral
+path applies the radial multiplier, exp(-t*(m[k] - lambda)) or
+1/(m[k] - lambda + mu), through nested ball averages
 (``fourier_ball.apply_radial``) and is the default; the kernel path
-convolves with the ball heat kernel, whose L + 1 sphere values are read
-off the radial sweep of ``kernels.heat_kernel_ball``, by sphere sums
-(``GridFunction.convolve_radial``) and is kept as an independent
-check; both cost O(S).  Only the level values depend on t, so
-``evolve_series`` runs the chosen path's t-free half once per call (the
-ladder's up-pass, or the class sums) and then one down-pass or Horner
-pass per time; the two paths share no arithmetic.  Constants are fixed
-points, mass is conserved (the k = 0 mode is untouched), and every
-nonzero mode decays, so solutions relax to the mean at rate
+convolves with the ball heat kernel or the Green function, whose L + 1
+sphere values are read off the radial sweeps of ``kernels``, by sphere
+sums (``GridFunction.convolve_radial``) and is kept as an independent
+check; both cost O(S).  This is the one library module where the two
+routes meet: ``kernels`` runs no ladder and ``fourier_ball`` and
+``vladimirov`` no kernel sweep, so the two paths share no arithmetic.
+Only the level values depend on t, so ``evolve_series`` runs the chosen
+path's t-free half once per call (the ladder's up-pass, or the class
+sums) and then one down-pass or Horner pass per time.  Constants are
+fixed points, mass is conserved (the k = 0 mode is untouched), and
+every nonzero mode decays, so solutions relax to the mean at rate
 p**(alpha*(1-N)) - lambda.
 """
 
@@ -20,9 +24,9 @@ from __future__ import annotations
 import numpy as np
 
 from .ball_model import _check_nonnegative, _check_positive, _check_times
-from .fourier_ball import _ladder_apply, _ladder_averages
+from .fourier_ball import _ladder_apply, _ladder_averages, apply_radial
 from .function_space import GridFunction, _class_sums, _radial_convolution
-from .kernels import _ball_radial, _sweep_levels
+from .kernels import _ball_radial, _green_radial, _sweep_levels
 from .vladimirov import apply_spectral, operator_levels
 
 
@@ -56,7 +60,34 @@ def evolve_series(u0: GridFunction, alpha: float, times,
     if path == "kernel":
         sums = _class_sums(model, u0.values)
         sweeps = (_ball_radial(model.p, model.N, alpha, t) for t in ts)
-        return [_radial_convolution(model, _sweep_levels(model, s), sums) for s in sweeps]
+        return [GridFunction(model, _radial_convolution(model, _sweep_levels(model, s), sums))
+                for s in sweeps]
+    raise ValueError(f"unknown path {path!r}")
+
+
+def resolvent_apply(u: GridFunction, alpha: float, mu: float,
+                    path: str = "spectral") -> GridFunction:
+    """Apply (D - lambda + mu)^(-1) to a grid function.
+
+    path="spectral" applies the radial multiplier 1/(m[k] - lambda + mu)
+    through nested ball averages; path="kernel" convolves the class sums
+    of u with the L + 1 levels of the Green sweep
+    ``kernels._green_radial``, as the kernel path of ``evolve_series``
+    does with the heat kernel's, and adds in place the rank-one piece
+    p**(-N)/mu * integral(u) that the kernel (mean-zero by construction)
+    cannot carry.  Neither path forms an S-array kernel.
+    """
+    _check_positive("mu", mu)
+    model = u.model
+    if path == "spectral":
+        e = operator_levels(model, float(alpha))
+        levels = 1.0 / (e - e[-1] + mu)
+        return GridFunction(model, apply_radial(model, levels, u.values))
+    if path == "kernel":
+        levels = _sweep_levels(model, _green_radial(model.p, model.N, float(alpha), float(mu)))
+        conv = _radial_convolution(model, levels, _class_sums(model, u.values))
+        conv += float(model.p) ** (-model.N) / mu * u.integral()
+        return GridFunction(model, conv)
     raise ValueError(f"unknown path {path!r}")
 
 

@@ -143,6 +143,25 @@ def test_validation_errors():
         model.valuation(-1)
 
 
+@pytest.mark.parametrize("bad", [-1.5, -1.0, True])
+def test_exponents_must_be_integers(bad):
+    # N = 0.5 built a model of S = 11.31, and True read as N = 1
+    for N, M in ((bad, 3), (0, bad)):
+        with pytest.raises(ValueError, match="N and M must be integers"):
+            BallModel(2, N, M)
+
+
+def test_numpy_integer_exponents_give_the_int_model():
+    model = BallModel(3, np.int64(-1), np.int64(4))
+    assert model == BallModel(3, -1, 4) and model.S == 27
+    assert np.array_equal(point_abs_table(model), point_abs_table(BallModel(3, -1, 4)))
+    # the order is formed in Python ints: 3**40 in int64 wrapped to a
+    # negative S, and 2**64 to 0, both under the cap
+    for p, M in ((3, 40), (2, 64)):
+        with pytest.raises(ValueError, match=rf"= {p ** M} exceeds the cap"):
+            BallModel(p, np.int64(0), np.int64(M))
+
+
 def test_an_order_past_the_cap_is_refused_before_p_is_tested(monkeypatch):
     # p**(N+M) of a huge N+M, and the trial division of a huge p, ran for
     # hours; an order past 4096 bits is named by its power, not formed

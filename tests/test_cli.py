@@ -18,7 +18,7 @@ from padic_heat import (
     evolve,
     positive_bump,
 )
-from padic_heat import cli, kernels, pme_solver, vladimirov
+from padic_heat import cli, kernels, linear_solver, pme_solver, vladimirov
 from padic_heat.ball_model import freq_abs_table
 from padic_heat.cli import main
 from padic_heat.vladimirov import multiplier
@@ -649,16 +649,17 @@ def _shift_entry_0(module, name, shift):
     return module, name, perturbed
 
 
-def _shift_green_sweep(at_mu):
-    """Patch the Green sweep at ``at_mu`` to add 1e-6 to every K: the
-    mean-zero check reads mu = 1, the resolvent's kernel path mu = 0.9."""
-    original = kernels._green_radial
+def _shift_green_sweep(module, at_mu):
+    """Patch the Green sweep that ``module`` reads at ``at_mu`` to add 1e-6
+    to every K: the mean-zero check reads ``kernels``' at mu = 1, the
+    resolvent's kernel path ``linear_solver``'s at mu = 0.9."""
+    original = module._green_radial
 
     def perturbed(p, N, alpha, mu):
         sweep = original(p, N, alpha, mu)
         return ((K + 1e-6, mean) for K, mean in sweep) if mu == at_mu else sweep
 
-    return kernels, "_green_radial", perturbed
+    return module, "_green_radial", perturbed
 
 
 def _scale_series():
@@ -676,8 +677,8 @@ VERIFY_PERTURBATIONS = {
     "representation agreement": lambda: _shift_entry_0(cli, "apply_hypersingular", 1e-6),
     "ball kernel two formulas": _scale_series,
     "Chapman-Kolmogorov": lambda: _shift_entry_0(cli, "ball_kernel_gridfunction", 1e-6),
-    "resolvent two paths": lambda: _shift_green_sweep(0.9),
-    "Green kernel mean zero": lambda: _shift_green_sweep(1.0),
+    "resolvent two paths": lambda: _shift_green_sweep(linear_solver, 0.9),
+    "Green kernel mean zero": lambda: _shift_green_sweep(kernels, 1.0),
     "FFT vs direct DFT": lambda: _shift_entry_0(cli, "dft_direct", 1e-3),
     "implicit-step mass identity": lambda: _shift_entry_0(pme_solver, "apply_radial", 1e-6),
 }

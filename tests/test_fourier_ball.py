@@ -16,8 +16,8 @@ from padic_heat import (
     random_function,
 )
 from padic_heat import fourier_ball
-from padic_heat.fourier_ball import apply_multiplier, apply_radial, radial_levels
-from padic_heat.ball_model import valuation_table
+from padic_heat.fourier_ball import apply_multiplier, apply_radial
+from padic_heat.ball_model import radial_levels, valuation_table
 from padic_heat.vladimirov import multiplier, operator_levels
 
 from tests.conftest import STANDARD_MODELS, rel_linf

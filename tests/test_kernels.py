@@ -16,6 +16,7 @@ from padic_heat import (
     ball_kernel_gridfunction,
     c_series,
     constant,
+    evolve_series,
     green_ball_integral,
     green_estimates_report,
     green_kernel,
@@ -30,7 +31,7 @@ from padic_heat import (
     random_function,
     resolvent_apply,
 )
-from padic_heat import fourier_ball, kernels, series
+from padic_heat import fourier_ball, kernels, linear_solver, series, vladimirov
 from padic_heat.ball_model import Constants, coefficient_ap, freq_abs_table, valuation_table
 from padic_heat.vladimirov import (
     RieszDistribution,
@@ -1077,16 +1078,39 @@ def test_grid_kernel_is_the_character_sum_on_every_sphere(case):
     assert abs(spheres[L] - want0) <= 1e-13 * abs(want0)
 
 
+NO_LADDER_MODELS = ((2, 0, 9), (3, -1, 5), (7, 1, 2), (5, 0, 0))
+
+
+def _kernel_path_values(model):
+    """The values of every kernel path on one model: the two grid kernels,
+    ``convolve_radial`` with the ball kernel, and the kernel paths of the
+    semigroup and of the resolvent."""
+    u = random_function(model, 5)
+    grid = ball_kernel_gridfunction(model, 1.3, 0.4)
+    return [grid.values, green_kernel_gridfunction(model, 1.3, 0.9).values,
+            u.convolve_radial(grid).values, resolvent_apply(u, 1.3, 0.9, path="kernel").values,
+            *(g.values for g in evolve_series(u, 1.3, [0.1, 0.4, 2.5], path="kernel"))]
+
+
 def test_grid_kernel_runs_no_ladder(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the kernel path ran the ball-average ladder")
 
-    monkeypatch.setattr(fourier_ball, "apply_radial", forbidden)
-    monkeypatch.setattr(kernels, "apply_radial", forbidden)
-    for p, N, M in ((2, 0, 9), (3, -1, 5), (7, 1, 2), (5, 0, 0)):
+    unpatched = [_kernel_path_values(BallModel(*pnm)) for pnm in NO_LADDER_MODELS]
+    ladder = ("apply_radial", "_ladder_averages", "_ladder_apply")
+    for module, names in ((fourier_ball, ladder), (vladimirov, ("apply_radial", "operator_levels")),
+                          (linear_solver, ladder + ("operator_levels",))):
+        for name in names:
+            monkeypatch.setattr(module, name, forbidden)
+    for (p, N, M), want in zip(NO_LADDER_MODELS, unpatched):
         model = BallModel(p, N, M)
         grid = ball_kernel_gridfunction(model, 1.3, 0.4)
         assert abs(grid.integral() - 1.0) < 1e-12
+        # every kernel path gives its unpatched bits, S = 1 included
+        got = _kernel_path_values(model)
+        assert len(got) == len(want) == 7
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
 
 
 # -- Green function -----------------------------------------------------
@@ -1110,6 +1134,43 @@ def test_green_progression_matches_sphere_series():
                     b = green_kernel_series(p, N, alpha, mu, m)
                     assert abs(a - want) < 1e-13 * max(abs(want), 1e-9)
                     assert b == a
+
+
+# each radial evaluator as a function of one radius exponent m, its value
+# a float or a list of floats
+RADIUS_CALLS = {
+    "heat_kernel_ball": lambda m: heat_kernel_ball(2, 0, 1.0, 1.0, m),
+    "heat_kernel_ball_series": lambda m: heat_kernel_ball_series(2, 0, 1.0, 1.0, m),
+    "heat_kernel_global": lambda m: heat_kernel_global(2, 1.0, 1.0, m),
+    "green_kernel": lambda m: green_kernel(2, 0, 1.0, 1.0, m),
+    "green_kernel_series": lambda m: green_kernel_series(2, 0, 1.5, 1.0, m),
+    "green_estimates_report m_lo": lambda m: [
+        row["K"] for row in green_estimates_report(2, 0, 1.5, 1.0, (m, 0))],
+    "green_estimates_report m_hi": lambda m: [
+        row["K"] for row in green_estimates_report(2, 0, 1.5, 1.0, (-3, m))],
+}
+
+
+@pytest.mark.parametrize("bad", [-1.5, -1.0, True])
+@pytest.mark.parametrize("name", list(RADIUS_CALLS))
+def test_radius_exponents_must_be_integers(name, bad):
+    # no point lies at radius 2**-1.5, -1.0 raised islice's TypeError or a
+    # bare one, and True read as m = 1
+    with pytest.raises(ValueError, match="must be an integer|bad m_range"):
+        RADIUS_CALLS[name](bad)
+
+
+@pytest.mark.parametrize("name", list(RADIUS_CALLS))
+def test_numpy_integer_radius_gives_the_int_bits(name):
+    got, want = (np.asarray(RADIUS_CALLS[name](m), dtype=np.float64) for m in (np.int64(-2), -2))
+    assert got.tobytes() == want.tobytes()
+
+
+def test_numpy_integer_model_gives_the_int_kernel_bits():
+    for N, M in ((0, 5), (-1, 3)):
+        want = ball_kernel_gridfunction(BallModel(3, N, M), 1.3, 0.4).values
+        got = ball_kernel_gridfunction(BallModel(3, np.int64(N), np.int64(M)), 1.3, 0.4).values
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("m", [1, 2, 5])

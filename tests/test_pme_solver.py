@@ -35,7 +35,8 @@ from padic_heat import (
     resolvent_apply,
 )
 from padic_heat import fourier_ball, pme_solver, vladimirov
-from padic_heat.fourier_ball import apply_radial, radial_levels
+from padic_heat.ball_model import radial_levels
+from padic_heat.fourier_ball import apply_radial
 from padic_heat.pme_solver import _implicit_step_info, _tree_jacobian_solve
 from padic_heat.vladimirov import build_matrix, multiplier, operator_levels
 from tests.conftest import alarm

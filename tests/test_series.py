@@ -1,17 +1,22 @@
 """The series route of the ball heat kernel stays apart from the float
-sweeps it is compared with.
+sweeps it is compared with, and the kernel route from the ball-average
+ladder.
 
 ``heat-kernel`` and ``verify`` compare the character sum of
 ``kernels.heat_kernel_ball`` with the fixed-point series of
-``series.heat_kernel_ball_series``; the comparison means something only
-while the two routes share no arithmetic.
+``series.heat_kernel_ball_series``; ``solve-linear``'s path disagreement
+and ``verify``'s "resolvent two paths" compare the class-sum convolution
+of the kernel sweeps (``function_space`` and ``kernels``) with the ladder
+(``fourier_ball``, fed by ``vladimirov.operator_levels``).  Each
+comparison means something only while its two routes share no
+arithmetic.
 """
 
 import ast
 import pathlib
 
 import padic_heat
-from padic_heat import kernels, series
+from padic_heat import cli, fourier_ball, kernels, linear_solver, series
 
 PACKAGE = pathlib.Path(padic_heat.__file__).parent
 
@@ -40,6 +45,33 @@ def test_series_and_kernels_share_no_code():
     assert imports["series"] <= {"ball_model"}
     assert "series" not in imports["kernels"]
     assert {name for name, found in imports.items() if "series" in found} == {"cli", "__init__"}
+
+
+def _imported_names(path):
+    """The names a package module imports from its sibling modules."""
+    return {alias.name for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ImportFrom) and node.level == 1 for alias in node.names}
+
+
+def test_kernel_route_and_ladder_share_no_code():
+    imports = {path.stem: _package_imports(path) for path in PACKAGE.glob("*.py")}
+    assert imports["function_space"] <= {"ball_model"}
+    assert imports["kernels"] <= {"ball_model", "function_space"}
+    for name in ("fourier_ball", "vladimirov", "pme_solver"):
+        assert "kernels" not in imports[name]
+        assert _imported_names(PACKAGE / f"{name}.py").isdisjoint(
+            {"_class_sums", "_radial_convolution"})
+    # the one library module where the two routes meet, and the front ends
+    meet = {name for name, found in imports.items()
+            if "kernels" in found and found & {"fourier_ball", "vladimirov"}}
+    assert meet == {"linear_solver", "cli", "__init__"}
+
+
+def test_resolvent_and_radial_levels_have_one_home():
+    assert "resolvent_apply" not in vars(kernels)
+    assert padic_heat.resolvent_apply is linear_solver.resolvent_apply
+    assert cli.resolvent_apply is linear_solver.resolvent_apply
+    assert "radial_levels" not in vars(fourier_ball)
 
 
 def test_series_names_have_one_home():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import padic_heat.vladimirov as vlad
-from padic_heat import fourier_ball, kernels
+from padic_heat import fourier_ball, linear_solver
 from padic_heat import (
     BallModel,
     ConsistencyError,
@@ -29,8 +29,7 @@ from padic_heat import (
     spectrum_multiset,
     symbol_quadrature,
 )
-from padic_heat.ball_model import coefficient_ap, point_abs_table, valuation_table
-from padic_heat.fourier_ball import radial_levels
+from padic_heat.ball_model import coefficient_ap, point_abs_table, radial_levels, valuation_table
 from tests.conftest import STANDARD_MODELS, alarm, rel_linf
 
 
@@ -371,7 +370,7 @@ def test_oracles_use_neither_the_transform_nor_the_ladder(monkeypatch):
     for name in ("fft", "ifft", "rfft", "irfft", "hfft", "ihfft",
                  "fftn", "ifftn", "rfftn", "irfftn", "fft2", "ifft2"):
         monkeypatch.setattr(np.fft, name, refuse)
-    for module in (fourier_ball, vlad, kernels):
+    for module in (fourier_ball, vlad, linear_solver):
         monkeypatch.setattr(module, "apply_radial", refuse)
     with pytest.raises(AssertionError):
         apply_spectral(u, 1.3)
