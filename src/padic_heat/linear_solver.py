@@ -33,9 +33,13 @@ from .vladimirov import apply_spectral, operator_levels
 def evolve(u0: GridFunction, alpha: float, t: float,
            path: str = "spectral") -> GridFunction:
     """Propagate initial data by time t: the one-time ``evolve_series``,
-    or a copy of ``u0`` at t = 0."""
+    or a copy of ``u0`` at t = 0, which refuses an unknown path and then
+    an alpha as ``evolve_series`` does."""
     _check_nonnegative("t", t)
     if t == 0.0:
+        if path not in ("spectral", "kernel"):
+            raise ValueError(f"unknown path {path!r}")
+        _check_positive("alpha", float(alpha))
         return GridFunction(u0.model, u0.values)
     return evolve_series(u0, alpha, [t], path)[0]
 
@@ -58,6 +62,7 @@ def evolve_series(u0: GridFunction, alpha: float, times,
         return [GridFunction(model, _ladder_apply(model, np.exp(-t * (e - e[-1])), ladders))
                 for t in ts]
     if path == "kernel":
+        _check_positive("alpha", alpha)
         sums = _class_sums(model, u0.values)
         sweeps = (_ball_radial(model.p, model.N, alpha, t) for t in ts)
         return [GridFunction(model, _radial_convolution(model, _sweep_levels(model, s), sums))

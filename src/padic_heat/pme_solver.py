@@ -611,6 +611,7 @@ def lgamma_decay_suite(u0: GridFunction, times, gammas, alpha: float,
     if np.min(u0.values) <= 0:
         raise ValueError("decay suite requires strictly positive data")
     ts = _check_times(times)
+    _check_positive("alpha", float(alpha))
     gs = [float(g) for g in gammas]
     norms = {g: [u0.lp_norm(g)] for g in gs}
     violations = []

@@ -22,19 +22,22 @@ power of p.  The series route reads exp(lambda*t) and c(t) from it, and
 ``c_series`` rounds its c(t) to a double.  At every time the series
 route sums the global kernel's spheres in the same integers too and
 rounds once, so it runs one arithmetic and loads no package beyond
-numpy.  One call, ``_series_reader``, forms each sphere once for every
-radius down to the deepest one asked for and reads each radius off
-their prefix sums; each sphere's p**(alpha*l) is one running product
-from p**0 = 1, down by p**(-alpha) and up by p**alpha, so a sphere
-costs one exponential, its decay.  The integer layer keeps two caches,
-``_ln_at`` and ``_grow_and_c``; each holds a value that depends only on
-its key and never changes once cached, and the spheres live only in
-their call, so the route is safe to call from several threads without
-a lock.  Every value it returns is a float64.  A sum whose terms times
-digits pass ``SERIES_WORK_BUDGET``, the c(t) series, the global
-kernel's sphere sum at x = 0 or its sphere sum down to the deepest
-radius, is refused with NonConvergenceError before any sphere is
-formed, and so before any work per radius.
+numpy.  The route has one entry, ``_series_reader``: one call per time
+refuses its own t and deepest radius, forms each sphere once for every
+radius down to that deepest one and reads each radius off their prefix
+sums.  ``heat_kernel_ball_series`` is one read of it, and
+``heat-kernel`` reads every row of a time off one call.  Each sphere's
+p**(alpha*l) is one running product from p**0 = 1, down by p**(-alpha)
+and up by p**alpha, so a sphere costs one exponential, its decay.  The
+integer layer keeps two caches, ``_ln_at`` and ``_grow_and_c``; each
+holds a value that depends only on its key and never changes once
+cached, and the spheres live only in their call, so the route is safe
+to call from several threads without a lock.  Every value it returns
+is a float64.  A sum whose terms times digits pass
+``SERIES_WORK_BUDGET``, the c(t) series, the global kernel's sphere sum
+at x = 0 or its sphere sum down to the deepest radius, is refused with
+NonConvergenceError before any sphere is formed, and so before any work
+per radius.
 """
 
 from __future__ import annotations
@@ -284,6 +287,7 @@ def c_series(p: int, N: int, alpha: float, t: float) -> float:
     NonConvergenceError where that sum passes ``SERIES_WORK_BUDGET``.
     """
     _check_nonnegative("t", t)
+    _check_positive("alpha", alpha)
     if t == 0.0:
         return 0.0
     dps = _series_dps(p, N, alpha, t)
@@ -334,23 +338,15 @@ def _top_sphere(p: int, N: int, alpha: float, t: float, digits: int) -> int:
     return hi
 
 
-def _series_radii(p: int, N: int, alpha: float, t: float, radii) -> list[float]:
-    """``heat_kernel_ball_series`` at each radius p**m of ``radii`` (None
-    for x = 0), in any order: t and every radius are refused first, then
-    ``_series_reader`` reads each off one list of spheres."""
-    _check_positive("t", t)
-    for m in radii:
-        _check_radius(N, m)
-    deepest = min((m for m in radii if m is not None), default=None)
-    return list(map(_series_reader(p, N, alpha, t, deepest, None in radii), radii))
-
-
 def _series_reader(p: int, N: int, alpha: float, t: float, deepest: int | None,
                    zero: bool):
     """``heat_kernel_ball_series`` as a function of m, for every radius
     p**m from p**N down to p**deepest (None for no radius) and, where
     ``zero``, for x = 0 (m = None), every value read off one list of
-    spheres.  The caller has refused t and every radius past p**N.
+    spheres.  It is the series route's one entry, so it refuses its own
+    input before any work: t, by ``_check_positive``, then ``deepest``,
+    by ``_check_radius`` (an integer, at most N), then alpha, by
+    ``lambda_value``.  The function it returns reads only those radii.
 
     The global kernel scaled by 2**B is
 
@@ -377,6 +373,8 @@ def _series_reader(p: int, N: int, alpha: float, t: float, deepest: int | None,
     ``deepest`` and ``zero``, so a deep radius is refused in O(1), before
     any work per radius.
     """
+    _check_positive("t", t)
+    _check_radius(N, deepest)
     lam_t = lambda_value(p, alpha, N) * t
     tail_digits = 15 + int(math.ceil(lam_t * math.log10(math.e)))
     dps = _series_dps(p, N, alpha, t) + tail_digits
@@ -426,7 +424,7 @@ def heat_kernel_ball_series(p: int, N: int, alpha: float, t: float,
     exp(lambda*t) while their sum stays order p**(-N), and c(t) reaches
     about 1e10 at N < 0 however small lambda*t is, so at every time the
     whole combination is formed in the fixed-point integers, the global
-    kernel by ``_series_radii``, and rounded once.  It works
+    kernel by one ``_series_reader`` read, and rounded once.  It works
     ``tail_digits`` = 15 + lambda*t*log10(e) guard digits past c(t)'s,
     so the global kernel survives multiplication by exp(lambda*t).  The
     route refuses by one rule, NonConvergenceError where c(t), the x = 0
@@ -435,5 +433,5 @@ def heat_kernel_ball_series(p: int, N: int, alpha: float, t: float,
     so any lambda*t whose guard digits would cost more than the budget
     comes with a c(t) series that passes it first.
     """
-    return _series_radii(p, N, alpha, t, [m])[0]
+    return _series_reader(p, N, alpha, t, m, m is None)(m)
 

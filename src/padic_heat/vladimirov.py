@@ -73,6 +73,7 @@ def symbol_quadrature(model: BallModel, alpha: float, k: int) -> float:
     contributes -(1 - 1/p) * p**(-alpha*l).  Returns 0 at k = 0.
     """
     model._check_index(k)
+    _check_positive("alpha", alpha)
     if k == 0:
         return 0.0
     p = model.p
@@ -242,9 +243,6 @@ def convolve_riesz(u: GridFunction, alpha: float) -> GridFunction:
     return GridFunction(model, out)
 
 
-# one entry: every hit is a second read of the same row within one call
-# (``verify``), and a row is 8 MB at S = 2**20
-@lru_cache(maxsize=1)
 def matrix_row(model: BallModel, alpha: float) -> np.ndarray:
     """Row 0 of ``build_matrix``, read-only, in O(S) at any order: the
     difference weights w_j = a_p * p**(-M) * |y_j|^(-alpha-1), even in j,
@@ -253,9 +251,9 @@ def matrix_row(model: BallModel, alpha: float) -> np.ndarray:
     The weights depend only on the valuation of j, so the row is the
     ``_radial_array`` of L + 1 weights, one per sphere.  It is gathered
     twice: once with 0 at j = 0, to take the sum of the S weights, and
-    once with lambda minus that sum.  The last row is cached, so
-    ``build_matrix``, ``apply_hypersingular``, ``spectrum`` and ``verify``
-    read one row."""
+    once with lambda minus that sum.  It is formed per call and held by
+    no cache: a row is 8 MB at S = 2**20, and its one repeat read, the
+    second of ``verify``, costs 10 to 20 microseconds at verify sizes."""
     alpha = float(alpha)
     L = model.N + model.M
     w = np.zeros(L + 1)

@@ -1111,13 +1111,3 @@ def test_help_prints_usage_and_exits_0(argv, usage, capsys):
         main(argv)
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith(usage)
-
-
-def test_matrix_row_keeps_one_row(tmp_path):
-    # the row cache holds the last row alone: 8 MB at S = 2**20, where
-    # 128 rows were 1 GiB
-    for alpha in ("0.5", "1.0", "1.7"):
-        assert main(["spectrum", "--p", "2", "--N", "0", "--M", "6", "--alpha", alpha,
-                     "--out", str(tmp_path)]) == 0
-    info = vladimirov.matrix_row.cache_info()
-    assert info.maxsize == 1 and info.currsize == 1

@@ -13,9 +13,11 @@ from padic_heat import (
     BallModel,
     GridFunction,
     NonConvergenceError,
+    Nonlinearity,
     ball_kernel_gridfunction,
     c_series,
     constant,
+    evolve,
     evolve_series,
     green_ball_integral,
     green_estimates_report,
@@ -28,8 +30,10 @@ from padic_heat import (
     global_kernel_ball_mass,
     global_kernel_mass,
     lambda_value,
+    lgamma_decay_suite,
     random_function,
     resolvent_apply,
+    symbol_quadrature,
 )
 from padic_heat import fourier_ball, kernels, linear_solver, series, vladimirov
 from padic_heat.ball_model import Constants, coefficient_ap, freq_abs_table, valuation_table
@@ -576,7 +580,8 @@ def test_extended_series_shares_its_spheres_across_radii(case):
     radii = list(range(N, N - 6, -1)) + [None]
     want = [_per_radius_series(p, N, alpha, t, m) for m in radii]
     assert [heat_kernel_ball_series(p, N, alpha, t, m) for m in radii] == want
-    assert series._series_radii(p, N, alpha, t, radii) == want
+    read = series._series_reader(p, N, alpha, t, N - 5, True)
+    assert [read(m) for m in radii] == want
 
 
 def _series_outcome(f, *args):
@@ -589,7 +594,7 @@ def _series_outcome(f, *args):
 
 
 @st.composite
-def _series_radii_cases(draw):
+def _series_reader_cases(draw):
     p = draw(st.sampled_from([2, 3, 5, 7]))
     N = draw(st.integers(-3, 2))
     alpha = draw(st.floats(0.03, 2.8))
@@ -599,7 +604,7 @@ def _series_radii_cases(draw):
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(_series_radii_cases())
+@given(_series_reader_cases())
 @example((2, 0, 0.001, 1.0, [0, None, -5]))  # x = 0 past the work budget
 def test_one_series_call_over_many_radii_gives_each_radius_its_bits(case):
     # one call reads every radius, in any order, off one list of prefix
@@ -607,8 +612,14 @@ def test_one_series_call_over_many_radii_gives_each_radius_its_bits(case):
     # prefix at its own top, above or below the deepest radius's edge
     # sphere.  A refused call gives the refusal of one radius alone
     p, N, alpha, t, radii = case
+    deepest = min(m for m in radii if m is not None)
+
+    def one_call():
+        read = series._series_reader(p, N, alpha, t, deepest, True)
+        return [read(m) for m in radii]
+
     with alarm(60):
-        one = _series_outcome(series._series_radii, p, N, alpha, t, radii)
+        one = _series_outcome(one_call)
         each = [_series_outcome(heat_kernel_ball_series, p, N, alpha, t, m) for m in radii]
     if isinstance(one, str):
         assert one in each
@@ -620,8 +631,8 @@ def test_series_call_forms_one_exp_per_sphere(monkeypatch):
     # p**(alpha*l) is one running product, so each sphere costs its own
     # exp alone; a second exp per sphere above the ball formed
     # p**(alpha*l), 75 calls for 64 spheres here
-    args = (2, 0, 0.7, 1.0, [0, -3, None])
-    series._series_radii(*args)  # warms _grow_and_c
+    args = (2, 0, 0.7, 1.0, -3, True)
+    series._series_reader(*args)  # warms _grow_and_c
     calls = {"_exp": 0, "_sphere": 0}
 
     def counted(name):
@@ -635,7 +646,7 @@ def test_series_call_forms_one_exp_per_sphere(monkeypatch):
     for name in calls:
         monkeypatch.setattr(series, name, counted(name))
     with alarm(30):
-        series._series_radii(*args)
+        list(map(series._series_reader(*args), (0, -3, None)))
     assert calls["_sphere"] > 0
     # the two of _p_powers besides
     assert calls["_exp"] == calls["_sphere"] + 2
@@ -650,7 +661,8 @@ def test_series_running_product_holds_where_p_to_the_alpha_passes_its_bits(p, N,
     # product up from it to reach the spheres above the ball
     radii = [N, N - 1, N - 3, None]
     with alarm(30):
-        got = series._series_radii(p, N, alpha, t, radii)
+        read = series._series_reader(p, N, alpha, t, N - 3, True)
+        got = [read(m) for m in radii]
     want = [heat_kernel_ball(p, N, alpha, t, m) for m in radii]
     for g, w in zip(got, want):
         assert abs(g - w) < 1e-12 * max(abs(w), float(p) ** -N)
@@ -1522,6 +1534,17 @@ def test_scalar_routes_refuse_non_finite_alpha(alpha):
              lambda: green_kernel_series(2, 0, alpha, 1.0, None)]
     for call in calls:
         with pytest.raises(ValueError, match="finite"):
+            call()
+    # shortcuts at t = 0, k = 0 or no time returned without reading alpha;
+    # each is refused with its general path's message
+    shortcuts = [lambda: evolve(u, alpha, 0.0),
+                 lambda: c_series(2, 0, alpha, 0.0),
+                 lambda: symbol_quadrature(model, alpha, 0),
+                 lambda: evolve_series(u, alpha, [], "kernel"),
+                 lambda: lgamma_decay_suite(GridFunction(model, np.arange(1.0, 9.0)), [],
+                                            [2.0], alpha, Nonlinearity.power(2.0))]
+    for call in shortcuts:
+        with pytest.raises(ValueError, match=f"^alpha must be positive and finite, got {alpha}$"):
             call()
 
 

@@ -251,6 +251,19 @@ def test_evolve_series_runs_each_t_free_pass_once(monkeypatch):
                 assert calls == want, (path, n)
 
 
+def test_every_entry_refuses_an_unknown_path():
+    # evolve at t = 0 returned a copy of u0 under any path
+    u = random_function(BallModel(2, 0, 3), 5)
+    calls = [lambda: evolve(u, 1.0, 0.0, "bogus"),
+             lambda: evolve(u, 1.0, 0.5, "bogus"),
+             lambda: evolve_series(u, 1.0, [0.5, 1.0], "bogus"),
+             lambda: evolve_series(u, 1.0, [], "bogus"),
+             lambda: linear_solver.resolvent_apply(u, 1.0, 0.9, "bogus")]
+    for call in calls:
+        with pytest.raises(ValueError, match="^unknown path 'bogus'$"):
+            call()
+
+
 def _per_time_pde_residual(u, alpha, t):
     # the residual's formula with one evolution per time
     dt = min(1e-5 * max(t, 1.0), t / 2)

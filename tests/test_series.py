@@ -13,7 +13,10 @@ arithmetic.
 """
 
 import ast
+import math
 import pathlib
+
+import pytest
 
 import padic_heat
 from padic_heat import cli, fourier_ball, kernels, linear_solver, series
@@ -84,3 +87,52 @@ def test_series_names_have_one_home():
     for name in ("c_series", "heat_kernel_ball_series", "NonConvergenceError"):
         assert getattr(padic_heat, name) is getattr(series, name)
     assert own.isdisjoint(vars(kernels))
+
+
+def test_series_route_has_one_entry(monkeypatch):
+    # heat_kernel_ball_series is one read of the reader, which ``heat-kernel``
+    # calls too; no list layer refuses on the reader's behalf
+    assert not hasattr(series, "_series_radii")
+    reads = []
+    original = series._series_reader
+
+    def recorded(*args):
+        read = original(*args)
+
+        def value(m):
+            reads.append((args, m))
+            return read(m)
+        return value
+
+    monkeypatch.setattr(series, "_series_reader", recorded)
+    for m in (0, -3, None):
+        series.heat_kernel_ball_series(2, 0, 0.7, 1.0, m)
+    assert reads == [((2, 0, 0.7, 1.0, m, m is None), m) for m in (0, -3, None)]
+
+
+@pytest.mark.parametrize("t, deepest, message", [
+    (math.nan, 0, "t must be positive and finite, got nan"),
+    (-1, 0, "t must be positive and finite, got -1"),
+    (0.0, 0, "t must be positive and finite, got 0.0"),
+    (math.inf, 0, "t must be positive and finite, got inf"),
+    (1.0, 2, "radius exponent m must be <= N = 0, got 2"),
+    (1.0, -1.5, "radius exponent m must be an integer, got -1.5"),
+    (1.0, True, "radius exponent m must be an integer, got True"),
+])
+def test_series_reader_refuses_its_own_input(t, deepest, message, monkeypatch):
+    # the messages heat_kernel_ball_series gave when a list layer refused
+    # for the reader, which read a sphere |x| = 4 outside the ball |x| <= 1,
+    # summed a series at t = -1 or failed on converting NaN to an integer;
+    # the refusal comes before any integer is formed
+    def forbidden(*args):
+        raise AssertionError("the integer layer ran")
+
+    monkeypatch.setattr(series, "_series_dps", forbidden)
+    monkeypatch.setattr(series, "_grow_and_c", forbidden)
+    for zero in (False, True):
+        with pytest.raises(ValueError) as exc:
+            series._series_reader(2, 0, 1.0, t, deepest, zero)
+        assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:
+        series.heat_kernel_ball_series(2, 0, 1.0, t, deepest)
+    assert str(exc.value) == message
